@@ -52,6 +52,9 @@ _IDF_SCALE = 10.0
 _DROP_SIMILARITY = FEATURE_NAMES.index("drop_similarity")
 _DROP_EVIDENCE_MISSING = FEATURE_NAMES.index("drop_evidence_missing")
 
+#: Their values when the log holds no drop evidence for the pair.
+NO_DROP_EVIDENCE: tuple[float, float] = (0.5, 1.0)
+
 
 def _squash(value: float, scale: float) -> float:
     """Clamp a non-negative quantity into [0, 1] at the given scale."""
@@ -95,6 +98,11 @@ class ConstraintFeatureExtractor:
     def num_features(self) -> int:
         """Dimensionality of the feature vector."""
         return len(FEATURE_NAMES)
+
+    @property
+    def stats(self) -> LogStatistics | None:
+        """The log statistics behind the behavioural features, if any."""
+        return self._stats
 
     @property
     def droppability(self) -> DroppabilityTables:
@@ -206,10 +214,10 @@ class ConstraintFeatureExtractor:
 
     def _drop_evidence(self, query: str, modifier: str) -> tuple[float, float]:
         if self._stats is None:
-            return 0.5, 1.0
+            return NO_DROP_EVIDENCE
         similarity = self._stats.drop_similarity(query, modifier)
         if similarity is None:
-            return 0.5, 1.0
+            return NO_DROP_EVIDENCE
         return similarity, 0.0
 
     def _concept_droppability_of(self, concepts: list[tuple[str, float]]) -> float:

@@ -59,6 +59,12 @@ class LogStatistics:
     only the observable log interface (never gold labels).
     """
 
+    #: Bumped by every :meth:`absorb`, so callers that memoize values
+    #: derived from these counters (the compiled runtime's constraint
+    #: features) can tell when to drop them. A class-level default keeps
+    #: statistics pickled before the counter existed at generation 0.
+    generation = 0
+
     def __init__(self, log: QueryLog) -> None:
         self._log = log
         self._term_query_freq: Counter[str] = Counter()
@@ -84,6 +90,7 @@ class LogStatistics:
         approximately — what a from-scratch construction over the merged
         log would compute, regardless of fold order.
         """
+        self.generation += 1
         self._total_volume += record.frequency
         if new_query:
             for term in set(record.tokens):
@@ -154,7 +161,12 @@ class LogStatistics:
         evidence either way). High values mean the removed segment did not
         change what users clicked — i.e. it was not a constraint.
         """
-        record = self._log.lookup(query)
+        return self.drop_similarity_of(self._log.lookup(query), query, without)
+
+    def drop_similarity_of(self, record, query: str, without: str) -> float | None:
+        """:meth:`drop_similarity` with ``query``'s log record already
+        resolved (``record`` is ``self.log.lookup(query)``), so a caller
+        scoring several segments of one query looks it up once."""
         if record is None:
             return None
         reduced = _remove_segment(query, without)

@@ -30,8 +30,18 @@ structurally, and replaces only the hot inner computations:
   precomputed into plain dict lookups keyed by already-normalized
   tokens, eliminating the per-span regex re-normalization that
   dominates reference segmentation cost.
-- **Bounded memoization** — phrase readings, context bases, and pair
-  affinities are cached in LRUs sized by ``DetectorConfig.cache_size``.
+- **Compiled constraint annotation** — the paper's step 4 (constraint
+  vs. non-constraint) runs through one :class:`ConstraintMemo` shared by
+  the scalar and batch paths instead of
+  :meth:`repro.core.constraints.ConstraintClassifier.annotate` rebuilding
+  every detection afterwards. The 11 modifier-only features are
+  computed once per modifier text, the query's log record is resolved
+  once per detection, and each ``(modifier, drop_similarity,
+  drop_evidence_missing)`` decision is computed once with the
+  reference arithmetic, so the flags stay bit-identical.
+- **Bounded memoization** — phrase readings, context bases, pair
+  affinities and constraint decisions are cached in memos sized by
+  ``DetectorConfig.cache_size``.
 
 Parity is enforced by ``tests/test_runtime_parity.py``: identical heads,
 modifiers, constraints, methods, and scores on the full held-out
@@ -50,7 +60,15 @@ import numpy as np
 
 from repro.core.concept_patterns import PatternTable
 from repro.core.conceptualizer import Conceptualizer
-from repro.core.detector import Detection, DetectorConfig, HeadModifierDetector
+from repro.core.constraints import ConstraintClassifier
+from repro.core.detector import (
+    DetectedTerm,
+    Detection,
+    DetectorConfig,
+    HeadModifierDetector,
+    TermRole,
+)
+from repro.core.features import FEATURE_NAMES, NO_DROP_EVIDENCE
 from repro.core.segmentation import (
     CONTENT_KINDS,
     KIND_CONNECTOR,
@@ -101,6 +119,95 @@ def _normalize_fast(text: str) -> str:
     ):
         return text
     return normalize(text)
+
+
+_DROP_SIMILARITY = FEATURE_NAMES.index("drop_similarity")
+_DROP_EVIDENCE_MISSING = FEATURE_NAMES.index("drop_evidence_missing")
+
+
+def _remember(memo: dict, key, value, capacity: int) -> None:
+    """Insert into a bounded memo, emptying it first once it is full
+    (cheaper per hit than LRU bookkeeping; refills are cheap too)."""
+    if len(memo) >= capacity:
+        memo.clear()
+    memo[key] = value
+
+
+class ConstraintMemo:
+    """Memoized twin of
+    :meth:`repro.core.constraints.ConstraintClassifier.annotate`.
+
+    Of the 13 constraint features only ``drop_similarity`` and
+    ``drop_evidence_missing`` depend on the query; the other 11 are a
+    function of the modifier text and are computed once per modifier.
+    A detection resolves its query's log record once (:meth:`record`);
+    a query absent from the log gets the fixed no-evidence slots for
+    every modifier without further lookups. Each decision is memoized
+    per ``(modifier, drop_similarity, drop_evidence_missing)``, and a
+    miss runs exactly the reference arithmetic: a copy of the cached
+    vector with the two drop slots filled, scored by the classifier's
+    own ``predict_proba`` — so flags are bit-identical.
+
+    Both memos are bounded by ``capacity`` and cleared whenever the
+    bound :class:`~repro.querylog.stats.LogStatistics` absorbs new
+    records (its ``generation`` moves), since the IDF feature reads
+    those live counters.
+    """
+
+    def __init__(self, classifier: ConstraintClassifier, capacity: int) -> None:
+        self._extractor = classifier.extractor
+        self._stats = classifier.extractor.stats
+        self._predict_proba = classifier.model.predict_proba
+        self._threshold = classifier.threshold
+        self._capacity = capacity
+        self._vectors: dict[str, np.ndarray] = {}
+        self._decisions: dict[tuple[str, float, float], bool] = {}
+        self._generation = self._stats.generation if self._stats is not None else 0
+
+    def record(self, query: str):
+        """``query``'s log record (None when absent or no log is bound).
+
+        Call once per detection, before :meth:`is_constraint`."""
+        stats = self._stats
+        if stats is None:
+            return None
+        if stats.generation != self._generation:
+            self._vectors.clear()
+            self._decisions.clear()
+            self._generation = stats.generation
+        # ``QueryLog.lookup`` normalizes its key; detection queries
+        # almost always are normalized already.
+        return stats.log.lookup_exact(_normalize_fast(query))
+
+    def is_constraint(self, record, query: str, modifier: str) -> bool:
+        """``ConstraintClassifier.is_constraint(query, modifier)``, given
+        ``record = self.record(query)``."""
+        key = (modifier, *NO_DROP_EVIDENCE)
+        if record is not None:
+            similarity = self._stats.drop_similarity_of(record, query, modifier)
+            if similarity is not None:
+                key = (modifier, similarity, 0.0)
+        decision = self._decisions.get(key)
+        if decision is None:
+            vector = self._vectors.get(modifier)
+            if vector is None:
+                vector = self._extractor._modifier_vector(modifier)
+                _remember(self._vectors, modifier, vector, self._capacity)
+            features = vector.copy()
+            features[_DROP_SIMILARITY] = key[1]
+            features[_DROP_EVIDENCE_MISSING] = key[2]
+            probability = float(self._predict_proba(features)[0])
+            decision = probability >= self._threshold
+            _remember(self._decisions, key, decision, self._capacity)
+        return decision
+
+
+def _constraint_memo(classifier, capacity: int) -> ConstraintMemo | None:
+    """The annotation memo for ``classifier``; None for no classifier or
+    one of another kind, which keeps its own ``annotate``."""
+    if isinstance(classifier, ConstraintClassifier):
+        return ConstraintMemo(classifier, capacity)
+    return None
 
 
 class PatternMatrix:
@@ -501,6 +608,7 @@ class CompiledDetector(HeadModifierDetector):
         self._modifier_cache: LruCache[
             tuple, tuple[tuple[str, float], ...]
         ] = LruCache(cache_size)
+        self._constraints = _constraint_memo(constraint_classifier, cache_size)
         phrases = self._taxonomy_phrases(conceptualizer.taxonomy)
         self._compiled_readings = self._precompute_readings(phrases)
         self._compiled_context = self._precompute_context_bases(phrases)
@@ -573,6 +681,7 @@ class CompiledDetector(HeadModifierDetector):
         self._context_cache = LruCache(cache_size)
         self._affinity_cache = LruCache(cache_size)
         self._modifier_cache = LruCache(cache_size)
+        self._constraints = _constraint_memo(constraint_classifier, cache_size)
         self._compiled_readings = readings
         self._compiled_context = context_bases
         self._fast_segmenter = True
@@ -703,6 +812,45 @@ class CompiledDetector(HeadModifierDetector):
             )
         head, score, method = self._choose_head(segments, content)
         return self._finish(query, segments, head=head, score=score, method=method)
+
+    def _finish(
+        self,
+        query: str,
+        segments: list[Segment],
+        head: Segment,
+        score: float,
+        method: str,
+    ) -> Detection:
+        """Reference ``_finish``, with each modifier's constraint flag
+        taken from the :class:`ConstraintMemo` as its term is built
+        rather than by ``annotate`` rebuilding the detection."""
+        memo = self._constraints
+        if memo is None:
+            return super()._finish(query, segments, head, score, method)
+        record = memo.record(query)
+        head_concepts = self._concepts_of(head.text)
+        head_concept_dict = dict(head_concepts)
+        terms = []
+        for segment in segments:
+            if segment is head:
+                terms.append(
+                    DetectedTerm(
+                        segment.text, TermRole.HEAD, segment.kind, head_concepts
+                    )
+                )
+            elif segment.kind in CONTENT_KINDS or segment.kind == KIND_SUBJECTIVE:
+                terms.append(
+                    DetectedTerm(
+                        segment.text,
+                        TermRole.MODIFIER,
+                        segment.kind,
+                        self._modifier_concepts(segment.text, head_concept_dict),
+                        memo.is_constraint(record, query, segment.text),
+                    )
+                )
+            else:
+                terms.append(DetectedTerm(segment.text, TermRole.OTHER, segment.kind))
+        return Detection(query=query, terms=tuple(terms), score=score, method=method)
 
     def _reading(self, phrase: str) -> PhraseReading:
         # Segment texts are already normalized (modulo a trailing period),
@@ -998,6 +1146,10 @@ class CompiledDetector(HeadModifierDetector):
         # The batch engine is derived state (rebuilt lazily from the
         # automaton on the first detect_batch in the new process).
         state["_engine"] = None
+        # Memo contents are derived state too: the copy refills its own.
+        state["_constraints"] = _constraint_memo(
+            self._classifier, self._config.cache_size
+        )
         return state
 
 

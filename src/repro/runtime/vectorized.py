@@ -54,7 +54,7 @@ from repro.core.segmentation import (
     KIND_WORD,
 )
 from repro.errors import ModelError
-from repro.runtime.compiled import CompiledSegmenter, _normalize_fast
+from repro.runtime.compiled import CompiledSegmenter, _normalize_fast, _remember
 
 _NEG = float("-inf")
 
@@ -309,8 +309,10 @@ class VectorizedDetector:
             self._support_card = card
         # Term memos: a term is a pure function of its key, so assembled
         # results are shared across detections (they are immutable).
+        # Modifier terms key on their constraint flag too (None when no
+        # classifier is attached or it annotates on its own).
         self._head_terms: dict[str, DetectedTerm] = {}
-        self._mod_terms: dict[tuple[str, str], DetectedTerm] = {}
+        self._mod_terms: dict[tuple[str, str, bool | None], DetectedTerm] = {}
         self._other_terms: dict[tuple[str, int], DetectedTerm] = {}
 
     # ------------------------------------------------------------------
@@ -662,6 +664,9 @@ class VectorizedDetector:
         method: str,
     ) -> Detection:
         det = self._det
+        memo = det._constraints
+        record = memo.record(query) if memo is not None else None
+        flag: bool | None = None
         head_text = segments[head_position][0]
         head_dict: dict[str, float] | None = None
         terms: list[DetectedTerm] = []
@@ -675,13 +680,16 @@ class VectorizedDetector:
                         KIND_BY_CODE[code],
                         det._concepts_of(head_text),
                     )
-                    self._remember(self._head_terms, head_text, term)
+                    _remember(self._head_terms, head_text, term, self._memo_cap)
             elif (
                 code == _CODE_INSTANCE
                 or code == _CODE_WORD
                 or code == _CODE_SUBJECTIVE
             ):
-                term = self._mod_terms.get((text, head_text))
+                if memo is not None:
+                    flag = memo.is_constraint(record, query, text)
+                key = (text, head_text, flag)
+                term = self._mod_terms.get(key)
                 if term is None:
                     if head_dict is None:
                         head_dict = dict(det._concepts_of(head_text))
@@ -690,18 +698,19 @@ class VectorizedDetector:
                         TermRole.MODIFIER,
                         KIND_BY_CODE[code],
                         det._modifier_concepts(text, head_dict),
+                        flag,
                     )
-                    self._remember(self._mod_terms, (text, head_text), term)
+                    _remember(self._mod_terms, key, term, self._memo_cap)
             else:
                 term = self._other_terms.get((text, code))
                 if term is None:
                     term = DetectedTerm(text, TermRole.OTHER, KIND_BY_CODE[code])
-                    self._remember(self._other_terms, (text, code), term)
+                    _remember(self._other_terms, (text, code), term, self._memo_cap)
             terms.append(term)
         detection = Detection(
             query=query, terms=tuple(terms), score=score, method=method
         )
-        if det._classifier is not None:
+        if memo is None and det._classifier is not None:
             detection = det._classifier.annotate(detection)
         return detection
 
@@ -719,8 +728,3 @@ class VectorizedDetector:
             for text, code in segments
         )
         return Detection(query=query, terms=terms, score=0.0, method="structural")
-
-    def _remember(self, memo: dict, key, term: DetectedTerm) -> None:
-        if len(memo) >= self._memo_cap:
-            memo.clear()
-        memo[key] = term

@@ -11,7 +11,8 @@ is deliberately tiny (HTTP/1.1, ``Connection: close``, JSON in/out):
 
 Admission-control rejections map to ``503`` with a ``Retry-After``
 header (deterministic backpressure all the way to the wire), malformed
-requests to ``400``, oversized bodies to ``413``, unknown routes to
+requests to ``400``, oversized bodies to ``413``, a request or header
+line past the stream's line limit to ``431``, unknown routes to
 ``404``. A connection dropped mid-request is abandoned silently — there
 is no peer left to answer, and nothing downstream (batcher, service) is
 ever touched with a partial request. Shutdown is graceful:
@@ -44,6 +45,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -72,19 +74,20 @@ async def read_http_request(
 
     Malformed input raises :class:`HttpRequestError` with the status to
     answer (400 for a bad request line or Content-Length, 413 past
-    ``max_body_bytes``); a connection dropped mid-request surfaces as
+    ``max_body_bytes``, 431 for a request or header line longer than
+    the reader's line limit); a connection dropped mid-request surfaces as
     ``asyncio.IncompleteReadError``/``ConnectionError`` for the caller
     to abandon. Used by both :class:`DetectionHTTPServer` and the
     router's front door (:class:`~repro.serving.router.RouterHTTPServer`).
     """
-    request_line = await reader.readline()
+    request_line = await _read_line(reader, "request line")
     try:
         method, target, *_ = request_line.decode("ascii", "replace").split()
     except ValueError:
         raise HttpRequestError(400, "malformed request line") from None
     content_length = 0
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader, "header line")
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("ascii", "replace").partition(":")
@@ -99,6 +102,15 @@ async def read_http_request(
         raise HttpRequestError(413, f"body exceeds {max_body_bytes} bytes")
     body = await reader.readexactly(content_length) if content_length else b""
     return method, target, body
+
+
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One CRLF-terminated line; a line past the reader's limit (64 KiB
+    by default) is a 431, not the ``ValueError`` ``readline`` raises."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise HttpRequestError(431, f"{what} too long") from None
 
 
 def http_response(status: int, payload: dict) -> bytes:

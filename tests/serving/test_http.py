@@ -16,6 +16,7 @@ from repro.serving import (
     ServingConfig,
     detection_payload,
 )
+from repro.serving.http import HttpRequestError, http_response, read_http_request
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +163,32 @@ class TestProtocolEdges:
 
         response = asyncio.run(serve(handler)(compiled))
         assert response.startswith(b"HTTP/1.1 400 ")
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"POST /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+            b"POST /detect HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+            b"POST /detect HTTP/1.1\r\nX-Big: " + b"a" * 70_000,  # no CRLF
+        ],
+        ids=["request-line", "header-line", "unterminated-header"],
+    )
+    def test_overlong_line_is_431(self, raw):
+        """A line past the StreamReader's 64 KiB limit maps to 431
+        instead of escaping as ``readline``'s ``ValueError``."""
+
+        async def parse():
+            reader = asyncio.StreamReader()
+            reader.feed_data(raw)
+            reader.feed_eof()
+            return await read_http_request(reader)
+
+        with pytest.raises(HttpRequestError) as info:
+            asyncio.run(parse())
+        assert info.value.status == 431
+        assert http_response(431, info.value.payload).startswith(
+            b"HTTP/1.1 431 Request Header Fields Too Large\r\n"
+        )
 
     def test_bad_content_length_is_400(self, compiled):
         async def handler(server, port):

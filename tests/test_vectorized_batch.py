@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.detector import DetectorConfig
 from repro.errors import ModelError
 from repro.runtime import (
     SegmentationAutomaton,
@@ -25,6 +26,7 @@ from repro.runtime import (
     detect_batch_sharded,
     load_snapshot,
 )
+from repro.runtime.compiled import ConstraintMemo
 from repro.runtime.snapshot import _ALIGN, _PRELUDE
 
 EDGE_TEXTS = [
@@ -135,6 +137,93 @@ class TestVectorizedDetectorParity:
                 VectorizedDetector(spelled)
         finally:
             spelled.close()
+
+
+class TestConstraintMemoParity:
+    """``ConstraintMemo`` (the compiled constraint annotation shared by
+    the scalar and batch paths) vs the reference classifier's
+    ``annotate``. One detector per fixture serves every example, so a
+    memo filled by earlier batches, in either path and in any order,
+    must give the same flags as a cold reference detector."""
+
+    @pytest.fixture(scope="class")
+    def logged_queries(self, model, detector, train_log):
+        """Texts whose flags depend on drop evidence: training-log
+        queries where the evidence flips a modifier's flag, the same
+        modifiers on other heads (mostly absent from the log, so the
+        no-evidence slots), and further log queries with evidence."""
+        classifier = model.classifier
+        stats = classifier.extractor.stats
+        assert stats is not None
+        blind = classifier.with_stats(None)
+        flipped: list[str] = []
+        modifiers: set[str] = set()
+        heads: set[str] = set()
+        other: list[str] = []
+        for record in train_log.records():
+            detection = detector.detect(record.query)
+            evidenced = [
+                modifier
+                for modifier in detection.modifiers
+                if stats.drop_similarity(detection.query, modifier) is not None
+            ]
+            flips = [
+                modifier
+                for modifier in evidenced
+                if classifier.is_constraint(detection.query, modifier)
+                != blind.is_constraint(detection.query, modifier)
+            ]
+            if flips:
+                flipped.append(record.query)
+                modifiers.update(flips)
+                heads.add(detection.head)
+            elif evidenced and len(other) < 100:
+                other.append(record.query)
+        assert flipped, "training log has no evidence-dependent flag"
+        variants = [f"{m} {h}" for m in sorted(modifiers) for h in sorted(heads)]
+        return flipped + variants + other
+
+    @pytest.fixture(scope="class")
+    def shared(self, model):
+        with model.compile() as compiled:
+            yield compiled
+
+    @pytest.fixture(scope="class")
+    def tiny(self, model):
+        """Memos capped at a few entries: clear-at-cap keeps refilling."""
+        with model.compile(config=DetectorConfig(cache_size=4)) as compiled:
+            yield compiled
+
+    def test_memo_is_built_for_the_classifier(self, shared):
+        assert isinstance(shared._constraints, ConstraintMemo)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_shuffled_batches_match_reference(
+        self, detector, shared, tiny, logged_queries, eval_examples, data
+    ):
+        heldout = [example.query for example in eval_examples[:120]]
+        texts = data.draw(
+            st.lists(
+                st.one_of(
+                    st.sampled_from(logged_queries),
+                    st.sampled_from(heldout),
+                    _queries,  # recurring modifiers across different heads
+                ),
+                min_size=32,
+                max_size=72,
+            )
+        )
+        expected = [detector.detect(text) for text in texts]
+        for compiled in (shared, tiny):
+            if data.draw(st.booleans()):
+                scalar = [compiled.detect(text) for text in texts]
+                batch = compiled.detect_batch(texts)
+            else:
+                batch = compiled.detect_batch(texts)
+                scalar = [compiled.detect(text) for text in reversed(texts)][::-1]
+            assert batch == expected
+            assert scalar == expected
 
 
 class TestSegmentationAutomaton:

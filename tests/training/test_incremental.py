@@ -12,12 +12,15 @@ delta queries collide with base queries and with each other.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import LogConfig, TrainingConfig, generate_log, train_model
+from repro.core.constraints import ConstraintClassifier
 from repro.errors import ModelError
 from repro.mining.pairs import MiningConfig
 from repro.querylog.models import QueryLog
@@ -113,6 +116,56 @@ def test_detections_bit_identical(folded_state, reference_model, split_logs):
     reference = reference_model.detector().detect_batch(queries)
     folded = model.detector().detect_batch(queries)
     assert reference == folded
+
+
+def test_compiled_memo_follows_in_process_fold(split_logs, taxonomy):
+    """Every fold's classifier reads the trainer's one live
+    ``LogStatistics``; a compiled detector warmed before a fold must
+    not keep serving constraint features (IDF) memoized from the
+    pre-fold counters.
+
+    The threshold is set between one modifier's pre- and post-fold
+    constraint probabilities (measured on a twin trainer), so the fold
+    flips that flag and a stale memo cannot go unnoticed."""
+    base, delta = split_logs
+    query = "cheap iphone 5s case"
+
+    twin = IncrementalTrainer(_log_from(base), taxonomy, TrainingConfig())
+    twin_classifier = twin.model.classifier
+    modifier = twin.model.detector().detect(query).modifiers[0]
+    before = twin_classifier.constraint_probability(query, modifier)
+    twin.fold(_log_from(delta))
+    after = twin_classifier.constraint_probability(query, modifier)
+    assert twin.stats.drop_similarity(query, modifier) is None
+    assert before != after
+
+    trainer = IncrementalTrainer(_log_from(base), taxonomy, TrainingConfig())
+    classifier = trainer.model.classifier
+    model = dataclasses.replace(
+        trainer.model,
+        classifier=ConstraintClassifier(
+            classifier.extractor, classifier.model, threshold=(before + after) / 2
+        ),
+    )
+    queries = (
+        [query]
+        + [record.query for record in base[:60]]
+        + [record.query for record in delta[:60]]
+        + EDGE_CASES
+    )
+    reference = model.detector()
+    flag_before = reference.detect(query).constraints
+    with model.compile() as compiled:
+        compiled.detect_batch(queries)
+        for text in queries:
+            compiled.detect(text)
+        generation = trainer.stats.generation
+        trainer.fold(_log_from(delta))
+        assert trainer.stats.generation > generation
+        expected = [reference.detect(text) for text in queries]
+        assert expected[0].constraints != flag_before
+        assert [compiled.detect(text) for text in queries] == expected
+        assert compiled.detect_batch(queries) == expected
 
 
 def test_generation_counts_folds(folded_state):
