@@ -1,8 +1,8 @@
 """A5 — Incremental model updates vs. batch retraining (extension).
 
 Production logs arrive in slices; retraining from scratch on the full
-history is wasteful. This benchmark originally measured ``update_model``,
-which mined only the new slice and *approximately* merged its pattern
+history is wasteful. This benchmark originally measured an approximate
+merge, which mined only the new slice and folded in its pattern
 contribution (accuracy within a point, rank agreement ~0.9). It now
 measures :class:`~repro.training.incremental.IncrementalTrainer`, which
 replays the delta through probe-tracked state and is **bit-identical**

@@ -1,6 +1,5 @@
 """R7 — Runtime: detection latency/throughput vs. pattern-table size,
-the compiled runtime against the reference path, and snapshot-backed
-persistent sharded serving.
+the compiled runtime against the reference path, and snapshot costs.
 
 The mechanism ran in production for search relevance and ads matching, so
 per-query cost matters. Detection cost is dominated by segmentation plus
@@ -10,16 +9,12 @@ nearly flat in table size (hash lookups) and linear in query batch size.
 Expected shape: thousands of queries/second on one core; < 2x spread
 between a 10-pattern table and the full table; the compiled runtime
 (``HdmModel.compile()``) at ≥ 3x the reference single-core throughput.
-Sharded serving (``DetectorPool`` over a snapshot) can only beat the
-single-core compiled path when the host actually has spare cores; any
-sharded config that comes in slower is flagged ``"regression": true`` in
-the JSON and called out with a WARNING, with the host's usable CPU count
-recorded alongside so the numbers can be read honestly.
 
 Besides the human-readable tables, the runtime comparison writes
 ``benchmarks/results/BENCH_r7.json`` (queries/sec plus p50/p99 per-query
-latency per path, snapshot save/load costs, cold-start comparison, and
-pool scaling) so CI and the driver can check the numbers in.
+latency per path, and snapshot save/load costs against the pickle path
+they replace, with the host's hardware block) so the numbers can be
+checked in.
 """
 
 import json
@@ -33,13 +28,10 @@ from benchmarks.conftest import RESULTS_DIR, publish
 from repro.core import HeadModifierDetector, Segmenter
 from repro.core.conceptualizer import Conceptualizer
 from repro.eval import format_table
-from repro.runtime import CompiledDetector, DetectorPool, detect_batch_sharded
+from repro.runtime import CompiledDetector
 from repro.utils.timer import Timer
 
 TABLE_SIZES = (10, 40, None)  # None = full table
-SHARD_WORKERS = 4
-WORKER_COUNTS = (2, 4, 8)
-COLD_START_PROBE = 200
 
 
 def make_detector(model, taxonomy, size):
@@ -113,8 +105,6 @@ def runtime_comparison(model, taxonomy, eval_queries, tmp_path_factory):
         compiled_detector.save_snapshot(path)
     with Timer() as load_timer:
         CompiledDetector.load_snapshot(path)
-    with Timer() as load_noverify_timer:
-        CompiledDetector.load_snapshot(path, verify=False)
     blob = pickle.dumps(compiled_detector)
     with Timer() as unpickle_timer:
         pickle.loads(blob)
@@ -123,63 +113,15 @@ def runtime_comparison(model, taxonomy, eval_queries, tmp_path_factory):
         "compile_ms": compile_timer.elapsed * 1000,
         "save_ms": save_timer.elapsed * 1000,
         "load_ms": load_timer.elapsed * 1000,
-        "load_noverify_ms": load_noverify_timer.elapsed * 1000,
         "pickle_bytes": len(blob),
         "unpickle_ms": unpickle_timer.elapsed * 1000,
     }
-
-    # --- amortization: legacy one-shot sharding pays its whole cost on
-    # every call; the pool pays spawn+load once, then per-batch dispatch.
-    probe = queries[:COLD_START_PROBE]
-    with Timer() as legacy_timer:
-        legacy_out = detect_batch_sharded(compiled_detector, probe, SHARD_WORKERS)
-    with DetectorPool(path, workers=SHARD_WORKERS) as probe_pool:
-        with Timer() as pool_cold_timer:
-            pool_out = probe_pool.detect_batch(probe)
-        with Timer() as pool_warm_timer:
-            probe_pool.detect_batch(probe)
-    assert pool_out == legacy_out  # identical results either way
-    legacy_ms = legacy_timer.elapsed * 1000
-    cold_ms = pool_cold_timer.elapsed * 1000
-    warm_ms = pool_warm_timer.elapsed * 1000
-    cold_start = {
-        "probe_queries": len(probe),
-        "workers": SHARD_WORKERS,
-        "legacy_oneshot_ms": legacy_ms,  # paid again on EVERY legacy batch
-        "pool_cold_ms": cold_ms,  # paid once per pool lifetime
-        "pool_warm_ms": warm_ms,  # paid per batch thereafter
-        "warm_speedup_vs_oneshot": legacy_ms / warm_ms,
-        "breakeven_batches": (
-            cold_ms / (legacy_ms - warm_ms) if legacy_ms > warm_ms else float("inf")
-        ),
-    }
-
-    # --- warm persistent-pool scaling ---------------------------------
-    paths = {"reference": reference, "compiled": compiled}
-    single_core = compiled["queries_per_sec"]
-    regression = False
-    for workers in WORKER_COUNTS:
-        with DetectorPool(path, workers=workers) as pool:
-            pool.warm()
-            pool.detect_batch(queries[:50])
-            with Timer() as timer:
-                pool.detect_batch(queries)
-        stats = {
-            "batch_ms": timer.elapsed * 1000,
-            "queries_per_sec": len(queries) / timer.elapsed,
-            "regression": len(queries) / timer.elapsed < single_core,
-        }
-        regression = regression or stats["regression"]
-        paths[f"pool_{workers}w"] = stats
-
     return {
         "queries": len(queries),
         "hardware": hardware_info(),
         "snapshot": snapshot,
-        "cold_start": cold_start,
-        "paths": paths,
+        "paths": {"reference": reference, "compiled": compiled},
         "compiled_speedup": compiled["queries_per_sec"] / reference["queries_per_sec"],
-        "regression": regression,
     }
 
 
@@ -194,7 +136,6 @@ def test_r7_runtime_comparison(runtime_comparison):
                 stats["queries_per_sec"],
                 stats.get("p50_ms", float("nan")),
                 stats.get("p99_ms", float("nan")),
-                "yes" if stats.get("regression") else "",
             ]
         )
     publish(
@@ -207,14 +148,12 @@ def test_r7_runtime_comparison(runtime_comparison):
                 "queries/sec",
                 "p50 ms",
                 "p99 ms",
-                "regression",
             ],
             rows,
-            title="R7: reference vs compiled vs pooled runtime (full table)",
+            title="R7: reference vs compiled runtime (full table)",
         ),
     )
     snapshot = runtime_comparison["snapshot"]
-    cold = runtime_comparison["cold_start"]
     publish(
         "r7_snapshot_costs",
         format_table(
@@ -224,29 +163,12 @@ def test_r7_runtime_comparison(runtime_comparison):
                 ["compile ms", snapshot["compile_ms"]],
                 ["save ms", snapshot["save_ms"]],
                 ["load ms (crc)", snapshot["load_ms"]],
-                ["load ms (no crc)", snapshot["load_noverify_ms"]],
                 ["pickle bytes", snapshot["pickle_bytes"]],
                 ["unpickle ms", snapshot["unpickle_ms"]],
-                [
-                    f"legacy {cold['workers']}-shard per-call ms",
-                    cold["legacy_oneshot_ms"],
-                ],
-                [f"pool {cold['workers']}w first-batch ms", cold["pool_cold_ms"]],
-                [f"pool {cold['workers']}w warm-batch ms", cold["pool_warm_ms"]],
-                ["warm speedup vs one-shot", cold["warm_speedup_vs_oneshot"]],
-                ["breakeven batches", cold["breakeven_batches"]],
             ],
-            title="R7: snapshot + cold-start costs",
+            title="R7: snapshot costs",
         ),
     )
-    if runtime_comparison["regression"]:
-        hardware = runtime_comparison["hardware"]
-        print(
-            "\nWARNING: sharded serving is slower than the single-core compiled "
-            f"path on this host ({hardware['usable_cpus']} usable CPU(s)); "
-            "process sharding cannot pay for its dispatch overhead without "
-            "spare cores. See the per-path 'regression' flags in BENCH_r7.json."
-        )
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_r7.json").write_text(
         json.dumps(runtime_comparison, indent=2) + "\n"
@@ -254,11 +176,6 @@ def test_r7_runtime_comparison(runtime_comparison):
     assert runtime_comparison["compiled_speedup"] >= 3.0, (
         "compiled runtime must be >= 3x reference throughput, got "
         f"{runtime_comparison['compiled_speedup']:.2f}x"
-    )
-    warm_speedup = runtime_comparison["cold_start"]["warm_speedup_vs_oneshot"]
-    assert warm_speedup >= 1.5, (
-        "a warm persistent pool must serve a batch meaningfully faster than "
-        f"one-shot pickled sharding pays per call, got {warm_speedup:.2f}x"
     )
 
 

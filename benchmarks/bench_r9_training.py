@@ -1,20 +1,17 @@
-"""R9 — Training throughput: the sharded + vectorized offline pipeline
-against the pure-Python reference.
+"""R9 — Training throughput: the vectorized offline pipeline against the
+pure-Python reference.
 
 The serving side was made fast in R7; this guards the *offline* side —
 the pipeline a production log refresh has to re-run (mine pairs, derive
 concept patterns, build droppability tables, train the constraint
-classifier). The fast path (``train_model(vectorized=True, workers=N)``)
-must be a pure throughput choice: bit-identical pattern table and
-detections, asserted here on the 2,000-query held-out eval set, and at
-least 2x the reference wall time single-core on the 4k-intent log.
+classifier). The fast path (``train_model(vectorized=True)``) must be a
+pure throughput choice: bit-identical pattern table and detections,
+asserted here on the 2,000-query held-out eval set, and at least 2x the
+reference wall time single-core on the 4k-intent log.
 
 Stage timings (mine / derive / features / classifier) are recorded per
-scale for both paths, plus 1/2/4-worker sharded-mining scaling. Worker
-scaling can only win with spare cores: any sharded config slower than
-single-core reference mining is flagged ``"regression": true`` in the
-JSON and called out with a WARNING next to the host's CPU count, exactly
-as R7 does for sharded serving.
+scale for both paths; a scale whose vectorized speedup falls below the
+2x bar is flagged ``"regression": true`` in the JSON.
 
 Writes ``benchmarks/results/BENCH_r9.json`` and ``r9_training.txt``.
 """
@@ -29,12 +26,8 @@ from benchmarks.conftest import RESULTS_DIR, TRAIN_SEED, publish
 from repro import LogConfig, TrainingConfig, generate_log, train_model
 from repro.core.analysis import compare_tables
 from repro.eval import format_table
-from repro.mining.pairs import MiningConfig, mine_pairs
-from repro.training.parallel import mine_pairs_sharded
-from repro.utils.timer import Timer
 
 SCALES = {"4k": 4000, "16k": 16000}
-WORKER_COUNTS = (1, 2, 4)
 STAGES = ("mine", "derive", "features", "classifier")
 MIN_VECTORIZED_SPEEDUP = 2.0
 
@@ -62,21 +55,6 @@ def training_comparison(taxonomy, train_log, model, eval_queries):
         reference_model, reference = _train_timed(log, taxonomy)
         vectorized_model, vectorized = _train_timed(log, taxonomy, vectorized=True)
         speedup = reference["total"] / vectorized["total"]
-
-        mining_workers = {}
-        single_core_mine = reference["mine"]
-        for workers in WORKER_COUNTS:
-            with Timer() as timer:
-                sharded = mine_pairs_sharded(log, MiningConfig(), workers=workers)
-            assert sharded.support_map() == mine_pairs(log, MiningConfig()).support_map()
-            stats = {
-                "seconds": timer.elapsed,
-                "speedup_vs_reference_mine": single_core_mine / timer.elapsed,
-                "regression": timer.elapsed > single_core_mine,
-            }
-            regression = regression or stats["regression"]
-            mining_workers[str(workers)] = stats
-
         scale_entry = {
             "intents": num_intents,
             "distinct_queries": log.num_queries,
@@ -86,7 +64,6 @@ def training_comparison(taxonomy, train_log, model, eval_queries):
             "vectorized": vectorized,
             "speedup": speedup,
             "regression": speedup < MIN_VECTORIZED_SPEEDUP,
-            "mining_workers": mining_workers,
         }
         regression = regression or scale_entry["regression"]
         scales[label] = scale_entry
@@ -146,35 +123,6 @@ def test_r9_training_throughput(training_comparison):
             title="R9: offline training, reference vs vectorized (seconds)",
         ),
     )
-    scaling_rows = []
-    for label, entry in training_comparison["scales"].items():
-        for workers, stats in entry["mining_workers"].items():
-            scaling_rows.append(
-                [
-                    label,
-                    workers,
-                    stats["seconds"],
-                    f"{stats['speedup_vs_reference_mine']:.2f}x",
-                    "yes" if stats["regression"] else "",
-                ]
-            )
-    publish(
-        "r9_mining_scaling",
-        format_table(
-            ["log", "workers", "seconds", "vs reference", "regression"],
-            scaling_rows,
-            title="R9: sharded pair-mining scaling (bit-identical output)",
-        ),
-    )
-    if training_comparison["regression"]:
-        hardware = training_comparison["hardware"]
-        print(
-            "\nWARNING: at least one sharded-mining config is slower than "
-            f"single-core reference mining on this host "
-            f"({hardware['usable_cpus']} usable CPU(s)); process sharding "
-            "cannot pay for spawn + log pickling without spare cores. See "
-            "the per-config 'regression' flags in BENCH_r9.json."
-        )
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_r9.json").write_text(
         json.dumps(training_comparison, indent=2) + "\n"

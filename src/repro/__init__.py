@@ -79,16 +79,15 @@ def build_default_model(
     seed: int = 13,
     num_intents: int = 4000,
     config: TrainingConfig | None = None,
-    workers: int = 1,
     vectorized: bool = False,
 ) -> HdmModel:
     """Train a model on the built-in taxonomy and a synthetic log.
 
     This is the one-call entry point for examples and experiments: build
     the seed taxonomy, generate a search log, and run the full training
-    pipeline. ``workers``/``vectorized`` select the fast training path
+    pipeline. ``vectorized`` selects the fast training path
     (:mod:`repro.training`), which is output-identical to the reference.
     """
     taxonomy = build_from_seed()
     log = generate_log(taxonomy, LogConfig(seed=seed, num_intents=num_intents))
-    return train_model(log, taxonomy, config, workers=workers, vectorized=vectorized)
+    return train_model(log, taxonomy, config, vectorized=vectorized)

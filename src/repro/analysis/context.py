@@ -7,7 +7,7 @@ receive the whole :class:`ProjectContext`, which also carries the test
 corpus so coverage checks don't re-read the tree per rule.
 
 Paths are always POSIX-style and relative to the ``repro`` package root
-(``runtime/pool.py``, not ``/abs/src/repro/runtime/pool.py``) so rule
+(``runtime/snapshot.py``, not ``/abs/src/repro/runtime/snapshot.py``) so rule
 scopes, baselines, and reports are machine-independent.
 """
 

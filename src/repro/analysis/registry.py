@@ -6,7 +6,7 @@ at a time) or :func:`project_rule` (sees the whole
 :class:`~repro.analysis.context.ProjectContext`; for cross-file checks
 like parity coverage). ``scope`` restricts a file rule to package
 subtrees — paths are package-relative, so ``("runtime/",)`` matches
-``runtime/pool.py``.
+``runtime/snapshot.py``.
 
 Importing :mod:`repro.analysis.rules` populates the registry; the
 engine, CLI, and docs all read it through :func:`all_rules` so there is

@@ -1,10 +1,9 @@
 """REP006 — bare/overbroad ``except`` that can swallow failure signals.
 
 :class:`~repro.errors.ShardError` and
-:class:`~repro.errors.ServingError` are load-bearing: the pools,
-parallel miner, and serving layer all promise that a worker failure
-*surfaces deterministically* rather than producing silently partial
-output. A ``except:`` or ``except Exception:`` between the raise site
+:class:`~repro.errors.ServingError` are load-bearing: the serving
+layer and its replica fleet promise that a worker failure *surfaces
+deterministically* rather than producing silently partial output. A ``except:`` or ``except Exception:`` between the raise site
 and the caller eats that promise.
 
 Flagged: bare ``except``; ``except Exception``/``except BaseException``

@@ -11,7 +11,7 @@ Exposes the full offline pipeline and the runtime detector::
     repro snapshot --model model/ --out model.hdms
     repro snapshot --info model.hdms
     repro reload --url http://127.0.0.1:8080 --snapshot g2.hdms
-    repro detect --snapshot model.hdms --workers 4 --input queries.txt
+    repro detect --snapshot model.hdms --batch --input queries.txt
     repro serve --snapshot model.hdms --port 8080
     repro serve --snapshot model.hdms --port 8080 --replicas 4
     repro route --snapshot model.hdms --port 8080 --replicas 4
@@ -100,12 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-patterns", type=int, default=None)
     p.add_argument("--no-classifier", action="store_true")
     p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="shard pair mining across N worker processes (default 1)",
-    )
-    p.add_argument(
         "--reference",
         action="store_true",
         help="use the pure-Python reference pipeline instead of the "
@@ -171,13 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "instead of a model bundle",
     )
     p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="with --snapshot: shard the batch across N worker processes",
-    )
-    p.add_argument(
         "--batch",
         action="store_true",
         help="answer all queries in one detect_batch call (array-at-a-time "
@@ -210,18 +197,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--snapshot",
         metavar="FILE",
-        help="serve from a compiled snapshot (workers mmap it read-only)",
+        help="serve from a compiled snapshot (replicas mmap it read-only)",
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080, help="0 picks a free port")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="with --snapshot: run micro-batches on an N-process "
-        "snapshot-backed pool instead of in-process",
-    )
     p.add_argument("--spell", action="store_true", help="enable typo correction")
     p.add_argument(
         "--replicas",
@@ -480,7 +459,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
             log,
             taxonomy,
             config,
-            workers=args.workers,
             vectorized=not args.reference,
             timings=timings,
         )
@@ -496,7 +474,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         if stage in timings
     )
     path = "reference" if args.reference else "vectorized"
-    print(f"training path: {path}, workers: {args.workers}, {stages}")
+    print(f"training path: {path}, {stages}")
     if trainer is not None:
         print(
             f"wrote {args.state}: training state, generation "
@@ -566,17 +544,13 @@ def _emit_versioned_snapshot(
 ) -> None:
     from repro.runtime.lineage import save_versioned_snapshot
 
-    compiled = model.compile()
-    try:
-        save_versioned_snapshot(
-            compiled,
-            path,
-            generation=generation,
-            record_count=record_count,
-            parent=parent,
-        )
-    finally:
-        compiled.close()
+    save_versioned_snapshot(
+        model.compile(),
+        path,
+        generation=generation,
+        record_count=record_count,
+        parent=parent,
+    )
     lineage = f"generation {generation}, {record_count} records"
     lineage += f", parent {parent}" if parent else ", no parent"
     print(f"wrote {path}: versioned snapshot ({lineage})")
@@ -708,12 +682,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.workers > 1 and not args.snapshot:
-        print("error: --workers needs --snapshot", file=sys.stderr)
-        return 2
-    if args.workers > 1 and args.explain:
-        print("error: --explain is single-process; drop --workers", file=sys.stderr)
-        return 2
     if args.stats and not args.snapshot:
         print(
             "error: --stats reads the compiled runtime caches; use --snapshot",
@@ -735,23 +703,17 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     else:
         model = load_model(args.model)
         detector = model.detector(correct_spelling=args.spell)
-    try:
-        if args.explain:
-            from repro.core.explain import explain_detection
+    if args.explain:
+        from repro.core.explain import explain_detection
 
-            for query in queries:
-                print(explain_detection(detector, query).render())
-                print()
-            return 0
-        if args.workers > 1:
-            detections = detector.detect_batch(queries, workers=args.workers)
-        elif args.batch:
-            detections = detector.detect_batch(queries)
-        else:
-            detections = [detector.detect(query) for query in queries]
-    finally:
-        if args.snapshot:
-            detector.close()
+        for query in queries:
+            print(explain_detection(detector, query).render())
+            print()
+        return 0
+    if args.batch:
+        detections = detector.detect_batch(queries)
+    else:
+        detections = [detector.detect(query) for query in queries]
     for query, detection in zip(queries, detections):
         if args.json:
             print(
@@ -781,31 +743,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-class _PoolBackedDetector:
-    """Route a service's micro-batches through the snapshot worker pool.
-
-    ``DetectionService`` only calls ``detect_batch``/``detect``; this
-    adapter pins the pool fan-out (`workers`) chosen on the command line
-    while single-query fallbacks stay in-process.
-    """
-
-    def __init__(self, detector, workers: int) -> None:
-        self._detector = detector
-        self._workers = workers
-
-    @property
-    def vectorized_batch(self) -> bool:
-        """Whether pool workers answer chunks array-at-a-time (surfaced
-        in the service's ``/stats`` as ``vectorized``)."""
-        return bool(getattr(self._detector, "vectorized_batch", False))
-
-    def detect(self, text):
-        return self._detector.detect(text)
-
-    def detect_batch(self, texts):
-        return self._detector.detect_batch(texts, workers=self._workers)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -817,20 +754,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.workers > 1 and not args.snapshot:
-        print("error: --workers needs --snapshot", file=sys.stderr)
+    if args.replicas < 1:
+        print("error: need at least one replica", file=sys.stderr)
         return 2
     autoscaled = args.min_replicas is not None or args.max_replicas is not None
     if args.replicas > 1 or autoscaled:
         if not args.snapshot:
             print("error: --replicas needs --snapshot", file=sys.stderr)
-            return 2
-        if args.workers > 1:
-            print(
-                "error: --replicas already fans out across processes; "
-                "drop --workers",
-                file=sys.stderr,
-            )
             return 2
         if args.spell:
             from repro.runtime import read_snapshot_header
@@ -864,24 +794,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_pending=args.max_pending,
         cache_size=args.cache_size,
     )
-    serving_detector = (
-        _PoolBackedDetector(detector, args.workers) if args.workers > 1 else detector
-    )
 
     def _ready(port: int) -> None:
         print(f"serving on http://{args.host}:{port}", flush=True)
 
-    try:
-        asyncio.run(
-            run_server(
-                DetectionService(serving_detector, config),
-                host=args.host,
-                port=args.port,
-                ready=_ready,
-            )
+    asyncio.run(
+        run_server(
+            DetectionService(detector, config),
+            host=args.host,
+            port=args.port,
+            ready=_ready,
         )
-    finally:
-        detector.close()
+    )
     print("server drained and stopped", flush=True)
     return 0
 
@@ -981,19 +905,16 @@ def _cmd_replica(args: argparse.Namespace) -> int:
     def _ready(port: int) -> None:
         print(f"replica listening on {args.host}:{port}", flush=True)
 
-    try:
-        asyncio.run(
-            run_replica(
-                DetectionService(detector, config),
-                host=args.host,
-                port=args.port,
-                replica_id=args.replica_id,
-                generation=args.generation,
-                ready=_ready,
-            )
+    asyncio.run(
+        run_replica(
+            DetectionService(detector, config),
+            host=args.host,
+            port=args.port,
+            replica_id=args.replica_id,
+            generation=args.generation,
+            ready=_ready,
         )
-    finally:
-        detector.close()
+    )
     print("replica drained and stopped", flush=True)
     return 0
 

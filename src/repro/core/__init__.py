@@ -36,7 +36,7 @@ from repro.core.explain import (
 )
 from repro.core.features import ConstraintFeatureExtractor, FEATURE_NAMES
 from repro.core.model import HdmModel, load_model, save_model
-from repro.core.pipeline import TrainingConfig, train_model, update_model
+from repro.core.pipeline import TrainingConfig, train_model
 from repro.core.segmentation import Segment, Segmenter
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "load_model",
     "TrainingConfig",
     "train_model",
-    "update_model",
     "CompoundDetection",
     "CompoundDetector",
     "explain_detection",

@@ -121,26 +121,6 @@ class PatternTable:
         )
         return ordered if n is None else ordered[:n]
 
-    def merge(self, other: "PatternTable", scale: float = 1.0) -> None:
-        """Accumulate another table's weights into this one.
-
-        Derivation is linear in pair support, so merging the table derived
-        from a new log slice is equivalent to re-deriving from the merged
-        pair collections — the basis of incremental model updates.
-        ``scale`` discounts the incoming table (e.g. time-decay old data
-        by merging into a scaled copy instead).
-        """
-        if scale <= 0:
-            raise ModelError("scale must be positive")
-        for pattern, weight in other.top():
-            self.add(pattern, weight * scale)
-
-    def scaled(self, factor: float) -> "PatternTable":
-        """A copy with every weight multiplied by ``factor``."""
-        if factor <= 0:
-            raise ModelError("factor must be positive")
-        return PatternTable({p: w * factor for p, w in self.top()})
-
     # ------------------------------------------------------------------
     # pruning
     # ------------------------------------------------------------------

@@ -95,16 +95,15 @@ class HdmModel:
         whole batches array-at-a-time
         (:class:`~repro.runtime.vectorized.VectorizedDetector`). The
         result detects identically to :meth:`detector` (enforced by the
-        runtime parity suite) at a multiple of its throughput, and its
-        ``detect_batch`` accepts ``workers`` for persistent
-        snapshot-backed process sharding. The compiled detector snapshots
-        the model — recompile after mutating taxonomy/patterns/pairs.
+        runtime parity suite) at a multiple of its throughput. The
+        compiled detector snapshots the model — recompile after mutating
+        taxonomy/patterns/pairs.
 
         ``snapshot_path`` additionally writes the compiled state as a
         binary snapshot (:mod:`repro.runtime.snapshot`); later sessions
         can skip compilation entirely via
-        ``CompiledDetector.load_snapshot(path)``, and worker pools map
-        the file read-only instead of re-pickling the model.
+        ``CompiledDetector.load_snapshot(path)``, and serving replicas
+        map the file read-only instead of re-pickling the model.
         """
         # repro: noqa[REP007] -- sanctioned inversion: compile() is the
         # hand-off point where the reference model builds its runtime

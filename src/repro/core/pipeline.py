@@ -30,7 +30,7 @@ from repro.core.features import (
 from repro.core.model import HdmModel
 from repro.core.segmentation import Segmenter
 from repro.errors import ModelError
-from repro.mining.pairs import MinedPair, MiningConfig, PairCollection, mine_pairs
+from repro.mining.pairs import MiningConfig, mine_pairs
 from repro.querylog.models import QueryLog
 from repro.querylog.stats import LogStatistics, host_path_similarity
 from repro.taxonomy.store import ConceptTaxonomy
@@ -71,24 +71,19 @@ def train_model(
     taxonomy: ConceptTaxonomy,
     config: TrainingConfig | None = None,
     *,
-    workers: int = 1,
     vectorized: bool = False,
     timings: dict[str, float] | None = None,
 ) -> HdmModel:
     """Run the full offline pipeline and return the trained bundle.
 
-    ``workers`` > 1 shards pair mining across that many processes
-    (:mod:`repro.training.parallel`); ``vectorized`` routes derivation and
-    classifier training through the batched-numpy stages
-    (:mod:`repro.training.vectorized`). Both switches are output-identical
-    to the reference — same pattern table to the bit, same detections —
-    so they are purely a throughput choice. ``timings``, when given, is
+    ``vectorized`` routes derivation and classifier training through the
+    batched-numpy stages (:mod:`repro.training.vectorized`). The switch is
+    output-identical to the reference — same pattern table to the bit,
+    same detections — so it is purely a throughput choice. ``timings``, when given, is
     filled with per-stage wall seconds (``mine``, ``derive``, ``features``,
     ``classifier``, ``total``).
     """
     config = config or TrainingConfig()
-    if workers < 1:
-        raise ModelError(f"workers must be positive, got {workers}")
     record_stage = _stage_recorder(timings)
     started = time.perf_counter()
     stats = LogStatistics(log)
@@ -99,15 +94,7 @@ def train_model(
     segmenter = Segmenter(taxonomy)
 
     with record_stage("mine"):
-        if workers > 1:
-            # repro: noqa[REP007] -- sanctioned inversion: the pipeline
-            # dispatches to the parallel fast path only when asked for
-            # workers; deferred so single-worker runs stay light.
-            from repro.training.parallel import mine_pairs_sharded
-
-            pairs = mine_pairs_sharded(log, config.mining, workers=workers)
-        else:
-            pairs = mine_pairs(log, config.mining)
+        pairs = mine_pairs(log, config.mining)
     with record_stage("derive"):
         if vectorized:
             # repro: noqa[REP007] -- sanctioned inversion: opt-in numpy
@@ -203,72 +190,6 @@ def constraint_training_rows(
             labels.append(int(similarity < drop_label_threshold))
             weights.append(float(record.frequency))
     return rows, labels, weights
-
-
-def update_model(
-    model: HdmModel,
-    new_log: QueryLog,
-    config: TrainingConfig | None = None,
-    decay: float = 1.0,
-) -> HdmModel:
-    """Incrementally fold a new log slice into an existing model.
-
-    Mines the new slice, merges the pair memory, derives the slice's
-    pattern contribution and merges it into the existing table (derivation
-    is linear in support, so this approximates a batch retrain on the
-    union without touching the old log). ``decay`` < 1 down-weights the
-    *existing* patterns and pairs first — a rolling-window deployment.
-
-    The constraint classifier is retrained on the new slice when the
-    original model had one and the slice carries enough evidence;
-    otherwise the existing classifier is kept.
-    """
-    config = config or TrainingConfig()
-    if not 0 < decay <= 1:
-        raise ModelError("decay must be in (0, 1]")
-    conceptualizer = Conceptualizer(model.taxonomy)
-    segmenter = Segmenter(model.taxonomy)
-    stats = LogStatistics(new_log)
-
-    new_pairs = mine_pairs(new_log, config.mining)
-    merged_pairs = model.pairs.copy()
-    if decay < 1.0:
-        scaled = PairCollection()
-        for modifier, head, support in merged_pairs.items():
-            scaled.add(MinedPair(modifier, head, support * decay, "decayed"))
-        merged_pairs = scaled
-    merged_pairs.merge(new_pairs)
-
-    new_patterns = derive_pattern_table(
-        new_pairs,
-        conceptualizer,
-        config.top_k_concepts,
-        hierarchy_discount=config.hierarchy_discount,
-    )
-    merged_patterns = (
-        model.patterns.scaled(decay) if decay < 1.0 else model.patterns.scaled(1.0)
-    )
-    merged_patterns.merge(new_patterns)
-    if config.pattern_mass < 1.0:
-        merged_patterns = merged_patterns.pruned_to_mass(config.pattern_mass)
-    if config.max_patterns is not None:
-        merged_patterns = merged_patterns.pruned_to_count(config.max_patterns)
-
-    classifier = model.classifier
-    if classifier is not None and config.train_classifier:
-        retrained = _train_constraint_classifier(
-            stats, conceptualizer, segmenter, config
-        )
-        if retrained is not None:
-            classifier = retrained
-
-    return HdmModel(
-        taxonomy=model.taxonomy,
-        patterns=merged_patterns,
-        pairs=merged_pairs,
-        classifier=classifier,
-        detector_config=model.detector_config,
-    )
 
 
 def _train_constraint_classifier(

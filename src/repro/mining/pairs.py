@@ -70,20 +70,6 @@ class PairCollection:
         """Names of the miners that produced this pair."""
         return frozenset(self._sources.get((modifier, head), ()))
 
-    def merge(self, other: "PairCollection") -> None:
-        """Accumulate another collection's support into this one."""
-        for modifier, head, support in other.items():
-            key = (modifier, head)
-            self._support[key] = self._support.get(key, 0.0) + support
-            self._sources.setdefault(key, set()).update(other.sources(modifier, head))
-
-    def copy(self) -> "PairCollection":
-        """A deep copy (merging into a copy leaves the original intact)."""
-        duplicate = PairCollection()
-        duplicate._support = dict(self._support)
-        duplicate._sources = {k: set(v) for k, v in self._sources.items()}
-        return duplicate
-
     def filtered(self, min_support: float) -> "PairCollection":
         """A copy keeping only pairs at or above ``min_support``."""
         result = PairCollection()
@@ -237,7 +223,7 @@ class DeletionMiner:
             yield from self.mine_record(log, record)
 
     def mine_record(self, log: QueryLog, record: QueryRecord) -> Iterator[MinedPair]:
-        """Yield pairs for a single record (the unit sharded mining splits on)."""
+        """Yield pairs for a single record (the unit incremental folds cache)."""
         cfg = self._config
         tokens = record.tokens
         if (
@@ -339,7 +325,7 @@ class LexicalPatternMiner:
             yield from self.mine_record(log, record)
 
     def mine_record(self, log: QueryLog, record: QueryRecord) -> Iterator[MinedPair]:
-        """Yield pairs for a single record (the unit sharded mining splits on)."""
+        """Yield pairs for a single record (the unit incremental folds cache)."""
         cfg = self._config
         if record.frequency < cfg.min_query_frequency:
             return
@@ -371,6 +357,11 @@ class LexicalPatternMiner:
         return words
 
 
+def default_miners(config: MiningConfig) -> tuple:
+    """The miner lineup of the offline pipeline, in replay order."""
+    return (DeletionMiner(config), LexicalPatternMiner(config))
+
+
 def mine_pairs(
     log: QueryLog,
     config: MiningConfig | None = None,
@@ -379,7 +370,7 @@ def mine_pairs(
     """Run all miners over ``log`` and return filtered, merged pairs."""
     config = config or MiningConfig()
     if miners is None:
-        miners = (DeletionMiner(config), LexicalPatternMiner(config))
+        miners = default_miners(config)
     collection = PairCollection()
     for miner in miners:
         for pair in miner.mine(log):

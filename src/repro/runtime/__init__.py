@@ -14,13 +14,11 @@ per-query ``detect`` and several times its throughput at batch ≥ 256.
 
 For serving, the compiled state persists as a binary **snapshot**
 (:mod:`repro.runtime.snapshot`): a versioned flat-array file loaded with
-``mmap`` so cold-start skips recompilation and concurrent workers share
-read-only pages. :class:`DetectorPool` (:mod:`repro.runtime.pool`) keeps
-a persistent process pool over a snapshot and serves batches via chunked
-dispatch. See ``docs/TOUR.md`` § "Runtime & performance".
+``mmap`` so cold-start skips recompilation and concurrent replica
+processes (:mod:`repro.serving.router`) share read-only pages. See
+``docs/TOUR.md`` § "Runtime & performance".
 """
 
-from repro.runtime.batch import detect_batch_sharded, shard
 from repro.runtime.compiled import (
     DENSE_LIMIT,
     CompiledDetector,
@@ -29,7 +27,6 @@ from repro.runtime.compiled import (
     PhraseReading,
 )
 from repro.runtime.intern import UNKNOWN, Interner
-from repro.runtime.pool import DetectorPool
 from repro.runtime.snapshot import (
     SNAPSHOT_VERSION,
     load_snapshot,
@@ -41,7 +38,6 @@ from repro.runtime.vectorized import SegmentationAutomaton, VectorizedDetector
 __all__ = [
     "CompiledDetector",
     "CompiledSegmenter",
-    "DetectorPool",
     "PatternMatrix",
     "PhraseReading",
     "SegmentationAutomaton",
@@ -50,9 +46,7 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "Interner",
     "UNKNOWN",
-    "detect_batch_sharded",
     "load_snapshot",
     "read_snapshot_header",
     "save_snapshot",
-    "shard",
 ]

@@ -51,10 +51,7 @@ evaluation set.
 from __future__ import annotations
 
 import math
-import os
 import re
-import tempfile
-import weakref
 
 import numpy as np
 
@@ -565,8 +562,6 @@ class CompiledDetector(HeadModifierDetector):
 
     Construct via :meth:`repro.core.model.HdmModel.compile` (preferred)
     or directly with the same arguments as the reference detector.
-    ``detect_batch`` additionally accepts ``workers`` to fan shards out
-    across processes (see :mod:`repro.runtime.batch`).
     """
 
     def __init__(
@@ -621,19 +616,7 @@ class CompiledDetector(HeadModifierDetector):
 
             self._automaton = SegmentationAutomaton.build(self._segmenter)
         self._engine = None
-        self._init_serving_state(snapshot_path=None)
-
-    def _init_serving_state(self, snapshot_path: str | None) -> None:
-        """Shared tail of ``__init__`` and :meth:`_restore`: snapshot
-        bookkeeping and the (lazily spawned) persistent worker pools."""
-        self._snapshot_path = snapshot_path
-        self._owns_snapshot = False
-        self._pools: dict[int, object] = {}
-        # Garbage-collection guards for resources close() also releases:
-        # an abandoned detector must not strand live worker processes or
-        # its temp snapshot until interpreter exit.
-        self._pool_finalizer: weakref.finalize | None = None
-        self._snapshot_finalizer: weakref.finalize | None = None
+        self._snapshot_path: str | None = None
 
     @classmethod
     def _restore(
@@ -690,7 +673,7 @@ class CompiledDetector(HeadModifierDetector):
         # simply cannot vectorize — see ``vectorized_batch``).
         self._automaton = automaton
         self._engine = None
-        self._init_serving_state(snapshot_path=snapshot_path)
+        self._snapshot_path = snapshot_path
         return self
 
     # ------------------------------------------------------------------
@@ -997,22 +980,22 @@ class CompiledDetector(HeadModifierDetector):
         from repro.runtime.snapshot import save_snapshot
 
         header = save_snapshot(self, path, lineage=lineage)
-        if not self._owns_snapshot:
-            self._snapshot_path = str(path)
+        self._snapshot_path = str(path)
         return header
 
     @classmethod
-    def load_snapshot(cls, path, verify: bool = True) -> "CompiledDetector":
+    def load_snapshot(cls, path) -> "CompiledDetector":
         """Reconstruct a detector from a snapshot file, sharing the
         mmap'd array payload instead of copying it."""
         from repro.runtime.snapshot import load_snapshot
 
-        return load_snapshot(path, verify=verify)
+        return load_snapshot(path)
 
     @property
     def snapshot_path(self) -> str | None:
-        """Path of the snapshot backing this detector's worker pools
-        (None until one is saved or :meth:`detect_batch` needs one)."""
+        """The snapshot file this detector was loaded from or last saved
+        to (None for a never-saved detector); the serving layer reads
+        its lineage generation from it."""
         return self._snapshot_path
 
     @property
@@ -1033,33 +1016,18 @@ class CompiledDetector(HeadModifierDetector):
             engine = self._engine = VectorizedDetector(self)
         return engine
 
-    def detect_batch(
-        self,
-        texts,
-        workers: int | None = None,
-        min_vectorized_batch: int | None = None,
-    ):
+    def detect_batch(self, texts, min_vectorized_batch: int | None = None):
         """Detect over ``texts`` in input order.
 
-        Single-process batches of at least ``min_vectorized_batch``
-        texts (default :data:`MIN_VECTORIZED_BATCH`) run through the
-        vectorized engine
+        Batches of at least ``min_vectorized_batch`` texts (default
+        :data:`MIN_VECTORIZED_BATCH`) run through the vectorized engine
         (:class:`~repro.runtime.vectorized.VectorizedDetector`) —
         array-at-a-time segmentation and scoring, bit-identical to
         per-query :meth:`detect`. Smaller batches take the scalar loop:
         below the cutoff the engine's fixed NumPy dispatch cost costs
         more than it amortizes (the R11 batch sweep's small-batch
-        ``regression`` rows).
-
-        With ``workers`` > 1 the (deduplicated) texts are dispatched in
-        small chunks to a *persistent* :class:`~repro.runtime.pool.DetectorPool`
-        whose workers map this detector's snapshot read-only instead of
-        unpickling private copies. The pool is spawned on first use,
-        reused across calls, and shut down by :meth:`close` (or when the
-        detector is garbage collected)."""
+        ``regression`` rows)."""
         texts = list(texts)
-        if workers is not None and workers > 1 and len(texts) > 1:
-            return self._pool_for(workers).detect_batch(texts)
         cutoff = (
             MIN_VECTORIZED_BATCH
             if min_vectorized_batch is None
@@ -1070,61 +1038,11 @@ class CompiledDetector(HeadModifierDetector):
             return engine.detect_batch(texts)
         return super().detect_batch(texts)
 
-    def _pool_for(self, workers: int):
-        pool = self._pools.get(workers)
-        if pool is None or pool.closed:
-            from repro.runtime.pool import DetectorPool
-
-            pool = DetectorPool(self._ensure_snapshot(), workers)
-            self._pools[workers] = pool
-            if self._pool_finalizer is None or not self._pool_finalizer.alive:
-                # The callback captures the dict, never the detector, so
-                # it cannot keep self alive; close() detaches it.
-                self._pool_finalizer = weakref.finalize(
-                    self, _close_pools, self._pools
-                )
-        return pool
-
-    def _ensure_snapshot(self) -> str:
-        """The snapshot path backing worker pools, written on demand."""
-        path = self._snapshot_path
-        if path is not None and os.path.exists(path):
-            return path
-        from repro.runtime.snapshot import save_snapshot
-
-        fd, path = tempfile.mkstemp(prefix="hdm-snapshot-", suffix=".hdms")
-        os.close(fd)
-        save_snapshot(self, path)
-        self._snapshot_path = path
-        self._owns_snapshot = True
-        # Removes the temp file when the detector is collected without an
-        # explicit close(); pools hold only the path.
-        self._snapshot_finalizer = weakref.finalize(self, _remove_quietly, path)
-        return path
-
     def close(self) -> None:
-        """Shut down any spawned worker pools (blocking, deterministic)
-        and delete the detector-owned temp snapshot, if one was written.
-
-        Routed through the same ``weakref.finalize`` guards that fire on
-        garbage collection, so explicit close and GC cleanup are one code
-        path and each resource is released exactly once."""
-        pool_finalizer, self._pool_finalizer = self._pool_finalizer, None
-        if pool_finalizer is not None:
-            pool_finalizer()  # no-op if already dead
-        pools, self._pools = self._pools, {}
-        for pool in pools.values():  # pools spawned with no finalizer guard
-            pool.close()
-        snapshot_finalizer, self._snapshot_finalizer = self._snapshot_finalizer, None
-        if self._owns_snapshot:
-            if snapshot_finalizer is not None:
-                snapshot_finalizer()
-            elif self._snapshot_path is not None:
-                _remove_quietly(self._snapshot_path)
-            self._snapshot_path = None
-            self._owns_snapshot = False
-        elif snapshot_finalizer is not None:
-            snapshot_finalizer.detach()
+        """Release nothing: a compiled detector holds no processes or
+        files (the snapshot mmap is freed with its last array view).
+        Kept, with the context-manager methods, so callers can scope a
+        detector uniformly with ``with``."""
 
     def __enter__(self) -> "CompiledDetector":
         return self
@@ -1133,16 +1051,8 @@ class CompiledDetector(HeadModifierDetector):
         self.close()
 
     def __getstate__(self) -> dict:
-        """Pickle without live pools (process handles don't cross
-        processes) and without temp-snapshot ownership (the copy must
-        not delete the original's file)."""
+        """Pickle without derived state the copy rebuilds lazily."""
         state = self.__dict__.copy()
-        state["_pools"] = {}
-        state["_owns_snapshot"] = False
-        # finalizers are process-local (and unpicklable); the copy gets
-        # fresh ones if and when it spawns its own pools/snapshot.
-        state["_pool_finalizer"] = None
-        state["_snapshot_finalizer"] = None
         # The batch engine is derived state (rebuilt lazily from the
         # automaton on the first detect_batch in the new process).
         state["_engine"] = None
@@ -1152,15 +1062,3 @@ class CompiledDetector(HeadModifierDetector):
         )
         return state
 
-
-def _close_pools(pools: dict[int, object]) -> None:
-    for pool in pools.values():
-        pool.close()
-    pools.clear()
-
-
-def _remove_quietly(path: str) -> None:
-    try:
-        os.unlink(path)
-    except OSError:
-        pass

@@ -4,9 +4,8 @@
 conceptualizing every taxonomy phrase, flattening the pattern table,
 prezipping reading tuples — which makes the detector itself expensive to
 ship across process boundaries: pickling it serializes thousands of
-small Python objects, and every worker process pays the full
-deserialization again. The PR 1 sharded batch path lost to a single
-core largely for this reason.
+small Python objects, and every process that receives it pays the full
+deserialization again.
 
 A snapshot is the compiled state laid out flat on disk::
 
@@ -27,7 +26,7 @@ sections are optional: snapshots written before they existed still load
 (``has_automaton`` absent from the header), falling back to per-query
 segmentation. :func:`load_snapshot` maps the file with
 ``mmap`` and builds NumPy views directly over the mapping
-(``np.frombuffer``), so the array payload is never copied — worker
+(``np.frombuffer``), so the array payload is never copied — replica
 processes that load the same snapshot share the read-only page-cache
 pages instead of each unpickling a private replica, and cold-start cost
 is decoding ~a thousand vocabulary strings plus dict construction.
@@ -408,14 +407,14 @@ def read_snapshot_header(path: str | Path) -> dict:
     return header
 
 
-def load_snapshot(path: str | Path, verify: bool = True):
+def load_snapshot(path: str | Path):
     """Reconstruct a :class:`~repro.runtime.compiled.CompiledDetector`
     from a file written by :func:`save_snapshot`.
 
     The array payload is ``mmap``-ed read-only and exposed as NumPy views
     without copying; concurrent loaders of the same file share pages.
-    ``verify=False`` skips the payload CRC check (the page-by-page read
-    it forces) — used by pool workers after the parent already verified.
+    The payload CRC is checked on every load, so a corrupt file fails
+    here with :class:`~repro.errors.ModelError`.
     """
     from repro.runtime.compiled import CompiledDetector
 
@@ -434,12 +433,11 @@ def load_snapshot(path: str | Path, verify: bool = True):
         # numpy views built below alias its pages, so it is released by GC
         # when the last view dies, never by an eager close here.
         mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    if verify:
-        crc = zlib.crc32(
-            memoryview(mapped)[payload_start : payload_start + header["payload_bytes"]]
-        )
-        if crc != header["payload_crc32"]:
-            raise ModelError(f"{path}: corrupted snapshot (payload CRC mismatch)")
+    crc = zlib.crc32(
+        memoryview(mapped)[payload_start : payload_start + header["payload_bytes"]]
+    )
+    if crc != header["payload_crc32"]:
+        raise ModelError(f"{path}: corrupted snapshot (payload CRC mismatch)")
 
     sections = header["sections"]
 

@@ -1,8 +1,8 @@
 """Online serving: the asyncio front-end over the compiled runtime.
 
-PRs 1–3 made one process fast (compiled runtime), many processes cheap
-(snapshot-backed pools), and training quick — but every path so far is
-*batch-shaped*: a caller shows up with a list. Real query/ads traffic is
+The compiled runtime makes one process fast and snapshots make many
+processes cheap to start — but a batch API is *batch-shaped*: a caller
+shows up with a list. Real query/ads traffic is
 the opposite: many concurrent callers, one short text each, heavy
 repetition (Zipfian logs). This package turns the compiled detector into
 a server for that shape:

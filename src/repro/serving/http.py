@@ -12,10 +12,11 @@ is deliberately tiny (HTTP/1.1, ``Connection: close``, JSON in/out):
 Admission-control rejections map to ``503`` with a ``Retry-After``
 header (deterministic backpressure all the way to the wire), malformed
 requests to ``400``, oversized bodies to ``413``, a request or header
-line past the stream's line limit to ``431``, unknown routes to
-``404``. A connection dropped mid-request is abandoned silently — there
-is no peer left to answer, and nothing downstream (batcher, service) is
-ever touched with a partial request. Shutdown is graceful:
+line past the stream's line limit or more than ``MAX_HEADER_LINES``
+headers to ``431``, unknown routes to ``404``. A connection dropped
+mid-request is abandoned silently — there is no peer left to answer,
+and nothing downstream (batcher, service) is ever touched with a
+partial request. Shutdown is graceful:
 :meth:`DetectionHTTPServer.stop` stops accepting connections, drains the
 service (in-flight detections complete), then returns; ``run_server``
 wires that to SIGINT/SIGTERM.
@@ -39,6 +40,10 @@ from repro.serving.service import DetectionService
 #: Largest accepted request body; detection inputs are short texts.
 MAX_BODY_BYTES = 64 * 1024
 
+#: Most header lines one request may carry; past it the request is a 431,
+#: so a client streaming endless headers cannot hold the parser forever.
+MAX_HEADER_LINES = 100
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -47,6 +52,7 @@ _REASONS = {
     413: "Payload Too Large",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    502: "Bad Gateway",
     503: "Service Unavailable",
 }
 
@@ -75,7 +81,8 @@ async def read_http_request(
     Malformed input raises :class:`HttpRequestError` with the status to
     answer (400 for a bad request line or Content-Length, 413 past
     ``max_body_bytes``, 431 for a request or header line longer than
-    the reader's line limit); a connection dropped mid-request surfaces as
+    the reader's line limit or more than :data:`MAX_HEADER_LINES`
+    headers); a connection dropped mid-request surfaces as
     ``asyncio.IncompleteReadError``/``ConnectionError`` for the caller
     to abandon. Used by both :class:`DetectionHTTPServer` and the
     router's front door (:class:`~repro.serving.router.RouterHTTPServer`).
@@ -86,10 +93,16 @@ async def read_http_request(
     except ValueError:
         raise HttpRequestError(400, "malformed request line") from None
     content_length = 0
+    headers = 0
     while True:
         line = await _read_line(reader, "header line")
         if line in (b"\r\n", b"\n", b""):
             break
+        headers += 1
+        if headers > MAX_HEADER_LINES:
+            raise HttpRequestError(
+                431, f"more than {MAX_HEADER_LINES} header lines"
+            )
         name, _, value = line.decode("ascii", "replace").partition(":")
         if name.strip().lower() == "content-length":
             try:

@@ -29,11 +29,11 @@ Every path returns the *same* ``Detection`` object one-shot
 ``detector.detect(text)`` would — bit-identical, enforced by
 ``tests/serving/test_service.py`` over the held-out eval set.
 
-Shutdown mirrors the runtime pools: ``await close()`` stops admission
+Shutdown is deterministic: ``await close()`` stops admission
 (:class:`~repro.errors.ServerClosedError` for late arrivals), flushes
 and drains in-flight batches, then releases the worker thread. An
 abandoned service is finalize-guarded (``weakref.finalize``) so garbage
-collection also releases the thread — the PR 3 pattern.
+collection also releases the thread.
 
 **Hot swap.** :meth:`DetectionService.swap_snapshot` atomically replaces
 the live detector with one loaded from a new snapshot, without dropping

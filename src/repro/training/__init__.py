@@ -1,24 +1,19 @@
-"""Fast offline training: sharded mining + vectorized derivation.
+"""Fast offline training: vectorized derivation and incremental folds.
 
 Everything in this package is output-equivalent to the reference pipeline
 in :mod:`repro.core.pipeline` — bit-identical pattern tables, droppability
 tables, classifier weights, and therefore detections. The reference loops
 stay untouched as the readable specification; this package is how a
-production log refresh actually runs. Entry point:
-``train_model(log, taxonomy, workers=N, vectorized=True)``.
+production log refresh actually runs. Entry points:
+``train_model(log, taxonomy, vectorized=True)`` for a full build and
+:class:`~repro.training.incremental.IncrementalTrainer` for O(delta)
+folds of new log slices.
 """
 
 from repro.training.evidence import (
     DropEvidence,
     SimilarityCache,
     collect_drop_evidence,
-)
-from repro.training.parallel import (
-    default_miners,
-    merge_shard_batches,
-    mine_pairs_sharded,
-    mine_shard,
-    shard_of,
 )
 from repro.training.vectorized import (
     build_droppability_tables_vectorized,
@@ -30,11 +25,6 @@ __all__ = [
     "DropEvidence",
     "SimilarityCache",
     "collect_drop_evidence",
-    "default_miners",
-    "merge_shard_batches",
-    "mine_pairs_sharded",
-    "mine_shard",
-    "shard_of",
     "build_droppability_tables_vectorized",
     "derive_pattern_table_vectorized",
     "training_rows_from_evidence",

@@ -21,13 +21,13 @@ and speed coexist:
   valid. Probes only ever read *clicks*, so a frequency-only merge
   invalidates nobody but the merged record itself.
 - **Ordered replay.** ``PairCollection.add`` is a left fold over IEEE
-  floats, so supports are *replayed* from the cached batches in the
-  sequential reference's miner-major, record-position order — the same
-  contract :func:`repro.training.parallel.merge_shard_batches` keeps
-  for sharded mining. Replay is a cheap O(n) pass over already-mined
-  pairs; the expensive kernels run only for dirty records. The replayed
-  collection is kept **unfiltered**: a pair below ``min_pair_support``
-  today may cross the threshold after a future fold.
+  floats, so supports are *replayed* from the cached batches in
+  :func:`repro.mining.pairs.mine_pairs`' miner-major, record-position
+  order (the lineup of :func:`~repro.mining.pairs.default_miners`).
+  Replay is a cheap O(n) pass over already-mined pairs; the expensive
+  kernels run only for dirty records. The replayed collection is kept
+  **unfiltered**: a pair below ``min_pair_support`` today may cross the
+  threshold after a future fold.
 - **Cheap global stages re-run in full.** Pattern derivation,
   droppability bincounts, feature assembly, and the classifier fit are
   re-run per fold — they are the fast vectorized stages, the per-phrase
@@ -58,13 +58,12 @@ from repro.core.features import FEATURE_NAMES, ConstraintFeatureExtractor
 from repro.core.model import HdmModel
 from repro.core.pipeline import TrainingConfig, _stage_recorder
 from repro.errors import ModelError
-from repro.mining.pairs import MinedPair, PairCollection
+from repro.mining.pairs import MinedPair, PairCollection, default_miners
 from repro.querylog.models import QueryLog, QueryRecord
 from repro.querylog.stats import LogStatistics
 from repro.taxonomy.store import ConceptTaxonomy
 from repro.text.normalizer import normalize
 from repro.training.evidence import DropEvidence, SimilarityCache
-from repro.training.parallel import default_miners
 from repro.training.vectorized import (
     build_droppability_tables_vectorized,
     derive_pattern_table_vectorized,

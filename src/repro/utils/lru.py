@@ -29,9 +29,8 @@ from zlib import crc32
 def shard_of(key: Hashable, num_shards: int) -> int:
     """Deterministic shard index for ``key`` (stable across processes).
 
-    Strings hash via crc32 of their UTF-8 bytes — the same scheme
-    :mod:`repro.training.parallel` uses to shard query logs — so a key
-    always lands on the same shard regardless of ``PYTHONHASHSEED``.
+    Strings hash via crc32 of their UTF-8 bytes, so a key always lands
+    on the same shard regardless of ``PYTHONHASHSEED``.
     Non-string keys fall back to ``hash`` (process-stable, which is all
     an in-process cache needs).
     """

@@ -70,7 +70,7 @@ def test_canary_blocking_sleep_in_http_handler(corpus):
 
 
 def test_canary_unseeded_shuffle_in_training(corpus):
-    """Acceptance check: unseeded shuffle in training/parallel.py → REP001."""
+    """Acceptance check: unseeded shuffle in training/incremental.py → REP001."""
 
     def transform(text):
         return text + (
@@ -80,11 +80,11 @@ def test_canary_unseeded_shuffle_in_training(corpus):
             "    return shards\n"
         )
 
-    sources, tests, src_corpus = _inject(corpus, "training/parallel.py", transform)
+    sources, tests, src_corpus = _inject(corpus, "training/incremental.py", transform)
     result = run_lint(sources, test_sources=tests, src_corpus=src_corpus)
     assert not result.clean
     assert any(
-        f.rule == "REP001" and f.path == "training/parallel.py"
+        f.rule == "REP001" and f.path == "training/incremental.py"
         for f in result.active
     )
 

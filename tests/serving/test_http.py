@@ -16,7 +16,12 @@ from repro.serving import (
     ServingConfig,
     detection_payload,
 )
-from repro.serving.http import HttpRequestError, http_response, read_http_request
+from repro.serving.http import (
+    MAX_HEADER_LINES,
+    HttpRequestError,
+    http_response,
+    read_http_request,
+)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +144,27 @@ async def _raw_exchange(port: int, payload: bytes, close_early: bool = False):
     return response
 
 
+@pytest.mark.parametrize(
+    ("status", "reason"),
+    [
+        (200, "OK"),
+        (400, "Bad Request"),
+        (404, "Not Found"),
+        (405, "Method Not Allowed"),
+        (413, "Payload Too Large"),
+        (431, "Request Header Fields Too Large"),
+        (500, "Internal Server Error"),
+        (502, "Bad Gateway"),
+        (503, "Service Unavailable"),
+    ],
+)
+def test_status_line_carries_standard_reason(status, reason):
+    """Every status the servers emit gets its standard reason phrase
+    (the router answers a failed ``/reload`` with 502)."""
+    status_line = http_response(status, {}).split(b"\r\n", 1)[0]
+    assert status_line == f"HTTP/1.1 {status} {reason}".encode("ascii")
+
+
 class TestProtocolEdges:
     """Malformed and hostile inputs get deterministic status codes and
     never wedge the batcher behind the server."""
@@ -189,6 +215,22 @@ class TestProtocolEdges:
         assert http_response(431, info.value.payload).startswith(
             b"HTTP/1.1 431 Request Header Fields Too Large\r\n"
         )
+
+    def test_too_many_header_lines_is_431(self):
+        """Past ``MAX_HEADER_LINES`` headers the request is a 431, even
+        though every line alone is well within the line limit."""
+        filler = [b"X-Filler-%d: y\r\n" % i for i in range(MAX_HEADER_LINES + 1)]
+
+        async def parse(headers):
+            reader = asyncio.StreamReader()
+            reader.feed_data(b"GET /stats HTTP/1.1\r\n" + b"".join(headers) + b"\r\n")
+            reader.feed_eof()
+            return await read_http_request(reader)
+
+        with pytest.raises(HttpRequestError) as info:
+            asyncio.run(parse(filler))
+        assert info.value.status == 431
+        assert asyncio.run(parse(filler[:-1])) == ("GET", "/stats", b"")
 
     def test_bad_content_length_is_400(self, compiled):
         async def handler(server, port):

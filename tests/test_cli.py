@@ -271,12 +271,12 @@ class TestSnapshotCommands:
         from_model = json.loads(capsys.readouterr().out)
         assert from_snapshot == from_model
 
-    def test_detect_from_snapshot_with_workers(self, snapshot, capsys):
+    def test_detect_from_snapshot_with_batch(self, snapshot, capsys):
         code = main(
             [
                 "detect",
                 "--snapshot", str(snapshot),
-                "--workers", "2",
+                "--batch",
                 "--json",
                 "cheap hotels in rome",
                 "iphone 5s smart cover",
@@ -301,13 +301,6 @@ class TestSnapshotCommands:
         )
         assert code == 2
         assert "exactly one of" in capsys.readouterr().err
-
-    def test_workers_require_snapshot(self, workspace, capsys):
-        code = main(
-            ["detect", "--model", str(workspace["model"]), "--workers", "2", "q"]
-        )
-        assert code == 2
-        assert "--workers needs --snapshot" in capsys.readouterr().err
 
     def test_spell_requires_speller_in_snapshot(self, snapshot, capsys):
         code = main(["detect", "--snapshot", str(snapshot), "--spell", "q"])
@@ -372,12 +365,21 @@ class TestServeCommand:
         assert main(["serve"]) == 2
         assert "exactly one of" in capsys.readouterr().err
 
-    def test_serve_workers_require_snapshot(self, workspace, capsys):
+    def test_serve_replicas_require_snapshot(self, workspace, capsys):
         code = main(
-            ["serve", "--model", str(workspace["model"]), "--workers", "2"]
+            ["serve", "--model", str(workspace["model"]), "--replicas", "2"]
         )
         assert code == 2
-        assert "--workers needs --snapshot" in capsys.readouterr().err
+        assert "--replicas needs --snapshot" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["serve", "route"])
+    @pytest.mark.parametrize("replicas", ["0", "-1"])
+    def test_nonpositive_replicas_rejected(self, snapshot, capsys, command, replicas):
+        code = main(
+            [command, "--snapshot", str(snapshot), "--replicas", replicas]
+        )
+        assert code == 2
+        assert "need at least one replica" in capsys.readouterr().err
 
     def test_serve_spell_requires_speller_in_snapshot(self, snapshot, capsys):
         code = main(["serve", "--snapshot", str(snapshot), "--spell"])

@@ -12,6 +12,7 @@ set plus the structural edge cases.
 
 from __future__ import annotations
 
+import pickle
 import struct
 
 import pytest
@@ -29,7 +30,6 @@ from repro.runtime import (
     load_snapshot,
     read_snapshot_header,
     save_snapshot,
-    shard,
 )
 from repro.runtime.compiled import PhraseReading, _normalize_fast
 from repro.runtime.intern import Interner
@@ -207,20 +207,6 @@ class TestBatch:
         assert [r.query for r in results] == queries
         assert results[0] is results[2]  # duplicate shares the Detection
 
-    def test_sharded_matches_in_process(self, compiled, eval_examples):
-        queries = [example.query for example in eval_examples[:12]]
-        queries.append(queries[0])  # duplicate crosses the dedupe path
-        assert compiled.detect_batch(queries, workers=2) == compiled.detect_batch(
-            queries
-        )
-
-    def test_shard_is_contiguous_and_balanced(self):
-        assert shard(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
-        assert shard([1, 2], 5) == [[1], [2]]
-        assert shard([], 2) == [[]]
-        with pytest.raises(ValueError):
-            shard([1], 0)
-
 
 class TestSnapshotParity:
     """save → load must be bit-identical, not merely close."""
@@ -269,6 +255,27 @@ class TestSnapshotParity:
         twice = load_snapshot(second)
         for text in EDGE_CASES:
             assert twice.detect(text) == loaded.detect(text)
+
+
+class TestSnapshotPath:
+    """``snapshot_path`` names the file a detector was saved to or loaded
+    from (the service reads its lineage generation there)."""
+
+    def test_saved_snapshot_is_recorded_and_kept(self, model, tmp_path):
+        path = tmp_path / "served.hdms"
+        detector = model.compile(snapshot_path=path)
+        with detector:
+            assert detector.snapshot_path == str(path)
+        assert path.exists()  # close() never deletes a user-saved snapshot
+        assert load_snapshot(path).snapshot_path == str(path)
+        assert model.compile().snapshot_path is None
+
+    def test_pickle_roundtrip_detects_identically(self, compiled, eval_examples):
+        queries = [example.query for example in eval_examples[:40]]
+        compiled.detect_batch(queries)  # builds the engine the copy drops
+        clone = pickle.loads(pickle.dumps(compiled))
+        assert clone._engine is None
+        assert clone.detect_batch(queries) == compiled.detect_batch(queries)
 
 
 class TestSnapshotErrors:

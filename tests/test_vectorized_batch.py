@@ -23,7 +23,6 @@ from repro.errors import ModelError
 from repro.runtime import (
     SegmentationAutomaton,
     VectorizedDetector,
-    detect_batch_sharded,
     load_snapshot,
 )
 from repro.runtime.compiled import ConstraintMemo
@@ -286,19 +285,6 @@ class TestSegmentationAutomaton:
                 original.terminal,
                 original.max_span,
             )
-
-
-class TestShardedBatchDedup:
-    """``detect_batch_sharded`` dedups before dispatch: every duplicate
-    maps to one worker detection, shared across result indexes."""
-
-    def test_duplicates_share_results_across_shards(self, compiled, eval_examples):
-        base = [example.query for example in eval_examples[:8]]
-        texts = base + base[::-1]  # every text twice, order scrambled
-        results = detect_batch_sharded(compiled, texts, workers=2)
-        assert results == [compiled.detect(text) for text in texts]
-        for index in range(len(base)):
-            assert results[index] is results[len(texts) - 1 - index]
 
 
 class TestSnapshotAutomaton:

@@ -2,7 +2,7 @@
 
 The acceptance contract of the fast path is the same one PR 1 set for
 serving: not approximately equal — *identical*. Same-seed input through
-``train_model(workers=2, vectorized=True)`` must yield the reference's
+``train_model(vectorized=True)`` must yield the reference's
 pattern table (rank agreement 1.0), pair memory, classifier weights, and
 bit-identical detections on the held-out eval set.
 """
@@ -32,7 +32,6 @@ def fast_trained(train_log, taxonomy):
         train_log,
         taxonomy,
         TrainingConfig(),
-        workers=2,
         vectorized=True,
         timings=timings,
     )
@@ -89,9 +88,3 @@ def test_stage_timings_populated(fast_trained):
         timings[s] for s in ("mine", "derive", "features", "classifier")
     )
 
-
-def test_workers_validation(train_log, taxonomy):
-    from repro.errors import ModelError
-
-    with pytest.raises(ModelError, match="workers must be positive"):
-        train_model(train_log, taxonomy, TrainingConfig(), workers=0)
