@@ -47,7 +47,6 @@ MIN_CACHE_HIT_SPEEDUP = 10.0
 
 SERVING_CONFIG = ServingConfig(
     max_batch_size=32,
-    max_wait_us=500,
     max_pending=NUM_REQUESTS,
     cache_size=50_000,
 )

@@ -36,7 +36,8 @@ from repro.core.conceptualizer import Conceptualizer
 from repro.eval import format_table
 from repro.runtime import CompiledDetector
 from repro.serving.http import detection_payload
-from repro.serving.router import Router, RouterConfig, RouterHTTPServer
+from repro.serving.http import DetectionHTTPServer
+from repro.serving.router import Router, RouterConfig
 
 FLEET_SIZES = (1, 2)
 LOAD_QUERIES = 512
@@ -105,7 +106,7 @@ def router_comparison(model, taxonomy, eval_queries, tmp_path_factory):
             # Cache off: measure detection throughput, not cache hits.
             router.spawn(str(snapshot), size, extra_args=["--cache-size", "0"])
             await router.start()
-            server = RouterHTTPServer(router, port=0)
+            server = DetectionHTTPServer(router, port=0)
             await server.start()
             try:
                 if size == max(FLEET_SIZES):

@@ -16,7 +16,7 @@ a request. Three questions, answered in order:
    it invalidates) plus cheap global stages (ordered pair replay,
    vectorized table derivation, classifier refit), so the speedup
    shrinks as the delta grows — 25% is reported to show exactly that.
-3. **Does the swap drop anything?** ``DetectionService.swap_snapshot``
+3. **Does the swap drop anything?** ``DetectionService.reload``
    latency (which is dominated by the snapshot load), and a concurrent
    burst fired across a mid-flight swap: every request must complete,
    zero rejections, no response mixing generations.
@@ -171,7 +171,7 @@ def _measure_swap(model, queries) -> dict:
             for rep in range(SWAP_REPS):
                 target = gen2 if rep % 2 == 0 else gen1
                 started = perf_counter()
-                service.swap_snapshot(target)
+                await service.reload(str(target))
                 latencies.append(perf_counter() - started)
 
             # Zero-drop burst: fire a concurrent burst, swap while it is
@@ -181,7 +181,7 @@ def _measure_swap(model, queries) -> dict:
                 return_exceptions=True,
             )
             await asyncio.sleep(0)  # let the first batches dispatch
-            service.swap_snapshot(gen2)
+            await service.reload(str(gen2))
             outcomes = await burst
             failures = [o for o in outcomes if isinstance(o, Exception)]
             stats = service.stats()

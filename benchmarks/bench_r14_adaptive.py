@@ -103,6 +103,10 @@ class _StragglerService:
     def closed(self):
         return self._inner.closed
 
+    @property
+    def model_generation(self):
+        return self._inner.model_generation
+
     async def detect(self, text):
         if self._marker in text:
             await asyncio.sleep(STALL_S)
@@ -110,6 +114,9 @@ class _StragglerService:
 
     def stats(self):
         return self._inner.stats()
+
+    def hot_keys(self, n):
+        return self._inner.hot_keys(n)
 
     async def close(self):
         await self._inner.close()
@@ -319,10 +326,10 @@ async def _join_hit_rate(compiled, warmup_keys: int) -> dict:
         await revived.start()
         await router.check_health()  # reconnect (+ warm-up when enabled)
         assert victim.state == "up"
-        before = revived.service.stats()
+        before = revived.backend.stats()
         for query in r1_hot:
             await router.detect(query)
-        after = revived.service.stats()
+        after = revived.backend.stats()
         hits = after["cache"]["hits"] - before["cache"]["hits"]
         return {
             "owned_hot_keys": len(r1_hot),

@@ -306,13 +306,7 @@ def _add_service_flags(p: argparse.ArgumentParser) -> None:
         "--max-batch-size",
         type=int,
         default=32,
-        help="flush a micro-batch at this many queries (default 32)",
-    )
-    p.add_argument(
-        "--max-wait-us",
-        type=int,
-        default=500,
-        help="max microseconds a query waits for batch-mates (default 500)",
+        help="cap micro-batches at this many queries (default 32)",
     )
     p.add_argument(
         "--max-pending",
@@ -326,6 +320,17 @@ def _add_service_flags(p: argparse.ArgumentParser) -> None:
         type=int,
         default=50_000,
         help="normalized-query result cache entries; 0 disables (default 50000)",
+    )
+
+
+def _serving_config(args: argparse.Namespace):
+    """The :class:`~repro.serving.ServingConfig` the service flags name."""
+    from repro.serving import ServingConfig
+
+    return ServingConfig(
+        max_batch_size=args.max_batch_size,
+        max_pending=args.max_pending,
+        cache_size=args.cache_size,
     )
 
 
@@ -710,25 +715,15 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             print(explain_detection(detector, query).render())
             print()
         return 0
+    if args.json:
+        from repro.serving.http import detection_payload
     if args.batch:
         detections = detector.detect_batch(queries)
     else:
         detections = [detector.detect(query) for query in queries]
     for query, detection in zip(queries, detections):
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "query": detection.query,
-                        "head": detection.head,
-                        "modifiers": list(detection.modifiers),
-                        "constraints": list(detection.constraints),
-                        "method": detection.method,
-                        "score": detection.score,
-                    },
-                    sort_keys=True,
-                )
-            )
+            print(json.dumps(detection_payload(detection), sort_keys=True))
         else:
             print(f"{query}\n  {detection.explain()}")
     if args.stats:
@@ -746,7 +741,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.serving import DetectionService, ServingConfig, run_server
+    from repro.serving import DetectionHTTPServer, DetectionService, run_server
 
     if bool(args.model) == bool(args.snapshot):
         print(
@@ -788,23 +783,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         model = load_model(args.model)
         detector = model.compile(correct_spelling=args.spell)
-    config = ServingConfig(
-        max_batch_size=args.max_batch_size,
-        max_wait_us=args.max_wait_us,
-        max_pending=args.max_pending,
-        cache_size=args.cache_size,
-    )
+    service = DetectionService(detector, _serving_config(args))
 
     def _ready(port: int) -> None:
         print(f"serving on http://{args.host}:{port}", flush=True)
 
     asyncio.run(
-        run_server(
-            DetectionService(detector, config),
-            host=args.host,
-            port=args.port,
-            ready=_ready,
-        )
+        run_server(DetectionHTTPServer(service, args.host, args.port), _ready)
     )
     print("server drained and stopped", flush=True)
     return 0
@@ -822,12 +807,8 @@ def _run_router_cli(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.errors import ServingError
-    from repro.serving.router import (
-        AutoscalerConfig,
-        Router,
-        RouterConfig,
-        run_router,
-    )
+    from repro.serving import DetectionHTTPServer, run_server
+    from repro.serving.router import AutoscalerConfig, Router, RouterConfig
 
     autoscaler = None
     initial = args.replicas
@@ -867,7 +848,6 @@ def _run_router_cli(args: argparse.Namespace) -> int:
         initial,
         extra_args=[
             "--max-batch-size", str(args.max_batch_size),
-            "--max-wait-us", str(args.max_wait_us),
             "--max-pending", str(args.max_pending),
             "--cache-size", str(args.cache_size),
         ],
@@ -882,7 +862,11 @@ def _run_router_cli(args: argparse.Namespace) -> int:
         )
         print(f"routing {fleet} on http://{args.host}:{port}", flush=True)
 
-    asyncio.run(run_router(router, host=args.host, port=args.port, ready=_ready))
+    async def _route() -> None:
+        await router.start()
+        await run_server(DetectionHTTPServer(router, args.host, args.port), _ready)
+
+    asyncio.run(_route())
     print("router drained and stopped", flush=True)
     return 0
 
@@ -891,30 +875,21 @@ def _cmd_replica(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.runtime.compiled import CompiledDetector
-    from repro.serving import DetectionService, ServingConfig
-    from repro.serving.replica import run_replica
+    from repro.serving import DetectionService, ReplicaServer, run_server
 
     detector = CompiledDetector.load_snapshot(args.snapshot)
-    config = ServingConfig(
-        max_batch_size=args.max_batch_size,
-        max_wait_us=args.max_wait_us,
-        max_pending=args.max_pending,
-        cache_size=args.cache_size,
+    server = ReplicaServer(
+        DetectionService(detector, _serving_config(args)),
+        args.host,
+        args.port,
+        replica_id=args.replica_id,
+        generation=args.generation,
     )
 
     def _ready(port: int) -> None:
         print(f"replica listening on {args.host}:{port}", flush=True)
 
-    asyncio.run(
-        run_replica(
-            DetectionService(detector, config),
-            host=args.host,
-            port=args.port,
-            replica_id=args.replica_id,
-            generation=args.generation,
-            ready=_ready,
-        )
-    )
+    asyncio.run(run_server(server, _ready))
     print("replica drained and stopped", flush=True)
     return 0
 

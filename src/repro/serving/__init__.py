@@ -8,16 +8,20 @@ repetition (Zipfian logs). This package turns the compiled detector into
 a server for that shape:
 
 - :class:`MicroBatcher` (:mod:`repro.serving.batcher`) — coalesces
-  concurrent single detections into ``detect_batch`` calls under a
-  max-batch-size / max-wait policy.
+  concurrent single detections into ``detect_batch`` calls: an idle
+  batcher dispatches at once, and requests arriving while a batch runs
+  form the next one (capped at ``max_batch_size``).
 - :class:`DetectionService` (:mod:`repro.serving.service`) — the
   request path: normalized-key result cache (sharded LRU), single-flight
   dedup of identical in-flight queries, bounded admission queue raising
   :class:`~repro.errors.ServerOverloadedError`, graceful drain, and a
   finalize guard for abandoned services.
-- :class:`DetectionHTTPServer` (:mod:`repro.serving.http`) — a small
-  stdlib-only asyncio HTTP server (``POST /detect``, ``GET /stats``,
-  ``GET /healthz``) behind ``repro serve``.
+- :class:`DetectionHTTPServer` (:mod:`repro.serving.http`) — the one
+  small stdlib-only asyncio HTTP server (``POST /detect``, ``POST
+  /reload``, ``GET /stats``, ``GET /healthz``) behind both ``repro
+  serve`` and ``repro route``, over a local service or a router; and
+  :func:`run_server`, the one signal-driven run loop of every serving
+  process.
 - :class:`ServingMetrics` (:mod:`repro.serving.metrics`) — per-stage
   latency histograms (mergeable fixed buckets), counters, and span
   traces threaded batcher → service → replica → router and surfaced
@@ -42,7 +46,7 @@ by the R10/R12 benchmarks (``benchmarks/bench_r10_serving.py``,
 from repro.serving.batcher import MicroBatcher
 from repro.serving.http import DetectionHTTPServer, detection_payload, run_server
 from repro.serving.metrics import LatencyHistogram, ServingMetrics, StatCounter
-from repro.serving.replica import ReplicaServer, run_replica
+from repro.serving.replica import ReplicaServer
 from repro.serving.router import (
     Autoscaler,
     AutoscalerConfig,
@@ -51,8 +55,6 @@ from repro.serving.router import (
     ReplicaClient,
     Router,
     RouterConfig,
-    RouterHTTPServer,
-    run_router,
 )
 from repro.serving.service import DetectionService, ServingConfig
 
@@ -69,12 +71,9 @@ __all__ = [
     "ReplicaServer",
     "Router",
     "RouterConfig",
-    "RouterHTTPServer",
     "ServingConfig",
     "ServingMetrics",
     "StatCounter",
     "detection_payload",
-    "run_replica",
-    "run_router",
     "run_server",
 ]

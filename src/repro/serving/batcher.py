@@ -4,16 +4,18 @@
 setup, cache locality) that per-request ``detect`` calls pay over and
 over; under concurrency the server should be calling it. The
 :class:`MicroBatcher` makes that happen without changing the caller
-contract: each request awaits its own item, the batcher coalesces
-whatever is pending into one runner call when either
+contract: each request awaits its own item, and the batcher coalesces
+whatever is pending into one runner call. The policy has no timer; a
+submit dispatches the forming batch at once when
 
-- the forming batch reaches ``max_batch_size`` (flush immediately), or
-- the *oldest* pending item has waited ``max_wait_us`` microseconds
-  (flush on timer),
+- no batch is running (an idle server answers a lone request with no
+  added wait), or
+- the forming batch has reached ``max_batch_size``,
 
-whichever comes first. A lone request therefore pays at most
-``max_wait_us`` of extra latency; a burst pays none (size-triggered
-flushes skip the timer).
+and otherwise the item waits for a running batch to finish: a finishing
+batch dispatches whatever accumulated behind it. Batch size therefore
+follows load — one at a time when idle, up to ``max_batch_size`` under
+a burst.
 
 Results keep per-item attribution: the runner returns one outcome per
 item in order, and an outcome that is an :class:`Exception` instance is
@@ -44,7 +46,8 @@ DispatchObserver = Callable[[int, float], None]
 
 
 class MicroBatcher(Generic[T, R]):
-    """Coalesce concurrent ``submit`` calls into batched runner calls.
+    """Coalesce concurrent ``submit_nowait`` calls into batched runner
+    calls.
 
     Must be used from a single asyncio event loop (the loop is captured
     on first submit). ``flush()`` forces the forming batch out early —
@@ -56,32 +59,18 @@ class MicroBatcher(Generic[T, R]):
         self,
         runner: BatchRunner,
         max_batch_size: int = 32,
-        max_wait_us: int = 500,
         on_dispatch: DispatchObserver | None = None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
-        if max_wait_us < 0:
-            raise ValueError(f"max_wait_us must be >= 0, got {max_wait_us}")
         self._runner = runner
         self._max_batch_size = max_batch_size
-        self._max_wait = max_wait_us / 1_000_000
         self._on_dispatch = on_dispatch
         self._pending: list[tuple[T, asyncio.Future]] = []
         self._oldest_enqueued = 0.0
-        self._timer: asyncio.TimerHandle | None = None
+        self._running = 0
         self._tasks: set[asyncio.Task] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
-
-    @property
-    def max_batch_size(self) -> int:
-        """Flush threshold: a forming batch never exceeds this size."""
-        return self._max_batch_size
-
-    @property
-    def pending(self) -> int:
-        """Items in the forming (not yet dispatched) batch."""
-        return len(self._pending)
 
     def submit_nowait(self, item: T) -> asyncio.Future:
         """Enqueue ``item`` and return the future of its outcome.
@@ -96,22 +85,12 @@ class MicroBatcher(Generic[T, R]):
         if not self._pending:
             self._oldest_enqueued = perf_counter()
         self._pending.append((item, future))
-        if len(self._pending) >= self._max_batch_size:
+        if not self._running or len(self._pending) >= self._max_batch_size:
             self.flush()
-        elif self._timer is None:
-            # Timer for the batch's *first* item; later arrivals ride it.
-            self._timer = loop.call_later(self._max_wait, self.flush)
         return future
-
-    async def submit(self, item: T) -> R:
-        """Enqueue ``item`` and await its outcome."""
-        return await asyncio.shield(self.submit_nowait(item))
 
     def flush(self) -> None:
         """Dispatch the forming batch now (no-op when empty)."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
         if not self._pending:
             return
         batch, self._pending = self._pending, []
@@ -120,6 +99,7 @@ class MicroBatcher(Generic[T, R]):
                 len(batch), perf_counter() - self._oldest_enqueued
             )
         assert self._loop is not None  # submit_nowait set it
+        self._running += 1
         task = self._loop.create_task(self._run(batch))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
@@ -142,10 +122,9 @@ class MicroBatcher(Generic[T, R]):
         # repro: noqa[REP006] -- fan-out boundary: the runner's exception is
         # re-delivered to every awaiter via set_exception, never swallowed.
         except Exception as exc:
-            for _, future in batch:
-                if not future.cancelled():
-                    future.set_exception(exc)
-            return
+            outcomes = [exc] * len(items)
+        finally:
+            self._running -= 1
         for (_, future), outcome in zip(batch, outcomes):
             if future.cancelled():
                 continue
@@ -153,3 +132,5 @@ class MicroBatcher(Generic[T, R]):
                 future.set_exception(outcome)
             else:
                 future.set_result(outcome)
+        # Whatever arrived while this batch ran is the next batch.
+        self.flush()

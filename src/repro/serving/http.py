@@ -1,11 +1,18 @@
-"""A small stdlib-only asyncio HTTP front door for the serving layer.
+"""The one stdlib-only asyncio HTTP front door of the serving layer.
 
-``repro serve`` binds :class:`DetectionHTTPServer` over a
-:class:`~repro.serving.service.DetectionService`. The protocol surface
-is deliberately tiny (HTTP/1.1, ``Connection: close``, JSON in/out):
+``repro serve`` binds :class:`DetectionHTTPServer` over a local
+:class:`~repro.serving.service.DetectionService`; ``repro route`` binds
+the same class over a :class:`~repro.serving.router.Router`. Both are
+*backends* of one small contract — ``detect``, ``stats``, ``healthz``,
+``reload`` and ``close`` (see :class:`DetectionHTTPServer`) — so the
+two front doors speak byte-identical HTTP from one request handler.
+The protocol surface is deliberately tiny (HTTP/1.1,
+``Connection: close``, JSON in/out):
 
 - ``POST /detect`` with body ``{"query": "cheap hotels in rome"}`` →
   ``200`` and the same JSON shape as ``repro detect --json``.
+- ``POST /reload`` with body ``{"snapshot": "/path/to/g2.hdms"}`` → the
+  backend's hot swap.
 - ``GET /stats`` → serving counters (cache hit rate, batch histogram…).
 - ``GET /healthz`` → ``{"status": "ok"}`` once accepting traffic.
 
@@ -13,29 +20,33 @@ Admission-control rejections map to ``503`` with a ``Retry-After``
 header (deterministic backpressure all the way to the wire), malformed
 requests to ``400``, oversized bodies to ``413``, a request or header
 line past the stream's line limit or more than ``MAX_HEADER_LINES``
-headers to ``431``, unknown routes to ``404``. A connection dropped
-mid-request is abandoned silently — there is no peer left to answer,
-and nothing downstream (batcher, service) is ever touched with a
-partial request. Shutdown is graceful:
-:meth:`DetectionHTTPServer.stop` stops accepting connections, drains the
-service (in-flight detections complete), then returns; ``run_server``
-wires that to SIGINT/SIGTERM.
+headers to ``431``, a request that has not fully arrived within
+``READ_TIMEOUT_S`` to ``408``, unknown routes to ``404``. A connection
+dropped mid-request is abandoned silently — there is no peer left to
+answer, and nothing downstream (batcher, service, router) is ever
+touched with a partial request.
 
-The request/response plumbing is module-level (:func:`read_http_request`,
-:func:`http_response`) so the multi-replica router front door
-(:mod:`repro.serving.router`) speaks byte-identical HTTP without a
-second parser.
+Shutdown is graceful: :meth:`Listener.stop` stops accepting
+connections, then closes the backend (in-flight detections complete).
+:func:`run_server` wires that to SIGINT/SIGTERM for every serving
+process — the HTTP front door and the replica socket server
+(:class:`~repro.serving.replica.ReplicaServer`) alike.
 """
 
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
 import signal
 
 from repro.core.detector import Detection
-from repro.errors import ModelError, ServerClosedError, ServerOverloadedError
-from repro.serving.service import DetectionService
+from repro.errors import (
+    ModelError,
+    ServerClosedError,
+    ServerOverloadedError,
+    ServingError,
+)
 
 #: Largest accepted request body; detection inputs are short texts.
 MAX_BODY_BYTES = 64 * 1024
@@ -44,11 +55,17 @@ MAX_BODY_BYTES = 64 * 1024
 #: so a client streaming endless headers cannot hold the parser forever.
 MAX_HEADER_LINES = 100
 
+#: Seconds a client has to deliver its whole request; past it the
+#: request is a 408, so a slow or stalled client cannot hold a
+#: connection (and its handler task) open forever.
+READ_TIMEOUT_S = 10.0
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
@@ -84,8 +101,7 @@ async def read_http_request(
     the reader's line limit or more than :data:`MAX_HEADER_LINES`
     headers); a connection dropped mid-request surfaces as
     ``asyncio.IncompleteReadError``/``ConnectionError`` for the caller
-    to abandon. Used by both :class:`DetectionHTTPServer` and the
-    router's front door (:class:`~repro.serving.router.RouterHTTPServer`).
+    to abandon.
     """
     request_line = await _read_line(reader, "request line")
     try:
@@ -173,29 +189,21 @@ def detection_payload(detection: Detection) -> dict:
     }
 
 
-class DetectionHTTPServer:
-    """Serve a :class:`DetectionService` over HTTP (see module docstring).
+class Listener:
+    """One asyncio TCP listener in front of a backend: bind, report the
+    bound port, and stop gracefully (stop accepting, then close the
+    backend). Subclasses supply the per-connection ``_handle``."""
 
-    >>> server = DetectionHTTPServer(service, port=0)     # doctest: +SKIP
-    >>> await server.start()       # server.port is the bound port
-    >>> await server.stop()        # drains in-flight requests
-    """
-
-    def __init__(
-        self,
-        service: DetectionService,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-    ) -> None:
-        self._service = service
+    def __init__(self, backend, host: str = "127.0.0.1", port: int = 0) -> None:
+        self._backend = backend
         self._host = host
         self._port = port
         self._server: asyncio.AbstractServer | None = None
 
     @property
-    def service(self) -> DetectionService:
-        """The detection service behind this server."""
-        return self._service
+    def backend(self):
+        """The backend this listener serves."""
+        return self._backend
 
     @property
     def port(self) -> int:
@@ -216,27 +224,59 @@ class DetectionHTTPServer:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain the service."""
+        """Graceful shutdown: stop accepting, close the backend."""
         server, self._server = self._server, None
         if server is not None:
             server.close()
             await server.wait_closed()
-        await self._service.close()
+        await self._backend.close()
 
-    # ------------------------------------------------------------------
-    # request handling
-    # ------------------------------------------------------------------
+    async def _handle(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        raise NotImplementedError
+
+
+class DetectionHTTPServer(Listener):
+    """Serve a detection backend over HTTP (see module docstring).
+
+    The backend is a :class:`~repro.serving.service.DetectionService`
+    or a :class:`~repro.serving.router.Router`; it provides
+
+    - ``async detect(query)`` → a :class:`~repro.core.detector.Detection`
+      or its :func:`detection_payload` dict;
+    - ``stats()`` → a dict, or an awaitable of one;
+    - ``healthz()`` → ``(status, payload)``;
+    - ``async reload(snapshot)`` → ``(status, payload)``;
+    - ``async close()``.
+
+    Status codes that depend on the backend (the router's 503 with no
+    replica up, its 502 when no replica reloaded) come from the backend
+    itself; everything else — parsing, error mapping, serialization —
+    lives here once.
+
+    >>> server = DetectionHTTPServer(service, port=0)     # doctest: +SKIP
+    >>> await server.start()       # server.port is the bound port
+    >>> await server.stop()        # drains in-flight requests
+    """
+
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            method, target, body = await read_http_request(reader)
+            method, target, body = await asyncio.wait_for(
+                read_http_request(reader), READ_TIMEOUT_S
+            )
+        except asyncio.TimeoutError:
+            error = {"error": f"request not received within {READ_TIMEOUT_S}s"}
+            await finish_response(writer, http_response(408, error))
+            return
         except HttpRequestError as exc:
             await finish_response(writer, http_response(exc.status, exc.payload))
             return
         except CLIENT_GONE:
             # The client vanished mid-request: there is nobody to answer,
-            # and the batcher/service were never touched.
+            # and the backend was never touched.
             writer.close()
             return
         try:
@@ -250,10 +290,12 @@ class DetectionHTTPServer:
     async def _respond(
         self, method: str, target: str, body: bytes
     ) -> tuple[int, dict]:
+        backend = self._backend
         if target == "/healthz" and method == "GET":
-            return 200, {"status": "closed" if self._service.closed else "ok"}
+            return backend.healthz()
         if target == "/stats" and method == "GET":
-            return 200, self._service.stats()
+            stats = backend.stats()
+            return 200, (await stats) if inspect.isawaitable(stats) else stats
         if target == "/detect":
             if method != "POST":
                 return 405, {"error": "use POST /detect"}
@@ -265,12 +307,14 @@ class DetectionHTTPServer:
             if not isinstance(query, str):
                 return 400, {"error": "query must be a string"}
             try:
-                detection = await self._service.detect(query)
-            except ServerOverloadedError as exc:
+                result = await backend.detect(query)
+            except (ServerOverloadedError, ServerClosedError) as exc:
                 return 503, {"error": str(exc)}
-            except ServerClosedError as exc:
-                return 503, {"error": str(exc)}
-            return 200, detection_payload(detection)
+            except ServingError as exc:
+                return 500, {"error": str(exc)}
+            if isinstance(result, Detection):
+                result = detection_payload(result)
+            return 200, result
         if target == "/reload":
             if method != "POST":
                 return 405, {"error": "use POST /reload"}
@@ -281,51 +325,43 @@ class DetectionHTTPServer:
                 return 400, {"error": 'body must be JSON: {"snapshot": "..."}'}
             if not isinstance(snapshot, str):
                 return 400, {"error": "snapshot must be a path string"}
-            swap = getattr(self._service, "swap_snapshot", None)
-            if swap is None:
-                return 400, {"error": "this service does not support hot swap"}
             try:
-                model_generation = swap(snapshot)
+                return await backend.reload(snapshot)
             except ServerClosedError as exc:
                 return 503, {"error": str(exc)}
             except (ModelError, OSError) as exc:
                 return 400, {"error": f"snapshot rejected: {exc}"}
-            return 200, {
-                "reloaded": 1,
-                "snapshot": snapshot,
-                "model_generation": model_generation,
-            }
         return 404, {"error": f"no route {method} {target}"}
 
 
-async def run_server(
-    service: DetectionService,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    ready=None,
-) -> None:
-    """Run a server until SIGINT/SIGTERM, then drain and return.
+_STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
-    ``ready`` (optional) is called with the bound port once the server
-    accepts traffic — the CLI uses it to print the URL, tests to learn
-    an ephemeral port.
+
+async def run_server(server: Listener, ready=None) -> None:
+    """Run ``server`` until SIGINT/SIGTERM, then stop it and return.
+
+    The one process run loop behind ``repro serve``, ``repro route`` and
+    ``repro replica``: start the listener, call ``ready`` (optional)
+    with the bound port — the CLI prints its ready line there, tests
+    learn an ephemeral port — wait for a stop signal, then stop the
+    listener (which closes its backend, so in-flight work drains). The
+    backend is closed even when binding fails.
     """
-    server = DetectionHTTPServer(service, host, port)
-    await server.start()
-    if ready is not None:
-        ready(server.port)
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass  # non-main thread or platform without signal support
     try:
+        await server.start()
+        if ready is not None:
+            ready(server.port)
+        for signum in _STOP_SIGNALS:
+            try:
+                loop.add_signal_handler(signum, stop.set)
+            except (NotImplementedError, RuntimeError):  # pragma: no cover
+                pass  # non-main thread or platform without signal support
         await stop.wait()
     finally:
         await server.stop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
+        for signum in _STOP_SIGNALS:
             try:
                 loop.remove_signal_handler(signum)
             except (NotImplementedError, RuntimeError):  # pragma: no cover

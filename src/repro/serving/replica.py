@@ -6,7 +6,7 @@ these processes behind one front-door router. Each replica loads the
 *same* ``HDMSNAP1`` snapshot via ``mmap`` — resident model memory is
 shared page cache across the fleet, not N private copies — and serves
 its :class:`~repro.serving.service.DetectionService` (micro-batcher,
-result cache, admission control: the whole PR 4 request path) over a
+result cache, admission control: the whole request path) over a
 deliberately minimal inward-facing wire protocol:
 
 - **Framing** — every message is ``4-byte big-endian length`` +
@@ -21,7 +21,7 @@ deliberately minimal inward-facing wire protocol:
   :meth:`~repro.serving.service.DetectionService.hot_keys` — the donor
   side of replica cache warm-up), and
   ``reload`` (hot-swap the serving snapshot in place via
-  :meth:`~repro.serving.service.DetectionService.swap_snapshot` —
+  :meth:`~repro.serving.service.DetectionService.reload` —
   in-flight detections finish on the old model, the swap drops
   nothing). Unknown ops get a structured
   error frame; protocol violations (oversized frame, junk bytes) close
@@ -32,11 +32,11 @@ deliberately minimal inward-facing wire protocol:
   can re-route, shed with ``Retry-After``, or fail the one request
   without guessing from strings.
 
-``repro replica`` runs :func:`run_replica` as a process entry point; it
+``repro replica`` runs a :class:`ReplicaServer` under the same
+:func:`~repro.serving.http.run_server` loop as the HTTP front door; it
 prints one machine-readable ready line (``replica listening on
 HOST:PORT``) so a parent router can spawn it with ``--port 0`` and learn
-the bound port, and drains gracefully on SIGTERM exactly like
-:func:`~repro.serving.http.run_server`.
+the bound port, and drains gracefully on SIGTERM.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import signal
 import struct
 
 from repro.errors import (
@@ -53,7 +52,7 @@ from repro.errors import (
     ServerClosedError,
     ServerOverloadedError,
 )
-from repro.serving.http import detection_payload
+from repro.serving.http import Listener, detection_payload
 from repro.serving.service import DetectionService
 
 #: Largest accepted frame; detection requests and stats payloads are
@@ -107,14 +106,15 @@ async def read_frame(reader: asyncio.StreamReader) -> dict | None:
     return payload
 
 
-class ReplicaServer:
+class ReplicaServer(Listener):
     """Serve a :class:`DetectionService` over the replica socket protocol.
 
     The inward-facing twin of
-    :class:`~repro.serving.http.DetectionHTTPServer`: same service, same
-    graceful drain, but a persistent multiplexed connection instead of
-    HTTP ``Connection: close`` — the router keeps one socket per replica
-    and pipelines every request over it.
+    :class:`~repro.serving.http.DetectionHTTPServer`, on the same
+    :class:`~repro.serving.http.Listener` lifecycle and graceful drain,
+    but with a persistent multiplexed connection instead of HTTP
+    ``Connection: close`` — the router keeps one socket per replica and
+    pipelines every request over it.
 
     >>> server = ReplicaServer(service, port=0)        # doctest: +SKIP
     >>> await server.start()      # server.port is the bound port
@@ -129,17 +129,9 @@ class ReplicaServer:
         replica_id: int = 0,
         generation: int = 1,
     ) -> None:
-        self._service = service
-        self._host = host
-        self._port = port
+        super().__init__(service, host, port)
         self._replica_id = replica_id
         self._generation = generation
-        self._server: asyncio.AbstractServer | None = None
-
-    @property
-    def service(self) -> DetectionService:
-        """The detection service behind this replica."""
-        return self._service
 
     @property
     def replica_id(self) -> int:
@@ -150,32 +142,6 @@ class ReplicaServer:
     def generation(self) -> int:
         """Spawn generation: 1 for the first launch, +1 per restart."""
         return self._generation
-
-    @property
-    def port(self) -> int:
-        """The bound port (useful with ``port=0``)."""
-        if self._server is not None:
-            return self._server.sockets[0].getsockname()[1]
-        return self._port
-
-    async def start(self) -> None:
-        """Bind and start accepting connections."""
-        self._server = await asyncio.start_server(
-            self._handle, self._host, self._port
-        )
-
-    async def serve_forever(self) -> None:
-        """Block until the server is stopped."""
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
-
-    async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain the service."""
-        server, self._server = self._server, None
-        if server is not None:
-            server.close()
-            await server.wait_closed()
-        await self._service.close()
 
     # ------------------------------------------------------------------
     # connection handling
@@ -224,6 +190,7 @@ class ReplicaServer:
                 pass
 
     async def _respond(self, request: dict) -> dict:
+        service = self._backend
         request_id = request.get("id")
         base = {"id": request_id}
         op = request.get("op")
@@ -237,7 +204,7 @@ class ReplicaServer:
                     "error": "detect needs a string 'query'",
                 }
             try:
-                detection = await self._service.detect(query)
+                detection = await service.detect(query)
             except ServerOverloadedError as exc:
                 return {**base, "ok": False, "kind": "overloaded", "error": str(exc)}
             except ServerClosedError as exc:
@@ -252,16 +219,14 @@ class ReplicaServer:
             return {
                 **base,
                 "ok": True,
-                "status": "closed" if self._service.closed else "ok",
+                "status": "closed" if service.closed else "ok",
                 "replica": self._replica_id,
                 "generation": self._generation,
-                # getattr: stand-in services in tests may not version
-                # their model; an unversioned service is generation 1.
-                "model_generation": getattr(self._service, "model_generation", 1),
+                "model_generation": service.model_generation,
                 "pid": os.getpid(),
             }
         if op == "stats":
-            stats = self._service.stats()
+            stats = service.stats()
             stats["replica"] = self._replica_id
             stats["generation"] = self._generation
             stats["pid"] = os.getpid()
@@ -275,11 +240,7 @@ class ReplicaServer:
                     "kind": "bad_request",
                     "error": "cache_keys needs a non-negative integer 'n'",
                 }
-            # getattr: stand-in services in tests may not expose a
-            # cache; a cacheless service simply has no hot keys.
-            hot_keys = getattr(self._service, "hot_keys", None)
-            keys = hot_keys(n) if hot_keys is not None else []
-            return {**base, "ok": True, "keys": keys}
+            return {**base, "ok": True, "keys": service.hot_keys(n)}
         if op == "reload":
             snapshot = request.get("snapshot")
             if not isinstance(snapshot, str):
@@ -289,16 +250,8 @@ class ReplicaServer:
                     "kind": "bad_request",
                     "error": "reload needs a string 'snapshot' path",
                 }
-            swap = getattr(self._service, "swap_snapshot", None)
-            if swap is None:
-                return {
-                    **base,
-                    "ok": False,
-                    "kind": "bad_request",
-                    "error": "this service does not support hot swap",
-                }
             try:
-                model_generation = swap(snapshot)
+                _, reloaded = await service.reload(snapshot)
             except ServerClosedError as exc:
                 return {**base, "ok": False, "kind": "closed", "error": str(exc)}
             except (ModelError, OSError) as exc:
@@ -308,7 +261,7 @@ class ReplicaServer:
             return {
                 **base,
                 "ok": True,
-                "model_generation": model_generation,
+                "model_generation": reloaded["model_generation"],
                 "replica": self._replica_id,
             }
         return {
@@ -318,42 +271,3 @@ class ReplicaServer:
             "error": f"unknown op {op!r}",
         }
 
-
-async def run_replica(
-    service: DetectionService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    replica_id: int = 0,
-    generation: int = 1,
-    ready=None,
-) -> None:
-    """Run one replica until SIGINT/SIGTERM, then drain and return.
-
-    The process entry behind ``repro replica`` — the socket-protocol
-    twin of :func:`~repro.serving.http.run_server`. ``ready`` (optional)
-    is called with the bound port once the replica accepts traffic; the
-    CLI uses it to print the ``replica listening on HOST:PORT`` line the
-    router parses to learn ephemeral ports.
-    """
-    server = ReplicaServer(
-        service, host, port, replica_id=replica_id, generation=generation
-    )
-    await server.start()
-    if ready is not None:
-        ready(server.port)
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass  # non-main thread or platform without signal support
-    try:
-        await stop.wait()
-    finally:
-        await server.stop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.remove_signal_handler(signum)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass

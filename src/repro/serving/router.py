@@ -1,11 +1,13 @@
 """Multi-replica serving: a consistent-hash front door over N replicas.
 
-One :class:`Router` process owns the outward HTTP surface
-(:class:`RouterHTTPServer` — the same ``POST /detect`` / ``GET /healthz``
-/ ``GET /stats`` routes as the single-process
-:class:`~repro.serving.http.DetectionHTTPServer`) and forwards each
-query inward over the length-prefixed socket protocol
-(:mod:`repro.serving.replica`) to one of N replica processes. Three
+One :class:`Router` process owns the outward HTTP surface — it is a
+backend of the one :class:`~repro.serving.http.DetectionHTTPServer`,
+so ``POST /detect`` / ``POST /reload`` / ``GET /healthz`` / ``GET
+/stats`` are byte-identical to the single-process server's — and
+forwards each query inward over the length-prefixed socket protocol
+(:mod:`repro.serving.replica`) to one of N replica processes. Its
+backend verbs differ in two answers only: ``/healthz`` is ``503`` when
+no replica is up, and ``/reload`` is ``502`` when none reloaded. Three
 design decisions carry the architecture:
 
 - **Consistent hashing for cache affinity.** Queries are normalized with
@@ -68,17 +70,16 @@ replica hot-swaps in place (in-flight detections finish on its old
 model) before the next is touched, so the fleet never drops below N-1
 serving replicas, and restarts spawned afterwards load the new file.
 
-``repro route`` runs :func:`run_router`; ``repro serve --replicas N``
-is sugar for it.
+``repro route`` starts a router and serves it with
+:func:`~repro.serving.http.run_server`; ``repro serve --replicas N`` is
+sugar for it.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import random
 import re
-import signal
 import sys
 from bisect import bisect_right
 from collections import Counter
@@ -88,7 +89,6 @@ from typing import Callable, Sequence
 from zlib import crc32
 
 from repro.errors import (
-    ModelError,
     ReplicaProtocolError,
     ReplicaUnavailableError,
     ServerClosedError,
@@ -97,13 +97,6 @@ from repro.errors import (
 )
 from repro.runtime.compiled import _normalize_fast
 from repro.runtime.snapshot import read_snapshot_header
-from repro.serving.http import (
-    CLIENT_GONE,
-    HttpRequestError,
-    finish_response,
-    http_response,
-    read_http_request,
-)
 from repro.serving.metrics import LatencyHistogram, ServingMetrics
 from repro.serving.replica import encode_frame, read_frame
 
@@ -1033,7 +1026,7 @@ class Router:
     # ------------------------------------------------------------------
     # hot swap
     # ------------------------------------------------------------------
-    async def reload(self, snapshot_path: str) -> dict:
+    async def reload(self, snapshot_path: str) -> tuple[int, dict]:
         """Roll the fleet onto the snapshot at ``snapshot_path``, one
         replica at a time (zero-downtime deploy).
 
@@ -1046,10 +1039,12 @@ class Router:
         is repointed so replicas restarted later come up on the *new*
         snapshot, not the old one.
 
-        Returns ``{"snapshot", "reloaded", "replicas": {name: {...}}}``;
-        a replica that is down (or refuses the swap) is reported, not
-        retried — the health loop owns bringing it back, and when it is
-        managed its restart now loads the new snapshot anyway.
+        Returns ``(status, {"snapshot", "reloaded", "replicas": {name:
+        {...}}})`` — the ``POST /reload`` answer, ``502`` when no
+        replica reloaded. A replica that is down (or refuses the swap)
+        is reported, not retried — the health loop owns bringing it
+        back, and when it is managed its restart now loads the new
+        snapshot anyway.
         """
         if self._closed:
             raise ServerClosedError("router is closed")
@@ -1094,17 +1089,19 @@ class Router:
                         "error": str(response.get("error", "replica error")),
                     }
         reloaded = sum(1 for entry in results.values() if entry["ok"])
-        return {"snapshot": path, "reloaded": reloaded, "replicas": results}
+        payload = {"snapshot": path, "reloaded": reloaded, "replicas": results}
+        return (200 if reloaded else 502), payload
 
     # ------------------------------------------------------------------
     # health
     # ------------------------------------------------------------------
-    def healthz(self) -> dict:
-        """The router's local view of fleet health (no replica I/O):
-        ``ok`` when every active replica is up, ``degraded`` when some
-        are, ``down`` when none is. Replicas the autoscaler retired are
-        reported but never count against health — a deliberately
-        shrunken fleet is not a degraded one."""
+    def healthz(self) -> tuple[int, dict]:
+        """The router's local view of fleet health (no replica I/O), as
+        the ``GET /healthz`` answer: ``ok`` when every active replica is
+        up, ``degraded`` when some are, ``down`` when none is; the HTTP
+        status is ``503`` whenever no replica is up. Replicas the
+        autoscaler retired are reported but never count against health —
+        a deliberately shrunken fleet is not a degraded one."""
         states = {name: h.state for name, h in self._replicas.items()}
         active = {
             name: state
@@ -1120,7 +1117,7 @@ class Router:
             status = "ok"
         else:
             status = "degraded"
-        return {"status": status, "up": up, "replicas": states}
+        return (200 if up else 503), {"status": status, "up": up, "replicas": states}
 
     async def check_health(self) -> None:
         """Probe every replica once: mark non-responders down, restart
@@ -1585,160 +1582,3 @@ async def _drain_stream(stream: asyncio.StreamReader | None) -> None:
     while await stream.read(4096):
         pass
 
-
-class RouterHTTPServer:
-    """The router's outward HTTP face — byte-compatible with the
-    single-process :class:`~repro.serving.http.DetectionHTTPServer`
-    (same routes, same deterministic JSON, same 503 + ``Retry-After``
-    backpressure), built from the same module-level request plumbing
-    (:func:`~repro.serving.http.read_http_request` /
-    :func:`~repro.serving.http.http_response`). Clients cannot tell one
-    replica from a fleet, which is what makes the r12 bit-identity
-    bench meaningful.
-    """
-
-    def __init__(
-        self,
-        router: Router,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-    ) -> None:
-        self._router = router
-        self._host = host
-        self._port = port
-        self._server: asyncio.AbstractServer | None = None
-
-    @property
-    def router(self) -> Router:
-        """The router behind this server."""
-        return self._router
-
-    @property
-    def port(self) -> int:
-        """The bound port (useful with ``port=0``)."""
-        if self._server is not None:
-            return self._server.sockets[0].getsockname()[1]
-        return self._port
-
-    async def start(self) -> None:
-        """Bind and start accepting connections."""
-        self._server = await asyncio.start_server(
-            self._handle, self._host, self._port
-        )
-
-    async def serve_forever(self) -> None:
-        """Block until the server is stopped."""
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
-
-    async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, close the fleet."""
-        server, self._server = self._server, None
-        if server is not None:
-            server.close()
-            await server.wait_closed()
-        await self._router.close()
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            method, target, body = await read_http_request(reader)
-        except HttpRequestError as exc:
-            await finish_response(writer, http_response(exc.status, exc.payload))
-            return
-        except CLIENT_GONE:
-            writer.close()
-            return
-        try:
-            status, payload = await self._respond(method, target, body)
-        # repro: noqa[REP006] -- protocol edge: anything escaping a request
-        # handler becomes a 500 response; a traceback must never hit the wire.
-        except Exception as exc:
-            status, payload = 500, {"error": f"internal error: {exc}"}
-        await finish_response(writer, http_response(status, payload))
-
-    async def _respond(
-        self, method: str, target: str, body: bytes
-    ) -> tuple[int, dict]:
-        if target == "/healthz" and method == "GET":
-            health = self._router.healthz()
-            return (200 if health["up"] else 503), health
-        if target == "/stats" and method == "GET":
-            return 200, await self._router.stats()
-        if target == "/detect":
-            if method != "POST":
-                return 405, {"error": "use POST /detect"}
-            try:
-                request = json.loads(body.decode("utf-8"))
-                query = request["query"]
-            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
-                return 400, {"error": 'body must be JSON: {"query": "..."}'}
-            if not isinstance(query, str):
-                return 400, {"error": "query must be a string"}
-            try:
-                return 200, await self._router.detect(query)
-            except (ServerOverloadedError, ServerClosedError) as exc:
-                return 503, {"error": str(exc)}
-            except ServingError as exc:
-                return 500, {"error": str(exc)}
-        if target == "/reload":
-            if method != "POST":
-                return 405, {"error": "use POST /reload"}
-            try:
-                request = json.loads(body.decode("utf-8"))
-                snapshot = request["snapshot"]
-            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
-                return 400, {"error": 'body must be JSON: {"snapshot": "..."}'}
-            if not isinstance(snapshot, str):
-                return 400, {"error": "snapshot must be a path string"}
-            try:
-                result = await self._router.reload(snapshot)
-            except ServerClosedError as exc:
-                return 503, {"error": str(exc)}
-            except (ModelError, OSError) as exc:
-                return 400, {"error": f"snapshot rejected: {exc}"}
-            status = 200 if result["reloaded"] else 502
-            return status, result
-        return 404, {"error": f"no route {method} {target}"}
-
-
-async def run_router(
-    router: Router,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    ready=None,
-) -> None:
-    """Run the front door until SIGINT/SIGTERM, then drain and return.
-
-    The fleet entry point behind ``repro route`` — the multi-replica
-    twin of :func:`~repro.serving.http.run_server`: starts the router
-    (spawning/connecting its replicas), serves HTTP, and on signal
-    closes the fleet (replicas drain in-flight work before exiting).
-    ``ready`` (optional) is called with the bound port once accepting.
-    """
-    await router.start()
-    server = RouterHTTPServer(router, host, port)
-    try:
-        await server.start()
-    except OSError:
-        await router.close()
-        raise
-    if ready is not None:
-        ready(server.port)
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass  # non-main thread or platform without signal support
-    try:
-        await stop.wait()
-    finally:
-        await server.stop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.remove_signal_handler(signum)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass

@@ -35,7 +35,7 @@ and drains in-flight batches, then releases the worker thread. An
 abandoned service is finalize-guarded (``weakref.finalize``) so garbage
 collection also releases the thread.
 
-**Hot swap.** :meth:`DetectionService.swap_snapshot` atomically replaces
+**Hot swap.** :meth:`DetectionService.reload` atomically replaces
 the live detector with one loaded from a new snapshot, without dropping
 a request: the currently running batch keeps the old detector (its
 reference was resolved at dispatch), the old detector's teardown is
@@ -56,8 +56,6 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
-
-from pathlib import Path
 
 from repro.core.detector import Detection
 from repro.errors import (
@@ -80,9 +78,9 @@ _MISS = object()
 class ServingConfig:
     """Serving-layer policy knobs.
 
-    - ``max_batch_size`` / ``max_wait_us``: micro-batching policy — a
-      burst flushes at ``max_batch_size``; a lone request waits at most
-      ``max_wait_us`` microseconds for batch-mates.
+    - ``max_batch_size``: micro-batching cap — an idle service answers
+      a lone request at once, and requests arriving while a batch runs
+      form the next batch, at most ``max_batch_size`` strong.
     - ``max_pending``: distinct in-flight queries admitted before
       :class:`~repro.errors.ServerOverloadedError`.
     - ``cache_size`` / ``cache_shards``: the normalized-query result
@@ -90,7 +88,6 @@ class ServingConfig:
     """
 
     max_batch_size: int = 32
-    max_wait_us: int = 500
     max_pending: int = 1024
     cache_size: int = 50_000
     cache_shards: int = 8
@@ -127,7 +124,6 @@ class DetectionService:
         self._batcher: MicroBatcher[str, Detection] = MicroBatcher(
             self._run_batch,
             max_batch_size=self._config.max_batch_size,
-            max_wait_us=self._config.max_wait_us,
             on_dispatch=self._observe_dispatch,
         )
         self._cache: ShardedLruCache[str, Detection] | None = None
@@ -156,7 +152,7 @@ class DetectionService:
         self._detected = 0
         self._batch_sizes: Counter[int] = Counter()
         # The caller owns the detector it handed us; detectors loaded by
-        # swap_snapshot are ours to close. The epoch is an internal,
+        # reload are ours to close. The epoch is an internal,
         # strictly monotonic swap counter (cache-fill guard); the
         # generation is the *reported* model version, taken from snapshot
         # lineage when available.
@@ -282,35 +278,36 @@ class DetectionService:
         """The generation of the model currently answering requests."""
         return self._model_generation
 
-    def swap_snapshot(self, path: str | Path) -> int:
-        """Hot-swap the live detector for the snapshot at ``path``;
-        returns the new model generation. Zero requests are dropped:
+    async def reload(self, snapshot: str) -> tuple[int, dict]:
+        """Hot-swap the live detector for the snapshot at ``snapshot`` —
+        the ``POST /reload`` verb, answered ``200`` with the snapshot
+        path and the new model generation. Zero requests are dropped:
 
+        - the snapshot loads off the event loop, so requests keep being
+          served while it loads;
         - the batch currently on the worker thread captured the old
           detector at dispatch and finishes on it;
         - the old detector's ``close`` is queued *behind* that batch on
           the same single worker thread, so its mmap stays valid until
           the last old-model batch returns;
-        - batches dispatched after this call resolve ``self._detector``
+        - batches dispatched after the swap resolve ``self._detector``
           to the new model;
         - the result cache is cleared, and the model-epoch guard in
           :meth:`_run_batch` keeps any still-running old-model batch
           from re-filling it.
 
-        Must be called on the event loop thread (like every other
-        service method); the swap itself is synchronous and O(1) past
-        the snapshot load. The new generation comes from the snapshot's
-        lineage header; a pre-lineage snapshot bumps the current
-        generation by one.
+        The new generation comes from the snapshot's lineage header; a
+        pre-lineage snapshot bumps the current generation by one.
         """
         if self._closed:
             raise ServerClosedError("detection service is closed")
-        detector = load_snapshot(path)
-        try:
-            generation = model_generation_of(path)
-        except (ModelError, OSError):
-            generation = self._model_generation + 1
-        if generation <= self._model_generation:
+        detector, generation = await asyncio.get_running_loop().run_in_executor(
+            None, _load_versioned, snapshot
+        )
+        if self._closed:  # shut down while the snapshot loaded
+            detector.close()
+            raise ServerClosedError("detection service is closed")
+        if generation is None or generation <= self._model_generation:
             # Rollbacks and pre-lineage snapshots still move the serving
             # generation forward — it tracks *swaps seen by this
             # service*, monotonic so fleet health checks can compare.
@@ -327,7 +324,11 @@ class DetectionService:
             # Behind every already-submitted batch on the 1-thread
             # executor: runs only after the last old-model batch.
             self._executor.submit(old.close)
-        return generation
+        return 200, {
+            "reloaded": 1,
+            "snapshot": snapshot,
+            "model_generation": generation,
+        }
 
     def hot_keys(self, n: int = 256) -> list[str]:
         """Up to ``n`` hottest normalized cache keys, hottest first
@@ -369,6 +370,11 @@ class DetectionService:
 
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
+
+    def healthz(self) -> tuple[int, dict]:
+        """The ``GET /healthz`` verb: ``200``, ``ok`` until shutdown
+        begins and ``closed`` after."""
+        return 200, {"status": "closed" if self._closed else "ok"}
 
     def stats(self) -> dict:
         """Serving counters as one JSON-friendly dict.
@@ -428,6 +434,16 @@ def _detect_batch_attributed(detector, keys: list[str]) -> list:
             except Exception as exc:
                 outcomes.append(exc)
         return outcomes
+
+
+def _load_versioned(path: str) -> tuple[object, int | None]:
+    """Load the snapshot at ``path`` with its lineage generation (None
+    for a pre-lineage snapshot) — the file I/O half of a hot swap."""
+    detector = load_snapshot(path)
+    try:
+        return detector, model_generation_of(path)
+    except (ModelError, OSError):
+        return detector, None
 
 
 def _lineage_generation(detector) -> int:

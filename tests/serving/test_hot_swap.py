@@ -2,7 +2,7 @@
 
 The contract under test, at each layer:
 
-- :meth:`DetectionService.swap_snapshot` — the running batch finishes on
+- :meth:`DetectionService.reload` — the running batch finishes on
   the old model, its results never enter the post-swap cache (epoch
   guard), later batches answer from the new model, and no request is
   dropped at any point.
@@ -26,7 +26,8 @@ from repro.runtime.lineage import save_versioned_snapshot
 from repro.runtime.snapshot import load_snapshot
 from repro.serving import DetectionService, ServingConfig
 from repro.serving.replica import ReplicaServer
-from repro.serving.router import Router, RouterConfig, RouterHTTPServer
+from repro.serving.http import DetectionHTTPServer
+from repro.serving.router import Router, RouterConfig
 
 QUERIES = ["cheap iphone 5s case", "hotels in rome", "watch free movie online"]
 
@@ -79,8 +80,9 @@ class TestServiceSwap:
             async with DetectionService(compiled) as service:
                 assert service.model_generation == 1
                 before = await service.detect(QUERIES[0])
-                generation = service.swap_snapshot(gen2_path)
-                assert generation == 2
+                status, reloaded = await service.reload(str(gen2_path))
+                assert status == 200
+                assert reloaded["model_generation"] == 2
                 assert service.model_generation == 2
                 after = await service.detect(QUERIES[0])
                 stats = service.stats()
@@ -113,14 +115,14 @@ class TestServiceSwap:
 
         async def main():
             service = DetectionService(
-                old, ServingConfig(max_batch_size=4, max_wait_us=100)
+                old, ServingConfig(max_batch_size=4)
             )
             try:
                 request = asyncio.create_task(service.detect("iphone"))
                 # Wait until the batch is parked on the worker thread.
                 while not service._batch_sizes and not request.done():
                     await asyncio.sleep(0.005)
-                service.swap_snapshot(gen2_path)
+                await service.reload(str(gen2_path))
                 old.release.set()
                 result = await request
                 # The in-flight request was answered by the OLD model...
@@ -149,7 +151,7 @@ class TestServiceSwap:
             async with DetectionService(compiled) as service:
                 burst = asyncio.gather(*(service.detect(q) for q in queries))
                 await asyncio.sleep(0)  # let the first batches dispatch
-                service.swap_snapshot(gen2_path)
+                await service.reload(str(gen2_path))
                 results = await burst
                 return results, service.stats()
 
@@ -167,7 +169,7 @@ class TestServiceSwap:
         async def main():
             async with DetectionService(compiled) as service:
                 with pytest.raises(ModelError):
-                    service.swap_snapshot(bad)
+                    await service.reload(str(bad))
                 assert service.model_generation == 1
                 return await service.detect(QUERIES[1])
 
@@ -178,7 +180,7 @@ class TestServiceSwap:
             service = DetectionService(compiled)
             await service.close()
             with pytest.raises(ServerClosedError):
-                service.swap_snapshot(gen2_path)
+                await service.reload(str(gen2_path))
 
         run(main())
 
@@ -188,7 +190,7 @@ class TestServiceSwap:
         async def main():
             service = DetectionService(compiled)
             assert not service._owns_detector  # caller's detector is theirs
-            service.swap_snapshot(gen2_path)
+            await service.reload(str(gen2_path))
             assert service._owns_detector
             await service.close()
             assert not service._owns_detector  # released at shutdown
@@ -278,14 +280,16 @@ class TestRouterReload:
             router, servers = await _start_fleet(gen1_path, 2)
             try:
                 assert [h.model_generation for h in router.replicas] == [1, 1]
-                result = await router.reload(str(gen2_path))
+                status, result = await router.reload(str(gen2_path))
+                assert status == 200
                 assert result["reloaded"] == 2
                 assert all(
                     entry["ok"] and entry["model_generation"] == 2
                     for entry in result["replicas"].values()
                 )
                 assert [h.model_generation for h in router.replicas] == [2, 2]
-                health = router.healthz()
+                status, health = router.healthz()
+                assert status == 200
                 assert health["status"] == "ok" and health["up"] == 2
                 stats = await router.stats()
                 assert stats["fleet"]["model_generation"] == {
@@ -328,7 +332,7 @@ class TestRouterReload:
                 with pytest.raises(ModelError):
                     await router.reload(str(bad))
                 assert [h.model_generation for h in router.replicas] == [1, 1]
-                assert router.healthz()["up"] == 2
+                assert router.healthz()[1]["up"] == 2
             finally:
                 await _stop_fleet(router, servers)
 
@@ -337,7 +341,7 @@ class TestRouterReload:
     def test_http_reload_route(self, gen1_path, gen2_path):
         async def main():
             router, servers = await _start_fleet(gen1_path, 2)
-            http = RouterHTTPServer(router)
+            http = DetectionHTTPServer(router)
             try:
                 body = json.dumps({"snapshot": str(gen2_path)}).encode()
                 status, payload = await http._respond("POST", "/reload", body)
@@ -347,6 +351,13 @@ class TestRouterReload:
                 assert status == 400
                 status, payload = await http._respond("GET", "/reload", b"")
                 assert status == 405
+                # With no replica left to swap, the roll is a 502.
+                for server, _ in servers:
+                    await server.stop()
+                await router.check_health()
+                status, payload = await http._respond("POST", "/reload", body)
+                assert status == 502
+                assert payload["reloaded"] == 0
             finally:
                 await _stop_fleet(router, servers)
 

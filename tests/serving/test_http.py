@@ -13,9 +13,13 @@ from repro.errors import ServerOverloadedError
 from repro.serving import (
     DetectionHTTPServer,
     DetectionService,
+    ReplicaServer,
+    Router,
+    RouterConfig,
     ServingConfig,
     detection_payload,
 )
+from repro.serving import http as http_module
 from repro.serving.http import (
     MAX_HEADER_LINES,
     HttpRequestError,
@@ -117,7 +121,7 @@ class TestRoutes:
             async def overloaded(text):
                 raise ServerOverloadedError("serving queue is full (test)")
 
-            server.service.detect = overloaded
+            server.backend.detect = overloaded
             return await _exchange(
                 port, "/detect", json.dumps({"query": "q"}).encode()
             )
@@ -151,6 +155,7 @@ async def _raw_exchange(port: int, payload: bytes, close_early: bool = False):
         (400, "Bad Request"),
         (404, "Not Found"),
         (405, "Method Not Allowed"),
+        (408, "Request Timeout"),
         (413, "Payload Too Large"),
         (431, "Request Header Fields Too Large"),
         (500, "Internal Server Error"),
@@ -232,6 +237,24 @@ class TestProtocolEdges:
         assert info.value.status == 431
         assert asyncio.run(parse(filler[:-1])) == ("GET", "/stats", b"")
 
+    def test_slow_client_is_408(self, compiled, monkeypatch):
+        """A client that stops mid-header-block is answered 408 once the
+        read deadline passes, and the server keeps serving."""
+        monkeypatch.setattr(http_module, "READ_TIMEOUT_S", 0.2)
+
+        async def handler(server, port):
+            stalled = await _raw_exchange(
+                port, b"POST /detect HTTP/1.1\r\nContent-Le"
+            )
+            body = json.dumps({"query": "cheap hotels in rome"}).encode()
+            return stalled, await _exchange(port, "/detect", body)
+
+        stalled, (status, payload) = asyncio.run(serve(handler)(compiled))
+        assert stalled.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+        assert b"0.2s" in stalled
+        assert status == 200
+        assert payload["head"] == "hotels"
+
     def test_bad_content_length_is_400(self, compiled):
         async def handler(server, port):
             return await _raw_exchange(
@@ -246,7 +269,7 @@ class TestProtocolEdges:
             async def overloaded(text):
                 raise ServerOverloadedError("full")
 
-            server.service.detect = overloaded
+            server.backend.detect = overloaded
             body = json.dumps({"query": "q"}).encode()
             request = (
                 b"POST /detect HTTP/1.1\r\nContent-Length: "
@@ -279,7 +302,7 @@ class TestProtocolEdges:
             await asyncio.sleep(0)  # let the server observe both EOFs
             body = json.dumps({"query": "cheap hotels in rome"}).encode()
             status, payload = await _exchange(port, "/detect", body)
-            stats = server.service.stats()
+            stats = server.backend.stats()
             return status, payload, stats
 
         status, payload, stats = asyncio.run(serve(handler)(compiled))
@@ -307,3 +330,104 @@ class TestShutdown:
                 await _exchange(port, "/healthz")
 
         asyncio.run(main())
+
+
+async def _service_front_door(compiled):
+    """A single-process front door; returns (server, teardown)."""
+    server = DetectionHTTPServer(DetectionService(compiled), port=0)
+    await server.start()
+    return server, server.stop
+
+
+async def _router_front_door(compiled):
+    """A router front door over one in-process replica."""
+    replica = ReplicaServer(DetectionService(compiled), port=0)
+    await replica.start()
+    router = Router(RouterConfig(health_interval_s=30.0))
+    router.attach("127.0.0.1", replica.port)
+    await router.start()
+    server = DetectionHTTPServer(router, port=0)
+    await server.start()
+
+    async def teardown():
+        await server.stop()  # also closes the router
+        await replica.stop()
+
+    return server, teardown
+
+
+def _split(response: bytes) -> tuple[int, bytes]:
+    """(status, body) of one raw HTTP response."""
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), body
+
+
+class TestConformance:
+    """Both backends behind the one front door answer alike."""
+
+    @pytest.mark.parametrize(
+        "front_door",
+        [_service_front_door, _router_front_door],
+        ids=["service", "router"],
+    )
+    def test_backends_answer_alike(self, compiled, front_door, tmp_path, monkeypatch):
+        monkeypatch.setattr(http_module, "READ_TIMEOUT_S", 0.2)
+        query = "cheap hotels in rome"
+
+        def post(path: str, body: bytes) -> bytes:
+            return (
+                f"POST {path} HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+            ).encode() + body
+
+        def get(path: str) -> bytes:
+            return f"GET {path} HTTP/1.1\r\n\r\n".encode()
+
+        missing = json.dumps({"snapshot": str(tmp_path / "missing.hdms")})
+        requests = {
+            "detect": post("/detect", json.dumps({"query": query}).encode()),
+            "non_json": post("/detect", b"nonsense"),
+            "non_string": post("/detect", json.dumps({"query": 7}).encode()),
+            "detect_get": get("/detect"),
+            "reload_get": get("/reload"),
+            "reload_missing": post("/reload", missing.encode()),
+            "healthz": get("/healthz"),
+            "stats": get("/stats"),
+            "unknown": get("/nope"),
+            "too_large": post("/detect", b"x" * (65 * 1024)),
+            "too_many_headers": b"GET /stats HTTP/1.1\r\n"
+            + b"".join(b"X-F%d: y\r\n" % i for i in range(MAX_HEADER_LINES + 1))
+            + b"\r\n",
+            "slow": b"POST /detect HTTP/1.1\r\nContent-Le",
+        }
+
+        async def main():
+            server, teardown = await front_door(compiled)
+            try:
+                return {
+                    name: _split(await _raw_exchange(server.port, raw))
+                    for name, raw in requests.items()
+                }
+            finally:
+                await teardown()
+
+        answers = asyncio.run(main())
+        expected_body = http_response(
+            200, detection_payload(compiled.detect(query))
+        ).partition(b"\r\n\r\n")[2]
+        assert answers["detect"] == (200, expected_body)
+        statuses = {name: status for name, (status, _) in answers.items()}
+        assert statuses == {
+            "detect": 200,
+            "non_json": 400,
+            "non_string": 400,
+            "detect_get": 405,
+            "reload_get": 405,
+            "reload_missing": 400,
+            "healthz": 200,
+            "stats": 200,
+            "unknown": 404,
+            "too_large": 413,
+            "too_many_headers": 431,
+            "slow": 408,
+        }
+        assert b"snapshot rejected" in answers["reload_missing"][1]

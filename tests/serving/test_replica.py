@@ -13,7 +13,7 @@ from repro.errors import (
     ServerClosedError,
     ServerOverloadedError,
 )
-from repro.serving import DetectionService, ServingConfig, detection_payload
+from repro.serving import DetectionService, detection_payload
 from repro.serving.replica import (
     MAX_FRAME_BYTES,
     ReplicaServer,
@@ -209,22 +209,6 @@ class TestReplicaServer:
             "error": "cache_keys needs a non-negative integer 'n'",
         }
 
-    def test_cache_keys_without_hot_key_support_is_empty(self):
-        class _BareService:
-            closed = False
-
-            async def detect(self, query):  # pragma: no cover - unused
-                raise AssertionError
-
-            async def close(self):
-                pass
-
-        async def handler(server, reader, writer):
-            return await _call(writer, reader, {"op": "cache_keys", "id": "k"})
-
-        response = _against_server(handler, _BareService)
-        assert response == {"id": "k", "ok": True, "keys": []}
-
     def test_unknown_op_and_bad_query_are_bad_request(self, compiled):
         async def handler(server, reader, writer):
             unknown = await _call(writer, reader, {"op": "frobnicate", "id": "1"})
@@ -318,7 +302,7 @@ class TestReplicaServer:
 
     def test_stop_drains_service(self, compiled):
         async def main():
-            service = DetectionService(compiled, ServingConfig(max_wait_us=50))
+            service = DetectionService(compiled)
             server = ReplicaServer(service, port=0)
             await server.start()
             reader, writer = await asyncio.open_connection(

@@ -26,7 +26,12 @@ from repro.errors import (
     ServingError,
 )
 from repro.runtime.compiled import _normalize_fast
-from repro.serving import DetectionService, detection_payload
+from repro.serving import (
+    DetectionHTTPServer,
+    DetectionService,
+    detection_payload,
+    run_server,
+)
 from repro.serving.replica import ReplicaServer
 from repro.serving.router import (
     Autoscaler,
@@ -37,8 +42,6 @@ from repro.serving.router import (
     ReplicaHandle,
     Router,
     RouterConfig,
-    RouterHTTPServer,
-    run_router,
 )
 
 QUERIES = [
@@ -311,7 +314,7 @@ class TestRouterRequestPath:
                     for query in QUERIES:
                         await router.detect(query)
                 per_replica = [
-                    server.service.stats()["requests"] for server in servers
+                    server.backend.stats()["requests"] for server in servers
                 ]
                 owners = {
                     router._ring.node_for(_normalize_fast(q)) for q in QUERIES
@@ -336,7 +339,7 @@ class TestRouterRequestPath:
                 results = {}
                 for query in QUERIES + ["brand new query after death"]:
                     results[query] = await router.detect(query)
-                return results, router.healthz()
+                return results, router.healthz()[1]
 
         results, health = asyncio.run(main())
         assert len(results) == len(QUERIES) + 1
@@ -376,6 +379,7 @@ class TestRouterRequestPath:
 
         class _ShedService:
             closed = False
+            model_generation = 1
 
             async def detect(self, text):
                 raise ServerOverloadedError("replica queue full")
@@ -417,7 +421,7 @@ class TestRouterHealth:
                 await servers[0].stop()
                 await router.check_health()
                 assert victim.state == "down"
-                assert router.healthz()["status"] == "degraded"
+                assert router.healthz()[1]["status"] == "degraded"
                 # The replica comes back on the same address; the next
                 # health pass reattaches it.
                 revived = ReplicaServer(DetectionService(compiled), port=port)
@@ -425,7 +429,7 @@ class TestRouterHealth:
                 try:
                     await router.check_health()
                     assert victim.state == "up"
-                    assert router.healthz()["status"] == "ok"
+                    assert router.healthz()[1]["status"] == "ok"
                 finally:
                     await revived.stop()
 
@@ -527,45 +531,35 @@ class TestRouterStats:
 
 
 class TestRouterHTTP:
+    """Router-only answers of the shared HTTP front door; the routes both
+    backends answer alike are in ``test_http.py::TestConformance``."""
+
     def test_http_front_door_routes(self, compiled):
         async def main():
             async with _fleet(compiled, 2) as (router, servers):
-                server = RouterHTTPServer(router, port=0)
+                server = DetectionHTTPServer(router, port=0)
                 await server.start()
                 try:
                     port = server.port
-                    detect = await _http(
-                        port,
-                        "POST",
-                        "/detect",
-                        json.dumps({"query": "cheap hotels in rome"}),
-                    )
                     health = await _http(port, "GET", "/healthz")
                     stats = await _http(port, "GET", "/stats")
-                    bad = await _http(port, "POST", "/detect", "not json")
-                    missing = await _http(port, "GET", "/nope")
                     for replica_server in servers:
                         await replica_server.stop()
                     await router.check_health()  # observe the deaths
                     down = await _http(port, "GET", "/healthz")
-                    return detect, health, stats, bad, missing, down
+                    return health, stats, down
                 finally:
                     await server.stop()  # also closes the fleet
 
-        detect, health, stats, bad, missing, down = asyncio.run(main())
-        assert detect[0] == 200
-        assert detect[1]["head"] == "hotels"
+        health, stats, down = asyncio.run(main())
         assert health == (200, {"status": "ok", "up": 2,
                                 "replicas": {"r0": "up", "r1": "up"}})
-        assert stats[0] == 200
         assert stats[1]["router"]["replicas"] == 2
-        assert bad[0] == 400
-        assert missing[0] == 404
         assert down[0] == 503  # no replica up -> healthz is 503
 
     def test_run_router_serves_and_drains_on_sigterm(self, compiled):
-        """The process entry point: comes up, answers, drains cleanly
-        when run_router receives SIGTERM."""
+        """The ``repro route`` run loop: comes up, answers, closes the
+        fleet when run_server receives SIGTERM."""
 
         async def main():
             server = ReplicaServer(DetectionService(compiled), port=0)
@@ -579,8 +573,9 @@ class TestRouterHTTP:
                 bound["port"] = port
                 ready.set()
 
+            await router.start()
             task = asyncio.create_task(
-                run_router(router, port=0, ready=on_ready)
+                run_server(DetectionHTTPServer(router, port=0), ready=on_ready)
             )
             await asyncio.wait_for(ready.wait(), timeout=30)
             status, payload = await _http(
@@ -611,6 +606,10 @@ class _SlowService:
     def closed(self):
         return self._inner.closed
 
+    @property
+    def model_generation(self):
+        return self._inner.model_generation
+
     async def detect(self, text):
         if self._marker in text:
             await asyncio.sleep(self._delay_s)
@@ -618,6 +617,9 @@ class _SlowService:
 
     def stats(self):
         return self._inner.stats()
+
+    def hot_keys(self, n):
+        return self._inner.hot_keys(n)
 
     async def close(self):
         await self._inner.close()
@@ -775,12 +777,12 @@ class TestWarmup:
                 try:
                     await router.check_health()
                     assert victim.state == "up"
-                    warmed = revived.service.stats()
+                    warmed = revived.backend.stats()
                     # Warmed keys answer from cache on the first real hit.
                     r1_query = queries[4]
                     before_hits = warmed["cache"]["hits"]
                     await router.detect(r1_query)
-                    after = revived.service.stats()
+                    after = revived.backend.stats()
                     counters = router.metrics.stats()["counters"]
                     return warmed, before_hits, after, counters
                 finally:
@@ -810,7 +812,7 @@ class TestWarmup:
                     await router.check_health()
                     assert victim.state == "up"
                     return (
-                        revived.service.stats(),
+                        revived.backend.stats(),
                         router.metrics.stats()["counters"],
                     )
                 finally:
@@ -838,7 +840,8 @@ class TestRouterAutoscaling:
                     handle.managed = True  # in-process stand-ins
                 tick = await router.autoscale_once()  # idle fleet shrinks
                 results = {q: await router.detect(q) for q in QUERIES}
-                health = router.healthz()
+                status, health = router.healthz()
+                assert status == 200
                 stats = await router.stats()
                 return tick, results, health, stats, router.replicas
 

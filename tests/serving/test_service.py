@@ -55,7 +55,7 @@ class TestServingParity:
         # (single-flight), cross-batch repeats (result cache), and
         # fresh queries (micro-batched detection).
         traffic = queries + queries[::2] + queries[:50] + queries[::-3]
-        config = ServingConfig(max_batch_size=16, max_wait_us=200)
+        config = ServingConfig(max_batch_size=16)
 
         async def serve_all():
             async with DetectionService(compiled, config) as service:
@@ -119,7 +119,7 @@ class TestServingParity:
 class TestSingleFlight:
     def test_identical_inflight_queries_detect_once(self):
         stub = StubDetector()
-        config = ServingConfig(max_batch_size=64, max_wait_us=1_000, cache_size=0)
+        config = ServingConfig(max_batch_size=64, cache_size=0)
 
         async def serve():
             async with DetectionService(stub, config) as service:
@@ -134,7 +134,7 @@ class TestSingleFlight:
 
     def test_batches_contain_only_unique_keys(self):
         stub = StubDetector()
-        config = ServingConfig(max_batch_size=8, max_wait_us=1_000, cache_size=0)
+        config = ServingConfig(max_batch_size=8, cache_size=0)
         traffic = ["a", "b", "a", "c", "b", "a", "d"]
 
         async def serve():
@@ -150,7 +150,7 @@ class TestSingleFlight:
 class TestMicroBatching:
     def test_burst_coalesces_and_respects_max_batch_size(self):
         stub = StubDetector()
-        config = ServingConfig(max_batch_size=4, max_wait_us=5_000, cache_size=0)
+        config = ServingConfig(max_batch_size=4, cache_size=0)
         queries = [f"query {index}" for index in range(10)]
 
         async def serve():
@@ -163,20 +163,50 @@ class TestMicroBatching:
         assert max(len(batch) for batch in stub.batches) == 4  # real batching
         assert sorted(sum(stub.batches, [])) == sorted(queries)
 
-    def test_lone_request_flushes_on_timer(self):
-        stub = StubDetector()
-        config = ServingConfig(max_batch_size=64, max_wait_us=100, cache_size=0)
+    def test_lone_request_dispatches_without_waiting(self):
+        """An idle batcher has no timer: a lone request is dispatched
+        before one ``asyncio.sleep(0)`` returns."""
+        dispatched: list[list[str]] = []
+
+        async def runner(items):
+            dispatched.append(list(items))
+            return [f"done[{item}]" for item in items]
+
+        async def serve():
+            batcher = MicroBatcher(runner)
+            future = batcher.submit_nowait("lonely")
+            await asyncio.sleep(0)
+            seen = list(dispatched)
+            return seen, await future
+
+        assert run(serve()) == ([["lonely"]], "done[lonely]")
+
+    def test_arrivals_during_a_batch_form_the_next_batch(self):
+        """Requests that arrive while a batch runs accumulate into the
+        next batch; a forming batch that reaches ``max_batch_size``
+        dispatches at once, and the rest go when a batch finishes."""
+        barrier = threading.Event()
+        stub = StubDetector(barrier=barrier)
+        config = ServingConfig(max_batch_size=3, cache_size=0)
+        later = ["b", "c", "d", "e", "f"]
 
         async def serve():
             async with DetectionService(stub, config) as service:
-                return await service.detect("lonely")
+                first = asyncio.create_task(service.detect("a"))
+                await asyncio.sleep(0)  # "a" dispatched alone, parked
+                rest = [asyncio.create_task(service.detect(q)) for q in later]
+                await asyncio.sleep(0)
+                barrier.set()
+                return await first, await asyncio.gather(*rest)
 
-        assert run(serve()) == "detection[lonely]"
-        assert stub.batches == [["lonely"]]
+        first, rest = run(serve())
+        assert first == "detection[a]"
+        assert rest == [f"detection[{q}]" for q in later]
+        assert stub.batches == [["a"], ["b", "c", "d"], ["e", "f"]]
 
     def test_per_request_errors_spare_batch_mates(self):
         stub = StubDetector(poison={"bad"})
-        config = ServingConfig(max_batch_size=8, max_wait_us=2_000, cache_size=0)
+        config = ServingConfig(max_batch_size=8, cache_size=0)
 
         async def serve():
             async with DetectionService(stub, config) as service:
@@ -196,7 +226,7 @@ class TestMicroBatching:
 
     def test_poisoned_result_is_not_cached(self):
         stub = StubDetector(poison={"bad"})
-        config = ServingConfig(max_batch_size=4, max_wait_us=100)
+        config = ServingConfig(max_batch_size=4)
 
         async def serve():
             async with DetectionService(stub, config) as service:
@@ -215,7 +245,7 @@ class TestAdmissionControl:
         barrier = threading.Event()
         stub = StubDetector(barrier=barrier)
         config = ServingConfig(
-            max_batch_size=1, max_wait_us=0, max_pending=2, cache_size=0
+            max_batch_size=1, max_pending=2, cache_size=0
         )
 
         async def serve():
@@ -244,7 +274,7 @@ class TestAdmissionControl:
         barrier = threading.Event()
         stub = StubDetector(barrier=barrier)
         config = ServingConfig(
-            max_batch_size=1, max_wait_us=0, max_pending=1, cache_size=0
+            max_batch_size=1, max_pending=1, cache_size=0
         )
 
         async def serve():
@@ -267,9 +297,9 @@ class TestAdmissionControl:
 
 class TestLifecycle:
     def test_close_drains_inflight_requests(self):
-        stub = StubDetector()
-        # Huge wait: only the drain's flush can dispatch the batch.
-        config = ServingConfig(max_batch_size=64, max_wait_us=10_000_000)
+        barrier = threading.Event()
+        stub = StubDetector(barrier=barrier)
+        config = ServingConfig(max_batch_size=64)
 
         async def serve():
             service = DetectionService(stub, config)
@@ -277,13 +307,23 @@ class TestLifecycle:
                 asyncio.create_task(service.detect(f"query {index}"))
                 for index in range(5)
             ]
+            # "query 0" is parked on the barrier and the other four are
+            # still forming behind it when close() begins.
             await asyncio.sleep(0)
-            await service.close()
+            closing = asyncio.create_task(service.close())
+            await asyncio.sleep(0)
+            assert not closing.done()
+            barrier.set()
+            await closing
+            assert service.pending == 0  # close returned fully drained
             return await asyncio.gather(*pending)
 
         results = run(serve())
         assert results == [f"detection[query {index}]" for index in range(5)]
-        assert stub.batches == [[f"query {index}" for index in range(5)]]
+        assert stub.batches == [
+            ["query 0"],
+            [f"query {index}" for index in range(1, 5)],
+        ]
 
     def test_detect_after_close_raises(self):
         async def serve():
@@ -326,12 +366,10 @@ class TestConfigValidation:
             ServingConfig(cache_size=-1)
         with pytest.raises(ValueError):
             MicroBatcher(lambda items: items, max_batch_size=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda items: items, max_wait_us=-1)
 
     def test_cache_disabled(self):
         stub = StubDetector()
-        config = ServingConfig(max_batch_size=2, max_wait_us=100, cache_size=0)
+        config = ServingConfig(max_batch_size=2, cache_size=0)
 
         async def serve():
             async with DetectionService(stub, config) as service:
@@ -360,7 +398,7 @@ class TestHotKeys:
 
     def test_hot_keys_empty_when_cache_disabled(self):
         stub = StubDetector()
-        config = ServingConfig(max_batch_size=2, max_wait_us=100, cache_size=0)
+        config = ServingConfig(max_batch_size=2, cache_size=0)
 
         async def serve():
             async with DetectionService(stub, config) as service:
