@@ -2,7 +2,7 @@
 
 The reproduction keeps three load-bearing invariants that runtime tests
 alone enforce too late: bit-identical reference-vs-compiled/vectorized
-paths, deterministic sharded replay, and a non-blocking asyncio serving
+paths, deterministic mining and training, and a non-blocking asyncio serving
 layer with finalize-guarded resources. This package encodes them as
 AST-based lint rules so a violation is rejected at diff time, before it
 ships as a flaky benchmark or a prod incident:
@@ -18,8 +18,7 @@ REP004    executor/mmap creation without a close/context-manager/
 REP005    parity coverage — public symbols of the compiled/vectorized
           fast paths must name a reference twin and be exercised by a
           test under ``tests/``
-REP006    bare/overbroad ``except`` that can swallow ``ShardError`` /
-          ``ServingError``
+REP006    bare/overbroad ``except`` that can swallow ``ServingError``
 ========  ============================================================
 
 Findings can be suppressed per line with a justified comment::

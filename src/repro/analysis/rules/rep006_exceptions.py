@@ -1,14 +1,14 @@
 """REP006 — bare/overbroad ``except`` that can swallow failure signals.
 
-:class:`~repro.errors.ShardError` and
-:class:`~repro.errors.ServingError` are load-bearing: the serving
-layer and its replica fleet promise that a worker failure *surfaces
-deterministically* rather than producing silently partial output. A ``except:`` or ``except Exception:`` between the raise site
-and the caller eats that promise.
+:class:`~repro.errors.ServingError` is load-bearing: the serving layer
+and its replica fleet promise that a replica failure *surfaces
+deterministically* rather than producing silently partial output. A
+``except:`` or ``except Exception:`` between the raise site and the
+caller eats that promise.
 
 Flagged: bare ``except``; ``except Exception``/``except BaseException``
 (alone or in a tuple) whose handler body contains no ``raise``. Handlers
-that re-raise (``raise ShardError(...) from exc``) are the sanctioned
+that re-raise (``raise ServingError(...) from exc``) are the sanctioned
 translation pattern and pass. Intentional terminal handlers — per-item
 error attribution at a fan-out boundary — document themselves with a
 justified ``# repro: noqa[REP006]``.
@@ -52,7 +52,7 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
 
 @file_rule(
     "REP006",
-    "bare/overbroad except can swallow ShardError/ServingError",
+    "bare/overbroad except can swallow ServingError",
 )
 def check(ctx: FileContext) -> Iterator[Finding]:
     """Flag bare excepts and broad handlers that never re-raise."""
@@ -66,8 +66,8 @@ def check(ctx: FileContext) -> Iterator[Finding]:
                 node.col_offset + 1,
                 "REP006",
                 "bare `except:` swallows everything including "
-                "ShardError/ServingError (and KeyboardInterrupt); catch the "
-                "specific exception",
+                "ServingError (and KeyboardInterrupt); catch the specific "
+                "exception",
             )
             continue
         broad = _broad_names(ctx, node)
@@ -78,6 +78,6 @@ def check(ctx: FileContext) -> Iterator[Finding]:
                 node.col_offset + 1,
                 "REP006",
                 f"`except {broad[0]}` without a re-raise can swallow "
-                "ShardError/ServingError; catch the specific type, re-raise, "
+                "ServingError; catch the specific type, re-raise, "
                 "or justify with noqa[REP006]",
             )

@@ -605,6 +605,15 @@ def _cmd_snapshot_info(path: str) -> int:
         f"vocab {counts['vocab']}"
     )
     print(f"  speller: {'yes' if header['has_speller'] else 'no'}")
+    log_stats = header.get("log_stats")
+    if log_stats is None:
+        print("  log statistics: none")
+    else:
+        print(
+            f"  log statistics: {log_stats['records']} records, "
+            f"{log_stats['click_entries']} click entries, "
+            f"{log_stats['terms']} terms"
+        )
     print(f"  payload crc32: {header['payload_crc32']}")
     lineage = SnapshotLineage.from_header(header)
     if lineage is None:

@@ -35,13 +35,6 @@ class EvaluationError(ReproError):
     """Raised for malformed evaluation datasets or metric misuse."""
 
 
-class ShardError(ReproError):
-    """Raised when a parallel detection worker or worker pool fails.
-
-    Carries the failing shard/chunk and a preview of its texts so batch
-    failures are attributable without re-running the sweep."""
-
-
 class ServingError(ReproError):
     """Raised by the online serving layer (:mod:`repro.serving`)."""
 

@@ -79,6 +79,33 @@ class LogStatistics:
                 self._term_volume[term] += record.frequency
         self._num_queries = log.num_queries
 
+    @classmethod
+    def from_counters(
+        cls,
+        log: QueryLog,
+        document_frequencies: Mapping[str, int],
+        term_volumes: Mapping[str, int],
+        *,
+        total_volume: int,
+        num_queries: int,
+        generation: int,
+    ) -> "LogStatistics":
+        """Statistics whose counters are given rather than counted.
+
+        The inverse of reading :attr:`document_frequencies`,
+        :attr:`term_volumes`, :attr:`total_volume`, :attr:`num_queries`
+        and :attr:`generation` off an instance: a snapshot stores those
+        and rebuilds the statistics here without a pass over ``log``.
+        """
+        stats = cls.__new__(cls)
+        stats._log = log
+        stats._term_query_freq = Counter(document_frequencies)
+        stats._term_volume = Counter(term_volumes)
+        stats._total_volume = total_volume
+        stats._num_queries = num_queries
+        stats.generation = generation
+        return stats
+
     def absorb(self, record, *, new_query: bool) -> None:
         """Fold one record's delta contribution into the counters.
 
@@ -108,6 +135,21 @@ class LogStatistics:
     def total_volume(self) -> int:
         """Total query volume of the log."""
         return self._total_volume
+
+    @property
+    def num_queries(self) -> int:
+        """Distinct queries the document frequencies count over."""
+        return self._num_queries
+
+    @property
+    def document_frequencies(self) -> Mapping[str, int]:
+        """Token → number of distinct log queries containing it."""
+        return self._term_query_freq
+
+    @property
+    def term_volumes(self) -> Mapping[str, int]:
+        """Token → total query volume containing it."""
+        return self._term_volume
 
     # ------------------------------------------------------------------
     # term statistics

@@ -22,22 +22,33 @@ priors, instance-pair supports, taxonomy edges, and the flat-array
 segmentation automaton behind the vectorized batch path) is one
 contiguous ``int64``/``float64`` section; strings live once in a shared
 vocabulary blob and are referenced by id. The ``vseg_*`` automaton
-sections are optional: snapshots written before they existed still load
-(``has_automaton`` absent from the header), falling back to per-query
-segmentation. :func:`load_snapshot` maps the file with
-``mmap`` and builds NumPy views directly over the mapping
-(``np.frombuffer``), so the array payload is never copied — replica
-processes that load the same snapshot share the read-only page-cache
-pages instead of each unpickling a private replica, and cold-start cost
-is decoding ~a thousand vocabulary strings plus dict construction.
+sections are optional: a file without them (``has_automaton`` absent
+from the header) still loads, falling back to per-query segmentation.
+:func:`load_snapshot` maps the file with ``mmap`` and builds NumPy views
+directly over the mapping (``np.frombuffer``), so the array payload is
+never copied — replica processes that load the same snapshot share the
+read-only page-cache pages instead of each unpickling a private replica,
+and cold-start cost is decoding the vocabulary strings plus dict and
+record construction.
 
-Two side tables have no natural flat layout and are stored as blobs: the
-lexicon/classifier JSON, and — when the classifier has live
-:class:`~repro.querylog.stats.LogStatistics` bound — one pickled
-``stats_pickle`` section (cold classifier state, covered by the payload
-CRC like everything else). Because of that section, snapshots carry a
-pickle and should only be loaded from trusted sources, the same trust
-model as a pickled model file.
+The lexicon and the classifier's weights are small JSON blobs. When
+the classifier has live :class:`~repro.querylog.stats.LogStatistics`
+bound (the click-log evidence of the paper's constraint features), they
+ride along as flat ``log_*`` sections over the same vocabulary:
+
+- ``log_queries`` / ``log_frequencies`` — the log's records in insertion
+  order;
+- ``log_click_offsets`` / ``log_click_urls`` / ``log_click_counts`` —
+  each record's clicks as CSR rows, in that record's dict order;
+- ``log_df_*`` / ``log_volume_*`` — the two term counters (terms and
+  counts), in insertion order;
+
+and the header's ``log_stats`` entry holds their sizes plus
+``total_volume``, ``num_queries`` and ``generation``. Sessions and gold
+labels are never written: the statistics do not read them, and gold is
+evaluation ground truth. The file holds only arrays and JSON, so loading
+one runs no pickle and executes nothing from the file; the reader
+bounds-checks every offset and vocabulary id of the ``log_*`` sections.
 
 Floats round-trip bit-exactly (raw IEEE-754 bytes), so a snapshot-loaded
 detector is *bit-identical* to the detector it was saved from — enforced
@@ -53,10 +64,10 @@ from __future__ import annotations
 import json
 import mmap
 import os
-import pickle
 import struct
 import tempfile
 import zlib
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -68,14 +79,17 @@ from repro.core.detector import DetectorConfig
 from repro.core.features import ConstraintFeatureExtractor, DroppabilityTables
 from repro.errors import ModelError
 from repro.mining.pairs import PairCollection
+from repro.querylog.models import QueryLog, QueryRecord
+from repro.querylog.stats import LogStatistics
 from repro.taxonomy.store import ConceptTaxonomy
 from repro.text.lexicon import Lexicon
 
-#: File magic: "HDM SNAPshot", format generation 1 baked into the bytes.
+#: File magic: "HDM SNAPshot"; the layout version is the u32 after it.
 MAGIC = b"HDMSNAP1"
 
-#: Current snapshot format version. Bump on any layout change.
-SNAPSHOT_VERSION = 1
+#: Current snapshot format version. Bump on any layout change: files of
+#: any other version are refused, never parsed best-effort.
+SNAPSHOT_VERSION = 2
 
 #: ``magic (8s) · version (u32) · header length (u32)``, little-endian.
 _PRELUDE = struct.Struct("<8sII")
@@ -148,6 +162,51 @@ class _Vocab:
         return [self.id_of(s) for s in strings]
 
 
+def _write_log_statistics(
+    writer: _SectionWriter, vocab: _Vocab, stats: LogStatistics
+) -> dict:
+    """Lay ``stats`` out as the ``log_*`` sections; return the header's
+    ``log_stats`` entry.
+
+    Only what the constraint features read is stored: every record's
+    query and frequency, its clicks as CSR rows over the records (each
+    row in its dict's order, so the cosine sums repeat exactly), and the
+    two term counters in insertion order. Sessions and gold labels stay
+    in the training log.
+    """
+    queries: list[int] = []
+    frequencies: list[int] = []
+    click_offsets = [0]
+    click_urls: list[int] = []
+    click_counts: list[int] = []
+    for record in stats.log.records():
+        queries.append(vocab.id_of(record.query))
+        frequencies.append(record.frequency)
+        for url, count in record.clicks.items():
+            click_urls.append(vocab.id_of(url))
+            click_counts.append(count)
+        click_offsets.append(len(click_urls))
+    writer.add_array("log_queries", queries, _I64)
+    writer.add_array("log_frequencies", frequencies, _I64)
+    writer.add_array("log_click_offsets", click_offsets, _I64)
+    writer.add_array("log_click_urls", click_urls, _I64)
+    writer.add_array("log_click_counts", click_counts, _I64)
+    for prefix, counter in (
+        ("log_df", stats.document_frequencies),
+        ("log_volume", stats.term_volumes),
+    ):
+        writer.add_array(f"{prefix}_terms", vocab.ids_of(counter), _I64)
+        writer.add_array(f"{prefix}_counts", list(counter.values()), _I64)
+    return {
+        "records": len(queries),
+        "click_entries": len(click_urls),
+        "terms": len(stats.document_frequencies),
+        "total_volume": stats.total_volume,
+        "num_queries": stats.num_queries,
+        "generation": stats.generation,
+    }
+
+
 def save_snapshot(detector, path: str | Path, *, lineage: dict | None = None) -> dict:
     """Serialize a :class:`~repro.runtime.compiled.CompiledDetector` to
     ``path`` and return the written header (for logging/inspection).
@@ -163,8 +222,10 @@ def save_snapshot(detector, path: str | Path, *, lineage: dict | None = None) ->
 
     Unlike ``save_model``, a classifier with live
     :class:`~repro.querylog.stats.LogStatistics` bound *is* representable:
-    the statistics ride along as one pickled side-section so the loaded
-    detector is bit-identical to this one, constraint features included.
+    the log's records, clicks and term counters ride along as the flat
+    ``log_*`` sections (no pickle), so the loaded detector is
+    bit-identical to this one, constraint features included. The log's
+    sessions and gold labels are not written.
     """
     from repro.runtime.compiled import CompiledSegmenter
 
@@ -174,7 +235,7 @@ def save_snapshot(detector, path: str | Path, *, lineage: dict | None = None) ->
             "custom segmenter cannot be snapshotted"
         )
     classifier = detector._classifier
-    stats = classifier.extractor._stats if classifier is not None else None
+    stats = classifier.extractor.stats if classifier is not None else None
 
     vocab = _Vocab()
     writer = _SectionWriter()
@@ -295,12 +356,9 @@ def save_snapshot(detector, path: str | Path, *, lineage: dict | None = None) ->
                 }
             ).encode("utf-8"),
         )
+    log_stats = None
     if stats is not None:
-        # The one non-flat section: LogStatistics wraps the full query
-        # log (click indexes over arbitrary query strings), which has no
-        # fixed-width layout. It is cold classifier state, not hot-path
-        # arrays, so a pickle blob under the payload CRC is acceptable.
-        writer.add_bytes("stats_pickle", pickle.dumps(stats, protocol=4))
+        log_stats = _write_log_statistics(writer, vocab, stats)
 
     # --- vocabulary blob (added last: every section interned into it) -
     blob = "".join(vocab.strings).encode("utf-8")
@@ -319,7 +377,7 @@ def save_snapshot(detector, path: str | Path, *, lineage: dict | None = None) ->
         "dense": matrix.dense,
         "has_pairs": detector._support_map is not None,
         "has_classifier": classifier is not None,
-        "has_stats": stats is not None,
+        "log_stats": log_stats,
         "has_speller": detector._speller is not None,
         "has_automaton": True,
         "vseg_max_span": automaton.max_span,
@@ -370,6 +428,71 @@ def save_snapshot(detector, path: str | Path, *, lineage: dict | None = None) ->
     finally:
         tmp.unlink(missing_ok=True)
     return header
+
+
+def _read_log_statistics(
+    path: Path, meta: dict, array, vocab: list[str]
+) -> LogStatistics:
+    """Rebuild the statistics :func:`_write_log_statistics` laid out.
+
+    Every id, length and offset is checked before use, so a malformed
+    file raises :class:`~repro.errors.ModelError` naming the file and
+    the section rather than an ``IndexError`` halfway through.
+    """
+
+    def corrupted(name: str, problem: str) -> ModelError:
+        return ModelError(f"{path}: corrupted snapshot section {name} ({problem})")
+
+    def strings(name: str) -> list[str]:
+        ids = array(name)
+        if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= len(vocab)):
+            raise corrupted(name, f"vocab id out of range 0..{len(vocab) - 1}")
+        return [vocab[i] for i in ids.tolist()]
+
+    def values_for(keys: list[str], keys_name: str, name: str) -> list[int]:
+        values = array(name)
+        if len(values) != len(keys):
+            raise corrupted(
+                name, f"{len(values)} entries for {len(keys)} in {keys_name}"
+            )
+        return values.tolist()
+
+    queries = strings("log_queries")
+    frequencies = values_for(queries, "log_queries", "log_frequencies")
+    if queries and min(frequencies) <= 0:
+        raise corrupted("log_frequencies", "frequency must be positive")
+    urls = strings("log_click_urls")
+    counts = values_for(urls, "log_click_urls", "log_click_counts")
+    offsets = array("log_click_offsets")
+    row_sizes = np.diff(offsets)
+    if (
+        len(offsets) != len(queries) + 1
+        or offsets[0] != 0
+        or offsets[-1] != len(urls)
+        or bool(np.any(row_sizes < 0))
+    ):
+        raise corrupted(
+            "log_click_offsets",
+            f"need {len(queries) + 1} offsets rising from 0 to {len(urls)}",
+        )
+    clicks = zip(urls, counts)  # consumed row by row, in record order
+    records = [
+        QueryRecord(query, frequency, dict(islice(clicks, size)))
+        for query, frequency, size in zip(queries, frequencies, row_sizes.tolist())
+    ]
+    counters = []
+    for prefix in ("log_df", "log_volume"):
+        terms = strings(f"{prefix}_terms")
+        counters.append(
+            dict(zip(terms, values_for(terms, f"{prefix}_terms", f"{prefix}_counts")))
+        )
+    return LogStatistics.from_counters(
+        QueryLog.from_records(records),
+        *counters,
+        total_volume=meta["total_volume"],
+        num_queries=meta["num_queries"],
+        generation=meta["generation"],
+    )
 
 
 def read_snapshot_header(path: str | Path) -> dict:
@@ -441,17 +564,32 @@ def load_snapshot(path: str | Path):
 
     sections = header["sections"]
 
+    def section(name: str) -> dict:
+        entry = sections.get(name)
+        if entry is None:
+            raise ModelError(f"{path}: corrupted snapshot (no section {name})")
+        if entry["offset"] + entry["bytes"] > header["payload_bytes"]:
+            raise ModelError(
+                f"{path}: corrupted snapshot section {name} (past the payload)"
+            )
+        return entry
+
     def array(name: str) -> np.ndarray:
-        entry = sections[name]
+        entry = section(name)
+        dtype = np.dtype(entry["dtype"])
+        if entry["count"] * dtype.itemsize > entry["bytes"]:
+            raise ModelError(
+                f"{path}: corrupted snapshot section {name} (count past its bytes)"
+            )
         return np.frombuffer(
             mapped,
-            dtype=np.dtype(entry["dtype"]),
+            dtype=dtype,
             count=entry["count"],
             offset=payload_start + entry["offset"],
         )
 
     def raw_bytes(name: str) -> bytes:
-        entry = sections[name]
+        entry = section(name)
         start = payload_start + entry["offset"]
         return bytes(memoryview(mapped)[start : start + entry["bytes"]])
 
@@ -563,9 +701,10 @@ def load_snapshot(path: str | Path):
     classifier = None
     if header["has_classifier"]:
         payload = json.loads(raw_bytes("classifier_json").decode("utf-8"))
+        log_stats = header.get("log_stats")
         stats = (
-            pickle.loads(raw_bytes("stats_pickle"))
-            if header.get("has_stats")
+            _read_log_statistics(path, log_stats, array, vocab)
+            if log_stats is not None
             else None
         )
         extractor = ConstraintFeatureExtractor(

@@ -311,8 +311,8 @@ class IncrementalTrainer:
     def save(self, path: str | Path) -> None:
         """Persist the training state (atomic write-then-rename).
 
-        The payload is a pickle: like the snapshot's ``stats_pickle``
-        section, state files are a **trusted-source** format — load only
+        The payload is a pickle, so state files — unlike the pickle-free
+        runtime snapshots — are a **trusted-source** format: load only
         files your own pipeline wrote. A CRC32 guards against
         truncation/corruption, not against hostile input.
         """

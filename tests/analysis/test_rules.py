@@ -505,13 +505,13 @@ class TestRep006BroadExcept:
             "training/translate.py",
             src(
                 """
-                from repro.errors import ShardError
+                from repro.errors import ServingError
 
-                def run(task, shard):
+                def run(task, replica):
                     try:
                         return task()
                     except Exception as exc:
-                        raise ShardError(f"shard {shard} failed: {exc}") from exc
+                        raise ServingError(f"replica {replica} failed: {exc}") from exc
                 """
             ),
         )

@@ -263,6 +263,25 @@ class TestSnapshotCommands:
         assert code == 0
         assert "phrases" in out and "speller: no" in out
 
+    def test_info_without_log_statistics(self, snapshot, capsys):
+        # A model directory carries no click log, so neither does its snapshot.
+        assert main(["snapshot", "--info", str(snapshot)]) == 0
+        assert "  log statistics: none\n" in capsys.readouterr().out
+
+    def test_info_counts_log_statistics(self, model, tmp_path, capsys):
+        path = tmp_path / "with-log.hdms"
+        compiled = model.compile()
+        compiled.save_snapshot(path)
+        stats = compiled._classifier.extractor.stats
+        records = list(stats.log.records())
+        clicks = sum(len(record.clicks) for record in records)
+        terms = len(stats.document_frequencies)
+        assert main(["snapshot", "--info", str(path)]) == 0
+        assert (
+            f"  log statistics: {len(records)} records, {clicks} click entries, "
+            f"{terms} terms\n"
+        ) in capsys.readouterr().out
+
     def test_detect_from_snapshot_matches_model(self, workspace, snapshot, capsys):
         query = "cheap hotels in rome"
         assert main(["detect", "--snapshot", str(snapshot), "--json", query]) == 0

@@ -12,16 +12,23 @@ set plus the structural edge cases.
 
 from __future__ import annotations
 
+import json
 import pickle
+import re
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.concept_patterns import PatternTable
+from repro.core.conceptualizer import Conceptualizer
 from repro.core.detector import DetectorConfig
 from repro.core.segmentation import Segmenter
 from repro.errors import ModelError
+from repro.querylog.models import QueryLog
+from repro.querylog.stats import LogStatistics
 from repro.runtime import (
     SNAPSHOT_VERSION,
     CompiledDetector,
@@ -33,6 +40,8 @@ from repro.runtime import (
 )
 from repro.runtime.compiled import PhraseReading, _normalize_fast
 from repro.runtime.intern import Interner
+from repro.runtime.snapshot import _ALIGN, _PRELUDE, MAGIC
+from repro.taxonomy.store import ConceptTaxonomy
 from repro.text.normalizer import normalize
 
 EDGE_CASES = [
@@ -208,6 +217,44 @@ class TestBatch:
         assert results[0] is results[2]  # duplicate shares the Detection
 
 
+def assert_same_statistics(original, restored):
+    """Everything the constraint features read round-trips exactly, in
+    the same order; the training-only sessions and gold do not ship."""
+    records = list(original.log.records())
+    assert list(restored.log.records()) == records
+    for want, got in zip(records, restored.log.records()):
+        assert list(got.clicks.items()) == list(want.clicks.items())
+    assert restored.log.lookup_exact(records[0].query) == records[0]
+    for name in ("document_frequencies", "term_volumes"):
+        want, got = getattr(original, name), getattr(restored, name)
+        assert list(got.items()) == list(want.items())
+    assert restored.total_volume == original.total_volume
+    assert restored.num_queries == original.num_queries
+    assert restored.generation == original.generation
+    assert restored.log.num_sessions == 0
+    assert len(restored.log.gold_labels) == 0
+
+
+_WORDS = st.text(alphabet="abcxyzéüñ日本ß", min_size=1, max_size=6)
+
+
+@st.composite
+def small_logs(draw):
+    """Small logs with non-ASCII queries and URLs (the vocab is UTF-8)."""
+    log = QueryLog()
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        words = draw(st.lists(_WORDS, min_size=1, max_size=3))
+        clicks = draw(
+            st.dictionaries(
+                _WORDS.map(lambda path: f"http://shop.例え.jp/{path}"),
+                st.integers(min_value=1, max_value=40),
+                max_size=4,
+            )
+        )
+        log.add_record(" ".join(words), draw(st.integers(1, 500)), clicks)
+    return log
+
+
 class TestSnapshotParity:
     """save → load must be bit-identical, not merely close."""
 
@@ -239,10 +286,37 @@ class TestSnapshotParity:
     def test_log_statistics_survive_roundtrip(self, compiled, loaded):
         # train_model binds live LogStatistics to the classifier; the
         # snapshot must carry them so constraint features stay exact.
-        original = compiled._classifier.extractor._stats
-        restored = loaded._classifier.extractor._stats
+        original = compiled._classifier.extractor.stats
+        restored = loaded._classifier.extractor.stats
         assert original is not None and restored is not None
+        assert original.log.num_sessions > 0 and original.log.gold_labels
+        assert_same_statistics(original, restored)
         assert restored.phrase_idf("iphone") == original.phrase_idf("iphone")
+
+    def test_load_runs_no_pickle(self, snapshot_path, compiled, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("snapshot load must not unpickle")
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        monkeypatch.setattr(pickle, "Unpickler", refuse)
+        restored = load_snapshot(snapshot_path)
+        for text in EDGE_CASES:
+            assert restored.detect(text) == compiled.detect(text)
+
+    @settings(max_examples=25, deadline=None)
+    @given(log=small_logs(), absorbed=st.integers(min_value=0, max_value=3))
+    def test_random_logs_roundtrip(self, model, tmp_path_factory, log, absorbed):
+        stats = LogStatistics(log)
+        for record in list(log.records())[:absorbed]:
+            stats.absorb(record, new_query=False)
+        tiny = CompiledDetector(
+            PatternTable({}),
+            Conceptualizer(ConceptTaxonomy()),
+            constraint_classifier=model.classifier.with_stats(stats),
+        )
+        path = tmp_path_factory.mktemp("random-log") / "tiny.hdms"
+        tiny.save_snapshot(path)
+        assert_same_statistics(stats, load_snapshot(path)._classifier.extractor.stats)
 
     def test_loaded_arrays_are_readonly_views(self, loaded):
         reading = next(iter(loaded._compiled_readings.values()))
@@ -313,6 +387,18 @@ class TestSnapshotErrors:
         with pytest.raises(ModelError, match="unsupported snapshot version"):
             load_snapshot(bad)
 
+    def test_version_1_is_refused(self, snapshot_path, tmp_path):
+        bad = self._mutated(
+            snapshot_path,
+            tmp_path,
+            lambda data: data.__setitem__(slice(8, 12), struct.pack("<I", 1)),
+        )
+        with pytest.raises(
+            ModelError,
+            match=r"unsupported snapshot version 1 \(this build reads version 2\)",
+        ):
+            load_snapshot(bad)
+
     def test_truncated_payload(self, snapshot_path, tmp_path):
         data = snapshot_path.read_bytes()
         cut = tmp_path / "cut.hdms"
@@ -338,6 +424,187 @@ class TestSnapshotErrors:
         )
         with pytest.raises(ModelError, match="compiled segmenter"):
             save_snapshot(bespoke, tmp_path / "x.hdms")
+
+
+def _resealed(snapshot_path, tmp_path, edit):
+    """A copy of the snapshot after ``edit(header, payload)``, with the
+    payload CRC recomputed so only the section checks can refuse it."""
+    header = read_snapshot_header(snapshot_path)
+    start = header.pop("_payload_start")
+    payload = bytearray(snapshot_path.read_bytes()[start:])
+    edit(header, payload)
+    header["payload_crc32"] = zlib.crc32(payload)
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    prelude = _PRELUDE.pack(MAGIC, SNAPSHOT_VERSION, len(header_bytes))
+    pad = (-(len(prelude) + len(header_bytes))) % _ALIGN
+    bad = tmp_path / "resealed.hdms"
+    bad.write_bytes(prelude + header_bytes + b"\x00" * pad + bytes(payload))
+    return bad
+
+
+def _store(section, index, value):
+    """An ``edit`` that overwrites one int64 of ``section``."""
+
+    def edit(header, payload):
+        entry = header["sections"][section]
+        count = entry["count"]
+        struct.pack_into("<q", payload, entry["offset"] + 8 * (index % count), value)
+
+    return edit
+
+
+def _adjust(section, **deltas):
+    """An ``edit`` that shifts fields of ``section``'s table entry."""
+
+    def edit(header, payload):
+        entry = header["sections"][section]
+        for key, delta in deltas.items():
+            entry[key] += delta
+
+    return edit
+
+
+def _together(*edits):
+    """An ``edit`` applying each of ``edits`` in turn."""
+
+    def edit(header, payload):
+        for each in edits:
+            each(header, payload)
+
+    return edit
+
+
+_OFFSETS = "offsets rising from 0"
+_VOCAB = "vocab id out of range"
+_SHORT = "entries for"
+_FREQUENCY = "frequency must be positive"
+
+
+class TestLogSectionChecks:
+    """Malformed ``log_*`` sections under a valid CRC raise ModelError
+    naming the file and the section."""
+
+    @pytest.mark.parametrize(
+        ("edit", "section", "problem"),
+        [
+            pytest.param(
+                _store("log_click_offsets", 2, 10**6),
+                "log_click_offsets",
+                _OFFSETS,
+                id="offsets-not-monotone",
+            ),
+            pytest.param(
+                _store("log_click_offsets", -1, 10**6),
+                "log_click_offsets",
+                _OFFSETS,
+                id="offsets-end-past-clicks",
+            ),
+            pytest.param(
+                _store("log_click_offsets", 0, 1),
+                "log_click_offsets",
+                _OFFSETS,
+                id="offsets-start-nonzero",
+            ),
+            pytest.param(
+                _adjust("log_click_offsets", count=-1, bytes=-8),
+                "log_click_offsets",
+                _OFFSETS,
+                id="offsets-short",
+            ),
+            pytest.param(
+                _together(
+                    _adjust("log_queries", count=-1, bytes=-8),
+                    _adjust("log_frequencies", count=-1, bytes=-8),
+                ),
+                "log_click_offsets",
+                _OFFSETS,
+                id="offsets-one-extra",
+            ),
+            pytest.param(
+                _store("log_queries", 0, -1),
+                "log_queries",
+                _VOCAB,
+                id="query-id-negative",
+            ),
+            pytest.param(
+                _store("log_click_urls", 3, 10**9),
+                "log_click_urls",
+                _VOCAB,
+                id="url-id-out-of-range",
+            ),
+            pytest.param(
+                _store("log_df_terms", 0, 10**9),
+                "log_df_terms",
+                _VOCAB,
+                id="term-id-out-of-range",
+            ),
+            pytest.param(
+                _adjust("log_frequencies", count=-1, bytes=-8),
+                "log_frequencies",
+                _SHORT,
+                id="frequencies-short",
+            ),
+            pytest.param(
+                _adjust("log_click_counts", count=-1, bytes=-8),
+                "log_click_counts",
+                _SHORT,
+                id="click-counts-short",
+            ),
+            pytest.param(
+                _adjust("log_volume_counts", count=-1, bytes=-8),
+                "log_volume_counts",
+                _SHORT,
+                id="volume-counts-short",
+            ),
+            pytest.param(
+                _adjust("log_click_urls", count=1),
+                "log_click_urls",
+                "count past its bytes",
+                id="count-past-bytes",
+            ),
+            pytest.param(
+                _adjust("log_df_terms", offset=10**7),
+                "log_df_terms",
+                "past the payload",
+                id="section-past-payload",
+            ),
+            pytest.param(
+                _store("log_frequencies", 5, 0),
+                "log_frequencies",
+                _FREQUENCY,
+                id="frequency-zero",
+            ),
+            pytest.param(
+                _store("log_frequencies", 0, -3),
+                "log_frequencies",
+                _FREQUENCY,
+                id="frequency-negative",
+            ),
+        ],
+    )
+    def test_malformed_section_is_refused(
+        self, snapshot_path, tmp_path, edit, section, problem
+    ):
+        bad = _resealed(snapshot_path, tmp_path, edit)
+        where = re.escape(f"{bad}: corrupted snapshot section {section} (")
+        with pytest.raises(ModelError, match=where + ".*" + re.escape(problem)):
+            load_snapshot(bad)
+
+    def test_missing_section_is_refused(self, snapshot_path, tmp_path):
+        bad = _resealed(
+            snapshot_path,
+            tmp_path,
+            lambda header, payload: header["sections"].pop("log_df_counts"),
+        )
+        with pytest.raises(ModelError, match="no section log_df_counts"):
+            load_snapshot(bad)
+
+    def test_resealed_copy_still_loads(self, snapshot_path, tmp_path, compiled):
+        """The helper itself leaves a loadable file when nothing is edited."""
+        good = _resealed(snapshot_path, tmp_path, lambda header, payload: None)
+        assert load_snapshot(good).detect("cases for iphone 5s") == compiled.detect(
+            "cases for iphone 5s"
+        )
 
 
 class TestCompiledStructures:
