@@ -55,13 +55,14 @@ async def _http_detect(port: int, query: str) -> bytes:
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     body = json.dumps({"query": query}).encode("utf-8")
     writer.write(
-        b"POST /detect HTTP/1.1\r\nHost: bench\r\nContent-Length: "
+        b"POST /detect HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n"
+        b"Content-Length: "
         + str(len(body)).encode("ascii")
         + b"\r\n\r\n"
         + body
     )
     await writer.drain()
-    raw = await reader.read(-1)  # server closes after one response
+    raw = await reader.read(-1)  # Connection: close ends it after one response
     writer.close()
     await writer.wait_closed()
     head, _, payload = raw.partition(b"\r\n\r\n")

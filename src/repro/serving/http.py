@@ -6,28 +6,41 @@ the same class over a :class:`~repro.serving.router.Router`. Both are
 *backends* of one small contract — ``detect``, ``stats``, ``healthz``,
 ``reload`` and ``close`` (see :class:`DetectionHTTPServer`) — so the
 two front doors speak byte-identical HTTP from one request handler.
-The protocol surface is deliberately tiny (HTTP/1.1,
-``Connection: close``, JSON in/out):
+The protocol surface is deliberately tiny (HTTP/1.1 with persistent
+connections, JSON in/out):
 
 - ``POST /detect`` with body ``{"query": "cheap hotels in rome"}`` →
   ``200`` and the same JSON shape as ``repro detect --json``.
 - ``POST /reload`` with body ``{"snapshot": "/path/to/g2.hdms"}`` → the
   backend's hot swap.
-- ``GET /stats`` → serving counters (cache hit rate, batch histogram…).
+- ``GET /stats`` → serving counters (cache hit rate, batch histogram…)
+  plus an ``http`` block of connection counters.
 - ``GET /healthz`` → ``{"status": "ok"}`` once accepting traffic.
+
+Connections are kept alive: one connection carries any number of
+requests, pipelined ones included, answered in order. A response
+carries ``Connection: close`` (and the server then hangs up) only when
+the client asked for it, the request is HTTP/1.0, the request failed to
+parse (the stream position is then unknown), or the server is
+stopping. A kept-alive connection that sends nothing for
+``READ_TIMEOUT_S`` is closed without a response, and a client that
+goes away between requests is simply let go. At most
+``MAX_CONNECTIONS`` connections are open at once; one more is answered
+``503`` and closed, so idle clients cannot exhaust file descriptors.
 
 Admission-control rejections map to ``503`` with a ``Retry-After``
 header (deterministic backpressure all the way to the wire), malformed
 requests to ``400``, oversized bodies to ``413``, a request or header
 line past the stream's line limit or more than ``MAX_HEADER_LINES``
-headers to ``431``, a request that has not fully arrived within
-``READ_TIMEOUT_S`` to ``408``, unknown routes to ``404``. A connection
-dropped mid-request is abandoned silently — there is no peer left to
-answer, and nothing downstream (batcher, service, router) is ever
-touched with a partial request.
+headers to ``431``, a request that has started but not fully arrived
+within ``READ_TIMEOUT_S`` to ``408``, unknown routes to ``404``. A
+connection dropped mid-request is abandoned silently — there is no
+peer left to answer, and nothing downstream (batcher, service, router)
+is ever touched with a partial request.
 
 Shutdown is graceful: :meth:`Listener.stop` stops accepting
-connections, then closes the backend (in-flight detections complete).
+connections, hangs up idle kept-alive ones, lets in-flight requests
+finish, then closes the backend (in-flight detections complete).
 :func:`run_server` wires that to SIGINT/SIGTERM for every serving
 process — the HTTP front door and the replica socket server
 (:class:`~repro.serving.replica.ReplicaServer`) alike.
@@ -55,10 +68,16 @@ MAX_BODY_BYTES = 64 * 1024
 #: so a client streaming endless headers cannot hold the parser forever.
 MAX_HEADER_LINES = 100
 
-#: Seconds a client has to deliver its whole request; past it the
-#: request is a 408, so a slow or stalled client cannot hold a
-#: connection (and its handler task) open forever.
+#: Seconds a client has to deliver its whole request once its first
+#: byte is in; past it the request is a 408, so a slow or stalled client
+#: cannot hold a connection (and its handler task) open forever. A
+#: kept-alive connection idle this long between requests is closed.
 READ_TIMEOUT_S = 10.0
+
+#: Most connections the front door holds open at once (above the 64
+#: concurrent clients of the r12 bench, below the usual 1,024-fd soft
+#: limit); one more is answered 503 with ``Retry-After`` and closed.
+MAX_CONNECTIONS = 256
 
 _REASONS = {
     200: "OK",
@@ -91,28 +110,44 @@ class HttpRequestError(Exception):
 
 
 async def read_http_request(
-    reader: asyncio.StreamReader, max_body_bytes: int = MAX_BODY_BYTES
-) -> tuple[str, str, bytes]:
-    """Read one HTTP/1.1 request and return ``(method, target, body)``.
+    reader: asyncio.StreamReader,
+    max_body_bytes: int = MAX_BODY_BYTES,
+    first: bytes = b"",
+) -> tuple[str, str, bytes, bool] | None:
+    """Read one HTTP request and return ``(method, target, body, close)``.
+
+    ``close`` is the client's close intent: true for an HTTP/1.0
+    request, a ``Connection: close`` header, or a
+    ``Transfer-Encoding`` body this parser does not frame — after
+    answering, the connection must not carry another request. ``first``
+    is the request's first byte when the caller already read it (the
+    keep-alive idle wait does). A clean EOF before the request line
+    returns ``None``: the client went away between requests.
 
     Malformed input raises :class:`HttpRequestError` with the status to
     answer (400 for a bad request line or Content-Length, 413 past
     ``max_body_bytes``, 431 for a request or header line longer than
     the reader's line limit or more than :data:`MAX_HEADER_LINES`
-    headers); a connection dropped mid-request surfaces as
-    ``asyncio.IncompleteReadError``/``ConnectionError`` for the caller
-    to abandon.
+    headers); a connection dropped mid-request (EOF inside a line
+    included) surfaces as ``asyncio.IncompleteReadError``/
+    ``ConnectionError`` for the caller to abandon.
     """
-    request_line = await _read_line(reader, "request line")
     try:
-        method, target, *_ = request_line.decode("ascii", "replace").split()
+        request_line = first + await _read_line(reader, "request line")
+    except asyncio.IncompleteReadError as exc:
+        if first or exc.partial:
+            raise
+        return None
+    try:
+        method, target, *version = request_line.decode("ascii", "replace").split()
     except ValueError:
         raise HttpRequestError(400, "malformed request line") from None
+    close = version[:1] != ["HTTP/1.1"]
     content_length = 0
     headers = 0
     while True:
         line = await _read_line(reader, "header line")
-        if line in (b"\r\n", b"\n", b""):
+        if line in (b"\r\n", b"\n"):
             break
         headers += 1
         if headers > MAX_HEADER_LINES:
@@ -120,30 +155,40 @@ async def read_http_request(
                 431, f"more than {MAX_HEADER_LINES} header lines"
             )
         name, _, value = line.decode("ascii", "replace").partition(":")
-        if name.strip().lower() == "content-length":
+        name = name.strip().lower()
+        if name == "content-length":
             try:
                 content_length = int(value.strip())
             except ValueError:
                 raise HttpRequestError(400, "bad Content-Length") from None
+        elif name == "connection":
+            close = close or "close" in (
+                token.strip().lower() for token in value.split(",")
+            )
+        elif name == "transfer-encoding":
+            close = True
     if content_length < 0:
         raise HttpRequestError(400, "bad Content-Length")
     if content_length > max_body_bytes:
         raise HttpRequestError(413, f"body exceeds {max_body_bytes} bytes")
     body = await reader.readexactly(content_length) if content_length else b""
-    return method, target, body
+    return method, target, body, close
 
 
 async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
-    """One CRLF-terminated line; a line past the reader's limit (64 KiB
-    by default) is a 431, not the ``ValueError`` ``readline`` raises."""
+    """One LF-terminated line; a line past the reader's limit (64 KiB by
+    default) is a 431, and EOF before the LF raises
+    ``asyncio.IncompleteReadError``."""
     try:
-        return await reader.readline()
-    except ValueError:
+        return await reader.readuntil(b"\n")
+    except asyncio.LimitOverrunError:
         raise HttpRequestError(431, f"{what} too long") from None
 
 
-def http_response(status: int, payload: dict) -> bytes:
-    """Serialize one ``Connection: close`` JSON response.
+def http_response(status: int, payload: dict, close: bool = True) -> bytes:
+    """Serialize one JSON response; ``close`` adds ``Connection: close``
+    (the server hangs up after it), otherwise the connection stays open
+    for the client's next request.
 
     The body is ``json.dumps(payload, sort_keys=True)`` — the same
     deterministic serialization :func:`detection_payload` consumers
@@ -155,26 +200,37 @@ def http_response(status: int, payload: dict) -> bytes:
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Error')}",
         "Content-Type: application/json",
         f"Content-Length: {len(body)}",
-        "Connection: close",
     ]
+    if close:
+        headers.append("Connection: close")
     if status == 503:
         headers.append("Retry-After: 1")
     return "\r\n".join(headers).encode("ascii") + b"\r\n\r\n" + body
 
 
 async def finish_response(
-    writer: asyncio.StreamWriter, payload_bytes: bytes
+    writer: asyncio.StreamWriter, payload_bytes: bytes, close: bool = True
 ) -> None:
-    """Write ``payload_bytes``, flush, and close the connection, quietly
-    tolerating a peer that already disconnected (the twin of
-    :func:`http_response` on the write side)."""
+    """Write ``payload_bytes`` and flush; with ``close``, also close the
+    connection. A peer that already disconnected is tolerated quietly
+    (the twin of :func:`http_response` on the write side, so pass both
+    the same ``close``)."""
     try:
         writer.write(payload_bytes)
         await writer.drain()
-        writer.close()
-        await writer.wait_closed()
+        if close:
+            writer.close()
+            await writer.wait_closed()
     except CLIENT_GONE:  # pragma: no cover - peer raced the close
         pass
+
+
+def _time_out(writer: asyncio.StreamWriter) -> None:
+    """Answer a request that did not fully arrive in time with 408 and
+    hang up; the handler's pending read then ends at EOF."""
+    error = {"error": f"request not received within {READ_TIMEOUT_S}s"}
+    writer.write(http_response(408, error))
+    writer.close()
 
 
 def detection_payload(detection: Detection) -> dict:
@@ -224,12 +280,19 @@ class Listener:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, close the backend."""
+        """Graceful shutdown: stop accepting, let open connections wind
+        down (:meth:`_drain_connections`), close the backend."""
         server, self._server = self._server, None
         if server is not None:
             server.close()
+            await self._drain_connections()
             await server.wait_closed()
         await self._backend.close()
+
+    async def _drain_connections(self) -> None:
+        """Wind down open connections before the server is closed (on
+        Python ≥ 3.12 ``wait_closed`` waits for every one of them).
+        Nothing to do for a listener whose peers hang up themselves."""
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -260,32 +323,136 @@ class DetectionHTTPServer(Listener):
     >>> await server.stop()        # drains in-flight requests
     """
 
+    def __init__(self, backend, host: str = "127.0.0.1", port: int = 0) -> None:
+        super().__init__(backend, host, port)
+        self._handlers: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._stopping = False
+        self._opened = 0
+        self._requests = 0
+        self._refused = 0
+
+    def _http_stats(self) -> dict:
+        """Connection counters for the ``http`` block of ``GET /stats``;
+        ``requests`` counts the requests read in full on accepted
+        connections, so ``requests / connections_opened`` is the
+        connection reuse."""
+        return {
+            "connections_opened": self._opened,
+            "connections_open": len(self._handlers),
+            "requests": self._requests,
+            "refused_at_cap": self._refused,
+        }
+
+    async def _drain_connections(self) -> None:
+        # Hang up idle kept-alive connections; a connection mid-request
+        # answers it (with ``Connection: close``) and then ends.
+        self._stopping = True
+        for writer in tuple(self._idle):
+            writer.close()
+        if self._handlers:
+            await asyncio.gather(*tuple(self._handlers), return_exceptions=True)
+
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if len(self._handlers) >= MAX_CONNECTIONS:
+            await self._refuse(reader, writer)
+            return
+        task = asyncio.current_task()
+        assert task is not None
+        self._handlers.add(task)
+        self._opened += 1
         try:
-            method, target, body = await asyncio.wait_for(
-                read_http_request(reader), READ_TIMEOUT_S
-            )
-        except asyncio.TimeoutError:
-            error = {"error": f"request not received within {READ_TIMEOUT_S}s"}
-            await finish_response(writer, http_response(408, error))
-            return
-        except HttpRequestError as exc:
-            await finish_response(writer, http_response(exc.status, exc.payload))
-            return
-        except CLIENT_GONE:
-            # The client vanished mid-request: there is nobody to answer,
-            # and the backend was never touched.
+            while not self._stopping:
+                try:
+                    request = await self._next_request(reader, writer)
+                except HttpRequestError as exc:
+                    # The stream position is unknown now: answer and close.
+                    await finish_response(writer, http_response(exc.status, exc.payload))
+                    break
+                if request is None:
+                    break
+                self._requests += 1
+                if not await self._answer(writer, *request):
+                    break
+        finally:
+            self._handlers.discard(task)
             writer.close()
-            return
+            try:
+                await writer.wait_closed()
+            except CLIENT_GONE:  # pragma: no cover - peer raced the close
+                pass
+
+    async def _next_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> tuple[str, str, bytes, bool] | None:
+        """Wait for the next request on a connection and read it.
+
+        ``None`` means the connection is done with nothing left to
+        answer: the client went away, it sent nothing for
+        ``READ_TIMEOUT_S`` (hung up), or its request did not arrive in
+        full within ``READ_TIMEOUT_S`` of its first byte (answered 408
+        and hung up). Both deadlines are ``call_later`` timers that
+        close the transport, so the pending read ends at EOF — cheaper
+        than a ``wait_for`` task per request. A malformed request raises
+        :class:`HttpRequestError`.
+        """
+        loop = asyncio.get_running_loop()
+        self._idle.add(writer)
+        timer = loop.call_later(READ_TIMEOUT_S, writer.close)
+        try:
+            first = await reader.read(1)
+        except CLIENT_GONE:
+            return None
+        finally:
+            timer.cancel()
+            self._idle.discard(writer)
+        if not first:
+            return None
+        timer = loop.call_later(READ_TIMEOUT_S, _time_out, writer)
+        try:
+            return await read_http_request(reader, first=first)
+        except CLIENT_GONE:
+            # The client vanished (or timed out) mid-request: there is
+            # nobody left to answer, and the backend was never touched.
+            return None
+        finally:
+            timer.cancel()
+
+    async def _answer(
+        self,
+        writer: asyncio.StreamWriter,
+        method: str,
+        target: str,
+        body: bytes,
+        close: bool,
+    ) -> bool:
+        """Answer one request; return whether the connection stays open."""
         try:
             status, payload = await self._respond(method, target, body)
         # repro: noqa[REP006] -- protocol edge: anything escaping a request
         # handler becomes a 500 response; a traceback must never hit the wire.
         except Exception as exc:
             status, payload = 500, {"error": f"internal error: {exc}"}
-        await finish_response(writer, http_response(status, payload))
+        close = close or self._stopping
+        await finish_response(writer, http_response(status, payload, close), close)
+        return not close
+
+    async def _refuse(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Answer a connection past :data:`MAX_CONNECTIONS` with 503 and
+        close it. Its request is read first: closing a socket with the
+        request still unread resets it, and the reset destroys the 503
+        before the client reads it."""
+        self._refused += 1
+        try:
+            await self._next_request(reader, writer)
+        except HttpRequestError:
+            pass
+        error = {"error": f"connection limit of {MAX_CONNECTIONS} reached"}
+        await finish_response(writer, http_response(503, error))
 
     async def _respond(
         self, method: str, target: str, body: bytes
@@ -295,7 +462,8 @@ class DetectionHTTPServer(Listener):
             return backend.healthz()
         if target == "/stats" and method == "GET":
             stats = backend.stats()
-            return 200, (await stats) if inspect.isawaitable(stats) else stats
+            stats = (await stats) if inspect.isawaitable(stats) else stats
+            return 200, {**stats, "http": self._http_stats()}
         if target == "/detect":
             if method != "POST":
                 return 405, {"error": "use POST /detect"}

@@ -112,9 +112,9 @@ class ReplicaServer(Listener):
     The inward-facing twin of
     :class:`~repro.serving.http.DetectionHTTPServer`, on the same
     :class:`~repro.serving.http.Listener` lifecycle and graceful drain,
-    but with a persistent multiplexed connection instead of HTTP
-    ``Connection: close`` — the router keeps one socket per replica and
-    pipelines every request over it.
+    but with one multiplexed connection instead of HTTP's in-order
+    keep-alive — the router keeps one socket per replica and pipelines
+    every request over it, answered in whatever order they finish.
 
     >>> server = ReplicaServer(service, port=0)        # doctest: +SKIP
     >>> await server.start()      # server.port is the bound port

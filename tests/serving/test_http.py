@@ -132,9 +132,11 @@ class TestRoutes:
 
 
 async def _raw_exchange(port: int, payload: bytes, close_early: bool = False):
-    """Speak raw bytes to the server; return the response (b"" if the
-    connection was abandoned). ``close_early`` drops the connection
-    after writing ``payload`` without finishing the request."""
+    """Speak raw bytes to the server; return everything it sends until
+    it closes (b"" if the connection was abandoned), so a well-formed
+    ``payload`` must ask for ``Connection: close``. ``close_early``
+    drops the connection after writing ``payload`` without finishing
+    the request."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     writer.write(payload)
     await writer.drain()
@@ -235,7 +237,7 @@ class TestProtocolEdges:
         with pytest.raises(HttpRequestError) as info:
             asyncio.run(parse(filler))
         assert info.value.status == 431
-        assert asyncio.run(parse(filler[:-1])) == ("GET", "/stats", b"")
+        assert asyncio.run(parse(filler[:-1])) == ("GET", "/stats", b"", False)
 
     def test_slow_client_is_408(self, compiled, monkeypatch):
         """A client that stops mid-header-block is answered 408 once the
@@ -272,7 +274,7 @@ class TestProtocolEdges:
             server.backend.detect = overloaded
             body = json.dumps({"query": "q"}).encode()
             request = (
-                b"POST /detect HTTP/1.1\r\nContent-Length: "
+                b"POST /detect HTTP/1.1\r\nConnection: close\r\nContent-Length: "
                 + str(len(body)).encode()
                 + b"\r\n\r\n"
                 + body
@@ -362,25 +364,64 @@ def _split(response: bytes) -> tuple[int, bytes]:
     return int(head.split(b" ", 2)[1]), body
 
 
+def _post(path: str, body: bytes, extra: bytes = b"", version: str = "HTTP/1.1") -> bytes:
+    """One raw POST; ``extra`` is spliced in as additional header lines."""
+    return (
+        f"POST {path} {version}\r\nContent-Length: {len(body)}\r\n".encode()
+        + extra
+        + b"\r\n"
+        + body
+    )
+
+
+def _get(path: str, extra: bytes = b"") -> bytes:
+    return f"GET {path} HTTP/1.1\r\n".encode() + extra + b"\r\n"
+
+
+def _detect_request(query: str, extra: bytes = b"", version: str = "HTTP/1.1") -> bytes:
+    return _post("/detect", json.dumps({"query": query}).encode(), extra, version)
+
+
+async def _read_response(reader: asyncio.StreamReader) -> tuple[int, dict, bytes]:
+    """Read exactly one response off a kept-alive connection:
+    (status, lower-cased headers, body)."""
+    head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout=10)
+    status_line, *lines = head.decode("ascii").split("\r\n")[:-2]
+    headers = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = await reader.readexactly(int(headers["content-length"]))
+    return int(status_line.split()[1]), headers, body
+
+
+async def _at_eof(reader: asyncio.StreamReader) -> bool:
+    """Whether the server closed the connection (nothing more to read)."""
+    return await asyncio.wait_for(reader.read(), timeout=10) == b""
+
+
+QUERY = "cheap hotels in rome"
+
+FRONT_DOORS = pytest.mark.parametrize(
+    "front_door",
+    [_service_front_door, _router_front_door],
+    ids=["service", "router"],
+)
+
+
 class TestConformance:
     """Both backends behind the one front door answer alike."""
 
-    @pytest.mark.parametrize(
-        "front_door",
-        [_service_front_door, _router_front_door],
-        ids=["service", "router"],
-    )
+    @FRONT_DOORS
     def test_backends_answer_alike(self, compiled, front_door, tmp_path, monkeypatch):
         monkeypatch.setattr(http_module, "READ_TIMEOUT_S", 0.2)
         query = "cheap hotels in rome"
 
         def post(path: str, body: bytes) -> bytes:
-            return (
-                f"POST {path} HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
-            ).encode() + body
+            return _post(path, body, b"Connection: close\r\n")
 
         def get(path: str) -> bytes:
-            return f"GET {path} HTTP/1.1\r\n\r\n".encode()
+            return _get(path, b"Connection: close\r\n")
 
         missing = json.dumps({"snapshot": str(tmp_path / "missing.hdms")})
         requests = {
@@ -431,3 +472,258 @@ class TestConformance:
             "slow": 408,
         }
         assert b"snapshot rejected" in answers["reload_missing"][1]
+
+    @FRONT_DOORS
+    def test_keep_alive_answers_in_order(self, compiled, front_door):
+        """Several requests on one socket, two of them pipelined in one
+        write, get byte-identical bodies in order on a connection that
+        stays open until the client asks to close it."""
+        queries = [
+            "cheap hotels in rome",
+            "iphone 5s case",
+            "best resorts in chicago",
+            "cheap hotels in rome",
+        ]
+
+        async def main():
+            server, teardown = await front_door(compiled)
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                answers = []
+                writer.write(_detect_request(queries[0]))
+                answers.append(await _read_response(reader))
+                writer.write(_detect_request(queries[1]) + _detect_request(queries[2]))
+                answers.append(await _read_response(reader))
+                answers.append(await _read_response(reader))
+                writer.write(_detect_request(queries[3], b"Connection: close\r\n"))
+                answers.append(await _read_response(reader))
+                closed = await _at_eof(reader)
+                writer.close()
+                await writer.wait_closed()
+                return answers, closed, server._http_stats()
+            finally:
+                await teardown()
+
+        answers, closed, http = asyncio.run(main())
+        expected = [
+            (json.dumps(detection_payload(compiled.detect(q)), sort_keys=True) + "\n").encode()
+            for q in queries
+        ]
+        assert [body for _, _, body in answers] == expected
+        assert [status for status, _, _ in answers] == [200] * len(queries)
+        assert ["connection" in headers for _, headers, _ in answers] == [
+            False, False, False, True
+        ]
+        assert answers[-1][1]["connection"] == "close"
+        assert closed
+        assert http["connections_opened"] == 1
+        assert http["requests"] == len(queries)
+
+    @FRONT_DOORS
+    @pytest.mark.parametrize(
+        ("raw", "status"),
+        [
+            pytest.param(
+                _detect_request(QUERY, b"Connection: close\r\n"), 200, id="connection-close"
+            ),
+            pytest.param(
+                _detect_request(QUERY, b"Connection: Keep-Alive, Close\r\n"),
+                200,
+                id="close-token",
+            ),
+            pytest.param(_detect_request(QUERY, version="HTTP/1.0"), 200, id="http-1.0"),
+            # A body framed by Transfer-Encoding is not read, so its bytes
+            # would parse as the next request: answer (400, no JSON body)
+            # and close.
+            pytest.param(
+                b"POST /detect HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"21\r\n" + json.dumps({"query": QUERY}).encode() + b"\r\n0\r\n\r\n",
+                400,
+                id="chunked",
+            ),
+            # Parse errors leave the stream position unknown.
+            pytest.param(b"\r\n\r\n", 400, id="400"),
+            pytest.param(b"POST /detect HTTP/1.1\r\nContent-Le", 408, id="408"),
+            pytest.param(_post("/detect", b"x" * (65 * 1024)), 413, id="413"),
+            pytest.param(
+                _get(
+                    "/stats",
+                    b"".join(b"X-F%d: y\r\n" % i for i in range(MAX_HEADER_LINES + 1)),
+                ),
+                431,
+                id="431",
+            ),
+        ],
+    )
+    def test_answer_then_close(self, compiled, front_door, raw, status, monkeypatch):
+        """The client's close intent and every parse error end the
+        connection: the answer carries ``Connection: close``, then EOF."""
+        monkeypatch.setattr(http_module, "READ_TIMEOUT_S", 0.2)
+
+        async def main():
+            server, teardown = await front_door(compiled)
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                writer.write(raw)
+                answer = await _read_response(reader)
+                closed = await _at_eof(reader)
+                writer.close()
+                await writer.wait_closed()
+                return answer, closed
+            finally:
+                await teardown()
+
+        (answered, headers, body), closed = asyncio.run(main())
+        assert answered == status
+        if status == 200:
+            assert json.loads(body)["head"] == "hotels"
+        assert headers["connection"] == "close"
+        assert closed
+
+    @FRONT_DOORS
+    def test_connection_cap_refuses_one_more(self, compiled, front_door, monkeypatch):
+        """At ``MAX_CONNECTIONS`` open connections the next one is
+        answered 503 with ``Retry-After`` and closed; the open ones keep
+        being served."""
+        monkeypatch.setattr(http_module, "MAX_CONNECTIONS", 2)
+
+        async def main():
+            server, teardown = await front_door(compiled)
+            port = server.port
+            try:
+                held = [await asyncio.open_connection("127.0.0.1", port) for _ in range(2)]
+                for reader, writer in held:  # both accepted and kept alive
+                    writer.write(_detect_request("iphone 5s case"))
+                    assert (await _read_response(reader))[0] == 200
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(_detect_request("iphone 5s case"))
+                refused = await _read_response(reader)
+                refused_closed = await _at_eof(reader)
+                writer.close()
+                first_reader, first_writer = held[0]
+                first_writer.write(_get("/stats"))
+                status, _, stats = await _read_response(first_reader)
+                assert status == 200
+                for _, held_writer in held:
+                    held_writer.close()
+                return refused, refused_closed, json.loads(stats)["http"]
+            finally:
+                await teardown()
+
+        (status, headers, body), closed, http = asyncio.run(main())
+        assert status == 503
+        assert headers["retry-after"] == "1"
+        assert headers["connection"] == "close"
+        assert b"connection limit" in body
+        assert closed
+        assert http["refused_at_cap"] == 1
+        assert http["connections_opened"] == 2
+        assert http["connections_open"] == 2
+
+    @FRONT_DOORS
+    def test_stats_carry_http_block(self, compiled, front_door):
+        """``GET /stats`` reports connection reuse without a profiler:
+        two requests on one kept-alive connection, then ``/stats`` on a
+        second one."""
+
+        async def main():
+            server, teardown = await front_door(compiled)
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                for query in ("iphone 5s case", "laptop backpack"):
+                    writer.write(_detect_request(query))
+                    await _read_response(reader)
+                writer.close()
+                await writer.wait_closed()
+                status, payload = await _exchange(server.port, "/stats")
+                return status, payload
+            finally:
+                await teardown()
+
+        status, payload = asyncio.run(main())
+        assert status == 200
+        http = payload["http"]
+        assert http["connections_opened"] == 2
+        assert http["requests"] == 3
+        assert http["refused_at_cap"] == 0
+        assert http["connections_open"] == 1  # the /stats request itself
+
+
+class TestKeepAliveLifecycle:
+    def test_idle_connection_closes_without_response(self, compiled, monkeypatch):
+        """A kept-alive connection idle for ``READ_TIMEOUT_S`` is hung up
+        with no response; a request already under way still gets 408."""
+        monkeypatch.setattr(http_module, "READ_TIMEOUT_S", 0.2)
+
+        async def handler(server, port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(_detect_request("cheap hotels in rome"))
+            status = (await _read_response(reader))[0]
+            idle_tail = await asyncio.wait_for(reader.read(), timeout=5)
+            writer.close()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(_detect_request("cheap hotels in rome"))
+            await _read_response(reader)
+            writer.write(b"POST /detect HTTP/1.1\r\nContent-Le")
+            stalled = await _read_response(reader)
+            writer.close()
+            return status, idle_tail, stalled[0]
+
+        status, idle_tail, stalled = asyncio.run(serve(handler)(compiled))
+        assert status == 200
+        assert idle_tail == b""
+        assert stalled == 408
+
+    def test_stop_hangs_up_idle_and_finishes_in_flight(self, compiled):
+        """``stop()`` returns promptly with an idle client attached, lets
+        an in-flight request finish with its 200 (and ``Connection:
+        close``), and leaves no handler task behind."""
+
+        async def main():
+            service = DetectionService(compiled)
+            server = DetectionHTTPServer(service, port=0)
+            await server.start()
+            port = server.port
+            release = asyncio.Event()
+            detect = service.detect
+
+            async def slow_detect(text):
+                await release.wait()
+                return await detect(text)
+
+            idle_reader, idle_writer = await asyncio.open_connection("127.0.0.1", port)
+            idle_writer.write(_detect_request("iphone 5s case"))
+            assert (await _read_response(idle_reader))[0] == 200
+            service.detect = slow_detect
+            busy_reader, busy_writer = await asyncio.open_connection("127.0.0.1", port)
+            busy_writer.write(_detect_request("cheap hotels in rome"))
+            while server._http_stats()["requests"] != 2:
+                await asyncio.sleep(0.01)
+            started = asyncio.get_running_loop().time()
+            stopping = asyncio.create_task(server.stop())
+            idle_closed = await _at_eof(idle_reader)
+            release.set()
+            answer = await _read_response(busy_reader)
+            busy_closed = await _at_eof(busy_reader)
+            await asyncio.wait_for(stopping, timeout=5)
+            elapsed = asyncio.get_running_loop().time() - started
+            for writer in (idle_writer, busy_writer):
+                writer.close()
+            await asyncio.sleep(0)
+            leftover = [
+                task
+                for task in asyncio.all_tasks()
+                if task is not asyncio.current_task() and not task.done()
+            ]
+            return idle_closed, answer, busy_closed, elapsed, server, leftover
+
+        idle_closed, answer, busy_closed, elapsed, server, leftover = asyncio.run(main())
+        status, headers, body = answer
+        assert idle_closed
+        assert status == 200
+        assert json.loads(body)["head"] == "hotels"
+        assert headers["connection"] == "close"
+        assert busy_closed
+        assert elapsed < 1.0
+        assert server._http_stats()["connections_open"] == 0
+        assert leftover == []

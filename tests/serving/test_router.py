@@ -963,7 +963,10 @@ async def _http(port: int, method: str, path: str, body: str | None = None):
     """Minimal HTTP exchange; returns (status, parsed JSON body)."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     payload = (body or "").encode("utf-8")
-    head = f"{method} {path} HTTP/1.1\r\nContent-Length: {len(payload)}\r\n\r\n"
+    head = (
+        f"{method} {path} HTTP/1.1\r\nConnection: close\r\n"
+        f"Content-Length: {len(payload)}\r\n\r\n"
+    )
     writer.write(head.encode("ascii") + payload)
     await writer.drain()
     raw = await asyncio.wait_for(reader.read(-1), timeout=10)
