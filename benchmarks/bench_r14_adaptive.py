@@ -43,7 +43,6 @@ from repro.core.conceptualizer import Conceptualizer
 from repro.errors import ReplicaUnavailableError, ServerOverloadedError
 from repro.eval import format_table
 from repro.runtime import CompiledDetector
-from repro.runtime.compiled import _normalize_fast
 from repro.serving import DetectionService
 from repro.serving.http import detection_payload
 from repro.serving.replica import ReplicaServer
@@ -53,6 +52,7 @@ from repro.serving.router import (
     Router,
     RouterConfig,
 )
+from repro.text.normalizer import normalize_fast
 
 # -- part 1: hedging ---------------------------------------------------
 HEDGE_QUERIES_PER_REPLICA = 256
@@ -81,7 +81,7 @@ def _owned_query(owner: str, template: str, marker: str = "") -> str:
     """A query string whose normalized form the ring assigns to ``owner``."""
     for n in range(10_000):
         query = f"{marker}{template.format(n)}".strip()
-        if RING.node_for(_normalize_fast(query)) == owner:
+        if RING.node_for(normalize_fast(query)) == owner:
             return query
     raise AssertionError(f"no query found for owner {owner}")
 
@@ -299,7 +299,7 @@ async def _join_hit_rate(compiled, warmup_keys: int) -> dict:
         for owner in ("r0", "r1")
         for index in range(WARM_KEYS_PER_REPLICA)
     ]
-    r1_hot = [q for q in hot if RING.node_for(_normalize_fast(q)) == "r1"]
+    r1_hot = [q for q in hot if RING.node_for(normalize_fast(q)) == "r1"]
     config = RouterConfig(health_interval_s=30.0, warmup_keys=warmup_keys)
     servers = [
         ReplicaServer(DetectionService(compiled), port=0) for _ in range(2)

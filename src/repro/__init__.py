@@ -19,29 +19,42 @@ Quickstart::
 
 See DESIGN.md for the architecture and EXPERIMENTS.md for the reproduced
 evaluation.
+
+Public names resolve on first use (:mod:`repro.utils.lazy`): ``import
+repro`` loads only that helper, and each process — ``repro serve``, the
+router, a replica, training — imports only the modules it runs.
+:mod:`repro.analysis` is the exception and stays eager, because its lint
+rules register themselves when their modules are imported.
 """
 
-from repro.core import (
-    ConceptPattern,
-    Conceptualizer,
-    ConstraintClassifier,
-    Detection,
-    DetectorConfig,
-    HdmModel,
-    HeadModifierDetector,
-    PatternTable,
-    RuleConstraintClassifier,
-    Segmenter,
-    TermRole,
-    TrainingConfig,
-    load_model,
-    save_model,
-    train_model,
-)
-from repro.errors import ReproError
-from repro.mining import MiningConfig, mine_pairs
-from repro.querylog import LogConfig, QueryLog, generate_log
-from repro.taxonomy import ConceptTaxonomy, TypicalityScorer, build_from_seed
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core import (
+        ConceptPattern,
+        Conceptualizer,
+        ConstraintClassifier,
+        Detection,
+        DetectorConfig,
+        HdmModel,
+        HeadModifierDetector,
+        PatternTable,
+        RuleConstraintClassifier,
+        Segmenter,
+        TermRole,
+        TrainingConfig,
+        load_model,
+        save_model,
+        train_model,
+    )
+    from repro.errors import ReproError
+    from repro.mining import MiningConfig, mine_pairs
+    from repro.querylog import LogConfig, QueryLog, generate_log
+    from repro.taxonomy import ConceptTaxonomy, TypicalityScorer, build_from_seed
 
 __version__ = "1.0.0"
 
@@ -75,6 +88,39 @@ __all__ = [
 ]
 
 
+if not TYPE_CHECKING:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.core": (
+                "ConceptPattern",
+                "Conceptualizer",
+                "ConstraintClassifier",
+                "Detection",
+                "DetectorConfig",
+                "HdmModel",
+                "HeadModifierDetector",
+                "PatternTable",
+                "RuleConstraintClassifier",
+                "Segmenter",
+                "TermRole",
+                "TrainingConfig",
+                "load_model",
+                "save_model",
+                "train_model",
+            ),
+            "repro.errors": ("ReproError",),
+            "repro.mining": ("MiningConfig", "mine_pairs"),
+            "repro.querylog": ("LogConfig", "QueryLog", "generate_log"),
+            "repro.taxonomy": (
+                "ConceptTaxonomy",
+                "TypicalityScorer",
+                "build_from_seed",
+            ),
+        },
+    )
+
+
 def build_default_model(
     seed: int = 13,
     num_intents: int = 4000,
@@ -88,6 +134,10 @@ def build_default_model(
     pipeline. ``vectorized`` selects the fast training path
     (:mod:`repro.training`), which is output-identical to the reference.
     """
+    from repro.core.pipeline import train_model
+    from repro.querylog.generator import LogConfig, generate_log
+    from repro.taxonomy.builder import build_from_seed
+
     taxonomy = build_from_seed()
     log = generate_log(taxonomy, LogConfig(seed=seed, num_intents=num_intents))
     return train_model(log, taxonomy, config, vectorized=vectorized)

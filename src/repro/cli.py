@@ -31,17 +31,7 @@ import sys
 from collections.abc import Sequence
 
 from repro import __version__
-from repro.core.model import load_model, save_model
-from repro.core.pipeline import TrainingConfig, train_model
 from repro.errors import ReproError
-from repro.eval.datasets import build_eval_set
-from repro.eval.harness import evaluate_constraints, evaluate_head_detection
-from repro.eval.reporting import format_table
-from repro.querylog.generator import LogConfig, generate_log
-from repro.querylog.storage import load_query_log, save_query_log
-from repro.taxonomy.builder import build_from_corpus, build_from_seed
-from repro.taxonomy.corpus import CorpusConfig, generate_corpus
-from repro.taxonomy.serialization import load_taxonomy_tsv, save_taxonomy_tsv
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -404,6 +394,10 @@ def _add_router_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_taxonomy_build(args: argparse.Namespace) -> int:
+    from repro.taxonomy.builder import build_from_corpus, build_from_seed
+    from repro.taxonomy.corpus import CorpusConfig, generate_corpus
+    from repro.taxonomy.serialization import save_taxonomy_tsv
+
     if args.from_corpus:
         config = CorpusConfig(seed=args.seed, sentences_per_concept=args.sentences)
         taxonomy = build_from_corpus(generate_corpus(config), min_count=args.min_count)
@@ -418,6 +412,10 @@ def _cmd_taxonomy_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_log_generate(args: argparse.Namespace) -> int:
+    from repro.querylog.generator import LogConfig, generate_log
+    from repro.querylog.storage import save_query_log
+    from repro.taxonomy.serialization import load_taxonomy_tsv
+
     taxonomy = load_taxonomy_tsv(args.taxonomy)
     log = generate_log(taxonomy, LogConfig(seed=args.seed, num_intents=args.intents))
     save_query_log(log, args.out, include_gold=not args.no_gold)
@@ -431,6 +429,12 @@ def _cmd_log_generate(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     if args.append:
         return _cmd_train_append(args)
+
+    from repro.core.model import save_model
+    from repro.core.pipeline import TrainingConfig, train_model
+    from repro.querylog.storage import load_query_log
+    from repro.taxonomy.serialization import load_taxonomy_tsv
+
     if not args.log or not args.taxonomy or not args.out:
         print(
             "error: train needs --log, --taxonomy, and --out "
@@ -497,6 +501,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_append(args: argparse.Namespace) -> int:
+    from repro.core.model import save_model
+    from repro.querylog.storage import load_query_log
     from repro.training.incremental import IncrementalTrainer
 
     if not args.base:
@@ -570,6 +576,8 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    from repro.core.model import load_model
+
     model = load_model(args.model)
     compiled = model.compile(correct_spelling=args.spell)
     header = compiled.save_snapshot(args.out)
@@ -715,6 +723,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             return 2
         detector = CompiledDetector.load_snapshot(args.snapshot)
     else:
+        from repro.core.model import load_model
+
         model = load_model(args.model)
         detector = model.detector(correct_spelling=args.spell)
     if args.explain:
@@ -777,6 +787,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 )
                 return 2
         return _run_router_cli(args)
+    config = _serving_config(args)
     if args.snapshot:
         from repro.runtime import read_snapshot_header
         from repro.runtime.compiled import CompiledDetector
@@ -790,9 +801,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
         detector = CompiledDetector.load_snapshot(args.snapshot)
     else:
+        from repro.core.model import load_model
+
         model = load_model(args.model)
         detector = model.compile(correct_spelling=args.spell)
-    service = DetectionService(detector, _serving_config(args))
+    service = DetectionService(detector, config)
 
     def _ready(port: int) -> None:
         print(f"serving on http://{args.host}:{port}", flush=True)
@@ -847,6 +860,9 @@ def _run_router_cli(args: argparse.Namespace) -> int:
             hedge_rate=args.hedge_rate,
             warmup_keys=args.warmup_keys,
         )
+        # Validated here, before any replica is spawned, so a bad flag is
+        # one clean error rather than a fleet of crashing children.
+        serving = _serving_config(args)
     except ServingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -856,9 +872,9 @@ def _run_router_cli(args: argparse.Namespace) -> int:
         args.snapshot,
         initial,
         extra_args=[
-            "--max-batch-size", str(args.max_batch_size),
-            "--max-pending", str(args.max_pending),
-            "--cache-size", str(args.cache_size),
+            "--max-batch-size", str(serving.max_batch_size),
+            "--max-pending", str(serving.max_pending),
+            "--cache-size", str(serving.cache_size),
         ],
     )
 
@@ -904,6 +920,12 @@ def _cmd_replica(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from repro.core.model import load_model
+    from repro.eval.datasets import build_eval_set
+    from repro.eval.harness import evaluate_constraints, evaluate_head_detection
+    from repro.eval.reporting import format_table
+    from repro.querylog.storage import load_query_log
+
     model = load_model(args.model)
     log = load_query_log(args.log)
     examples = build_eval_set(log, min_modifiers=1, max_examples=args.max_examples)
@@ -934,6 +956,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_patterns(args: argparse.Namespace) -> int:
+    from repro.core.model import load_model
+    from repro.eval.reporting import format_table
+
     model = load_model(args.model)
     rows = [
         [pattern.modifier_concept, pattern.head_concept, weight]
@@ -951,6 +976,7 @@ def _cmd_patterns(args: argparse.Namespace) -> int:
 
 def _cmd_rewrite(args: argparse.Namespace) -> int:
     from repro.apps.rewriter import QueryRewriter
+    from repro.core.model import load_model
 
     model = load_model(args.model)
     rewriter = QueryRewriter(model.detector())
@@ -964,6 +990,7 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
 
 def _cmd_similar(args: argparse.Namespace) -> int:
     from repro.apps.similarity import QueryIntentMatcher
+    from repro.core.model import load_model
 
     model = load_model(args.model)
     matcher = QueryIntentMatcher(model.detector())

@@ -15,29 +15,50 @@ Pipeline (abstract, steps 2-4):
   constraint classifier separating specific modifiers from subjective ones.
 - :mod:`repro.core.model` / :mod:`repro.core.pipeline` — bundling,
   persistence, and end-to-end training from a query log.
+
+Public names resolve on first use (:mod:`repro.utils.lazy`), so importing
+the package loads none of its submodules.
 """
 
-from repro.core.analysis import (
-    compare_tables,
-    direction_conflicts,
-    pair_coverage,
-    summarize_table,
-)
-from repro.core.compound import CompoundDetection, CompoundDetector
-from repro.core.conceptualizer import Conceptualizer
-from repro.core.concept_patterns import ConceptPattern, PatternTable, derive_pattern_table
-from repro.core.constraints import ConstraintClassifier, LogisticRegression, RuleConstraintClassifier
-from repro.core.detector import Detection, DetectorConfig, HeadModifierDetector, TermRole
-from repro.core.explain import (
-    CandidateScore,
-    DetectionExplanation,
-    PatternContribution,
-    explain_detection,
-)
-from repro.core.features import ConstraintFeatureExtractor, FEATURE_NAMES
-from repro.core.model import HdmModel, load_model, save_model
-from repro.core.pipeline import TrainingConfig, train_model
-from repro.core.segmentation import Segment, Segmenter
+from typing import TYPE_CHECKING
+
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.analysis import (
+        compare_tables,
+        direction_conflicts,
+        pair_coverage,
+        summarize_table,
+    )
+    from repro.core.compound import CompoundDetection, CompoundDetector
+    from repro.core.conceptualizer import Conceptualizer
+    from repro.core.concept_patterns import (
+        ConceptPattern,
+        PatternTable,
+        derive_pattern_table,
+    )
+    from repro.core.constraints import (
+        ConstraintClassifier,
+        LogisticRegression,
+        RuleConstraintClassifier,
+    )
+    from repro.core.detector import (
+        Detection,
+        DetectorConfig,
+        HeadModifierDetector,
+        TermRole,
+    )
+    from repro.core.explain import (
+        CandidateScore,
+        DetectionExplanation,
+        PatternContribution,
+        explain_detection,
+    )
+    from repro.core.features import ConstraintFeatureExtractor, FEATURE_NAMES
+    from repro.core.model import HdmModel, load_model, save_model
+    from repro.core.pipeline import TrainingConfig, train_model
+    from repro.core.segmentation import Segment, Segmenter
 
 __all__ = [
     "Conceptualizer",
@@ -71,3 +92,44 @@ __all__ = [
     "pair_coverage",
     "compare_tables",
 ]
+
+if not TYPE_CHECKING:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.core.analysis": (
+                "compare_tables",
+                "direction_conflicts",
+                "pair_coverage",
+                "summarize_table",
+            ),
+            "repro.core.compound": ("CompoundDetection", "CompoundDetector"),
+            "repro.core.conceptualizer": ("Conceptualizer",),
+            "repro.core.concept_patterns": (
+                "ConceptPattern",
+                "PatternTable",
+                "derive_pattern_table",
+            ),
+            "repro.core.constraints": (
+                "ConstraintClassifier",
+                "LogisticRegression",
+                "RuleConstraintClassifier",
+            ),
+            "repro.core.detector": (
+                "Detection",
+                "DetectorConfig",
+                "HeadModifierDetector",
+                "TermRole",
+            ),
+            "repro.core.explain": (
+                "CandidateScore",
+                "DetectionExplanation",
+                "PatternContribution",
+                "explain_detection",
+            ),
+            "repro.core.features": ("ConstraintFeatureExtractor", "FEATURE_NAMES"),
+            "repro.core.model": ("HdmModel", "load_model", "save_model"),
+            "repro.core.pipeline": ("TrainingConfig", "train_model"),
+            "repro.core.segmentation": ("Segment", "Segmenter"),
+        },
+    )

@@ -12,21 +12,29 @@ labelling, by exploiting regularities of the log itself:
 
 Both miners emit :class:`MinedPair` evidence; :func:`mine_pairs` merges and
 filters them.
+
+Public names resolve on first use (:mod:`repro.utils.lazy`), so importing
+the package loads none of its submodules.
 """
 
-from repro.mining.pairs import (
-    DeletionMiner,
-    LexicalPatternMiner,
-    MinedPair,
-    MiningConfig,
-    PairCollection,
-    mine_pairs,
-)
-from repro.mining.sessions import (
-    ReformulationEvidence,
-    ReformulationMiner,
-    SessionConstraintClassifier,
-)
+from typing import TYPE_CHECKING
+
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.mining.pairs import (
+        DeletionMiner,
+        LexicalPatternMiner,
+        MinedPair,
+        MiningConfig,
+        PairCollection,
+        mine_pairs,
+    )
+    from repro.mining.sessions import (
+        ReformulationEvidence,
+        ReformulationMiner,
+        SessionConstraintClassifier,
+    )
 
 __all__ = [
     "MinedPair",
@@ -39,3 +47,23 @@ __all__ = [
     "ReformulationMiner",
     "SessionConstraintClassifier",
 ]
+
+if not TYPE_CHECKING:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.mining.pairs": (
+                "DeletionMiner",
+                "LexicalPatternMiner",
+                "MinedPair",
+                "MiningConfig",
+                "PairCollection",
+                "mine_pairs",
+            ),
+            "repro.mining.sessions": (
+                "ReformulationEvidence",
+                "ReformulationMiner",
+                "SessionConstraintClassifier",
+            ),
+        },
+    )

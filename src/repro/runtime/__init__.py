@@ -17,23 +17,29 @@ For serving, the compiled state persists as a binary **snapshot**
 ``mmap`` so cold-start skips recompilation and concurrent replica
 processes (:mod:`repro.serving.router`) share read-only pages. See
 ``docs/TOUR.md`` § "Runtime & performance".
+
+Public names resolve on first use (:mod:`repro.utils.lazy`).
+:data:`SNAPSHOT_VERSION` and :func:`read_snapshot_header` come from the
+NumPy-free :mod:`repro.runtime.snapshot_header`, so reading a snapshot's
+header (the router, ``repro snapshot --info``) loads no NumPy.
 """
 
-from repro.runtime.compiled import (
-    DENSE_LIMIT,
-    CompiledDetector,
-    CompiledSegmenter,
-    PatternMatrix,
-    PhraseReading,
-)
-from repro.runtime.intern import UNKNOWN, Interner
-from repro.runtime.snapshot import (
-    SNAPSHOT_VERSION,
-    load_snapshot,
-    read_snapshot_header,
-    save_snapshot,
-)
-from repro.runtime.vectorized import SegmentationAutomaton, VectorizedDetector
+from typing import TYPE_CHECKING
+
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.runtime.compiled import (
+        DENSE_LIMIT,
+        CompiledDetector,
+        CompiledSegmenter,
+        PatternMatrix,
+        PhraseReading,
+    )
+    from repro.runtime.intern import UNKNOWN, Interner
+    from repro.runtime.snapshot import load_snapshot, save_snapshot
+    from repro.runtime.snapshot_header import SNAPSHOT_VERSION, read_snapshot_header
+    from repro.runtime.vectorized import SegmentationAutomaton, VectorizedDetector
 
 __all__ = [
     "CompiledDetector",
@@ -50,3 +56,24 @@ __all__ = [
     "read_snapshot_header",
     "save_snapshot",
 ]
+
+if not TYPE_CHECKING:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.runtime.compiled": (
+                "DENSE_LIMIT",
+                "CompiledDetector",
+                "CompiledSegmenter",
+                "PatternMatrix",
+                "PhraseReading",
+            ),
+            "repro.runtime.intern": ("UNKNOWN", "Interner"),
+            "repro.runtime.snapshot": ("load_snapshot", "save_snapshot"),
+            "repro.runtime.snapshot_header": (
+                "SNAPSHOT_VERSION",
+                "read_snapshot_header",
+            ),
+            "repro.runtime.vectorized": ("SegmentationAutomaton", "VectorizedDetector"),
+        },
+    )

@@ -51,7 +51,6 @@ evaluation set.
 from __future__ import annotations
 
 import math
-import re
 
 import numpy as np
 
@@ -81,7 +80,7 @@ from repro.mining.pairs import PairCollection
 from repro.runtime.intern import UNKNOWN, Interner
 from repro.taxonomy.store import ConceptTaxonomy
 from repro.text.lexicon import Lexicon, default_lexicon
-from repro.text.normalizer import normalize, normalize_term
+from repro.text.normalizer import normalize, normalize_fast, normalize_term
 from repro.utils.lru import LruCache
 from repro.utils.mathx import normalize_distribution
 
@@ -99,24 +98,6 @@ DENSE_LIMIT = 2_000_000
 #: honest for warm batch tooling. Override per call via
 #: ``detect_batch(..., min_vectorized_batch=N)``.
 MIN_VECTORIZED_BATCH = 32
-
-#: Characters :func:`repro.text.normalizer.normalize` passes through
-#: unchanged (ASCII, so NFKC and lowercasing are identities too).
-_CANONICAL_RE = re.compile(r"[a-z0-9$%.' ]*")
-
-
-def _normalize_fast(text: str) -> str:
-    """:func:`normalize`, skipping the regex passes when ``text`` is
-    visibly already in normal form (the common case for query traffic)."""
-    if (
-        _CANONICAL_RE.fullmatch(text)
-        and "  " not in text
-        and text[:1] != " "
-        and text[-1:] != " "
-    ):
-        return text
-    return normalize(text)
-
 
 _DROP_SIMILARITY = FEATURE_NAMES.index("drop_similarity")
 _DROP_EVIDENCE_MISSING = FEATURE_NAMES.index("drop_evidence_missing")
@@ -174,7 +155,7 @@ class ConstraintMemo:
             self._generation = stats.generation
         # ``QueryLog.lookup`` normalizes its key; detection queries
         # almost always are normalized already.
-        return stats.log.lookup_exact(_normalize_fast(query))
+        return stats.log.lookup_exact(normalize_fast(query))
 
     def is_constraint(self, record, query: str, modifier: str) -> bool:
         """``ConstraintClassifier.is_constraint(query, modifier)``, given
@@ -777,7 +758,7 @@ class CompiledDetector(HeadModifierDetector):
         nothing but the cost. Spelling correction routes through the
         segmenter's own normalization, exactly like the reference.
         """
-        query = _normalize_fast(text)
+        query = normalize_fast(text)
         if self._speller is not None:
             query = self._speller.correct(query)
         if self._fast_segmenter and self._speller is None:

@@ -18,6 +18,10 @@ same compatibility move as the ``vseg_*`` automaton sections: snapshots
 written before this module load unchanged (:func:`lineage_of` returns
 ``None``), and re-saving one through :func:`save_versioned_snapshot`
 upgrades it in place.
+
+Reading lineage needs only the header, so this module imports the
+NumPy-free :mod:`repro.runtime.snapshot_header`; the serving layer reads
+generations through it without loading the compiled runtime.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ModelError
-from repro.runtime.snapshot import read_snapshot_header, save_snapshot
+from repro.runtime.snapshot_header import read_snapshot_header
 
 if TYPE_CHECKING:
     from repro.runtime.compiled import CompiledDetector
@@ -105,6 +109,8 @@ def save_versioned_snapshot(
     payload CRC is embedded so the chain is verifiable. Returns the
     written header.
     """
+    from repro.runtime.snapshot import save_snapshot
+
     lineage = SnapshotLineage(
         generation=generation,
         record_count=record_count,

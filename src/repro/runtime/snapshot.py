@@ -57,6 +57,8 @@ by ``tests/test_runtime_parity.py`` over the held-out evaluation set.
 Format stability: the prelude magic and version gate the whole file; a
 wrong magic, unsupported version, truncated payload, or CRC mismatch
 raises :class:`~repro.errors.ModelError` with a message naming the file.
+The prelude and :func:`read_snapshot_header` live in the NumPy-free
+:mod:`repro.runtime.snapshot_header`, which this module re-exports.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from __future__ import annotations
 import json
 import mmap
 import os
-import struct
 import tempfile
 import zlib
 from itertools import islice
@@ -81,22 +82,15 @@ from repro.errors import ModelError
 from repro.mining.pairs import PairCollection
 from repro.querylog.models import QueryLog, QueryRecord
 from repro.querylog.stats import LogStatistics
+from repro.runtime.snapshot_header import (
+    _ALIGN,
+    _PRELUDE,
+    MAGIC,
+    SNAPSHOT_VERSION,
+    read_snapshot_header,
+)
 from repro.taxonomy.store import ConceptTaxonomy
 from repro.text.lexicon import Lexicon
-
-#: File magic: "HDM SNAPshot"; the layout version is the u32 after it.
-MAGIC = b"HDMSNAP1"
-
-#: Current snapshot format version. Bump on any layout change: files of
-#: any other version are refused, never parsed best-effort.
-SNAPSHOT_VERSION = 2
-
-#: ``magic (8s) · version (u32) · header length (u32)``, little-endian.
-_PRELUDE = struct.Struct("<8sII")
-
-#: Section payloads start on this alignment so mmap'd array views are
-#: safely aligned for any dtype we store.
-_ALIGN = 64
 
 _I64 = np.dtype("<i8")
 _F64 = np.dtype("<f8")
@@ -493,41 +487,6 @@ def _read_log_statistics(
         num_queries=meta["num_queries"],
         generation=meta["generation"],
     )
-
-
-def read_snapshot_header(path: str | Path) -> dict:
-    """Validate the prelude and return the parsed JSON header.
-
-    Raises :class:`~repro.errors.ModelError` on anything that is not a
-    well-formed snapshot of a supported version.
-    """
-    path = Path(path)
-    try:
-        with open(path, "rb") as handle:
-            prelude = handle.read(_PRELUDE.size)
-            if len(prelude) < _PRELUDE.size:
-                raise ModelError(f"{path}: truncated snapshot (no prelude)")
-            magic, version, header_len = _PRELUDE.unpack(prelude)
-            if magic != MAGIC:
-                raise ModelError(f"{path}: not a detection snapshot (bad magic)")
-            if version != SNAPSHOT_VERSION:
-                raise ModelError(
-                    f"{path}: unsupported snapshot version {version} "
-                    f"(this build reads version {SNAPSHOT_VERSION})"
-                )
-            header_bytes = handle.read(header_len)
-    except OSError as exc:
-        raise ModelError(f"{path}: unreadable snapshot ({exc})") from exc
-    if len(header_bytes) < header_len:
-        raise ModelError(f"{path}: truncated snapshot (incomplete header)")
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ModelError(f"{path}: corrupted snapshot header ({exc})") from exc
-    header["_payload_start"] = (
-        _PRELUDE.size + header_len + ((-(_PRELUDE.size + header_len)) % _ALIGN)
-    )
-    return header
 
 
 def load_snapshot(path: str | Path):

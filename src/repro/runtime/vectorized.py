@@ -54,7 +54,8 @@ from repro.core.segmentation import (
     KIND_WORD,
 )
 from repro.errors import ModelError
-from repro.runtime.compiled import CompiledSegmenter, _normalize_fast, _remember
+from repro.runtime.compiled import CompiledSegmenter, _remember
+from repro.text.normalizer import normalize_fast
 
 _NEG = float("-inf")
 
@@ -333,7 +334,7 @@ class VectorizedDetector:
             if text in results:
                 continue
             results[text] = None
-            query = _normalize_fast(text)
+            query = normalize_fast(text)
             tokens = query.split()
             if not tokens:
                 results[text] = Detection(

@@ -41,22 +41,32 @@ one-shot ``CompiledDetector.detect`` — enforced by
 ``tests/serving/test_service.py`` on the held-out eval set and measured
 by the R10/R12 benchmarks (``benchmarks/bench_r10_serving.py``,
 ``benchmarks/bench_r12_router.py``).
+
+Public names resolve on first use (:mod:`repro.utils.lazy`), so importing
+the package loads none of its submodules. The router process imports only
+:mod:`~repro.serving.router` and what it needs to forward frames — no
+NumPy and no compiled runtime; replicas load the detector.
 """
 
-from repro.serving.batcher import MicroBatcher
-from repro.serving.http import DetectionHTTPServer, detection_payload, run_server
-from repro.serving.metrics import LatencyHistogram, ServingMetrics, StatCounter
-from repro.serving.replica import ReplicaServer
-from repro.serving.router import (
-    Autoscaler,
-    AutoscalerConfig,
-    ConsistentHashRing,
-    FleetSample,
-    ReplicaClient,
-    Router,
-    RouterConfig,
-)
-from repro.serving.service import DetectionService, ServingConfig
+from typing import TYPE_CHECKING
+
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.serving.batcher import MicroBatcher
+    from repro.serving.http import DetectionHTTPServer, detection_payload, run_server
+    from repro.serving.metrics import LatencyHistogram, ServingMetrics, StatCounter
+    from repro.serving.replica import ReplicaServer
+    from repro.serving.router import (
+        Autoscaler,
+        AutoscalerConfig,
+        ConsistentHashRing,
+        FleetSample,
+        ReplicaClient,
+        Router,
+        RouterConfig,
+    )
+    from repro.serving.service import DetectionService, ServingConfig
 
 __all__ = [
     "Autoscaler",
@@ -77,3 +87,32 @@ __all__ = [
     "detection_payload",
     "run_server",
 ]
+
+if not TYPE_CHECKING:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.serving.batcher": ("MicroBatcher",),
+            "repro.serving.http": (
+                "DetectionHTTPServer",
+                "detection_payload",
+                "run_server",
+            ),
+            "repro.serving.metrics": (
+                "LatencyHistogram",
+                "ServingMetrics",
+                "StatCounter",
+            ),
+            "repro.serving.replica": ("ReplicaServer",),
+            "repro.serving.router": (
+                "Autoscaler",
+                "AutoscalerConfig",
+                "ConsistentHashRing",
+                "FleetSample",
+                "ReplicaClient",
+                "Router",
+                "RouterConfig",
+            ),
+            "repro.serving.service": ("DetectionService", "ServingConfig"),
+        },
+    )

@@ -509,23 +509,27 @@ async def run_server(server: Listener, ready=None) -> None:
     """Run ``server`` until SIGINT/SIGTERM, then stop it and return.
 
     The one process run loop behind ``repro serve``, ``repro route`` and
-    ``repro replica``: start the listener, call ``ready`` (optional)
-    with the bound port — the CLI prints its ready line there, tests
-    learn an ephemeral port — wait for a stop signal, then stop the
-    listener (which closes its backend, so in-flight work drains). The
-    backend is closed even when binding fails.
+    ``repro replica``: install the stop-signal handlers, start the
+    listener, call ``ready`` (optional) with the bound port — the CLI
+    prints its ready line there, tests learn an ephemeral port — wait
+    for a stop signal, then stop the listener (which closes its backend,
+    so in-flight work drains). The handlers go in before the listener
+    starts, so a supervisor that signals as soon as it reads the ready
+    line still gets a graceful stop rather than the default kill, which
+    would orphan a router's replicas. The backend is closed even when
+    binding fails.
     """
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()
     try:
-        await server.start()
-        if ready is not None:
-            ready(server.port)
         for signum in _STOP_SIGNALS:
             try:
                 loop.add_signal_handler(signum, stop.set)
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass  # non-main thread or platform without signal support
+        await server.start()
+        if ready is not None:
+            ready(server.port)
         await stop.wait()
     finally:
         await server.stop()

@@ -45,6 +45,7 @@ import asyncio
 import json
 import os
 import struct
+from typing import TYPE_CHECKING
 
 from repro.errors import (
     ModelError,
@@ -53,7 +54,9 @@ from repro.errors import (
     ServerOverloadedError,
 )
 from repro.serving.http import Listener, detection_payload
-from repro.serving.service import DetectionService
+
+if TYPE_CHECKING:
+    from repro.serving.service import DetectionService
 
 #: Largest accepted frame; detection requests and stats payloads are
 #: small, so anything bigger is a protocol violation, not a workload.

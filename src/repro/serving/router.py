@@ -11,12 +11,12 @@ no replica is up, and ``/reload`` is ``502`` when none reloaded. Three
 design decisions carry the architecture:
 
 - **Consistent hashing for cache affinity.** Queries are normalized with
-  the same ``_normalize_fast`` the service uses as its cache key, then
-  placed on a :class:`ConsistentHashRing` (crc32, virtual nodes). The
-  same query always lands on the same replica, so each replica's
-  :class:`~repro.utils.lru.ShardedLruCache` sees a stable slice of the
-  query distribution and stays hot — N replicas give ~N disjoint caches,
-  not N copies of the same cold one. When a replica dies, only its arc
+  the same :func:`~repro.text.normalizer.normalize_fast` the service
+  uses as its cache key, then placed on a :class:`ConsistentHashRing`
+  (crc32, virtual nodes). The same query always lands on the same
+  replica, so each replica's :class:`~repro.utils.lru.ShardedLruCache`
+  sees a stable slice of the query distribution and stays hot — N
+  replicas give ~N disjoint caches, not N copies of the same cold one. When a replica dies, only its arc
   of the ring re-routes (ring order, next live node); the others keep
   their hit rates.
 - **One mmap'd snapshot, shared pages.** Every replica loads the *same*
@@ -95,14 +95,18 @@ from repro.errors import (
     ServerOverloadedError,
     ServingError,
 )
-from repro.runtime.compiled import _normalize_fast
-from repro.runtime.snapshot import read_snapshot_header
+from repro.runtime.snapshot_header import read_snapshot_header
 from repro.serving.metrics import LatencyHistogram, ServingMetrics
 from repro.serving.replica import encode_frame, read_frame
+from repro.text.normalizer import normalize_fast
 
 #: The ready line a spawned replica prints; the router parses it to
 #: learn the ephemeral port a ``--port 0`` replica bound.
 READY_LINE = re.compile(rb"replica listening on ([0-9.]+):(\d+)")
+
+#: How long a replica that closed its stdout before the ready line gets
+#: to exit, so the spawn error can report its exit code.
+_EXIT_WAIT_S = 2.0
 
 
 @dataclass(frozen=True)
@@ -862,7 +866,7 @@ class Router:
             self._metrics.observe("request", perf_counter() - start)
 
     async def _forward(self, text: str) -> dict:
-        key = _normalize_fast(text)
+        key = normalize_fast(text)
         tried: list[str] = []
         rerouted = False
         first_attempt = True
@@ -1567,6 +1571,12 @@ async def _await_ready_line(
     while True:
         line = await process.stdout.readline()
         if not line:
+            # Stdout closes before the child is reaped: wait for its exit
+            # so the message carries the real code, not ``None``.
+            try:
+                await asyncio.wait_for(process.wait(), _EXIT_WAIT_S)
+            except asyncio.TimeoutError:
+                pass  # stdout closed but the child lives on: code None
             raise ReplicaUnavailableError(
                 f"replica process exited (code {process.returncode}) "
                 "before becoming ready"

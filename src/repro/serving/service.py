@@ -5,10 +5,11 @@ snapshot-loaded) behind one ``await service.detect(text)`` coroutine.
 Per request, in order:
 
 1. **Normalize** the text with the same fast normalizer the compiled
-   detector applies first (``_normalize_fast``; pinned bit-identical to
-   the reference :func:`repro.text.normalizer.normalize` by a hypothesis
-   test). A detection is a pure function of the normalized text, so the
-   normal form is the cache and dedup key.
+   detector applies first
+   (:func:`~repro.text.normalizer.normalize_fast`; pinned bit-identical
+   to the reference :func:`~repro.text.normalizer.normalize` by a
+   hypothesis test). A detection is a pure function of the normalized
+   text, so the normal form is the cache and dedup key.
 2. **Result cache** — a :class:`~repro.utils.lru.ShardedLruCache` keyed
    by the normal form. Real query logs are Zipfian; the hot head of the
    distribution is answered here without touching the detector.
@@ -64,11 +65,10 @@ from repro.errors import (
     ServerOverloadedError,
     ServingError,
 )
-from repro.runtime.compiled import _normalize_fast
 from repro.runtime.lineage import model_generation_of
-from repro.runtime.snapshot import load_snapshot
 from repro.serving.batcher import MicroBatcher
 from repro.serving.metrics import ServingMetrics
+from repro.text.normalizer import normalize_fast
 from repro.utils.lru import ShardedLruCache
 
 _MISS = object()
@@ -93,10 +93,10 @@ class ServingConfig:
     cache_shards: int = 8
 
     def __post_init__(self) -> None:
-        if self.max_pending < 1:
-            raise ServingError(
-                f"max_pending must be positive, got {self.max_pending}"
-            )
+        for name in ("max_batch_size", "max_pending", "cache_shards"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ServingError(f"{name} must be positive, got {value}")
         if self.cache_size < 0:
             raise ServingError(f"cache_size must be >= 0, got {self.cache_size}")
 
@@ -204,7 +204,7 @@ class DetectionService:
         if self._closed:
             raise ServerClosedError("detection service is closed")
         self._requests += 1
-        key = _normalize_fast(text)
+        key = normalize_fast(text)
         if self._cache is not None:
             cached = self._cache.get(key, _MISS)
             if cached is not _MISS:
@@ -439,6 +439,8 @@ def _detect_batch_attributed(detector, keys: list[str]) -> list:
 def _load_versioned(path: str) -> tuple[object, int | None]:
     """Load the snapshot at ``path`` with its lineage generation (None
     for a pre-lineage snapshot) — the file I/O half of a hot swap."""
+    from repro.runtime.snapshot import load_snapshot
+
     detector = load_snapshot(path)
     try:
         return detector, model_generation_of(path)

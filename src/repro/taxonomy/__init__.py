@@ -14,21 +14,33 @@ same data structure and the same construction pipeline:
 - :mod:`repro.taxonomy.builder` — builds a taxonomy from the seed directly
   or by running extraction over a corpus.
 - :mod:`repro.taxonomy.serialization` — TSV save/load.
+
+Public names resolve on first use (:mod:`repro.utils.lazy`), so importing
+the package loads none of its submodules.
 """
 
-from repro.taxonomy.builder import TaxonomyBuilder, build_from_corpus, build_from_seed
-from repro.taxonomy.corpus import CorpusConfig, generate_corpus
-from repro.taxonomy.hearst import HearstExtraction, extract_isa_pairs
-from repro.taxonomy.seed_data import (
-    ConceptSeed,
-    PatternSeed,
-    all_domains,
-    concept_seeds,
-    pattern_seeds,
-)
-from repro.taxonomy.serialization import load_taxonomy_tsv, save_taxonomy_tsv
-from repro.taxonomy.store import ConceptTaxonomy
-from repro.taxonomy.typicality import TypicalityScorer
+from typing import TYPE_CHECKING
+
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.taxonomy.builder import (
+        TaxonomyBuilder,
+        build_from_corpus,
+        build_from_seed,
+    )
+    from repro.taxonomy.corpus import CorpusConfig, generate_corpus
+    from repro.taxonomy.hearst import HearstExtraction, extract_isa_pairs
+    from repro.taxonomy.seed_data import (
+        ConceptSeed,
+        PatternSeed,
+        all_domains,
+        concept_seeds,
+        pattern_seeds,
+    )
+    from repro.taxonomy.serialization import load_taxonomy_tsv, save_taxonomy_tsv
+    from repro.taxonomy.store import ConceptTaxonomy
+    from repro.taxonomy.typicality import TypicalityScorer
 
 __all__ = [
     "ConceptTaxonomy",
@@ -48,3 +60,27 @@ __all__ = [
     "save_taxonomy_tsv",
     "load_taxonomy_tsv",
 ]
+
+if not TYPE_CHECKING:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.taxonomy.builder": (
+                "TaxonomyBuilder",
+                "build_from_corpus",
+                "build_from_seed",
+            ),
+            "repro.taxonomy.corpus": ("CorpusConfig", "generate_corpus"),
+            "repro.taxonomy.hearst": ("HearstExtraction", "extract_isa_pairs"),
+            "repro.taxonomy.seed_data": (
+                "ConceptSeed",
+                "PatternSeed",
+                "all_domains",
+                "concept_seeds",
+                "pattern_seeds",
+            ),
+            "repro.taxonomy.serialization": ("load_taxonomy_tsv", "save_taxonomy_tsv"),
+            "repro.taxonomy.store": ("ConceptTaxonomy",),
+            "repro.taxonomy.typicality": ("TypicalityScorer",),
+        },
+    )

@@ -14,6 +14,10 @@ _WS_RE = re.compile(r"\s+")
 _DASH_RE = re.compile(r"[-–—_/]+")
 _STRIP_RE = re.compile(r"[^\w\s$%.']", re.UNICODE)
 
+#: Characters :func:`normalize` passes through unchanged (ASCII, so NFKC
+#: and lowercasing are identities too).
+_CANONICAL_RE = re.compile(r"[a-z0-9$%.' ]*")
+
 
 def normalize(text: str) -> str:
     """Return the canonical form of ``text``.
@@ -31,6 +35,24 @@ def normalize(text: str) -> str:
     text = _STRIP_RE.sub(" ", text)
     text = _WS_RE.sub(" ", text)
     return text.strip()
+
+
+def normalize_fast(text: str) -> str:
+    """:func:`normalize`, skipping the regex passes when ``text`` is
+    visibly already in normal form (the common case for query traffic).
+
+    The serving layer keys its result cache and the router's hash ring
+    on this, so it must equal :func:`normalize` on every input
+    (``tests/test_runtime_parity.py``).
+    """
+    if (
+        _CANONICAL_RE.fullmatch(text)
+        and "  " not in text
+        and text[:1] != " "
+        and text[-1:] != " "
+    ):
+        return text
+    return normalize(text)
 
 
 def normalize_term(term: str) -> str:

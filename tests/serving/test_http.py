@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ServerOverloadedError
 from repro.serving import (
     DetectionHTTPServer,
@@ -332,6 +338,39 @@ class TestShutdown:
                 await _exchange(port, "/healthz")
 
         asyncio.run(main())
+
+    def test_stop_signal_right_after_ready_drains(self):
+        """A supervisor that signals as soon as it reads the ready line
+        gets a graceful stop: the handlers are in before ``ready`` runs,
+        so SIGTERM never takes its default, backend-orphaning action."""
+        script = textwrap.dedent(
+            """
+            import asyncio, os, signal
+            from repro.serving.http import DetectionHTTPServer, run_server
+
+            class Backend:
+                async def close(self):
+                    print("backend closed", flush=True)
+
+            def ready(port):
+                os.kill(os.getpid(), signal.SIGTERM)
+
+            asyncio.run(run_server(DetectionHTTPServer(Backend(), port=0), ready))
+            """
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=False,
+        )
+        assert result.returncode == 0, (result.returncode, result.stderr)
+        assert result.stdout == "backend closed\n"
 
 
 async def _service_front_door(compiled):

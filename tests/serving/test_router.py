@@ -13,6 +13,7 @@ import asyncio
 import json
 import os
 import signal
+import sys
 from time import perf_counter
 
 import pytest
@@ -25,7 +26,6 @@ from repro.errors import (
     ServerOverloadedError,
     ServingError,
 )
-from repro.runtime.compiled import _normalize_fast
 from repro.serving import (
     DetectionHTTPServer,
     DetectionService,
@@ -43,6 +43,7 @@ from repro.serving.router import (
     Router,
     RouterConfig,
 )
+from repro.text.normalizer import normalize_fast
 
 QUERIES = [
     "cheap hotels in rome",
@@ -317,7 +318,7 @@ class TestRouterRequestPath:
                     server.backend.stats()["requests"] for server in servers
                 ]
                 owners = {
-                    router._ring.node_for(_normalize_fast(q)) for q in QUERIES
+                    router._ring.node_for(normalize_fast(q)) for q in QUERIES
                 }
                 return per_replica, owners
 
@@ -344,7 +345,7 @@ class TestRouterRequestPath:
         results, health = asyncio.run(main())
         assert len(results) == len(QUERIES) + 1
         for query, payload in results.items():
-            assert payload["query"] == _normalize_fast(query)
+            assert payload["query"] == normalize_fast(query)
         assert health["status"] == "degraded"
         assert health["up"] == 2
 
@@ -629,7 +630,7 @@ def _owned_query(router, owner, template="query {} about hotels", marker=""):
     """A query string whose normalized form the ring assigns to ``owner``."""
     for n in range(10_000):
         query = f"{marker}{template.format(n)}".strip()
-        if router._ring.node_for(_normalize_fast(query)) == owner:
+        if router._ring.node_for(normalize_fast(query)) == owner:
             return query
     raise AssertionError(f"no query found for owner {owner}")
 
@@ -895,6 +896,19 @@ class TestRouterAutoscaling:
                 return await router.autoscale_once()
 
         assert asyncio.run(main()) == {"up": 0, "target": 0, "applied": False}
+
+    def test_dead_replica_reports_its_exit_code(self):
+        """A replica that dies before its ready line is reaped first, so
+        the error names its real exit code rather than ``None``."""
+
+        async def main():
+            router = Router(RouterConfig(health_interval_s=30.0))
+            (handle,) = router.spawn("unused.hdms", 1)
+            router._spawn_command = [sys.executable, "-c", "raise SystemExit(3)"]
+            with pytest.raises(ReplicaUnavailableError, match=r"code 3\)"):
+                await router._spawn_one(handle)
+
+        asyncio.run(main())
 
 
 class TestRestartBackoff:

@@ -400,6 +400,15 @@ class TestServeCommand:
         assert code == 2
         assert "need at least one replica" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["serve", "route"])
+    def test_bad_serving_flag_is_clean_error(self, snapshot, capsys, command):
+        """Rejected before any detector loads or replica spawns."""
+        code = main(
+            [command, "--snapshot", str(snapshot), "--max-batch-size", "0"]
+        )
+        assert code == 2
+        assert "error: max_batch_size must be positive" in capsys.readouterr().err
+
     def test_serve_spell_requires_speller_in_snapshot(self, snapshot, capsys):
         code = main(["serve", "--snapshot", str(snapshot), "--spell"])
         assert code == 2

@@ -38,11 +38,11 @@ from repro.runtime import (
     read_snapshot_header,
     save_snapshot,
 )
-from repro.runtime.compiled import PhraseReading, _normalize_fast
+from repro.runtime.compiled import PhraseReading
 from repro.runtime.intern import Interner
 from repro.runtime.snapshot import _ALIGN, _PRELUDE, MAGIC
 from repro.taxonomy.store import ConceptTaxonomy
-from repro.text.normalizer import normalize
+from repro.text.normalizer import normalize, normalize_fast
 
 EDGE_CASES = [
     "",
@@ -110,7 +110,7 @@ class TestDetectionParity:
 
 
 class TestNormalizeFastParity:
-    """``_normalize_fast`` is the serving layer's cache key; it must be
+    """``normalize_fast`` is the serving layer's cache key; it must be
     *the same function* as the reference normalizer, not an
     approximation — a single divergent input would alias distinct
     queries (wrong cached answers) or split identical ones."""
@@ -118,25 +118,25 @@ class TestNormalizeFastParity:
     @settings(max_examples=300, deadline=None)
     @given(st.text(max_size=60))
     def test_matches_reference_on_arbitrary_text(self, text):
-        assert _normalize_fast(text) == normalize(text)
+        assert normalize_fast(text) == normalize(text)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789$%.' ", max_size=60))
     def test_matches_reference_on_canonical_looking_text(self, text):
         # Concentrates on the fast path's own alphabet, where skipping
         # the regex passes must still be exact.
-        assert _normalize_fast(text) == normalize(text)
+        assert normalize_fast(text) == normalize(text)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=60))
     def test_idempotent_on_normal_forms(self, text):
         # Cache keys are re-normalized on lookup; normal forms must be
         # fixed points or one query would occupy two cache slots.
-        assert _normalize_fast(normalize(text)) == normalize(text)
+        assert normalize_fast(normalize(text)) == normalize(text)
 
     @pytest.mark.parametrize("text", EDGE_CASES)
     def test_edge_cases(self, text):
-        assert _normalize_fast(text) == normalize(text)
+        assert normalize_fast(text) == normalize(text)
 
 
 class TestCacheStats:
