@@ -1,8 +1,8 @@
-"""R14 — Adaptive fleet: tail hedging, autoscaling, cache warm-up.
+"""R14 — Adaptive fleet: tail hedging and cache warm-up.
 
-R12 measured a *static* fleet; this experiment measures the adaptive
-control plane PR 9 put in the router, and asks the three questions that
-justify it:
+R12 measured a plain fleet; this experiment measures the two policies
+the router adds on top of it, and asks the two questions that justify
+them:
 
 1. **Does hedging buy back the tail?** One replica is an injected
    intermittent straggler: every ``STALL_EVERY``-th request it owns
@@ -13,15 +13,7 @@ justify it:
    run must cut client-side p99 by ``BAR_HEDGE_CUT``x while firing
    hedges on less than ``BAR_HEDGE_LOAD`` of requests (the extra
    backend load is the hedge counter, not a vibe).
-2. **Does the autoscaler react?** A managed fleet starts at
-   ``min_replicas=1`` with ``max_replicas=3``; a sustained concurrent
-   burst must make the metrics-driven loop spawn at least one more
-   replica (time-to-scale-up recorded), and the scaled fleet must keep
-   answering bit-identically. On a 1-CPU host the *extra replica cannot
-   add throughput* (no CPU to run on) — that is recorded honestly in
-   ``single_cpu_note`` rather than dressed up; the claim measured here
-   is the control loop reacting, which needs no second CPU.
-3. **Does warm-up pay?** A replica rejoining a hot fleet replays its
+2. **Does warm-up pay?** A replica rejoining a hot fleet replays its
    sibling's hottest keys before taking traffic; its first-window cache
    hit rate on its owned hot keys must beat a cold join's.
 
@@ -40,18 +32,12 @@ import pytest
 from benchmarks._hw import hardware_info
 from benchmarks.conftest import RESULTS_DIR, publish
 from repro.core.conceptualizer import Conceptualizer
-from repro.errors import ReplicaUnavailableError, ServerOverloadedError
 from repro.eval import format_table
 from repro.runtime import CompiledDetector
 from repro.serving import DetectionService
 from repro.serving.http import detection_payload
 from repro.serving.replica import ReplicaServer
-from repro.serving.router import (
-    AutoscalerConfig,
-    ConsistentHashRing,
-    Router,
-    RouterConfig,
-)
+from repro.serving.router import ConsistentHashRing, Router, RouterConfig
 from repro.text.normalizer import normalize_fast
 
 # -- part 1: hedging ---------------------------------------------------
@@ -64,12 +50,7 @@ HEDGE_RATE = 0.05
 BAR_HEDGE_CUT = 2.0  # hedging must cut client p99 by at least this
 BAR_HEDGE_LOAD = 0.05  # ...while hedging less than 5% of requests
 
-# -- part 2: autoscaling -----------------------------------------------
-BURST_WORKERS = 32
-SCALE_TIMEOUT_S = 60.0
-IDENTITY_QUERIES = 64
-
-# -- part 3: warm-up ---------------------------------------------------
+# -- part 2: warm-up ---------------------------------------------------
 WARM_KEYS_PER_REPLICA = 32
 
 #: The two-replica ring both in-process parts route over —
@@ -129,13 +110,6 @@ def compiled(model, taxonomy):
     )
     yield detector
     detector.close()
-
-
-@pytest.fixture(scope="module")
-def snapshot(compiled, tmp_path_factory):
-    path = tmp_path_factory.mktemp("r14") / "model.hdms"
-    compiled.save_snapshot(path)
-    return str(path)
 
 
 def _hedge_workload() -> list[str]:
@@ -221,75 +195,6 @@ def hedging_result(compiled):
     }
 
 
-@pytest.fixture(scope="module")
-def autoscale_result(snapshot, compiled, eval_queries):
-    load_queries = eval_queries[: 4 * BURST_WORKERS]
-    identity = eval_queries[:IDENTITY_QUERIES]
-    expected = {query: detection_payload(compiled.detect(query)) for query in identity}
-
-    async def bench():
-        router = Router(
-            RouterConfig(health_interval_s=5.0, warmup_keys=0),
-            autoscaler=AutoscalerConfig(
-                min_replicas=1,
-                max_replicas=3,
-                interval_s=0.25,
-                cooldown_s=0.5,
-                hold_intervals=2,
-            ),
-        )
-        # Caches off: the burst must look like real sustained work.
-        router.spawn(snapshot, 1, extra_args=["--cache-size", "0"])
-        await router.start()
-        try:
-            stop = asyncio.Event()
-
-            async def worker(offset: int) -> None:
-                index = offset
-                while not stop.is_set():
-                    query = load_queries[index % len(load_queries)]
-                    try:
-                        await router.detect(query)
-                    except (ServerOverloadedError, ReplicaUnavailableError):
-                        await asyncio.sleep(0.005)
-                    index += BURST_WORKERS
-
-            tasks = [
-                asyncio.create_task(worker(offset))
-                for offset in range(BURST_WORKERS)
-            ]
-            start = perf_counter()
-            deadline = start + SCALE_TIMEOUT_S
-
-            def fleet_up() -> int:
-                return sum(1 for h in router.replicas if h.state == "up")
-
-            while fleet_up() < 2 and perf_counter() < deadline:
-                await asyncio.sleep(0.05)
-            time_to_scale = perf_counter() - start
-            scaled = fleet_up()
-            stop.set()
-            await asyncio.gather(*tasks, return_exceptions=True)
-            payloads = {query: await router.detect(query) for query in identity}
-            counters = router.metrics.stats()["counters"]
-            stats = await router.stats()
-            return scaled, time_to_scale, payloads, counters, stats
-        finally:
-            await router.close()
-
-    scaled, time_to_scale, payloads, counters, stats = asyncio.run(bench())
-    mismatches = [q for q in identity if payloads[q] != expected[q]]
-    assert mismatches == [], f"autoscaled responses differ: {mismatches[:3]}"
-    return {
-        "burst_workers": BURST_WORKERS,
-        "replicas_up_after_burst": scaled,
-        "time_to_scale_up_s": time_to_scale,
-        "scale_ups": counters["scale_ups"],
-        "autoscaler": stats["router"]["autoscaler"],
-        "bit_identical": True,  # asserted above
-    }
-
-
 async def _join_hit_rate(compiled, warmup_keys: int) -> dict:
     """Heat a 2-replica fleet, kill r1, spill its arc onto r0, revive
     r1, and measure r1's first-window cache hit rate over its owned hot
@@ -355,7 +260,7 @@ def warmup_result(compiled):
     return {"warm": warm, "cold": cold}
 
 
-def test_r14_adaptive_fleet(hedging_result, autoscale_result, warmup_result):
+def test_r14_adaptive_fleet(hedging_result, warmup_result):
     hardware = hardware_info()
     rows = [
         [
@@ -364,12 +269,6 @@ def test_r14_adaptive_fleet(hedging_result, autoscale_result, warmup_result):
             f"{hedging_result['p99_ms']['hedged']:.1f}",
             f"{hedging_result['p99_cut']:.1f}x cut, "
             f"{hedging_result['hedge_load']:.1%} hedged",
-        ],
-        [
-            "autoscale burst",
-            "1 replica",
-            f"{autoscale_result['replicas_up_after_burst']} replicas",
-            f"scaled in {autoscale_result['time_to_scale_up_s']:.1f}s",
         ],
         [
             "join hit rate",
@@ -383,46 +282,31 @@ def test_r14_adaptive_fleet(hedging_result, autoscale_result, warmup_result):
         format_table(
             ["claim", "before", "after", "notes"],
             rows,
-            title="R14: adaptive fleet — hedging, autoscaling, warm-up "
+            title="R14: adaptive fleet — hedging, warm-up "
             "(bit-identical responses throughout)",
         ),
     )
-    single_cpu = hardware["usable_cpus"] < 2
-    if single_cpu:
-        print(
-            "\nNOTE: 1 usable CPU on this host — the scaled-up replica "
-            "cannot add throughput here (nothing to run it on); R14 "
-            "measures the control loop reacting, which it did. Recorded "
-            "as single_cpu_note in BENCH_r14.json."
-        )
     regression = (
         hedging_result["p99_cut"] < BAR_HEDGE_CUT
         or hedging_result["hedge_load"] >= BAR_HEDGE_LOAD
-        or autoscale_result["replicas_up_after_burst"] < 2
         or warmup_result["warm"]["hit_rate"] <= warmup_result["cold"]["hit_rate"]
     )
     report = {
         "hardware": hardware,
         "hedging": hedging_result,
-        "autoscale": autoscale_result,
         "warmup": warmup_result,
         "bit_identical": True,
-        "single_cpu_note": single_cpu,
         "regression": regression,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_r14.json").write_text(json.dumps(report, indent=2) + "\n")
-    # The adaptive claims are control-plane claims: none of them needs a
-    # second CPU, so they hold (or fail honestly) on any host.
+    # Neither claim needs a second CPU, so both hold (or fail honestly)
+    # on any host.
     assert hedging_result["p99_cut"] >= BAR_HEDGE_CUT, (
         f"hedging must cut p99 by {BAR_HEDGE_CUT}x, got "
         f"{hedging_result['p99_cut']:.2f}x"
     )
     assert hedging_result["hedge_load"] < BAR_HEDGE_LOAD
     assert hedging_result["hedges_won"] >= 1
-    assert autoscale_result["replicas_up_after_burst"] >= 2, (
-        "burst did not trigger a scale-up within "
-        f"{SCALE_TIMEOUT_S}s: {autoscale_result}"
-    )
     assert warmup_result["warm"]["hit_rate"] > warmup_result["cold"]["hit_rate"]
     assert warmup_result["warm"]["hit_rate"] >= 0.9

@@ -1,6 +1,8 @@
 """The ``repro lint`` command.
 
-Thin argparse-to-engine glue with stable exit codes — the CI contract:
+Thin argparse-to-engine glue with stable exit codes — the CI contract
+(the flags themselves are declared in :mod:`repro.cli`, so building the
+main parser imports nothing from this package):
 
 - **0** — clean (no active findings, no stale baseline entries), and
   always after a successful ``--write-baseline``;
@@ -38,71 +40,6 @@ def _parse_rule_filter(values: list[str] | None) -> set[str] | None:
 
 #: Baseline location relative to the project root.
 DEFAULT_BASELINE = "lint-baseline.json"
-
-
-def add_lint_parser(
-    sub: "argparse._SubParsersAction[argparse.ArgumentParser]",
-) -> None:
-    """Register ``repro lint`` on the main CLI's subparser table."""
-    p = sub.add_parser(
-        "lint",
-        help="check project invariants (determinism, async hygiene, "
-        "resource guards, parity coverage)",
-    )
-    p.add_argument(
-        "paths",
-        nargs="*",
-        metavar="PATH",
-        help="files/directories inside src/repro to lint "
-        "(default: the whole package)",
-    )
-    p.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default text)",
-    )
-    p.add_argument(
-        "--rule",
-        action="append",
-        metavar="REPxxx[,REPyyy...]",
-        help="run only these rules (repeatable and/or comma-separated)",
-    )
-    p.add_argument(
-        "--graph",
-        choices=("dot", "json"),
-        default=None,
-        help="emit the whole-program import/call graph in this format "
-        "instead of linting",
-    )
-    p.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=f"baseline file (default <project>/{DEFAULT_BASELINE})",
-    )
-    p.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="grandfather every current unsuppressed finding into the "
-        "baseline and exit 0",
-    )
-    p.add_argument(
-        "--output",
-        metavar="FILE",
-        help="also write the report to FILE (CI artifact)",
-    )
-    p.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule table and exit",
-    )
-    p.add_argument(
-        "--root",
-        metavar="DIR",
-        help="project root (default: nearest pyproject.toml above cwd)",
-    )
-    p.set_defaults(handler=cmd_lint)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:

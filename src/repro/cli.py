@@ -13,7 +13,6 @@ Exposes the full offline pipeline and the runtime detector::
     repro reload --url http://127.0.0.1:8080 --snapshot g2.hdms
     repro detect --snapshot model.hdms --batch --input queries.txt
     repro serve --snapshot model.hdms --port 8080
-    repro serve --snapshot model.hdms --port 8080 --replicas 4
     repro route --snapshot model.hdms --port 8080 --replicas 4
     repro replica --snapshot model.hdms --port 0
     repro evaluate --model model/ --log heldout.jsonl.gz
@@ -185,23 +184,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", help="model bundle directory")
     p.add_argument(
-        "--snapshot",
-        metavar="FILE",
-        help="serve from a compiled snapshot (replicas mmap it read-only)",
+        "--snapshot", metavar="FILE", help="serve from a compiled snapshot"
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080, help="0 picks a free port")
     p.add_argument("--spell", action="store_true", help="enable typo correction")
-    p.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        metavar="N",
-        help="with --snapshot: run N replica processes behind a "
-        "consistent-hash router (shorthand for `repro route`)",
-    )
     _add_service_flags(p)
-    _add_router_flags(p)
     p.set_defaults(handler=_cmd_serve)
 
     p = sub.add_parser(
@@ -224,7 +212,38 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default 1024)",
     )
     _add_service_flags(p)
-    _add_router_flags(p)
+    p.add_argument(
+        "--hedge-p99-us",
+        type=float,
+        default=0.0,
+        metavar="MICROSECONDS",
+        help="per-replica window p99 above which requests to that "
+        "replica are hedged to the next ring node; 0 disables "
+        "hedging (default 0)",
+    )
+    p.add_argument(
+        "--hedge-rate",
+        type=float,
+        default=0.05,
+        metavar="FRACTION",
+        help="cap on fired hedges as a fraction of the recent request "
+        "window (default 0.05)",
+    )
+    p.add_argument(
+        "--warmup-keys",
+        type=int,
+        default=256,
+        metavar="N",
+        help="hottest sibling cache keys replayed through a rejoining "
+        "replica before it takes traffic; 0 joins cold (default 256)",
+    )
+    p.add_argument(
+        "--health-interval",
+        type=float,
+        default=1.0,
+        metavar="SECONDS",
+        help="background health-probe interval (default 1.0)",
+    )
     p.set_defaults(handler=_cmd_route)
 
     p = sub.add_parser(
@@ -283,9 +302,65 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("query_b", metavar="QUERY_B")
     p.set_defaults(handler=_cmd_similar)
 
-    from repro.analysis.cli import add_lint_parser
-
-    add_lint_parser(sub)
+    p = sub.add_parser(
+        "lint",
+        help="check project invariants (determinism, async hygiene, "
+        "resource guards, parity coverage)",
+    )
+    p.add_argument(
+        "paths",
+        nargs="*",
+        metavar="PATH",
+        help="files/directories inside src/repro to lint "
+        "(default: the whole package)",
+    )
+    p.add_argument(
+        "--format",
+        choices=("text", "json"),
+        default="text",
+        help="report format (default text)",
+    )
+    p.add_argument(
+        "--rule",
+        action="append",
+        metavar="REPxxx[,REPyyy...]",
+        help="run only these rules (repeatable and/or comma-separated)",
+    )
+    p.add_argument(
+        "--graph",
+        choices=("dot", "json"),
+        default=None,
+        help="emit the whole-program import/call graph in this format "
+        "instead of linting",
+    )
+    p.add_argument(
+        "--baseline",
+        metavar="FILE",
+        default=None,
+        help="baseline file (default <project>/lint-baseline.json)",
+    )
+    p.add_argument(
+        "--write-baseline",
+        action="store_true",
+        help="grandfather every current unsuppressed finding into the "
+        "baseline and exit 0",
+    )
+    p.add_argument(
+        "--output",
+        metavar="FILE",
+        help="also write the report to FILE (CI artifact)",
+    )
+    p.add_argument(
+        "--list-rules",
+        action="store_true",
+        help="print the rule table and exit",
+    )
+    p.add_argument(
+        "--root",
+        metavar="DIR",
+        help="project root (default: nearest pyproject.toml above cwd)",
+    )
+    p.set_defaults(handler=_cmd_lint)
 
     return parser
 
@@ -321,75 +396,6 @@ def _serving_config(args: argparse.Namespace):
         max_batch_size=args.max_batch_size,
         max_pending=args.max_pending,
         cache_size=args.cache_size,
-    )
-
-
-def _add_router_flags(p: argparse.ArgumentParser) -> None:
-    """Adaptive-fleet flags shared by ``serve --replicas N`` and ``route``:
-    autoscaling bounds, tail-hedging policy, and cache warm-up."""
-    p.add_argument(
-        "--min-replicas",
-        type=int,
-        default=None,
-        metavar="N",
-        help="enable the autoscaler with this fleet floor; the router "
-        "spawns N replicas initially and scales within "
-        "[min-replicas, max-replicas]",
-    )
-    p.add_argument(
-        "--max-replicas",
-        type=int,
-        default=None,
-        metavar="N",
-        help="autoscaler fleet ceiling (default: --replicas when only "
-        "--min-replicas is given)",
-    )
-    p.add_argument(
-        "--scale-interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="autoscaler sampling interval (default 2.0)",
-    )
-    p.add_argument(
-        "--scale-up-p95-us",
-        type=float,
-        default=0.0,
-        metavar="MICROSECONDS",
-        help="windowed request p95 above which the fleet counts as "
-        "overloaded; 0 disables the latency trigger (default 0)",
-    )
-    p.add_argument(
-        "--hedge-p99-us",
-        type=float,
-        default=0.0,
-        metavar="MICROSECONDS",
-        help="per-replica window p99 above which requests to that "
-        "replica are hedged to the next ring node; 0 disables "
-        "hedging (default 0)",
-    )
-    p.add_argument(
-        "--hedge-rate",
-        type=float,
-        default=0.05,
-        metavar="FRACTION",
-        help="cap on fired hedges as a fraction of the recent request "
-        "window (default 0.05)",
-    )
-    p.add_argument(
-        "--warmup-keys",
-        type=int,
-        default=256,
-        metavar="N",
-        help="hottest sibling cache keys replayed through a joining "
-        "replica before it takes traffic; 0 joins cold (default 256)",
-    )
-    p.add_argument(
-        "--health-interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="background health-probe interval (default 1.0)",
     )
 
 
@@ -768,25 +774,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.replicas < 1:
-        print("error: need at least one replica", file=sys.stderr)
-        return 2
-    autoscaled = args.min_replicas is not None or args.max_replicas is not None
-    if args.replicas > 1 or autoscaled:
-        if not args.snapshot:
-            print("error: --replicas needs --snapshot", file=sys.stderr)
-            return 2
-        if args.spell:
-            from repro.runtime import read_snapshot_header
-
-            if not read_snapshot_header(args.snapshot)["has_speller"]:
-                print(
-                    "error: snapshot was saved without a speller; rebuild it "
-                    "with `repro snapshot --spell`",
-                    file=sys.stderr,
-                )
-                return 2
-        return _run_router_cli(args)
     config = _serving_config(args)
     if args.snapshot:
         from repro.runtime import read_snapshot_header
@@ -818,43 +805,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    if args.replicas < 1:
-        print("error: need at least one replica", file=sys.stderr)
-        return 2
-    return _run_router_cli(args)
-
-
-def _run_router_cli(args: argparse.Namespace) -> int:
-    """Shared body of ``repro route`` and ``repro serve --replicas N``."""
     import asyncio
 
     from repro.errors import ServingError
     from repro.serving import DetectionHTTPServer, run_server
-    from repro.serving.router import AutoscalerConfig, Router, RouterConfig
+    from repro.serving.router import Router, RouterConfig
 
-    autoscaler = None
-    initial = args.replicas
-    if args.min_replicas is not None or args.max_replicas is not None:
-        floor = args.min_replicas if args.min_replicas is not None else 1
-        ceiling = (
-            args.max_replicas
-            if args.max_replicas is not None
-            else max(floor, args.replicas)
-        )
-        try:
-            autoscaler = AutoscalerConfig(
-                min_replicas=floor,
-                max_replicas=ceiling,
-                interval_s=args.scale_interval,
-                up_p95_us=args.scale_up_p95_us,
-            )
-        except ServingError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        initial = floor
+    if args.replicas < 1:
+        print("error: need at least one replica", file=sys.stderr)
+        return 2
     try:
         config = RouterConfig(
-            max_inflight=getattr(args, "max_inflight", 1024),
+            max_inflight=args.max_inflight,
             health_interval_s=args.health_interval,
             hedge_p99_us=args.hedge_p99_us,
             hedge_rate=args.hedge_rate,
@@ -867,10 +829,10 @@ def _run_router_cli(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    router = Router(config, autoscaler=autoscaler)
+    router = Router(config)
     router.spawn(
         args.snapshot,
-        initial,
+        args.replicas,
         extra_args=[
             "--max-batch-size", str(serving.max_batch_size),
             "--max-pending", str(serving.max_pending),
@@ -879,13 +841,10 @@ def _run_router_cli(args: argparse.Namespace) -> int:
     )
 
     def _ready(port: int) -> None:
-        fleet = (
-            f"{initial} replicas "
-            f"(autoscaling {autoscaler.min_replicas}-{autoscaler.max_replicas})"
-            if autoscaler is not None
-            else f"{initial} replicas"
+        print(
+            f"routing {args.replicas} replicas on http://{args.host}:{port}",
+            flush=True,
         )
-        print(f"routing {fleet} on http://{args.host}:{port}", flush=True)
 
     async def _route() -> None:
         await router.start()
@@ -1003,6 +962,12 @@ def _cmd_similar(args: argparse.Namespace) -> int:
     print(f"  constraint conflicts: {comparison.conflicts}")
     print(f"  similarity:           {comparison.score:.2f}  ({verdict})")
     return 0
+
+
+def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.analysis.cli import cmd_lint
+
+    return cmd_lint(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

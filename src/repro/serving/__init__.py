@@ -29,12 +29,9 @@ a server for that shape:
 - :class:`ReplicaServer` (:mod:`repro.serving.replica`) and
   :class:`Router` (:mod:`repro.serving.router`) — multi-replica
   serving: N replica processes share one mmap'd snapshot behind a
-  consistent-hash front door (``repro serve --replicas N``), with
-  per-replica health, restart-with-generation, and aggregated
-  fleet ``/stats``. The router doubles as the adaptive control plane
-  (PR 9): :class:`Autoscaler`-driven replica scaling between
-  ``--min-replicas``/``--max-replicas``, budget-bounded tail hedging,
-  and sibling cache warm-up for joining replicas.
+  consistent-hash front door (``repro route``), with per-replica
+  health, restart-with-generation, budget-bounded tail hedging, sibling
+  cache warm-up for rejoining replicas, and aggregated fleet ``/stats``.
 
 Cached, deduped, and micro-batched responses are **bit-identical** to
 one-shot ``CompiledDetector.detect`` — enforced by
@@ -58,10 +55,7 @@ if TYPE_CHECKING:
     from repro.serving.metrics import LatencyHistogram, ServingMetrics, StatCounter
     from repro.serving.replica import ReplicaServer
     from repro.serving.router import (
-        Autoscaler,
-        AutoscalerConfig,
         ConsistentHashRing,
-        FleetSample,
         ReplicaClient,
         Router,
         RouterConfig,
@@ -69,12 +63,9 @@ if TYPE_CHECKING:
     from repro.serving.service import DetectionService, ServingConfig
 
 __all__ = [
-    "Autoscaler",
-    "AutoscalerConfig",
     "ConsistentHashRing",
     "DetectionHTTPServer",
     "DetectionService",
-    "FleetSample",
     "LatencyHistogram",
     "MicroBatcher",
     "ReplicaClient",
@@ -105,10 +96,7 @@ if not TYPE_CHECKING:
             ),
             "repro.serving.replica": ("ReplicaServer",),
             "repro.serving.router": (
-                "Autoscaler",
-                "AutoscalerConfig",
                 "ConsistentHashRing",
-                "FleetSample",
                 "ReplicaClient",
                 "Router",
                 "RouterConfig",

@@ -52,14 +52,17 @@ import asyncio
 import inspect
 import json
 import signal
+from typing import TYPE_CHECKING
 
-from repro.core.detector import Detection
 from repro.errors import (
     ModelError,
     ServerClosedError,
     ServerOverloadedError,
     ServingError,
 )
+
+if TYPE_CHECKING:
+    from repro.core.detector import Detection
 
 #: Largest accepted request body; detection inputs are short texts.
 MAX_BODY_BYTES = 64 * 1024
@@ -480,7 +483,9 @@ class DetectionHTTPServer(Listener):
                 return 503, {"error": str(exc)}
             except ServingError as exc:
                 return 500, {"error": str(exc)}
-            if isinstance(result, Detection):
+            # A router answers with the replica's payload dict already;
+            # a local service answers with a Detection.
+            if not isinstance(result, dict):
                 result = detection_payload(result)
             return 200, result
         if target == "/reload":

@@ -24,11 +24,10 @@ substrate, deliberately stdlib-only and allocation-light:
 Counters and histograms additionally keep a **rotating window** — a
 ring of per-interval buckets (:data:`WINDOW_INTERVALS` slots of
 :data:`WINDOW_INTERVAL_S` seconds, 60 s total by default) — so the
-adaptive control plane (:class:`~repro.serving.router.Autoscaler`, the
-router's hedging policy) reads *recent* rates and percentiles
+router's hedging policy reads *recent* counts and percentiles
 (:meth:`StatCounter.window_count`, :meth:`LatencyHistogram.window_stats`)
 instead of lifetime aggregates that a long-running process can never
-move. The window clock is injectable, so control-loop decisions are
+move. The window clock is injectable, so hedging decisions are
 deterministically unit-testable.
 
 Everything here reports through plain JSON-friendly dicts so the HTTP
@@ -54,7 +53,7 @@ BUCKET_BOUNDS_US: tuple[int, ...] = tuple(
 DEFAULT_TRACE_CAPACITY = 256
 
 #: Rotating-window defaults: 12 slots of 5 s — ``/stats`` windows and
-#: the autoscaler/hedging policies look at the last minute of traffic.
+#: the hedging policy look at the last minute of traffic.
 WINDOW_INTERVALS = 12
 WINDOW_INTERVAL_S = 5.0
 
@@ -69,8 +68,8 @@ class StatCounter:
 
     Besides the lifetime total, every increment also lands in a rotating
     ring of per-interval slots, so :meth:`window_count` /
-    :meth:`window_rate` report the *recent* event rate — what the
-    autoscaler's shed-rate trigger and the hedge budget read. ``clock``
+    :meth:`window_rate` report the *recent* event rate — what the hedge
+    budget and ``/stats`` ``counter_windows`` read. ``clock``
     is injectable (monotonic seconds) for deterministic tests.
 
     >>> shed = StatCounter()
@@ -241,8 +240,7 @@ class LatencyHistogram:
     def window_stats(self) -> dict[str, Any]:
         """Percentiles and rate over the last :attr:`window_s` seconds
         only — the recent-traffic twin of :meth:`stats`, read by the
-        autoscaler (p95-by-stage trigger) and the hedging policy
-        (per-replica p99 trigger, p95-tied hedge delay)."""
+        hedging policy (per-replica p99 trigger, p95-tied hedge delay)."""
         oldest = int(self._clock() / self._interval_s) - len(self._win_marks) + 1
         counts = [0] * (len(BUCKET_BOUNDS_US) + 1)
         count = 0

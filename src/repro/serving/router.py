@@ -34,7 +34,7 @@ design decisions carry the architecture:
 Health is actively managed: a background loop probes each replica over
 its multiplexed connection, marks non-responders ``down`` (their ring
 arc re-routes), restarts managed subprocesses with ``generation + 1``
-(up to ``max_restarts``, spaced by seeded-jitter exponential backoff so
+(up to ``MAX_RESTARTS``, spaced by seeded-jitter exponential backoff so
 a crash-looping replica can never restart-storm the host), and
 reattaches externally-managed replicas when they come back. ``GET
 /stats`` aggregates the fleet: per-stage latency histograms merge
@@ -42,16 +42,9 @@ bucket-wise (:meth:`~repro.serving.metrics.LatencyHistogram.merged`),
 cache and batch counters sum, and every replica reports its generation,
 *model* generation, and health.
 
-The router is also an *adaptive control plane* (PR 9), driven entirely
-by its own rotating-window metrics (:mod:`repro.serving.metrics`):
+Two policies ride on the router's own rotating-window metrics
+(:mod:`repro.serving.metrics`):
 
-- **Autoscaling.** An :class:`Autoscaler` (pure decision engine,
-  injectable clock — unit-testable without subprocesses) periodically
-  reads a :class:`FleetSample` (up count, windowed shed rate, mean
-  per-replica queue depth, windowed request p95) and moves the managed
-  fleet one replica at a time between ``min_replicas`` and
-  ``max_replicas``, with consecutive-interval hysteresis and a
-  post-scale cooldown so noisy windows cannot flap the fleet.
 - **Bounded tail hedging.** When the owner replica's windowed p99
   exceeds ``hedge_p99_us``, a request that has waited longer than the
   fleet's windowed p95 fires one backup request to the next ring node;
@@ -59,10 +52,10 @@ by its own rotating-window metrics (:mod:`repro.serving.metrics`):
   capped by ``hedge_rate`` of the recent request window, so hedging can
   cut a straggler's tail without meaningfully raising backend load
   (``hedges_fired`` / ``hedges_won`` / ``hedges_suppressed`` count it).
-- **Cache warm-up.** A replica joining (or rejoining) the fleet replays
-  a live sibling's hottest result-cache keys (the replica ``cache_keys``
-  op) through its own detector *before* it is marked ``up``, so the arc
-  it takes over starts warm instead of stampeding a cold cache.
+- **Cache warm-up.** A replica rejoining the fleet replays a live
+  sibling's hottest result-cache keys (the replica ``cache_keys`` op)
+  through its own detector *before* it is marked ``up``, so the arc it
+  takes back starts warm instead of stampeding a cold cache.
 
 Deploys are zero-downtime: ``POST /reload`` (:meth:`Router.reload`)
 rolls the fleet onto a new snapshot one replica at a time — each
@@ -70,9 +63,8 @@ replica hot-swaps in place (in-flight detections finish on its old
 model) before the next is touched, so the fleet never drops below N-1
 serving replicas, and restarts spawned afterwards load the new file.
 
-``repro route`` starts a router and serves it with
-:func:`~repro.serving.http.run_server`; ``repro serve --replicas N`` is
-sugar for it.
+``repro route`` starts a router over a fixed number of replicas and
+serves it with :func:`~repro.serving.http.run_server`.
 """
 
 from __future__ import annotations
@@ -108,30 +100,48 @@ READY_LINE = re.compile(rb"replica listening on ([0-9.]+):(\d+)")
 #: to exit, so the spawn error can report its exit code.
 _EXIT_WAIT_S = 2.0
 
+#: Virtual nodes per replica on the hash ring: more vnodes, smoother key
+#: distribution.
+VNODES = 64
+
+#: How long one forwarded detect (or reload) may take before its replica
+#: is declared unavailable.
+REQUEST_TIMEOUT_S = 30.0
+
+#: Deadline of one health probe, ``stats`` fetch or warm-up key fetch.
+HEALTH_TIMEOUT_S = 5.0
+
+#: How long a spawned replica may take to print its ready line.
+SPAWN_TIMEOUT_S = 120.0
+
+#: Restarts per managed replica before it is declared ``failed`` and left
+#: out of the ring for good.
+MAX_RESTARTS = 3
+
+#: Restart pacing. The first recovery attempt after a replica goes down
+#: is immediate; consecutive failures back off exponentially from the
+#: base to the cap, stretched by up to ``RESTART_JITTER`` of jitter drawn
+#: from a ``BACKOFF_SEED``-seeded generator, so N crash-looping replicas
+#: never restart in lockstep.
+RESTART_BACKOFF_BASE_S = 0.5
+RESTART_BACKOFF_MAX_S = 30.0
+RESTART_JITTER = 0.25
+BACKOFF_SEED = 0
+
+#: Cap on one replica's warm-up replay; on timeout the replica joins with
+#: whatever heat it got.
+WARMUP_TIMEOUT_S = 30.0
+
 
 @dataclass(frozen=True)
 class RouterConfig:
     """Router policy knobs (the fleet-level twin of
-    :class:`~repro.serving.service.ServingConfig`).
+    :class:`~repro.serving.service.ServingConfig`); the fixed timeouts and
+    restart pacing are the module constants above.
 
-    - ``vnodes``: virtual nodes per replica on the hash ring — more
-      vnodes, smoother key distribution.
     - ``max_inflight``: tier-1 admission — concurrent requests the
       router accepts before shedding with 503.
-    - ``request_timeout_s``: how long one forwarded detect may take
-      before its replica is declared unavailable.
-    - ``health_interval_s`` / ``health_timeout_s``: background probe
-      cadence and per-probe deadline.
-    - ``spawn_timeout_s``: how long a spawned replica may take to print
-      its ready line.
-    - ``max_restarts``: restarts per managed replica before it is
-      declared ``failed`` and left out of the ring for good.
-    - ``restart_backoff_base_s`` / ``restart_backoff_max_s`` /
-      ``restart_jitter`` / ``backoff_seed``: restart pacing. The first
-      recovery attempt after a replica goes down is immediate;
-      consecutive failures back off exponentially from the base to the
-      cap, stretched by up to ``restart_jitter`` of seeded-deterministic
-      jitter so N crash-looping replicas never restart in lockstep.
+    - ``health_interval_s``: background probe cadence.
     - ``hedge_p99_us``: windowed per-replica p99 (µs) above which the
       router arms tail hedging for that replica's keys (0 disables).
     - ``hedge_rate``: cap on fired hedges as a fraction of the recent
@@ -140,43 +150,19 @@ class RouterConfig:
       window (p95 ~ 0) cannot make every request hedge instantly.
     - ``warmup_keys``: hottest sibling cache keys replayed through a
       joining replica before it takes traffic (0 disables warm-up).
-    - ``warmup_timeout_s``: cap on one replica's warm-up replay; on
-      timeout the replica joins with whatever heat it got.
     """
 
-    vnodes: int = 64
     max_inflight: int = 1024
-    request_timeout_s: float = 30.0
     health_interval_s: float = 1.0
-    health_timeout_s: float = 5.0
-    spawn_timeout_s: float = 120.0
-    max_restarts: int = 3
-    restart_backoff_base_s: float = 0.5
-    restart_backoff_max_s: float = 30.0
-    restart_jitter: float = 0.25
-    backoff_seed: int = 0
     hedge_p99_us: float = 0.0
     hedge_rate: float = 0.05
     hedge_min_delay_us: float = 1_000.0
     warmup_keys: int = 256
-    warmup_timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.vnodes < 1:
-            raise ServingError(f"vnodes must be positive, got {self.vnodes}")
         if self.max_inflight < 1:
             raise ServingError(
                 f"max_inflight must be positive, got {self.max_inflight}"
-            )
-        if self.max_restarts < 0:
-            raise ServingError(
-                f"max_restarts must be >= 0, got {self.max_restarts}"
-            )
-        if self.restart_backoff_base_s < 0 or self.restart_backoff_max_s < 0:
-            raise ServingError("restart backoff times must be >= 0")
-        if self.restart_jitter < 0:
-            raise ServingError(
-                f"restart_jitter must be >= 0, got {self.restart_jitter}"
             )
         if not 0.0 <= self.hedge_rate <= 1.0:
             raise ServingError(
@@ -188,171 +174,6 @@ class RouterConfig:
             raise ServingError(
                 f"warmup_keys must be >= 0, got {self.warmup_keys}"
             )
-        if self.warmup_timeout_s <= 0:
-            raise ServingError(
-                f"warmup_timeout_s must be positive, got {self.warmup_timeout_s}"
-            )
-
-
-@dataclass(frozen=True)
-class AutoscalerConfig:
-    """Policy for the :class:`Autoscaler` (the fleet-sizing twin of
-    :class:`RouterConfig`).
-
-    - ``min_replicas`` / ``max_replicas``: the managed fleet's size
-      bounds; the autoscaler moves one replica at a time between them.
-    - ``interval_s``: how often the router samples the fleet and asks
-      for a decision.
-    - ``cooldown_s``: minimum time between applied scale steps, so one
-      burst cannot ratchet the fleet to ``max_replicas`` before the
-      first new replica has had any effect.
-    - ``up_shed_rate``: windowed sheds/sec above which the fleet is
-      overloaded.
-    - ``up_queue_depth``: mean per-replica in-flight requests above
-      which the fleet is overloaded.
-    - ``up_p95_us``: windowed request p95 (µs) above which the fleet is
-      overloaded (0 disables the latency trigger).
-    - ``down_queue_depth``: mean per-replica in-flight below which (with
-      zero shedding) the fleet is idle enough to shrink.
-    - ``hold_intervals``: consecutive overloaded (or idle) samples
-      required before a step — the hysteresis that keeps one noisy
-      window from flapping the fleet.
-    """
-
-    min_replicas: int = 1
-    max_replicas: int = 4
-    interval_s: float = 2.0
-    cooldown_s: float = 15.0
-    up_shed_rate: float = 0.5
-    up_queue_depth: float = 8.0
-    up_p95_us: float = 0.0
-    down_queue_depth: float = 1.0
-    hold_intervals: int = 3
-
-    def __post_init__(self) -> None:
-        if self.min_replicas < 1:
-            raise ServingError(
-                f"min_replicas must be positive, got {self.min_replicas}"
-            )
-        if self.max_replicas < self.min_replicas:
-            raise ServingError(
-                f"max_replicas ({self.max_replicas}) must be >= "
-                f"min_replicas ({self.min_replicas})"
-            )
-        if self.interval_s <= 0:
-            raise ServingError(
-                f"interval_s must be positive, got {self.interval_s}"
-            )
-        if self.cooldown_s < 0:
-            raise ServingError(
-                f"cooldown_s must be >= 0, got {self.cooldown_s}"
-            )
-        if self.hold_intervals < 1:
-            raise ServingError(
-                f"hold_intervals must be positive, got {self.hold_intervals}"
-            )
-        if min(self.up_shed_rate, self.up_queue_depth, self.up_p95_us) < 0:
-            raise ServingError("scale-up thresholds must be >= 0")
-        if self.down_queue_depth < 0:
-            raise ServingError(
-                f"down_queue_depth must be >= 0, got {self.down_queue_depth}"
-            )
-
-
-@dataclass(frozen=True)
-class FleetSample:
-    """One autoscaler observation of the fleet, built by
-    :meth:`Router.fleet_sample` from the router's rotating-window
-    metrics (:class:`~repro.serving.metrics.StatCounter` window rates,
-    :meth:`~repro.serving.metrics.LatencyHistogram.window_stats`):
-    ``up`` live replicas, windowed ``shed_rate`` (sheds/sec), mean
-    per-replica ``queue_depth`` (in-flight forwards), and the windowed
-    request-stage ``p95_us``."""
-
-    up: int
-    shed_rate: float
-    queue_depth: float
-    p95_us: float
-
-
-class Autoscaler:
-    """Pure fleet-sizing decision engine behind :meth:`Router.autoscale_once`.
-
-    Separated from the router so scaling policy is unit-testable with
-    an injected clock and hand-built :class:`FleetSample` values — no
-    subprocesses, no sockets, no real time. :meth:`decide` maps one
-    sample to a target replica count, applying hysteresis
-    (``hold_intervals`` consecutive one-sided samples) and a post-step
-    cooldown (``cooldown_s``); the router owns *applying* the step
-    (spawn + warm-up, or retire).
-
-    >>> scaler = Autoscaler(AutoscalerConfig(hold_intervals=1))
-    >>> scaler.decide(FleetSample(1, shed_rate=9.0, queue_depth=0, p95_us=0))
-    2
-    """
-
-    def __init__(
-        self,
-        config: AutoscalerConfig | None = None,
-        clock: Callable[[], float] | None = None,
-    ) -> None:
-        self._config = config or AutoscalerConfig()
-        self._clock = clock or monotonic
-        self._up_streak = 0
-        self._down_streak = 0
-        self._last_scale_at = float("-inf")
-
-    @property
-    def config(self) -> AutoscalerConfig:
-        """The policy this engine applies."""
-        return self._config
-
-    def decide(self, sample: FleetSample) -> int:
-        """The replica count the fleet should move toward given
-        ``sample`` — at most one step away from ``sample.up``, inside
-        the configured bounds. Stateful: consecutive calls accumulate
-        the hysteresis streaks and observe the cooldown."""
-        cfg = self._config
-        if sample.up < cfg.min_replicas:
-            return cfg.min_replicas  # bounds repair needs no hysteresis
-        if sample.up > cfg.max_replicas:
-            return cfg.max_replicas
-        overloaded = (
-            sample.shed_rate > cfg.up_shed_rate
-            or sample.queue_depth > cfg.up_queue_depth
-            or (cfg.up_p95_us > 0 and sample.p95_us > cfg.up_p95_us)
-        )
-        idle = (
-            not overloaded
-            and sample.shed_rate == 0.0
-            and sample.queue_depth < cfg.down_queue_depth
-        )
-        self._up_streak = self._up_streak + 1 if overloaded else 0
-        self._down_streak = self._down_streak + 1 if idle else 0
-        now = self._clock()
-        if now - self._last_scale_at < cfg.cooldown_s:
-            return sample.up  # streaks keep accumulating through cooldown
-        if self._up_streak >= cfg.hold_intervals and sample.up < cfg.max_replicas:
-            self._up_streak = self._down_streak = 0
-            self._last_scale_at = now
-            return sample.up + 1
-        if self._down_streak >= cfg.hold_intervals and sample.up > cfg.min_replicas:
-            self._up_streak = self._down_streak = 0
-            self._last_scale_at = now
-            return sample.up - 1
-        return sample.up
-
-    def describe(self) -> dict:
-        """Control-loop state for ``/stats``: bounds, streaks, cooldown."""
-        return {
-            "min_replicas": self._config.min_replicas,
-            "max_replicas": self._config.max_replicas,
-            "up_streak": self._up_streak,
-            "down_streak": self._down_streak,
-            "cooling_down": (
-                self._clock() - self._last_scale_at < self._config.cooldown_s
-            ),
-        }
 
 
 class ConsistentHashRing:
@@ -361,16 +182,16 @@ class ConsistentHashRing:
     The fleet-level twin of :func:`~repro.utils.lru.shard_of` (same
     hash family, same determinism goal): a key maps to the first node
     point at or after ``crc32(key)`` on the ring, so the mapping is
-    stable across processes and across restarts, and adding/removing
-    one node only remaps that node's arcs. ``vnodes`` points per node
-    smooth the arc sizes.
+    stable across processes and across restarts, and dropping one node
+    from the ``up`` set only remaps that node's arcs. ``vnodes`` points
+    per node smooth the arc sizes.
 
     >>> ring = ConsistentHashRing(["r0", "r1"])
     >>> ring.node_for("cheap hotels in rome") in {"r0", "r1"}
     True
     """
 
-    def __init__(self, nodes: Sequence[str] = (), vnodes: int = 64) -> None:
+    def __init__(self, nodes: Sequence[str] = (), vnodes: int = VNODES) -> None:
         if vnodes < 1:
             raise ServingError(f"vnodes must be positive, got {vnodes}")
         self._vnodes = vnodes
@@ -379,11 +200,6 @@ class ConsistentHashRing:
         self._nodes: list[str] = []
         for node in nodes:
             self.add(node)
-
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        """The nodes on the ring, in insertion order."""
-        return tuple(self._nodes)
 
     def add(self, node: str) -> None:
         """Place ``node`` on the ring (``vnodes`` points)."""
@@ -394,17 +210,6 @@ class ConsistentHashRing:
             point = crc32(f"{node}#{vnode}".encode("utf-8"))
             self._points.append((point, node))
         self._points.sort()
-        self._hashes = [point for point, _ in self._points]
-
-    def remove(self, node: str) -> None:
-        """Take ``node`` off the ring. Only its arcs remap (each to the
-        next remaining node clockwise) — the consistent-hashing property
-        the scale-down path rides on: retiring one replica moves ~1/N of
-        the keyspace and leaves every other cache arc untouched."""
-        if node not in self._nodes:
-            raise ServingError(f"node {node!r} is not on the ring")
-        self._nodes.remove(node)
-        self._points = [point for point in self._points if point[1] != node]
         self._hashes = [point for point, _ in self._points]
 
     def node_for(self, key: str, up: Sequence[str] | None = None) -> str | None:
@@ -585,9 +390,7 @@ class ReplicaHandle:
     (probe failed or process exited; its ring arc re-routes while the
     health loop restarts or reattaches it, pacing repeated failures
     with exponential backoff) → ``failed`` (managed replica out of
-    restart budget; left out of the ring for good) or → ``retiring`` →
-    ``retired`` (scaled down by the autoscaler; off the ring, drained,
-    reaped, and never revived).
+    restart budget; left out of the ring for good).
     """
 
     def __init__(self, name: str, replica_id: int) -> None:
@@ -643,26 +446,20 @@ class Router:
         self,
         config: RouterConfig | None = None,
         metrics: ServingMetrics | None = None,
-        autoscaler: AutoscalerConfig | None = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
         self._config = config or RouterConfig()
         self._clock = clock or monotonic
         self._metrics = metrics or ServingMetrics(clock=clock)
         self._replicas: dict[str, ReplicaHandle] = {}
-        self._ring = ConsistentHashRing(vnodes=self._config.vnodes)
+        self._ring = ConsistentHashRing()
         self._spawn_command: list[str] | None = None
-        self._spawn_host = "127.0.0.1"
         self._inflight = 0
         self._closed = False
         self._started = False
         self._health_task: asyncio.Task | None = None
-        self._autoscale_task: asyncio.Task | None = None
         self._restart_lock = asyncio.Lock()
-        self._rng = random.Random(self._config.backoff_seed)
-        self._autoscaler = (
-            Autoscaler(autoscaler, clock=clock) if autoscaler is not None else None
-        )
+        self._rng = random.Random(BACKOFF_SEED)
         # Pre-register the control-plane counters so /stats (and the CI
         # smoke grepping it) always shows them, even before any fires.
         for name in (
@@ -673,8 +470,6 @@ class Router:
             "hedges_fired",
             "hedges_won",
             "hedges_suppressed",
-            "scale_ups",
-            "scale_downs",
             "warmed_keys",
         ):
             self._metrics.counter(name)
@@ -688,9 +483,9 @@ class Router:
     def metrics(self) -> ServingMetrics:
         """The router's own metrics registry (stages ``request`` /
         ``forward`` / per-replica ``forward.<name>``; counters ``shed``
-        / ``reroutes`` / ``restarts`` / ``unrouted`` plus the adaptive
-        plane's ``hedges_fired`` / ``hedges_won`` / ``hedges_suppressed``
-        / ``scale_ups`` / ``scale_downs`` / ``warmed_keys``)."""
+        / ``reroutes`` / ``restarts`` / ``unrouted`` plus hedging's
+        ``hedges_fired`` / ``hedges_won`` / ``hedges_suppressed`` and
+        warm-up's ``warmed_keys``)."""
         return self._metrics
 
     @property
@@ -733,7 +528,6 @@ class Router:
         pages are shared kernel page cache, not ``count`` copies."""
         if count < 1:
             raise ServingError(f"need at least one replica, got {count}")
-        self._spawn_host = host
         self._spawn_command = [
             sys.executable,
             "-m",
@@ -794,8 +588,6 @@ class Router:
                 )
             )
         self._health_task = asyncio.create_task(self._health_loop())
-        if self._autoscaler is not None:
-            self._autoscale_task = asyncio.create_task(self._autoscale_loop())
 
     async def close(self) -> None:
         """Drain and shut the fleet down: stop health probing, close
@@ -804,15 +596,13 @@ class Router:
         if self._closed and self._health_task is None:
             return
         self._closed = True
-        for task_attr in ("_health_task", "_autoscale_task"):
-            task = getattr(self, task_attr)
-            setattr(self, task_attr, None)
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
+        task, self._health_task = self._health_task, None
+        if task is not None:
+            task.cancel()
+            try:
+                await task
+            except asyncio.CancelledError:
+                pass
         for handle in self._replicas.values():
             client, handle.client = handle.client, None
             if client is not None:
@@ -828,7 +618,7 @@ class Router:
                 except asyncio.TimeoutError:  # pragma: no cover - hung child
                     process.kill()
                     await process.wait()
-            if handle.state not in ("failed", "retired"):
+            if handle.state != "failed":
                 handle.state = "down"
 
     async def __aenter__(self) -> "Router":
@@ -927,7 +717,7 @@ class Router:
         try:
             return await client.request(
                 {"op": "detect", "query": text},
-                timeout=self._config.request_timeout_s,
+                timeout=REQUEST_TIMEOUT_S,
             )
         finally:
             handle.inflight -= 1
@@ -1073,7 +863,7 @@ class Router:
                 try:
                     response = await handle.client.request(
                         {"op": "reload", "snapshot": path},
-                        timeout=self._config.request_timeout_s,
+                        timeout=REQUEST_TIMEOUT_S,
                     )
                 except ReplicaUnavailableError as exc:
                     self._mark_down(handle, str(exc))
@@ -1101,23 +891,16 @@ class Router:
     # ------------------------------------------------------------------
     def healthz(self) -> tuple[int, dict]:
         """The router's local view of fleet health (no replica I/O), as
-        the ``GET /healthz`` answer: ``ok`` when every active replica is
-        up, ``degraded`` when some are, ``down`` when none is; the HTTP
-        status is ``503`` whenever no replica is up. Replicas the
-        autoscaler retired are reported but never count against health —
-        a deliberately shrunken fleet is not a degraded one."""
+        the ``GET /healthz`` answer: ``ok`` when every replica is up,
+        ``degraded`` when some are, ``down`` when none is; the HTTP status
+        is ``503`` whenever no replica is up."""
         states = {name: h.state for name, h in self._replicas.items()}
-        active = {
-            name: state
-            for name, state in states.items()
-            if state not in ("retiring", "retired")
-        }
-        up = sum(1 for state in active.values() if state == "up")
+        up = sum(1 for state in states.values() if state == "up")
         if self._closed:
             status = "closed"
         elif up == 0:
             status = "down"
-        elif up == len(active):
+        elif up == len(states):
             status = "ok"
         else:
             status = "degraded"
@@ -1126,7 +909,7 @@ class Router:
     async def check_health(self) -> None:
         """Probe every replica once: mark non-responders down, restart
         managed subprocesses (``generation + 1``, bounded by
-        ``max_restarts``), reconnect attached replicas that came back.
+        ``MAX_RESTARTS``), reconnect attached replicas that came back.
         The health loop calls this every ``health_interval_s``; tests
         call it directly for determinism."""
         async with self._restart_lock:
@@ -1134,7 +917,7 @@ class Router:
                 await self._check_one(handle)
 
     async def _check_one(self, handle: ReplicaHandle) -> None:
-        if handle.state in ("failed", "retiring", "retired") or self._closed:
+        if handle.state == "failed" or self._closed:
             return
         process = handle.process
         if process is not None and process.returncode is not None:
@@ -1145,7 +928,7 @@ class Router:
         if handle.state == "up" and handle.client is not None:
             try:
                 response = await handle.client.request(
-                    {"op": "health"}, timeout=self._config.health_timeout_s
+                    {"op": "health"}, timeout=HEALTH_TIMEOUT_S
                 )
             except ReplicaUnavailableError as exc:
                 self._mark_down(handle, str(exc))
@@ -1158,7 +941,7 @@ class Router:
         if self._clock() < handle.next_restart_at:
             return  # still backing off after a failed recovery attempt
         if handle.managed:
-            if handle.restarts >= self._config.max_restarts:
+            if handle.restarts >= MAX_RESTARTS:
                 handle.state = "failed"
                 return
             handle.restarts += 1
@@ -1181,19 +964,18 @@ class Router:
 
         The first retry is free (transient blips recover on the next
         probe, as before); each consecutive failure then doubles the
-        wait from ``restart_backoff_base_s`` up to
-        ``restart_backoff_max_s``, stretched by up to ``restart_jitter``
+        wait from ``RESTART_BACKOFF_BASE_S`` up to
+        ``RESTART_BACKOFF_MAX_S``, stretched by up to ``RESTART_JITTER``
         of seeded (deterministic per router) jitter so a fleet of
         crash-looping replicas de-synchronizes instead of thundering."""
         handle.backoff_attempts += 1
         if handle.backoff_attempts < 2:
             return
         delay = min(
-            self._config.restart_backoff_base_s
-            * 2 ** (handle.backoff_attempts - 2),
-            self._config.restart_backoff_max_s,
+            RESTART_BACKOFF_BASE_S * 2 ** (handle.backoff_attempts - 2),
+            RESTART_BACKOFF_MAX_S,
         )
-        delay *= 1.0 + self._config.restart_jitter * self._rng.random()
+        delay *= 1.0 + RESTART_JITTER * self._rng.random()
         handle.next_restart_at = self._clock() + delay
 
     async def _health_loop(self) -> None:
@@ -1202,8 +984,6 @@ class Router:
             await self.check_health()
 
     def _mark_down(self, handle: ReplicaHandle, reason: str) -> None:
-        if handle.state in ("retiring", "retired"):
-            return  # a replica being drained on purpose is not sick
         handle.state = "down"
         handle.last_error = reason
         client, handle.client = handle.client, None
@@ -1211,113 +991,6 @@ class Router:
             # Fire-and-forget: close() only fails pending futures and
             # drops the socket; nothing awaits the outcome.
             asyncio.create_task(client.close())
-
-    # ------------------------------------------------------------------
-    # autoscaling
-    # ------------------------------------------------------------------
-    def fleet_sample(self) -> FleetSample:
-        """One :class:`FleetSample` from the router's rotating-window
-        metrics — what :meth:`autoscale_once` feeds the
-        :class:`Autoscaler` (no replica I/O, so sampling never blocks
-        the request path)."""
-        up_handles = [h for h in self._replicas.values() if h.state == "up"]
-        inflight = sum(h.inflight for h in up_handles)
-        return FleetSample(
-            up=len(up_handles),
-            shed_rate=self._metrics.counter("shed").window_rate(),
-            queue_depth=inflight / len(up_handles) if up_handles else 0.0,
-            p95_us=self._metrics.stage("request").window_stats()["p95_us"],
-        )
-
-    async def autoscale_once(self) -> dict:
-        """One control-loop tick: sample the fleet, ask the
-        :class:`Autoscaler` for a target, and apply at most one step
-        (spawn + warm-up, or retire). The background loop calls this
-        every ``interval_s``; tests call it directly for determinism.
-        Returns ``{"up", "target", "applied"}``."""
-        if self._autoscaler is None or self._closed:
-            return {"up": 0, "target": 0, "applied": False}
-        sample = self.fleet_sample()
-        target = self._autoscaler.decide(sample)
-        applied = False
-        if target > sample.up:
-            applied = await self._scale_up()
-        elif target < sample.up:
-            applied = await self._scale_down()
-        return {"up": sample.up, "target": target, "applied": applied}
-
-    async def _autoscale_loop(self) -> None:
-        assert self._autoscaler is not None
-        while True:
-            await asyncio.sleep(self._autoscaler.config.interval_s)
-            await self.autoscale_once()
-
-    async def _scale_up(self) -> bool:
-        """Add one managed replica: spawn, connect, warm up from a live
-        sibling, and only then let its ring arcs take traffic (it is on
-        the ring from birth, but ``_forward`` skips it until ``up``)."""
-        if self._spawn_command is None:
-            return False  # attached-only fleets have nothing to spawn
-        async with self._restart_lock:
-            replica_id = len(self._replicas)
-            while f"r{replica_id}" in self._replicas:
-                replica_id += 1
-            handle = ReplicaHandle(f"r{replica_id}", replica_id)
-            handle.host = self._spawn_host
-            handle.managed = True
-            self._replicas[handle.name] = handle
-            self._ring.add(handle.name)
-            try:
-                await self._spawn_one(handle)
-            except (ReplicaUnavailableError, OSError) as exc:
-                # Leave the handle down; the health loop owns retries.
-                handle.state = "down"
-                handle.last_error = str(exc)
-                return False
-            self._metrics.counter("scale_ups").add()
-            return True
-
-    async def _scale_down(self) -> bool:
-        """Retire the youngest managed ``up`` replica: take it off the
-        ring first (only its ~1/N arc remaps), then SIGTERM it — the
-        replica's own graceful drain finishes its in-flight detections
-        before the process exits — and reap it. Retired slots stay in
-        ``/stats`` as history but never count against health and are
-        never restarted."""
-        async with self._restart_lock:
-            victim = next(
-                (
-                    h
-                    for h in sorted(
-                        self._replicas.values(),
-                        key=lambda h: h.replica_id,
-                        reverse=True,
-                    )
-                    if h.managed and h.state == "up"
-                ),
-                None,
-            )
-            if victim is None:
-                return False
-            self._ring.remove(victim.name)
-            victim.state = "retiring"
-            process, victim.process = victim.process, None
-            if process is not None and process.returncode is None:
-                process.terminate()
-                try:
-                    await asyncio.wait_for(process.wait(), 10.0)
-                except asyncio.TimeoutError:  # pragma: no cover - hung child
-                    process.kill()
-                    await process.wait()
-            client, victim.client = victim.client, None
-            if client is not None:
-                await client.close()
-            if victim._drain_task is not None:
-                victim._drain_task.cancel()
-                victim._drain_task = None
-            victim.state = "retired"
-            self._metrics.counter("scale_downs").add()
-            return True
 
     # ------------------------------------------------------------------
     # spawning / connecting
@@ -1341,7 +1014,7 @@ class Router:
         handle.process = process
         try:
             handle.host, handle.port = await asyncio.wait_for(
-                _await_ready_line(process), self._config.spawn_timeout_s
+                _await_ready_line(process), SPAWN_TIMEOUT_S
             )
         except (asyncio.TimeoutError, ReplicaUnavailableError) as exc:
             if process.returncode is None:
@@ -1361,7 +1034,7 @@ class Router:
         client = ReplicaClient(handle.host, handle.port)
         await client.connect()
         response = await client.request(
-            {"op": "health"}, timeout=self._config.health_timeout_s
+            {"op": "health"}, timeout=HEALTH_TIMEOUT_S
         )
         if response.get("status") != "ok":
             await client.close()
@@ -1389,7 +1062,7 @@ class Router:
         cold-start stampede. Only keys the full ring assigns to this
         replica are replayed — heat for arcs it will never serve is
         wasted work. Best-effort by design: no donor, a dead donor, or
-        the ``warmup_timeout_s`` deadline just means joining colder;
+        the ``WARMUP_TIMEOUT_S`` deadline just means joining colder;
         returns the number of keys actually warmed (also summed into
         the ``warmed_keys`` counter)."""
         if self._config.warmup_keys < 1 or handle.client is None:
@@ -1407,7 +1080,7 @@ class Router:
         try:
             response = await donor.client.request(
                 {"op": "cache_keys", "n": self._config.warmup_keys},
-                timeout=self._config.health_timeout_s,
+                timeout=HEALTH_TIMEOUT_S,
             )
         except ReplicaUnavailableError:
             return 0
@@ -1417,11 +1090,7 @@ class Router:
         mine = [
             key
             for key in keys
-            if isinstance(key, str)
-            and (
-                handle.name not in self._ring.nodes
-                or self._ring.node_for(key) == handle.name
-            )
+            if isinstance(key, str) and self._ring.node_for(key) == handle.name
         ]
         if not mine:
             return 0
@@ -1434,7 +1103,7 @@ class Router:
                 *(
                     client.request(
                         {"op": "detect", "query": key},
-                        timeout=self._config.request_timeout_s,
+                        timeout=REQUEST_TIMEOUT_S,
                     )
                     for key in mine
                 ),
@@ -1447,7 +1116,7 @@ class Router:
             )
 
         try:
-            await asyncio.wait_for(replay(), self._config.warmup_timeout_s)
+            await asyncio.wait_for(replay(), WARMUP_TIMEOUT_S)
         except (asyncio.TimeoutError, ReplicaUnavailableError):
             pass  # join colder; the cache fills from live traffic anyway
         self._metrics.counter("warmed_keys").add(warmed)
@@ -1463,9 +1132,8 @@ class Router:
           its own stage histograms (``request``, ``forward``,
           per-replica ``forward.<name>``) and counters (``shed``,
           ``reroutes``, ``restarts``, ``unrouted``, the hedging and
-          scaling counters), each stage carrying a last-window summary
-          and each counter a ``counter_windows`` entry, plus the
-          :meth:`Autoscaler.describe` control-loop state when enabled.
+          warm-up counters), each stage carrying a last-window summary
+          and each counter a ``counter_windows`` entry.
         - ``replicas`` — per replica: state, generation, restarts,
           address, last error, and (when up) its full service stats.
         - ``fleet`` — the replicas merged: summed request/cache/batch
@@ -1480,7 +1148,7 @@ class Router:
             if handle.state == "up" and handle.client is not None:
                 try:
                     response = await handle.client.request(
-                        {"op": "stats"}, timeout=self._config.health_timeout_s
+                        {"op": "stats"}, timeout=HEALTH_TIMEOUT_S
                     )
                 except ReplicaUnavailableError as exc:
                     self._mark_down(handle, str(exc))
@@ -1502,11 +1170,6 @@ class Router:
                 "stages": local["stages"],
                 "counters": local["counters"],
                 "counter_windows": local["counter_windows"],
-                "autoscaler": (
-                    self._autoscaler.describe()
-                    if self._autoscaler is not None
-                    else None
-                ),
             },
             "replicas": replicas,
             "fleet": _merge_fleet_stats(fleet_inputs),

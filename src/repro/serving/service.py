@@ -335,9 +335,9 @@ class DetectionService:
         (:meth:`~repro.utils.lru.ShardedLruCache.hottest`); empty when
         the result cache is disabled.
 
-        The donor side of replica warm-up: a new replica replays a
+        The donor side of replica warm-up: a rejoining replica replays a
         sibling's hot keys through its *own* detector before the router
-        adds it to the ring, so scale-up never admits a cold cache.
+        marks it ``up``, so it never takes its ring arc back cold.
         """
         if self._cache is None:
             return []

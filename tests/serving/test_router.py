@@ -1,10 +1,10 @@
 """Router: hash-ring affinity, failover, shedding, aggregated stats.
 
-Replicas here are in-process :class:`ReplicaServer` instances attached
-by address (no subprocesses), so every fleet behaviour — affinity,
-re-route on death, reattach, overload propagation — is tested
-deterministically and fast. The subprocess spawn path is exercised by
-the CI router smoke test and the R12 benchmark.
+Replicas here are mostly in-process :class:`ReplicaServer` instances
+attached by address (no subprocesses), so every fleet behaviour —
+affinity, re-route on death, reattach, overload propagation — is tested
+deterministically and fast. :class:`TestRouterHealth` also spawns real
+replica processes to test the managed restart path.
 """
 
 from __future__ import annotations
@@ -14,12 +14,14 @@ import json
 import os
 import signal
 import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.errors import (
     ReplicaUnavailableError,
     ServerClosedError,
@@ -32,12 +34,10 @@ from repro.serving import (
     detection_payload,
     run_server,
 )
+import repro.serving.router as router_module
 from repro.serving.replica import ReplicaServer
 from repro.serving.router import (
-    Autoscaler,
-    AutoscalerConfig,
     ConsistentHashRing,
-    FleetSample,
     ReplicaClient,
     ReplicaHandle,
     Router,
@@ -60,6 +60,13 @@ QUERIES = [
 @pytest.fixture(scope="module")
 def compiled(model):
     return model.compile()
+
+
+@pytest.fixture(scope="module")
+def snapshot_path(compiled, tmp_path_factory):
+    path = tmp_path_factory.mktemp("router") / "model.hdms"
+    compiled.save_snapshot(path)
+    return path
 
 
 class TestConsistentHashRing:
@@ -103,16 +110,17 @@ class TestConsistentHashRing:
         with pytest.raises(ServingError, match="already"):
             ring.add("r0")
 
-    def test_remove_unknown_node_is_refused(self):
-        with pytest.raises(ServingError, match="not on the ring"):
-            ConsistentHashRing(["r0"]).remove("r9")
+    def test_up_set_of_unknown_nodes_routes_nowhere(self):
+        ring = ConsistentHashRing(["r0"])
+        assert ring.node_for("x", up=["r9"]) is None
+        assert list(ring.nodes_for("x", up=["r9"])) == []
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(1, 8))
     def test_scale_up_then_down_remaps_minimally(self, n):
-        """The autoscaler's ring contract: adding a node moves keys
-        only *onto* the new node (~K/(N+1) of them), and removing it
-        restores the exact previous mapping."""
+        """Adding a node moves keys only *onto* it (~K/(N+1) of them),
+        and dropping it from the ``up`` set — how the router routes
+        around a dead replica — restores the exact previous mapping."""
         ring = ConsistentHashRing([f"r{i}" for i in range(n)])
         keys = [f"query number {i}" for i in range(400)]
         before = {key: ring.node_for(key) for key in keys}
@@ -122,144 +130,30 @@ class TestConsistentHashRing:
         assert all(after[key] == f"r{n}" for key in moved)
         # ~K/(N+1) keys move; vnode smoothing keeps it within ~3x.
         assert len(moved) <= 3 * len(keys) / (n + 1)
-        ring.remove(f"r{n}")
-        assert {key: ring.node_for(key) for key in keys} == before
+        survivors = [f"r{i}" for i in range(n)]
+        assert {key: ring.node_for(key, up=survivors) for key in keys} == before
 
 
 class TestRouterConfig:
     def test_validation(self):
-        with pytest.raises(ServingError, match="vnodes"):
-            RouterConfig(vnodes=0)
         with pytest.raises(ServingError, match="max_inflight"):
             RouterConfig(max_inflight=0)
-        with pytest.raises(ServingError, match="max_restarts"):
-            RouterConfig(max_restarts=-1)
         with pytest.raises(ServingError, match="hedge_rate"):
             RouterConfig(hedge_rate=1.5)
         with pytest.raises(ServingError, match="hedge thresholds"):
             RouterConfig(hedge_p99_us=-1)
         with pytest.raises(ServingError, match="warmup_keys"):
             RouterConfig(warmup_keys=-1)
-        with pytest.raises(ServingError, match="restart_jitter"):
-            RouterConfig(restart_jitter=-0.1)
 
 
 class _FakeClock:
-    """Injectable monotonic clock for deterministic control-loop tests."""
+    """Injectable monotonic clock for deterministic backoff tests."""
 
     def __init__(self) -> None:
         self.now = 0.0
 
     def __call__(self) -> float:
         return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-def _sample(up, shed_rate=0.0, queue_depth=0.0, p95_us=0.0):
-    return FleetSample(
-        up=up, shed_rate=shed_rate, queue_depth=queue_depth, p95_us=p95_us
-    )
-
-
-class TestAutoscalerDecisions:
-    """The pure decision engine, driven by hand-built FleetSamples and
-    an injected clock — no subprocesses, no sockets, no real time."""
-
-    def test_config_validation(self):
-        with pytest.raises(ServingError, match="min_replicas"):
-            AutoscalerConfig(min_replicas=0)
-        with pytest.raises(ServingError, match="max_replicas"):
-            AutoscalerConfig(min_replicas=3, max_replicas=2)
-        with pytest.raises(ServingError, match="hold_intervals"):
-            AutoscalerConfig(hold_intervals=0)
-        with pytest.raises(ServingError, match="interval_s"):
-            AutoscalerConfig(interval_s=0)
-
-    def test_scale_up_needs_a_sustained_overload_streak(self):
-        clock = _FakeClock()
-        scaler = Autoscaler(
-            AutoscalerConfig(max_replicas=4, hold_intervals=3, up_shed_rate=0.5),
-            clock=clock,
-        )
-        hot = _sample(1, shed_rate=2.0)
-        assert scaler.decide(hot) == 1  # streak 1: hold
-        assert scaler.decide(hot) == 1  # streak 2: hold
-        assert scaler.decide(hot) == 2  # streak 3: step up
-
-    def test_one_noisy_sample_resets_the_streak(self):
-        clock = _FakeClock()
-        scaler = Autoscaler(
-            AutoscalerConfig(hold_intervals=2, up_queue_depth=8.0), clock=clock
-        )
-        assert scaler.decide(_sample(1, queue_depth=20.0)) == 1
-        assert scaler.decide(_sample(1, queue_depth=2.0)) == 1  # calm: reset
-        assert scaler.decide(_sample(1, queue_depth=20.0)) == 1  # streak 1 again
-        assert scaler.decide(_sample(1, queue_depth=20.0)) == 2
-
-    def test_cooldown_blocks_consecutive_steps(self):
-        clock = _FakeClock()
-        scaler = Autoscaler(
-            AutoscalerConfig(hold_intervals=1, cooldown_s=15.0, max_replicas=8),
-            clock=clock,
-        )
-        hot = _sample(1, shed_rate=9.0)
-        assert scaler.decide(hot) == 2
-        assert scaler.decide(_sample(2, shed_rate=9.0)) == 2  # cooling down
-        clock.advance(15.0)
-        assert scaler.decide(_sample(2, shed_rate=9.0)) == 3
-
-    def test_scale_down_after_idle_streak_respects_min(self):
-        clock = _FakeClock()
-        scaler = Autoscaler(
-            AutoscalerConfig(
-                min_replicas=1,
-                hold_intervals=2,
-                cooldown_s=0.0,
-                down_queue_depth=1.0,
-            ),
-            clock=clock,
-        )
-        idle = _sample(3, queue_depth=0.0)
-        assert scaler.decide(idle) == 3
-        assert scaler.decide(idle) == 2
-        assert scaler.decide(_sample(2, queue_depth=0.0)) == 2  # streak restarted
-        assert scaler.decide(_sample(2, queue_depth=0.0)) == 1
-        assert scaler.decide(_sample(1, queue_depth=0.0)) == 1  # floor: min
-        assert scaler.decide(_sample(1, queue_depth=0.0)) == 1
-
-    def test_bounds_repair_skips_hysteresis(self):
-        scaler = Autoscaler(
-            AutoscalerConfig(min_replicas=2, max_replicas=3), clock=_FakeClock()
-        )
-        assert scaler.decide(_sample(1)) == 2  # below min: repair now
-        assert scaler.decide(_sample(5)) == 3  # above max: repair now
-
-    def test_latency_trigger_is_off_by_default(self):
-        clock = _FakeClock()
-        scaler = Autoscaler(
-            AutoscalerConfig(hold_intervals=1, up_p95_us=0.0), clock=clock
-        )
-        # Huge p95 alone must not scale when the trigger is disabled
-        # (queue depth 2.0 also blocks the idle path).
-        assert scaler.decide(_sample(1, p95_us=10**9, queue_depth=2.0)) == 1
-        armed = Autoscaler(
-            AutoscalerConfig(hold_intervals=1, up_p95_us=50_000.0),
-            clock=_FakeClock(),
-        )
-        assert armed.decide(_sample(1, p95_us=100_000.0)) == 2
-
-    def test_describe_reports_control_state(self):
-        clock = _FakeClock()
-        scaler = Autoscaler(
-            AutoscalerConfig(hold_intervals=3, cooldown_s=10.0), clock=clock
-        )
-        scaler.decide(_sample(1, shed_rate=9.0))
-        state = scaler.describe()
-        assert state["up_streak"] == 1
-        assert state["min_replicas"] == 1
-        assert state["cooling_down"] is False
 
 
 def _fleet(compiled, count, config=None):
@@ -457,6 +351,69 @@ class TestRouterHealth:
             router.attach("127.0.0.1", 1)  # nothing listens there
             with pytest.raises(ServingError, match="no replica came up"):
                 await router.start()
+
+        asyncio.run(main())
+
+    def test_killed_replica_is_restarted_warm(
+        self, compiled, snapshot_path, monkeypatch
+    ):
+        """SIGKILL a spawned replica: the next health pass restarts it as
+        generation 2, warms it from its sibling's cache before it takes
+        traffic, and the fleet's answers stay bit-identical."""
+        src = str(Path(repro.__file__).parents[1])
+        monkeypatch.setenv(
+            "PYTHONPATH", src + os.pathsep + os.environ.get("PYTHONPATH", "")
+        )
+
+        async def main():
+            router = Router(RouterConfig(health_interval_s=30.0, warmup_keys=64))
+            router.spawn(str(snapshot_path), 2)
+            await router.start()
+            try:
+                queries = [
+                    _owned_query(router, owner, template=f"query {{}} topic {k}")
+                    for owner in ("r0", "r1")
+                    for k in range(4)
+                ]
+                for query in queries:
+                    await router.detect(query)
+                victim = router.replicas[1]
+                process = victim.process
+                process.kill()
+                await process.wait()
+                # r1's arc fails over to r0 and heats r0's cache with
+                # r1-owned keys: the donor material for the warm-up.
+                for query in queries:
+                    await router.detect(query)
+                assert victim.state == "down"
+                await router.check_health()
+                restarted = (victim.generation, victim.restarts, victim.state)
+                stats = await router.stats()
+                results = {q: await router.detect(q) for q in queries + QUERIES}
+                return restarted, stats, results
+            finally:
+                await router.close()
+
+        restarted, stats, results = asyncio.run(main())
+        assert restarted == (2, 1, "up")
+        assert stats["router"]["counters"]["restarts"] == 1
+        assert stats["router"]["counters"]["warmed_keys"] >= 4
+        # Replayed through r1 before it took any live traffic.
+        assert stats["replicas"]["r1"]["stats"]["requests"] >= 4
+        assert stats["replicas"]["r1"]["generation"] == 2
+        for query, payload in results.items():
+            assert payload == detection_payload(compiled.detect(query))
+
+    def test_dead_replica_reports_its_exit_code(self):
+        """A replica that dies before its ready line is reaped first, so
+        the error names its real exit code rather than ``None``."""
+
+        async def main():
+            router = Router(RouterConfig(health_interval_s=30.0))
+            (handle,) = router.spawn("unused.hdms", 1)
+            router._spawn_command = [sys.executable, "-c", "raise SystemExit(3)"]
+            with pytest.raises(ReplicaUnavailableError, match=r"code 3\)"):
+                await router._spawn_one(handle)
 
         asyncio.run(main())
 
@@ -824,108 +781,20 @@ class TestWarmup:
         assert counters["warmed_keys"] == 0
 
 
-class TestRouterAutoscaling:
-    def test_scale_down_retires_youngest_and_keeps_serving(self, compiled):
-        """autoscale_once applies a shrink decision: the retired replica
-        leaves the ring, its arc remaps, health stays ok, and every
-        query is still answered bit-identically."""
-
-        async def main():
-            config = RouterConfig(health_interval_s=30.0, warmup_keys=0)
-            scaling = AutoscalerConfig(
-                min_replicas=1, max_replicas=3, hold_intervals=1, cooldown_s=0.0
-            )
-            async with _fleet(compiled, 3, config) as (router, _servers):
-                router._autoscaler = Autoscaler(scaling, clock=_FakeClock())
-                for handle in router.replicas:
-                    handle.managed = True  # in-process stand-ins
-                tick = await router.autoscale_once()  # idle fleet shrinks
-                results = {q: await router.detect(q) for q in QUERIES}
-                status, health = router.healthz()
-                assert status == 200
-                stats = await router.stats()
-                return tick, results, health, stats, router.replicas
-
-        tick, results, health, stats, replicas = asyncio.run(main())
-        assert tick == {"up": 3, "target": 2, "applied": True}
-        assert replicas[2].state == "retired"
-        assert health["status"] == "ok"  # a shrunken fleet is healthy
-        assert health["up"] == 2
-        assert health["replicas"]["r2"] == "retired"
-        assert stats["router"]["counters"]["scale_downs"] == 1
-        assert stats["router"]["autoscaler"]["max_replicas"] == 3
-        for query, payload in results.items():
-            assert payload == detection_payload(compiled.detect(query))
-
-    def test_scale_up_without_spawn_command_is_a_noop(self, compiled):
-        """An attached-only fleet has nothing to spawn: the decision is
-        made but not applied, and nothing breaks."""
-
-        async def main():
-            scaling = AutoscalerConfig(
-                min_replicas=1, max_replicas=3, hold_intervals=1, cooldown_s=0.0
-            )
-            async with _fleet(compiled, 1) as (router, _servers):
-                router._autoscaler = Autoscaler(scaling, clock=_FakeClock())
-                router._metrics.counter("shed").add(100)  # a shedding storm
-                tick = await router.autoscale_once()
-                assert (await router.detect("cheap hotels in rome"))["head"]
-                return tick
-
-        tick = asyncio.run(main())
-        assert tick["up"] == 1
-        assert tick["target"] == 2
-        assert tick["applied"] is False
-
-    def test_fleet_sample_reads_windowed_metrics(self, compiled):
-        async def main():
-            async with _fleet(compiled, 2) as (router, _servers):
-                for query in QUERIES:
-                    await router.detect(query)
-                return router.fleet_sample()
-
-        sample = asyncio.run(main())
-        assert sample.up == 2
-        assert sample.shed_rate == 0.0
-        assert sample.queue_depth == 0.0  # nothing in flight now
-        assert sample.p95_us > 0  # recent requests are in the window
-
-    def test_autoscale_disabled_router_ticks_are_noops(self, compiled):
-        async def main():
-            async with _fleet(compiled, 1) as (router, _servers):
-                return await router.autoscale_once()
-
-        assert asyncio.run(main()) == {"up": 0, "target": 0, "applied": False}
-
-    def test_dead_replica_reports_its_exit_code(self):
-        """A replica that dies before its ready line is reaped first, so
-        the error names its real exit code rather than ``None``."""
-
-        async def main():
-            router = Router(RouterConfig(health_interval_s=30.0))
-            (handle,) = router.spawn("unused.hdms", 1)
-            router._spawn_command = [sys.executable, "-c", "raise SystemExit(3)"]
-            with pytest.raises(ReplicaUnavailableError, match=r"code 3\)"):
-                await router._spawn_one(handle)
-
-        asyncio.run(main())
-
-
 class TestRestartBackoff:
-    def test_repeated_failures_back_off_deterministically(self, compiled):
+    def test_repeated_failures_back_off_deterministically(
+        self, compiled, monkeypatch
+    ):
         """First recovery retry is immediate; consecutive failures space
         out exponentially with seeded jitter, so a dead replica is not
         hammered every probe."""
+        monkeypatch.setattr(router_module, "RESTART_BACKOFF_BASE_S", 0.5)
+        monkeypatch.setattr(router_module, "RESTART_BACKOFF_MAX_S", 4.0)
+        monkeypatch.setattr(router_module, "RESTART_JITTER", 0.0)
 
         async def main():
             clock = _FakeClock()
-            config = RouterConfig(
-                health_interval_s=30.0,
-                restart_backoff_base_s=0.5,
-                restart_backoff_max_s=4.0,
-                restart_jitter=0.0,
-            )
-            async with _fleet(compiled, 2, config) as (router, servers):
+            async with _fleet(compiled, 2) as (router, servers):
                 router._clock = clock
                 victim = router.replicas[0]
                 await servers[0].stop()

@@ -384,14 +384,14 @@ class TestServeCommand:
         assert main(["serve"]) == 2
         assert "exactly one of" in capsys.readouterr().err
 
-    def test_serve_replicas_require_snapshot(self, workspace, capsys):
-        code = main(
-            ["serve", "--model", str(workspace["model"]), "--replicas", "2"]
-        )
-        assert code == 2
-        assert "--replicas needs --snapshot" in capsys.readouterr().err
+    def test_serve_has_no_replicas_flag(self, snapshot, capsys):
+        """Multi-process serving is `repro route`; `serve` is one process."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--snapshot", str(snapshot), "--replicas", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --replicas 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["serve", "route"])
+    @pytest.mark.parametrize("command", ["route"])
     @pytest.mark.parametrize("replicas", ["0", "-1"])
     def test_nonpositive_replicas_rejected(self, snapshot, capsys, command, replicas):
         code = main(

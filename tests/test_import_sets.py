@@ -94,6 +94,31 @@ def test_serving_path_loads_no_offline_code(module):
         assert "numpy" not in loaded
 
 
+def _under(loaded: set[str], package: str) -> list[str]:
+    return sorted(
+        name for name in loaded if name == package or name.startswith(package + ".")
+    )
+
+
+def test_router_loads_no_detector_code():
+    """The router forwards payload dicts; it never builds a Detection."""
+    assert _under(_loaded_by("repro.serving.router"), "repro.core") == []
+
+
+def test_building_the_cli_parser_loads_no_linter():
+    """Every serve, route and replica process builds the parser; only
+    ``repro lint`` itself imports the analysis package."""
+    loaded = set(
+        json.loads(
+            _fresh(
+                "import json, sys\nfrom repro.cli import _build_parser\n"
+                "_build_parser()\nprint(json.dumps(sorted(sys.modules)))"
+            )
+        )
+    )
+    assert _under(loaded, "repro.analysis") == []
+
+
 @pytest.mark.parametrize("package", PACKAGES)
 def test_every_export_resolves(package):
     """Laziness must not hide a broken re-export: ``import *`` touches
