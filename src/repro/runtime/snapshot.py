@@ -21,9 +21,9 @@ weight matrix, precomputed typicality readings, context-disambiguation
 priors, instance-pair supports, taxonomy edges, and the flat-array
 segmentation automaton behind the vectorized batch path) is one
 contiguous ``int64``/``float64`` section; strings live once in a shared
-vocabulary blob and are referenced by id. The ``vseg_*`` automaton
-sections are optional: a file without them (``has_automaton`` absent
-from the header) still loads, falling back to per-query segmentation.
+vocabulary blob and are referenced by id. Every file carries the
+``vseg_*`` automaton sections; one without them is refused with a
+:class:`~repro.errors.ModelError` naming the missing section.
 :func:`load_snapshot` maps the file with ``mmap`` and builds NumPy views
 directly over the mapping (``np.frombuffer``), so the array payload is
 never copied — replica processes that load the same snapshot share the
@@ -312,16 +312,8 @@ def save_snapshot(detector, path: str | Path, *, lineage: dict | None = None) ->
     writer.add_array("domain_labels", [d for _, d in domains], _I64)
 
     # --- segmentation automaton (vectorized batch path) ----------------
-    # Optional sections: old snapshots predate them and keep loading;
-    # the reader falls back to per-query segmentation when absent. The
-    # trailing OOV slot is derived state and is not stored.
+    # The trailing OOV slot is derived state and is not stored.
     automaton = detector._automaton
-    if automaton is None:
-        from repro.runtime.vectorized import SegmentationAutomaton
-
-        # Detectors restored from pre-automaton snapshots rebuild theirs
-        # here, so a re-save upgrades the file in place.
-        automaton = SegmentationAutomaton.build(detector._segmenter)
     writer.add_array("vseg_tokens", vocab.ids_of(automaton.tokens), _I64)
     writer.add_array("vseg_token_scores", automaton.token_scores[:-1], _F64)
     writer.add_array("vseg_token_kinds", automaton.token_kinds[:-1], _I64)
@@ -687,20 +679,20 @@ def load_snapshot(path: str | Path):
 
         speller = SpellingNormalizer.from_taxonomy(taxonomy)
 
-    # --- segmentation automaton (absent in pre-automaton snapshots) ---
-    automaton = None
-    if header.get("has_automaton"):
-        from repro.runtime.vectorized import SegmentationAutomaton
+    # --- segmentation automaton ---------------------------------------
+    from repro.runtime.vectorized import SegmentationAutomaton
 
-        automaton = SegmentationAutomaton(
-            [vocab[i] for i in array("vseg_tokens").tolist()],
-            array("vseg_token_scores"),
-            array("vseg_token_kinds"),
-            array("vseg_edge_keys"),
-            array("vseg_edge_targets"),
-            array("vseg_terminal"),
-            header["vseg_max_span"],
-        )
+    if "vseg_max_span" not in header:
+        raise ModelError(f"{path}: corrupted snapshot (no header key vseg_max_span)")
+    automaton = SegmentationAutomaton(
+        [vocab[i] for i in array("vseg_tokens").tolist()],
+        array("vseg_token_scores"),
+        array("vseg_token_kinds"),
+        array("vseg_edge_keys"),
+        array("vseg_edge_targets"),
+        array("vseg_terminal"),
+        header["vseg_max_span"],
+    )
 
     config = DetectorConfig(**header["detector_config"])
     return CompiledDetector._restore(

@@ -54,8 +54,9 @@ from repro.core.segmentation import (
     KIND_WORD,
 )
 from repro.errors import ModelError
-from repro.runtime.compiled import CompiledSegmenter, _remember
+from repro.runtime.compiled import CompiledSegmenter
 from repro.text.normalizer import normalize_fast
+from repro.utils.lru import remember
 
 _NEG = float("-inf")
 
@@ -681,7 +682,7 @@ class VectorizedDetector:
                         KIND_BY_CODE[code],
                         det._concepts_of(head_text),
                     )
-                    _remember(self._head_terms, head_text, term, self._memo_cap)
+                    remember(self._head_terms, head_text, term, self._memo_cap)
             elif (
                 code == _CODE_INSTANCE
                 or code == _CODE_WORD
@@ -701,12 +702,12 @@ class VectorizedDetector:
                         det._modifier_concepts(text, head_dict),
                         flag,
                     )
-                    _remember(self._mod_terms, key, term, self._memo_cap)
+                    remember(self._mod_terms, key, term, self._memo_cap)
             else:
                 term = self._other_terms.get((text, code))
                 if term is None:
                     term = DetectedTerm(text, TermRole.OTHER, KIND_BY_CODE[code])
-                    _remember(self._other_terms, (text, code), term, self._memo_cap)
+                    remember(self._other_terms, (text, code), term, self._memo_cap)
             terms.append(term)
         detection = Detection(
             query=query, terms=tuple(terms), score=score, method=method

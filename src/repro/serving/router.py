@@ -14,9 +14,9 @@ design decisions carry the architecture:
   the same :func:`~repro.text.normalizer.normalize_fast` the service
   uses as its cache key, then placed on a :class:`ConsistentHashRing`
   (crc32, virtual nodes). The same query always lands on the same
-  replica, so each replica's :class:`~repro.utils.lru.ShardedLruCache`
-  sees a stable slice of the query distribution and stays hot — N
-  replicas give ~N disjoint caches, not N copies of the same cold one. When a replica dies, only its arc
+  replica, so each replica's result cache sees a stable slice of the
+  query distribution and stays hot — N replicas give ~N disjoint caches,
+  not N copies of the same cold one. When a replica dies, only its arc
   of the ring re-routes (ring order, next live node); the others keep
   their hit rates.
 - **One mmap'd snapshot, shared pages.** Every replica loads the *same*
@@ -77,7 +77,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from time import monotonic, perf_counter
-from typing import Callable, Sequence
+from typing import Sequence
 from zlib import crc32
 
 from repro.errors import (
@@ -179,12 +179,12 @@ class RouterConfig:
 class ConsistentHashRing:
     """A crc32 consistent-hash ring with virtual nodes.
 
-    The fleet-level twin of :func:`~repro.utils.lru.shard_of` (same
-    hash family, same determinism goal): a key maps to the first node
-    point at or after ``crc32(key)`` on the ring, so the mapping is
-    stable across processes and across restarts, and dropping one node
-    from the ``up`` set only remaps that node's arcs. ``vnodes`` points
-    per node smooth the arc sizes.
+    A key (the :func:`~repro.text.normalizer.normalize_fast` form a
+    replica's result cache is keyed by) maps to the first node point at
+    or after ``crc32(key)`` on the ring, so the mapping is stable across
+    processes and across restarts, and dropping one node from the ``up``
+    set only remaps that node's arcs. ``vnodes`` points per node smooth
+    the arc sizes.
 
     >>> ring = ConsistentHashRing(["r0", "r1"])
     >>> ring.node_for("cheap hotels in rome") in {"r0", "r1"}
@@ -442,15 +442,10 @@ class Router:
     connects the fleet and begins health probing.
     """
 
-    def __init__(
-        self,
-        config: RouterConfig | None = None,
-        metrics: ServingMetrics | None = None,
-        clock: Callable[[], float] | None = None,
-    ) -> None:
+    def __init__(self, config: RouterConfig | None = None) -> None:
         self._config = config or RouterConfig()
-        self._clock = clock or monotonic
-        self._metrics = metrics or ServingMetrics(clock=clock)
+        self._clock = monotonic
+        self._metrics = ServingMetrics()
         self._replicas: dict[str, ReplicaHandle] = {}
         self._ring = ConsistentHashRing()
         self._spawn_command: list[str] | None = None

@@ -10,9 +10,11 @@ Per request, in order:
    to the reference :func:`~repro.text.normalizer.normalize` by a
    hypothesis test). A detection is a pure function of the normalized
    text, so the normal form is the cache and dedup key.
-2. **Result cache** — a :class:`~repro.utils.lru.ShardedLruCache` keyed
-   by the normal form. Real query logs are Zipfian; the hot head of the
-   distribution is answered here without touching the detector.
+2. **Result cache** — a :class:`~repro.utils.lru.LruCache` keyed by
+   the normal form. Real query logs are Zipfian; the hot head of the
+   distribution is answered here without touching the detector. The
+   cache is read and written only on the event-loop thread, so it needs
+   no lock and no sharding.
 3. **Single-flight dedup** — identical queries already being detected
    are *joined*, not re-enqueued: every concurrent waiter shares one
    in-flight future, so a thundering herd of the same query costs one
@@ -69,7 +71,7 @@ from repro.runtime.lineage import model_generation_of
 from repro.serving.batcher import MicroBatcher
 from repro.serving.metrics import ServingMetrics
 from repro.text.normalizer import normalize_fast
-from repro.utils.lru import ShardedLruCache
+from repro.utils.lru import LruCache
 
 _MISS = object()
 
@@ -83,17 +85,16 @@ class ServingConfig:
       form the next batch, at most ``max_batch_size`` strong.
     - ``max_pending``: distinct in-flight queries admitted before
       :class:`~repro.errors.ServerOverloadedError`.
-    - ``cache_size`` / ``cache_shards``: the normalized-query result
-      cache (``cache_size=0`` disables it).
+    - ``cache_size``: entries of the normalized-query result cache
+      (``cache_size=0`` disables it).
     """
 
     max_batch_size: int = 32
     max_pending: int = 1024
     cache_size: int = 50_000
-    cache_shards: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("max_batch_size", "max_pending", "cache_shards"):
+        for name in ("max_batch_size", "max_pending"):
             value = getattr(self, name)
             if value < 1:
                 raise ServingError(f"{name} must be positive, got {value}")
@@ -109,29 +110,21 @@ class DetectionService:
     >>> await service.close()
     """
 
-    def __init__(
-        self,
-        detector,
-        config: ServingConfig | None = None,
-        metrics: ServingMetrics | None = None,
-    ) -> None:
+    def __init__(self, detector, config: ServingConfig | None = None) -> None:
         self._detector = detector
         self._config = config or ServingConfig()
         # One registry for the whole pipeline: the batcher reports queue
         # waits into it, this service reports request/detect latencies,
         # and the HTTP/replica front ends layer their own stages on top.
-        self._metrics = metrics or ServingMetrics()
+        self._metrics = ServingMetrics()
         self._batcher: MicroBatcher[str, Detection] = MicroBatcher(
             self._run_batch,
             max_batch_size=self._config.max_batch_size,
             on_dispatch=self._observe_dispatch,
         )
-        self._cache: ShardedLruCache[str, Detection] | None = None
+        self._cache: LruCache[str, Detection] | None = None
         if self._config.cache_size > 0:
-            self._cache = ShardedLruCache(
-                max(self._config.cache_size, self._config.cache_shards),
-                self._config.cache_shards,
-            )
+            self._cache = LruCache(self._config.cache_size)
         self._inflight: dict[str, asyncio.Future] = {}
         # One worker thread: batches run off the event loop (the loop
         # keeps accepting requests), but detection stays single-threaded
@@ -332,7 +325,7 @@ class DetectionService:
 
     def hot_keys(self, n: int = 256) -> list[str]:
         """Up to ``n`` hottest normalized cache keys, hottest first
-        (:meth:`~repro.utils.lru.ShardedLruCache.hottest`); empty when
+        (:meth:`~repro.utils.lru.LruCache.hottest`); empty when
         the result cache is disabled.
 
         The donor side of replica warm-up: a rejoining replica replays a

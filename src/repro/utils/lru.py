@@ -1,42 +1,43 @@
-"""A small bounded LRU map, and its sharded variant.
+"""The two bounded-cache policies, and the only place either is defined.
 
-Long-running detector processes memoize pure per-phrase computations
-(concept readings, pair affinities). An unbounded dict grows with the
-vocabulary of the traffic — fine in a benchmark, a slow leak in a
-service. ``LruCache`` is the drop-in replacement: ``get`` refreshes
-recency, ``put`` evicts the least-recently-used entry once ``capacity``
-is exceeded.
+Long-running detector processes memoize pure functions of short text,
+and a served query log is Zipfian. An unbounded dict grows with the
+vocabulary of the traffic: fine in a benchmark, a slow leak in a
+service. Every bounded cache in the package uses one of two policies.
 
-Python dicts preserve insertion order, so recency is maintained by
-re-inserting touched keys; eviction pops the oldest (first) key. All
-operations are O(1).
+**Least-recently-used** (:class:`LruCache`). ``get`` refreshes recency,
+``put`` evicts the least-recently-used entry once ``capacity`` is
+exceeded. Python dicts preserve insertion order, so recency is kept by
+re-inserting touched keys and eviction pops the oldest (first) key; all
+operations are O(1). It keeps the hot head of a skewed distribution
+through any amount of cold traffic, counts hits and misses, and lists
+its keys most-recently-used first (:meth:`LruCache.hottest`). It backs
+the serving result cache, whose hot keys warm a rejoining replica, and
+the compiled detector's four runtime caches, whose counters
+``CompiledDetector.cache_stats`` reports.
 
-:class:`ShardedLruCache` spreads one logical cache over N independent
-``LruCache`` shards selected by :func:`shard_of` (crc32 of the key, the
-same deterministic sharding the training pipeline uses for query logs).
-Eviction pressure stays local to a shard, and the layout matches how a
-sharded serving tier would partition a distributed cache — the stats it
-reports are per-key-space, not per-process.
+**Clear-when-full** (:func:`remember` on a plain dict). Once the dict
+holds ``capacity`` entries the next insert empties it first. A hit is a
+bare ``dict.get``, with no recency write and no counter. The batch
+engine's per-phrase term memos and ``ConstraintMemo``'s vectors and
+decisions use it: they sit on the per-query tail of ``detect_batch``,
+where the lookup itself is the cost. Putting those five memos on
+``LruCache`` instead was measured on perfbench ``batch-annotate`` in 6
+interleaved pairs (seeds 911-916) on a 2-vCPU host: ``throughput_qps``
+fell from 32.2k to 29.2k (lower in 5 of 6 pairs), ``latency_p50_us``
+rose from 1,702 to 1,839 us, and ``rss_mb`` rose from 71.6 to 73.8 MiB
+(higher in 6 of 6 pairs).
+
+A sharded LRU is not a third policy: the result cache is touched only
+on the serving event-loop thread, so shards would guard no concurrency.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterator
 from typing import Generic, TypeVar, cast
-from zlib import crc32
 
-
-def shard_of(key: Hashable, num_shards: int) -> int:
-    """Deterministic shard index for ``key`` (stable across processes).
-
-    Strings hash via crc32 of their UTF-8 bytes, so a key always lands
-    on the same shard regardless of ``PYTHONHASHSEED``.
-    Non-string keys fall back to ``hash`` (process-stable, which is all
-    an in-process cache needs).
-    """
-    if isinstance(key, str):
-        return crc32(key.encode("utf-8")) % num_shards
-    return hash(key) % num_shards
+__all__ = ["LruCache", "remember"]
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -141,103 +142,9 @@ class LruCache(Generic[K, V]):
         return iter(self._data)
 
 
-class ShardedLruCache(Generic[K, V]):
-    """One logical LRU cache spread over ``num_shards`` independent shards.
-
-    The total ``capacity`` is split evenly (any remainder goes to the
-    first shards), and each key is pinned to one shard by
-    :func:`shard_of`. The interface mirrors :class:`LruCache`; hit/miss
-    counters aggregate across shards.
-
-    >>> cache = ShardedLruCache(capacity=8, num_shards=4)
-    >>> cache.put("a", 1)
-    >>> cache.get("a")
-    1
-    """
-
-    __slots__ = ("_shards",)
-
-    def __init__(self, capacity: int, num_shards: int = 8) -> None:
-        if num_shards <= 0:
-            raise ValueError(f"num_shards must be positive, got {num_shards}")
-        if capacity < num_shards:
-            raise ValueError(
-                f"capacity ({capacity}) must be >= num_shards ({num_shards})"
-            )
-        base, extra = divmod(capacity, num_shards)
-        self._shards: list[LruCache[K, V]] = [
-            LruCache(base + (1 if index < extra else 0))
-            for index in range(num_shards)
-        ]
-
-    @property
-    def num_shards(self) -> int:
-        """Number of independent shards."""
-        return len(self._shards)
-
-    @property
-    def capacity(self) -> int:
-        """Total entries held across all shards."""
-        return sum(shard.capacity for shard in self._shards)
-
-    @property
-    def hits(self) -> int:
-        """Aggregate hit count across shards."""
-        return sum(shard.hits for shard in self._shards)
-
-    @property
-    def misses(self) -> int:
-        """Aggregate miss count across shards."""
-        return sum(shard.misses for shard in self._shards)
-
-    def get(self, key: K, default: V | None = None) -> V | None:
-        """Return the cached value (refreshing recency) or ``default``."""
-        return self._shards[shard_of(key, len(self._shards))].get(key, default)
-
-    def put(self, key: K, value: V) -> None:
-        """Insert (or refresh) ``key`` on its shard, evicting that
-        shard's LRU entry when the shard is full."""
-        self._shards[shard_of(key, len(self._shards))].put(key, value)
-
-    def clear(self) -> None:
-        """Drop all entries (hit/miss counters are kept)."""
-        for shard in self._shards:
-            shard.clear()
-
-    def hottest(self, n: int) -> list[K]:
-        """Up to ``n`` keys across shards, hottest first.
-
-        Per-shard recency lists (:meth:`LruCache.hottest`) are
-        interleaved round-robin — position 0 of every shard, then
-        position 1, ... — so the result is deterministic and no shard's
-        hot head is starved by a neighbour's.
-        """
-        if n <= 0:
-            return []
-        per_shard = [shard.hottest(n) for shard in self._shards]
-        hottest: list[K] = []
-        for position in range(max((len(keys) for keys in per_shard), default=0)):
-            for keys in per_shard:
-                if position < len(keys):
-                    hottest.append(keys[position])
-                    if len(hottest) >= n:
-                        return hottest
-        return hottest
-
-    def stats(self) -> dict[str, object]:
-        """Aggregate counters plus per-shard sizes."""
-        lookups = self.hits + self.misses
-        return {
-            "size": len(self),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hits / lookups if lookups else 0.0,
-            "shard_sizes": [len(shard) for shard in self._shards],
-        }
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._shards[shard_of(key, len(self._shards))]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
+def remember(memo: dict[K, V], key: K, value: V, capacity: int) -> None:
+    """Insert into a clear-when-full memo: once ``memo`` holds
+    ``capacity`` entries, empty it before the insert."""
+    if len(memo) >= capacity:
+        memo.clear()
+    memo[key] = value

@@ -200,8 +200,8 @@ class TestReplicaServer:
         )
         assert hot["ok"] is True
         # Keys are the cache's normalized texts, hottest (MRU) first.
-        assert set(hot["keys"]) == {"cheap hotels in rome", "iphone 5s case"}
-        assert capped["ok"] is True and len(capped["keys"]) == 1
+        assert hot["keys"] == ["cheap hotels in rome", "iphone 5s case"]
+        assert capped == {"id": "k1", "ok": True, "keys": ["cheap hotels in rome"]}
         assert bad == {
             "id": "kb",
             "ok": False,

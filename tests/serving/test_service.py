@@ -393,8 +393,39 @@ class TestHotKeys:
         keys, one = run(serve())
         # Keys are the fast-normalized texts the cache is indexed by —
         # exactly what a cold replica can replay through its own detector.
-        assert set(keys) == {"cheap hotels in rome", "iphone 5s case"}
-        assert len(one) == 1
+        assert keys == ["iphone 5s case", "cheap hotels in rome"]
+        assert one == ["iphone 5s case"]
+
+    def test_hot_keys_are_most_recently_used_first(self):
+        """Four misses, then one cache hit: the key just answered from
+        the cache ranks first, the rest follow in reverse insertion
+        order (router warm-up replays this list from the front)."""
+        stub = StubDetector()
+
+        async def serve():
+            async with DetectionService(stub) as service:
+                for query in ("cheap hotels", "rome pizza", "red shoes", "used cars"):
+                    await service.detect(query)
+                await service.detect("cheap hotels")
+                return service.hot_keys(), service.stats()["cache"]
+
+        keys, cache = run(serve())
+        assert cache["hits"] == 1 and cache["misses"] == 4
+        assert keys == ["cheap hotels", "used cars", "red shoes", "rome pizza"]
+
+    def test_cache_holds_exactly_cache_size_entries(self):
+        stub = StubDetector()
+        config = ServingConfig(cache_size=3)
+
+        async def serve():
+            async with DetectionService(stub, config) as service:
+                for query in ("a", "b", "c", "d", "e"):
+                    await service.detect(query)
+                return service.stats()["cache"], service.hot_keys()
+
+        cache, keys = run(serve())
+        assert cache["capacity"] == 3 and cache["size"] == 3
+        assert keys == ["e", "d", "c"]
 
     def test_hot_keys_empty_when_cache_disabled(self):
         stub = StubDetector()

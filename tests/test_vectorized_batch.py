@@ -315,41 +315,14 @@ class TestSnapshotAutomaton:
         finally:
             loaded.close()
 
-    def test_old_snapshot_without_automaton_still_loads(
-        self, snapshot_path, tmp_path
-    ):
-        """Pre-automaton snapshots (no ``vseg_*`` sections, no
-        ``has_automaton`` header key) must load and detect per-query."""
-        old = _strip_automaton_sections(snapshot_path, tmp_path)
-        loaded = load_snapshot(old)
-        try:
-            assert loaded._automaton is None
-            assert not loaded.vectorized_batch
-            assert loaded._vectorized_engine() is None
-            # detect_batch falls back to the per-query reference loop.
-            texts = ["cases for iphone 5s", "hotels in paris"]
-            assert loaded.detect_batch(texts) == [
-                loaded.detect(text) for text in texts
-            ]
-        finally:
-            loaded.close()
-
-    def test_resave_of_old_snapshot_regrows_automaton(
-        self, snapshot_path, tmp_path
-    ):
-        old = _strip_automaton_sections(snapshot_path, tmp_path)
-        loaded = load_snapshot(old)
-        try:
-            upgraded_path = tmp_path / "upgraded.hdms"
-            header = loaded.save_snapshot(upgraded_path)
-            assert header["has_automaton"]
-            upgraded = load_snapshot(upgraded_path)
-            try:
-                assert upgraded.vectorized_batch
-            finally:
-                upgraded.close()
-        finally:
-            loaded.close()
+    def test_snapshot_without_automaton_is_refused(self, snapshot_path, tmp_path):
+        """Every writer emits the ``vseg_*`` sections, so a file without
+        them is damaged: it fails with a ``ModelError`` naming what is
+        missing, never a ``KeyError`` and never a silent scalar
+        fallback."""
+        stripped = _strip_automaton_sections(snapshot_path, tmp_path)
+        with pytest.raises(ModelError, match="vseg_"):
+            load_snapshot(stripped)
 
     def test_corrupted_automaton_section_fails_crc(
         self, snapshot_path, tmp_path
@@ -370,11 +343,10 @@ class TestSnapshotAutomaton:
 
 
 def _strip_automaton_sections(snapshot_path, tmp_path):
-    """Rewrite a snapshot as the pre-automaton format would have: drop
-    the ``vseg_*`` section table entries and header keys. The payload
-    bytes (and their CRC) are untouched — the orphaned automaton bytes
-    simply become unreferenced padding, exactly like a file written
-    before the sections existed."""
+    """Rewrite a snapshot without its automaton: drop the ``vseg_*``
+    section table entries and header keys. The payload bytes (and their
+    CRC) are untouched — the orphaned automaton bytes simply become
+    unreferenced padding."""
     raw = snapshot_path.read_bytes()
     magic, version, header_len = _PRELUDE.unpack(raw[: _PRELUDE.size])
     header = json.loads(raw[_PRELUDE.size : _PRELUDE.size + header_len])
@@ -393,6 +365,6 @@ def _strip_automaton_sections(snapshot_path, tmp_path):
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     prelude = _PRELUDE.pack(magic, version, len(header_bytes))
     pad = (-(len(prelude) + len(header_bytes))) % _ALIGN
-    old = tmp_path / "old-format.hdms"
+    old = tmp_path / "no-automaton.hdms"
     old.write_bytes(prelude + header_bytes + b"\x00" * pad + payload)
     return old

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.lru import LruCache, ShardedLruCache, shard_of
+from repro.utils.lru import LruCache, remember
 
 
 class TestLruCache:
@@ -122,110 +122,29 @@ class TestLruCache:
         assert LruCache(capacity=2).hottest(5) == []
 
 
-class TestShardOf:
-    def test_string_keys_are_process_independent(self):
-        # crc32-based: fixed expectations, not just self-consistency.
-        assert shard_of("cheap hotels in rome", 8) == shard_of(
-            "cheap hotels in rome", 8
-        )
-        assert 0 <= shard_of("anything", 8) < 8
-
-    @given(st.text(max_size=40), st.integers(1, 16))
-    def test_in_range(self, key, shards):
-        assert 0 <= shard_of(key, shards) < shards
-
-    def test_non_string_keys_fall_back_to_hash(self):
-        assert shard_of((1, "a"), 4) == hash((1, "a")) % 4
-
-
-class TestShardedLruCache:
-    def test_round_trip_and_len(self):
-        cache = ShardedLruCache(capacity=16, num_shards=4)
-        for index in range(10):
-            cache.put(f"key {index}", index)
-        assert len(cache) == 10
-        for index in range(10):
-            assert cache.get(f"key {index}") == index
-            assert f"key {index}" in cache
-
-    def test_capacity_splits_across_shards(self):
-        cache = ShardedLruCache(capacity=10, num_shards=4)
-        assert cache.capacity == 10
-        assert [shard.capacity for shard in cache._shards] == [3, 3, 2, 2]
-
-    def test_keys_pin_to_their_shard(self):
-        cache = ShardedLruCache(capacity=8, num_shards=4)
-        cache.put("some query", 1)
-        index = shard_of("some query", 4)
-        assert "some query" in cache._shards[index]
-
-    def test_eviction_is_per_shard(self):
-        cache = ShardedLruCache(capacity=4, num_shards=4)  # 1 entry per shard
-        cache.put("a", 1)
-        collider = next(
-            f"x{n}" for n in range(1000) if shard_of(f"x{n}", 4) == shard_of("a", 4)
-        )
-        cache.put(collider, 2)  # same shard: evicts "a"
-        assert "a" not in cache
-        assert cache.get(collider) == 2
-
-    def test_aggregate_counters_and_stats(self):
-        cache = ShardedLruCache(capacity=8, num_shards=2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("missing")
-        assert cache.hits == 1
-        assert cache.misses == 1
-        stats = cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["hit_rate"] == 0.5
-        assert sum(stats["shard_sizes"]) == len(cache) == 1
-
-    def test_clear(self):
-        cache = ShardedLruCache(capacity=8, num_shards=2)
-        cache.put("a", 1)
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShardedLruCache(capacity=8, num_shards=0)
-        with pytest.raises(ValueError):
-            ShardedLruCache(capacity=2, num_shards=4)
-
-    def test_hottest_interleaves_shards_round_robin(self):
-        cache = ShardedLruCache(capacity=16, num_shards=2)
-        # Pin two keys per shard with known per-shard recency order.
-        by_shard: dict[int, list[str]] = {0: [], 1: []}
-        for n in range(1000):
-            key = f"k{n}"
-            shard = shard_of(key, 2)
-            if len(by_shard[shard]) < 2:
-                by_shard[shard].append(key)
-                cache.put(key, n)
-            if all(len(keys) == 2 for keys in by_shard.values()):
-                break
-        # Each shard's MRU entry comes before any shard's second entry.
-        hottest = cache.hottest(4)
-        assert set(hottest[:2]) == {by_shard[0][-1], by_shard[1][-1]}
-        assert set(hottest[2:]) == {by_shard[0][0], by_shard[1][0]}
-        assert len(cache.hottest(3)) == 3  # early stop at n
-        assert cache.hottest(0) == []
+class TestRemember:
+    def test_clears_once_full_then_inserts(self):
+        memo: dict[str, int] = {}
+        for index, key in enumerate("abc"):
+            remember(memo, key, index, capacity=3)
+        assert memo == {"a": 0, "b": 1, "c": 2}
+        remember(memo, "d", 3, capacity=3)
+        assert memo == {"d": 3}
 
     @given(
-        st.lists(st.tuples(st.text(max_size=8), st.integers()), max_size=200),
+        st.lists(st.tuples(st.integers(0, 20), st.integers()), max_size=200),
         st.integers(1, 8),
     )
-    def test_agrees_with_dict_within_capacity(self, operations, shards):
-        """With capacity ≥ distinct keys no eviction happens, so the
-        sharded cache must agree with a plain dict for any key mix."""
-        # Per-shard capacity (2048/8 = 256) exceeds the max distinct keys
-        # (200), so no shard can evict regardless of key skew.
-        cache: ShardedLruCache[str, int] = ShardedLruCache(2048, shards)
-        shadow: dict[str, int] = {}
+    def test_never_exceeds_capacity_and_agrees_with_dict_between_clears(
+        self, operations, capacity
+    ):
+        memo: dict[int, int] = {}
+        shadow: dict[int, int] = {}
         for key, value in operations:
-            cache.put(key, value)
+            before = len(memo)
+            remember(memo, key, value, capacity)
+            if before >= capacity:
+                shadow.clear()  # a clear: the shadow restarts too
             shadow[key] = value
-        assert len(cache) == len(shadow)
-        for key, value in shadow.items():
-            assert cache.get(key) == value
+            assert len(memo) <= capacity
+            assert memo == shadow
