@@ -8,9 +8,9 @@ AST-based lint rules so a violation is rejected at diff time, before it
 ships as a flaky benchmark or a prod incident:
 
 ========  ============================================================
-REP001    nondeterminism in ``runtime/``/``training/``/``mining/``
-          (unseeded module-level RNG, iteration over unordered sets,
-          unsorted directory listings)
+REP001    nondeterminism in ``runtime/``/``training/``/``mining/``/
+          ``querylog/`` (unseeded module-level RNG, iteration over
+          unordered sets, unsorted directory listings)
 REP002    blocking calls inside ``async def`` in ``serving/``
 REP003    a synchronous lock held across ``await``
 REP004    executor/mmap creation without a close/context-manager/

@@ -1,8 +1,9 @@
 """REP001 — nondeterminism in the deterministic subsystems.
 
 ``runtime/``, ``training/``, and ``mining/`` promise bit-identical
-output for any worker count (PR 1-3's parity suites). Three constructs
-quietly break that promise:
+output for any worker count (the parity suites), and ``querylog/``
+builds the log statistics whose counter order a snapshot serializes.
+Three constructs quietly break that promise:
 
 - **unseeded module-level RNG** (``random.shuffle``, ``numpy.random.*``)
   — per-process streams diverge between workers and runs. Seeded
@@ -74,7 +75,7 @@ def _is_set_expr(ctx: FileContext, node: ast.expr) -> bool:
     "REP001",
     "nondeterminism (unseeded RNG, set iteration, unsorted listings) in "
     "the bit-identical subsystems",
-    scope=("runtime/", "training/", "mining/", "benchmarks/"),
+    scope=("runtime/", "training/", "mining/", "querylog/", "benchmarks/"),
 )
 def check(ctx: FileContext) -> Iterator[Finding]:
     """Flag unseeded RNG, set iteration, and unsorted listings."""

@@ -777,7 +777,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = _serving_config(args)
     if args.snapshot:
         from repro.runtime import read_snapshot_header
-        from repro.runtime.compiled import CompiledDetector
 
         if args.spell and not read_snapshot_header(args.snapshot)["has_speller"]:
             print(
@@ -786,13 +785,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        detector = CompiledDetector.load_snapshot(args.snapshot)
-    else:
-        from repro.core.model import load_model
-
-        model = load_model(args.model)
-        detector = model.compile(correct_spelling=args.spell)
-    service = DetectionService(detector, config)
+    # The service is the only owner of the first detector: a local here
+    # would outlive asyncio.run and keep generation 1 resident after
+    # every reload.
+    service = DetectionService(_first_detector(args), config)
 
     def _ready(port: int) -> None:
         print(f"serving on http://{args.host}:{port}", flush=True)
@@ -802,6 +798,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print("server drained and stopped", flush=True)
     return 0
+
+
+def _first_detector(args: argparse.Namespace):
+    """The detector ``serve`` starts on, from ``--snapshot`` or
+    ``--model``; a model bundle is compiled and then dropped."""
+    if args.snapshot:
+        from repro.runtime.compiled import CompiledDetector
+
+        return CompiledDetector.load_snapshot(args.snapshot)
+    from repro.core.model import load_model
+
+    return load_model(args.model).compile(correct_spelling=args.spell)
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
@@ -861,9 +869,10 @@ def _cmd_replica(args: argparse.Namespace) -> int:
     from repro.runtime.compiled import CompiledDetector
     from repro.serving import DetectionService, ReplicaServer, run_server
 
-    detector = CompiledDetector.load_snapshot(args.snapshot)
     server = ReplicaServer(
-        DetectionService(detector, _serving_config(args)),
+        DetectionService(
+            CompiledDetector.load_snapshot(args.snapshot), _serving_config(args)
+        ),
         args.host,
         args.port,
         replica_id=args.replica_id,

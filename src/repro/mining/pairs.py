@@ -73,10 +73,10 @@ class PairCollection:
     def filtered(self, min_support: float) -> "PairCollection":
         """A copy keeping only pairs at or above ``min_support``."""
         result = PairCollection()
-        for (modifier, head), support in self._support.items():
+        for key, support in self._support.items():
             if support >= min_support:
-                result._support[(modifier, head)] = support
-                result._sources[(modifier, head)] = set(self._sources[(modifier, head)])
+                result._support[key] = support
+                result._sources[key] = set(self._sources.get(key, ()))
         return result
 
     @classmethod
@@ -89,13 +89,15 @@ class PairCollection:
 
         Used by the runtime snapshot loader, which persists only the
         supports (miner provenance is training-time metadata). ``source``
-        optionally labels every pair; with None the source sets are empty.
+        optionally labels every pair; with None no pair has a source, and
+        no per-pair source set is allocated (a loaded snapshot never
+        reads them).
         """
         collection = cls()
-        labels = {source} if source is not None else set()
-        for key, value in support.items():
-            collection._support[key] = value
-            collection._sources[key] = set(labels)
+        collection._support.update(support)
+        if source is not None:
+            for key in support:
+                collection._sources[key] = {source}
         return collection
 
     def support_map(self) -> dict[tuple[str, str], float]:

@@ -72,8 +72,10 @@ class LogStatistics:
         self._total_volume = 0
         for record in log.records():
             self._total_volume += record.frequency
-            seen = set(record.tokens)
-            for term in seen:
+            # dict.fromkeys, not set: first-seen order keeps the
+            # counters' key order (and every snapshot built from them)
+            # independent of the process's string hash seed.
+            for term in dict.fromkeys(record.tokens):
                 self._term_query_freq[term] += 1
             for term in record.tokens:
                 self._term_volume[term] += record.frequency
@@ -120,7 +122,7 @@ class LogStatistics:
         self.generation += 1
         self._total_volume += record.frequency
         if new_query:
-            for term in set(record.tokens):
+            for term in dict.fromkeys(record.tokens):
                 self._term_query_freq[term] += 1
             self._num_queries += 1
         for term in record.tokens:

@@ -42,6 +42,8 @@ the bit-identity guarantee unconditional.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.core.detector import DetectedTerm, Detection, TermRole
@@ -249,6 +251,13 @@ class VectorizedDetector:
     Detections come out element-wise identical — queries the arrays
     cannot reproduce exactly are transparently answered by the scalar
     path, so the guarantee holds for arbitrary input.
+
+    The engine holds its detector by weak reference: the detector owns
+    the engine, so a strong back-link would form a cycle that keeps a
+    swapped-out model resident until the next cyclic collection. The
+    caller keeps the detector alive for as long as it uses the engine;
+    :meth:`detect_batch` on an engine whose detector was freed raises
+    :class:`~repro.errors.ModelError`.
     """
 
     def __init__(self, detector) -> None:
@@ -263,7 +272,7 @@ class VectorizedDetector:
                 "vectorized detection does not support a speller; "
                 "use the per-query path"
             )
-        self._det = detector
+        self._det_ref = weakref.ref(detector)
         self._auto = automaton
         self._matrix = detector._matrix
         self._stride = detector._matrix.stride
@@ -328,6 +337,12 @@ class VectorizedDetector:
         Duplicates are detected once and share the immutable
         :class:`Detection`, like the reference batch path.
         """
+        det = self._det_ref()
+        if det is None:
+            raise ModelError(
+                "the detector behind this batch engine was freed; "
+                "keep a reference to it while the engine is in use"
+            )
         texts = list(texts)
         results: dict[str, Detection | None] = {}
         vectorizable: list[tuple[str, str, list[str]]] = []
@@ -344,12 +359,12 @@ class VectorizedDetector:
             elif "." in query or len(tokens) > MAX_BATCH_TOKENS:
                 # Trailing-period stripping re-normalizes span-by-span;
                 # only the scalar path reproduces it exactly.
-                results[text] = self._det.detect(text)
+                results[text] = det.detect(text)
             else:
                 vectorizable.append((text, query, tokens))
         # Chunked so one huge batch cannot balloon the padded arrays.
         for start in range(0, len(vectorizable), 4096):
-            self._detect_chunk(vectorizable[start : start + 4096], results)
+            self._detect_chunk(det, vectorizable[start : start + 4096], results)
         return [results[text] for text in texts]  # type: ignore[misc]
 
     # ------------------------------------------------------------------
@@ -357,6 +372,7 @@ class VectorizedDetector:
     # ------------------------------------------------------------------
     def _detect_chunk(
         self,
+        det,
         items: list[tuple[str, str, list[str]]],
         results: dict[str, Detection | None],
     ) -> None:
@@ -383,7 +399,7 @@ class VectorizedDetector:
                 continue
             if len(content) == 1:
                 results[text] = self._finish(
-                    query, segments, content[0], 1.0, "single"
+                    det, query, segments, content[0], 1.0, "single"
                 )
                 continue
             # Reference restriction: one connector with both sides
@@ -409,6 +425,7 @@ class VectorizedDetector:
         if not scored:
             return
         best_local, low, confidence = self._score_heads(
+            det,
             seg_texts,
             np.asarray(n_counts, dtype=np.int64),
             np.asarray(c_counts, dtype=np.int64),
@@ -418,6 +435,7 @@ class VectorizedDetector:
         ):
             text, query, _ = items[index]
             results[text] = self._resolve(
+                det,
                 query,
                 segments,
                 content,
@@ -513,6 +531,7 @@ class VectorizedDetector:
 
     def _score_heads(
         self,
+        det,
         seg_texts: list[str],
         n_counts: np.ndarray,
         c_counts: np.ndarray,
@@ -521,7 +540,6 @@ class VectorizedDetector:
         :meth:`~repro.core.detector.HeadModifierDetector._choose_head`:
         bincount-accumulated affinities in reference order, argmax with
         first-wins ties."""
-        det = self._det
         total_segments = len(seg_texts)
         row_of = self._phrase_row.get
         rows = [row_of(text, -1) for text in seg_texts]
@@ -637,6 +655,7 @@ class VectorizedDetector:
     # ------------------------------------------------------------------
     def _resolve(
         self,
+        det,
         query: str,
         segments: list[tuple[str, int]],
         content: list[int],
@@ -649,23 +668,23 @@ class VectorizedDetector:
         if low:
             if restricted:
                 return self._finish(
-                    query, segments, content[candidates - 1], 0.25, "connector"
+                    det, query, segments, content[candidates - 1], 0.25, "connector"
                 )
-            return self._finish(query, segments, content[-1], 0.1, "fallback")
+            return self._finish(det, query, segments, content[-1], 0.1, "fallback")
         method = "connector+pattern" if restricted else "pattern"
         return self._finish(
-            query, segments, content[best_local], confidence, method
+            det, query, segments, content[best_local], confidence, method
         )
 
     def _finish(
         self,
+        det,
         query: str,
         segments: list[tuple[str, int]],
         head_position: int,
         score: float,
         method: str,
     ) -> Detection:
-        det = self._det
         memo = det._constraints
         record = memo.record(query) if memo is not None else None
         flag: bool | None = None

@@ -14,7 +14,9 @@ connections, JSON in/out):
 - ``POST /reload`` with body ``{"snapshot": "/path/to/g2.hdms"}`` → the
   backend's hot swap.
 - ``GET /stats`` → serving counters (cache hit rate, batch histogram…)
-  plus an ``http`` block of connection counters.
+  plus an ``http`` block of connection counters and a ``process`` block
+  with the serving process's peak resident set (``max_rss_mb``), so an
+  operator sees what a hot swap costs in memory.
 - ``GET /healthz`` → ``{"status": "ok"}`` once accepting traffic.
 
 Connections are kept alive: one connection carries any number of
@@ -52,6 +54,7 @@ import asyncio
 import inspect
 import json
 import signal
+import sys
 from typing import TYPE_CHECKING
 
 from repro.errors import (
@@ -234,6 +237,17 @@ def _time_out(writer: asyncio.StreamWriter) -> None:
     error = {"error": f"request not received within {READ_TIMEOUT_S}s"}
     writer.write(http_response(408, error))
     writer.close()
+
+
+def process_stats() -> dict:
+    """The ``process`` block of ``GET /stats``: this process's peak
+    resident set in MiB. ``ru_maxrss`` is in KiB on Linux and in bytes
+    on macOS."""
+    import resource  # only /stats reads it: no import cost at spawn
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    unit = 1 if sys.platform == "darwin" else 1024
+    return {"max_rss_mb": round(peak * unit / (1024 * 1024), 1)}
 
 
 def detection_payload(detection: Detection) -> dict:
@@ -466,7 +480,11 @@ class DetectionHTTPServer(Listener):
         if target == "/stats" and method == "GET":
             stats = backend.stats()
             stats = (await stats) if inspect.isawaitable(stats) else stats
-            return 200, {**stats, "http": self._http_stats()}
+            return 200, {
+                **stats,
+                "http": self._http_stats(),
+                "process": process_stats(),
+            }
         if target == "/detect":
             if method != "POST":
                 return 405, {"error": "use POST /detect"}

@@ -49,6 +49,16 @@ late-finishing old-model batch re-filling the fresh cache — so no
 response ever mixes generations and no stale result outlives a swap.
 ``stats()`` reports the serving ``model_generation`` (taken from the
 snapshot's lineage header when present).
+
+*Memory.* The service drops its reference to a swapped-out detector at
+the swap, and nothing else in the serving path keeps one past the last
+batch dispatched to it, so reference counting frees the old model the
+moment that batch returns — no cyclic collection is needed. A serving
+process therefore holds at most two generations: the live one and the
+one loading. The exception is ownership: a caller that keeps the
+detector it passed to the constructor keeps that generation alive for
+as long as it holds it. ``repro serve`` and replica processes hand the
+first detector to the service and keep no reference of their own.
 """
 
 from __future__ import annotations
@@ -287,7 +297,12 @@ class DetectionService:
           to the new model;
         - the result cache is cleared, and the model-epoch guard in
           :meth:`_run_batch` keeps any still-running old-model batch
-          from re-filling it.
+          from re-filling it;
+        - the old detector is freed when the last batch that uses it
+          returns, so memory stays bounded by the live generation plus
+          the one loading — unless the caller still holds the detector
+          it passed to the constructor, which keeps that one generation
+          alive.
 
         The new generation comes from the snapshot's lineage header; a
         pre-lineage snapshot bumps the current generation by one.

@@ -133,6 +133,21 @@ class TestRep001Determinism:
         assert rule_ids_of(result) == ["REP001"]
         assert result.active[0].line == 7
 
+    def test_querylog_set_iteration_is_flagged(self, lint_one, rule_ids_of):
+        # Log statistics feed snapshot bytes: counting terms in set
+        # order made the snapshot depend on PYTHONHASHSEED.
+        result = lint_one(
+            "querylog/stats.py",
+            src(
+                """
+                def count(tokens, counter):
+                    for term in set(tokens):
+                        counter[term] += 1
+                """
+            ),
+        )
+        assert rule_ids_of(result) == ["REP001"]
+
     def test_out_of_scope_directory_not_checked(self, lint_one):
         result = lint_one(
             "eval/shuffle.py",

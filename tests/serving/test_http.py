@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -686,6 +687,37 @@ class TestConformance:
         assert http["requests"] == 3
         assert http["refused_at_cap"] == 0
         assert http["connections_open"] == 1  # the /stats request itself
+        assert payload["process"]["max_rss_mb"] > 0
+
+
+class TestProcessStats:
+    def test_max_rss_is_this_process_peak(self):
+        reported = http_module.process_stats()["max_rss_mb"]
+        assert reported > 0
+        if sys.platform.startswith("linux"):
+            status = Path("/proc/self/status").read_text()
+            hwm_kib = next(
+                int(line.split()[1])
+                for line in status.splitlines()
+                if line.startswith("VmHWM:")
+            )
+            assert abs(reported - hwm_kib / 1024) < 8
+
+    @pytest.mark.parametrize(
+        "platform, max_rss, expected",
+        [("linux", 3 * 1024 * 1024, 3072.0), ("darwin", 3 * 1024 * 1024, 3.0)],
+    )
+    def test_units_follow_the_platform(
+        self, monkeypatch, platform, max_rss, expected
+    ):
+        """``ru_maxrss`` is KiB on Linux and bytes on macOS."""
+
+        class Usage:
+            ru_maxrss = max_rss
+
+        monkeypatch.setattr(http_module.sys, "platform", platform)
+        monkeypatch.setattr(resource, "getrusage", lambda who: Usage)
+        assert http_module.process_stats() == {"max_rss_mb": expected}
 
 
 class TestKeepAliveLifecycle:

@@ -8,11 +8,15 @@ from __future__ import annotations
 import asyncio
 import gc
 import threading
+import weakref
 
 import pytest
 
 from repro.errors import ServerClosedError, ServerOverloadedError, ServingError
+from repro.runtime import load_snapshot
+from repro.runtime.compiled import MIN_VECTORIZED_BATCH
 from repro.serving import DetectionService, MicroBatcher, ServingConfig
+from repro.serving.replica import ReplicaServer
 
 
 def run(coro):
@@ -437,3 +441,75 @@ class TestHotKeys:
                 return service.hot_keys()
 
         assert run(serve()) == []
+
+
+class TestPromptRelease:
+    """A swapped-out model is freed by reference counting once its last
+    batch returns, so a service holds at most the live generation plus
+    the one loading. The cyclic collector is off throughout: a retired
+    generation that only a collection could free counts as leaked."""
+
+    @pytest.fixture(scope="class")
+    def snapshot_path(self, compiled, tmp_path_factory):
+        path = tmp_path_factory.mktemp("release") / "model.hdms"
+        compiled.save_snapshot(path)
+        return path
+
+    @pytest.fixture(scope="class")
+    def texts(self, eval_examples):
+        texts = list(dict.fromkeys(e.query for e in eval_examples))
+        return texts[: 2 * MIN_VECTORIZED_BATCH]
+
+    @staticmethod
+    async def _serve_live(service, texts) -> weakref.ref:
+        """Answer ``texts`` on the live generation, run its batch engine,
+        and return a weak reference to it."""
+        await service.detect_many(texts)
+        detector = service._detector
+        detector.detect_batch(texts)
+        assert detector._engine is not None
+        return weakref.ref(detector)
+
+    @staticmethod
+    def _without_cyclic_gc(main):
+        gc.disable()
+        try:
+            return run(main())
+        finally:
+            gc.enable()
+
+    def test_reload_frees_retired_generations(self, snapshot_path, texts):
+        async def main():
+            # The test keeps no reference to generation 1: the service
+            # is its only owner.
+            service = DetectionService(load_snapshot(snapshot_path))
+            retired = []
+            for _ in range(2):
+                retired.append(await self._serve_live(service, texts))
+                await service.reload(str(snapshot_path))
+            live = await self._serve_live(service, texts)
+            await service.close()
+            return [ref() is None for ref in retired], live() is not None
+
+        freed, live_kept = self._without_cyclic_gc(main)
+        assert freed == [True, True]
+        assert live_kept
+
+    def test_replica_reload_op_frees_retired_generations(
+        self, snapshot_path, texts
+    ):
+        async def main():
+            service = DetectionService(load_snapshot(snapshot_path))
+            server = ReplicaServer(service)
+            retired = []
+            for request_id in ("1", "2"):
+                retired.append(await self._serve_live(service, texts))
+                response = await server._respond(
+                    {"id": request_id, "op": "reload", "snapshot": str(snapshot_path)}
+                )
+                assert response["ok"]
+            await self._serve_live(service, texts)
+            await service.close()
+            return [ref() is None for ref in retired]
+
+        assert self._without_cyclic_gc(main) == [True, True]

@@ -8,7 +8,15 @@ embed their parent's payload CRC so a chain verifies file-by-file.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.errors import ModelError
 from repro.runtime.lineage import (
@@ -98,3 +106,39 @@ def test_malformed_lineage_rejected():
         SnapshotLineage(generation=0, record_count=1)
     with pytest.raises(ModelError, match="record_count must be"):
         SnapshotLineage(generation=1, record_count=-1)
+
+
+#: Trains the shared test model (see ``tests/conftest.py``) and writes
+#: its snapshot to ``sys.argv[1]``.
+_TRAIN_AND_SAVE = textwrap.dedent(
+    """
+    import sys
+    from repro import (
+        LogConfig, TrainingConfig, build_from_seed, generate_log, train_model,
+    )
+    taxonomy = build_from_seed()
+    log = generate_log(taxonomy, LogConfig(seed=7, num_intents=1500))
+    model = train_model(log, taxonomy, TrainingConfig())
+    model.compile().save_snapshot(sys.argv[1])
+    """
+)
+
+
+def test_snapshot_bytes_do_not_depend_on_hash_seed(tmp_path):
+    """Two processes training the same seed under different string-hash
+    seeds write the same payload, so a child's lineage parent id (the
+    payload CRC) names the same parent in every process."""
+    src = str(Path(repro.__file__).parents[1])
+    crcs = []
+    for hash_seed in ("0", "1"):
+        path = tmp_path / f"hashseed{hash_seed}.hdms"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        subprocess.run(
+            [sys.executable, "-c", _TRAIN_AND_SAVE, str(path)],
+            env=env,
+            check=True,
+            timeout=300,
+        )
+        crcs.append(read_snapshot_header(path)["payload_crc32"])
+    assert crcs[0] == crcs[1]

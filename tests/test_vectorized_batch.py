@@ -11,7 +11,9 @@ additionally pinned against the span tables it was compiled from.
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from repro.runtime import (
     VectorizedDetector,
     load_snapshot,
 )
-from repro.runtime.compiled import ConstraintMemo
+from repro.runtime.compiled import MIN_VECTORIZED_BATCH, ConstraintMemo
 from repro.runtime.snapshot import _ALIGN, _PRELUDE
 
 EDGE_TEXTS = [
@@ -340,6 +342,45 @@ class TestSnapshotAutomaton:
         bad.write_bytes(bytes(data))
         with pytest.raises(ModelError, match="CRC"):
             load_snapshot(bad)
+
+
+class TestPromptRelease:
+    """A detector that has built its batch engine is freed by reference
+    counting alone, the moment its last reference goes: the engine must
+    not form a cycle with it. Run with the cyclic collector off, so only
+    reference counting can free anything."""
+
+    @pytest.fixture(scope="class")
+    def texts(self, eval_examples):
+        texts = list(dict.fromkeys(e.query for e in eval_examples))
+        assert len(texts) >= MIN_VECTORIZED_BATCH
+        return texts[: 2 * MIN_VECTORIZED_BATCH]
+
+    @staticmethod
+    def _freed_on_del(make, texts) -> bool:
+        gc.disable()
+        try:
+            detector = make()
+            detector.detect_batch(texts)
+            assert detector._engine is not None  # the engine ran
+            ref = weakref.ref(detector)
+            del detector
+            return ref() is None
+        finally:
+            gc.enable()
+
+    def test_compiled_detector_freed_on_del(self, model, texts):
+        assert self._freed_on_del(model.compile, texts)
+
+    def test_snapshot_detector_freed_on_del(self, snapshot_path, texts):
+        assert self._freed_on_del(lambda: load_snapshot(snapshot_path), texts)
+
+    def test_engine_outliving_its_detector_refuses(self, model, texts):
+        detector = model.compile()
+        engine = detector._vectorized_engine()
+        del detector
+        with pytest.raises(ModelError, match="freed"):
+            engine.detect_batch(texts)
 
 
 def _strip_automaton_sections(snapshot_path, tmp_path):
