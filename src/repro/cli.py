@@ -704,6 +704,13 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if not queries:
         print("error: no queries given (positional or --input)", file=sys.stderr)
         return 2
+    from repro.text.normalizer import token_cap_error
+
+    for query in queries:
+        refused = token_cap_error(query)
+        if refused is not None:
+            print(f"error: {refused}", file=sys.stderr)
+            return 2
     if bool(args.model) == bool(args.snapshot):
         print(
             "error: detect needs exactly one of --model or --snapshot",

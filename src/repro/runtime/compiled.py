@@ -1009,9 +1009,12 @@ class CompiledDetector(HeadModifierDetector):
             if min_vectorized_batch is None
             else min_vectorized_batch
         )
-        engine = self._vectorized_engine()
-        if engine is not None and len(texts) >= max(cutoff, 2):
-            return engine.detect_batch(texts)
+        # Size first: a small batch never builds the engine, so a fresh
+        # generation's lone serving request costs what ``detect`` costs.
+        if len(texts) >= max(cutoff, 2):
+            engine = self._vectorized_engine()
+            if engine is not None:
+                return engine.detect_batch(texts)
         return super().detect_batch(texts)
 
     def close(self) -> None:

@@ -12,10 +12,10 @@ a server for that shape:
   batcher dispatches at once, and requests arriving while a batch runs
   form the next one (capped at ``max_batch_size``).
 - :class:`DetectionService` (:mod:`repro.serving.service`) — the
-  request path: normalized-key result cache (sharded LRU), single-flight
+  request path: normalized-key result cache (one LRU), single-flight
   dedup of identical in-flight queries, bounded admission queue raising
-  :class:`~repro.errors.ServerOverloadedError`, graceful drain, and a
-  finalize guard for abandoned services.
+  :class:`~repro.errors.ServerOverloadedError`, and graceful drain.
+  Batches run inline on the event loop: no serving thread.
 - :class:`DetectionHTTPServer` (:mod:`repro.serving.http`) — the one
   small stdlib-only asyncio HTTP server (``POST /detect``, ``POST
   /reload``, ``GET /stats``, ``GET /healthz``) behind both ``repro

@@ -32,13 +32,14 @@ goes away between requests is simply let go. At most
 
 Admission-control rejections map to ``503`` with a ``Retry-After``
 header (deterministic backpressure all the way to the wire), malformed
-requests to ``400``, oversized bodies to ``413``, a request or header
-line past the stream's line limit or more than ``MAX_HEADER_LINES``
-headers to ``431``, a request that has started but not fully arrived
-within ``READ_TIMEOUT_S`` to ``408``, unknown routes to ``404``. A
-connection dropped mid-request is abandoned silently — there is no
-peer left to answer, and nothing downstream (batcher, service, router)
-is ever touched with a partial request.
+requests to ``400``, oversized bodies and queries of more than
+:data:`~repro.text.normalizer.MAX_QUERY_TOKENS` tokens to ``413``, a
+request or header line past the stream's line limit or more than
+``MAX_HEADER_LINES`` headers to ``431``, a request that has started but
+not fully arrived within ``READ_TIMEOUT_S`` to ``408``, unknown routes
+to ``404``. A connection dropped mid-request is abandoned silently —
+there is no peer left to answer, and nothing downstream (batcher,
+service, router) is ever touched with a partial request.
 
 Shutdown is graceful: :meth:`Listener.stop` stops accepting
 connections, hangs up idle kept-alive ones, lets in-flight requests
@@ -63,6 +64,7 @@ from repro.errors import (
     ServerOverloadedError,
     ServingError,
 )
+from repro.text.normalizer import token_cap_error
 
 if TYPE_CHECKING:
     from repro.core.detector import Detection
@@ -495,6 +497,9 @@ class DetectionHTTPServer(Listener):
                 return 400, {"error": 'body must be JSON: {"query": "..."}'}
             if not isinstance(query, str):
                 return 400, {"error": "query must be a string"}
+            refused = token_cap_error(query)
+            if refused is not None:
+                return 413, {"error": refused}
             try:
                 result = await backend.detect(query)
             except (ServerOverloadedError, ServerClosedError) as exc:

@@ -12,8 +12,11 @@ deliberately minimal inward-facing wire protocol:
 - **Framing** — every message is ``4-byte big-endian length`` +
   ``JSON (sorted keys)``. One persistent connection carries many
   concurrent requests: frames are multiplexed by an ``"id"`` the client
-  chooses and the replica echoes, so a slow detection never
-  head-of-line-blocks a health probe on the same socket.
+  chooses and the replica echoes. Detection runs inline on the event
+  loop, so a health probe on the same socket waits behind at most one
+  batch of queries capped at
+  :data:`~repro.text.normalizer.MAX_QUERY_TOKENS` tokens (a ``detect``
+  over the cap is refused as ``bad_request``).
 - **Ops** — ``detect`` (query → the ``repro detect --json`` payload),
   ``health`` (status + replica id + generation + model generation +
   pid), ``stats`` (the service's full counters/stages dict),
@@ -54,6 +57,7 @@ from repro.errors import (
     ServerOverloadedError,
 )
 from repro.serving.http import Listener, detection_payload
+from repro.text.normalizer import token_cap_error
 
 if TYPE_CHECKING:
     from repro.serving.service import DetectionService
@@ -206,6 +210,9 @@ class ReplicaServer(Listener):
                     "kind": "bad_request",
                     "error": "detect needs a string 'query'",
                 }
+            refused = token_cap_error(query)
+            if refused is not None:
+                return {**base, "ok": False, "kind": "bad_request", "error": refused}
             try:
                 detection = await service.detect(query)
             except ServerOverloadedError as exc:

@@ -25,48 +25,45 @@ Per request, in order:
    queue).
 5. **Micro-batching** — admitted queries coalesce into
    ``detector.detect_batch`` calls (:class:`~repro.serving.batcher.MicroBatcher`)
-   executed on a single worker thread, keeping the event loop free to
-   accept requests while a batch runs.
+   run inline on the event loop. Every ingress caps a query at
+   :data:`~repro.text.normalizer.MAX_QUERY_TOKENS` tokens, so a batch
+   holds the loop for at most ``max_batch_size`` capped detections;
+   requests that arrive meanwhile form the next batch.
 
 Every path returns the *same* ``Detection`` object one-shot
 ``detector.detect(text)`` would — bit-identical, enforced by
 ``tests/serving/test_service.py`` over the held-out eval set.
 
 Shutdown is deterministic: ``await close()`` stops admission
-(:class:`~repro.errors.ServerClosedError` for late arrivals), flushes
-and drains in-flight batches, then releases the worker thread. An
-abandoned service is finalize-guarded (``weakref.finalize``) so garbage
-collection also releases the thread.
+(:class:`~repro.errors.ServerClosedError` for late arrivals), then
+flushes and drains in-flight batches. The service starts no thread and
+holds no resource beyond its detector, so an abandoned service needs no
+cleanup.
 
 **Hot swap.** :meth:`DetectionService.reload` atomically replaces
 the live detector with one loaded from a new snapshot, without dropping
-a request: the currently running batch keeps the old detector (its
-reference was resolved at dispatch), the old detector's teardown is
-queued *behind* it on the same single worker thread, and batches
-dispatched after the swap see the new model. The result cache is
-invalidated at swap, and an internal model epoch guards against a
-late-finishing old-model batch re-filling the fresh cache — so no
-response ever mixes generations and no stale result outlives a swap.
-``stats()`` reports the serving ``model_generation`` (taken from the
-snapshot's lineage header when present).
+a request. A batch runs between two awaits, so a swap lands between
+batches, never inside one: every batch answers wholly from the model
+live when it runs, batches that run after the swap see the new model,
+and the result cache, cleared at the swap, only ever refills with
+new-generation results. ``stats()`` reports the serving
+``model_generation`` (taken from the snapshot's lineage header when
+present).
 
 *Memory.* The service drops its reference to a swapped-out detector at
-the swap, and nothing else in the serving path keeps one past the last
-batch dispatched to it, so reference counting frees the old model the
-moment that batch returns — no cyclic collection is needed. A serving
-process therefore holds at most two generations: the live one and the
-one loading. The exception is ownership: a caller that keeps the
-detector it passed to the constructor keeps that generation alive for
-as long as it holds it. ``repro serve`` and replica processes hand the
-first detector to the service and keep no reference of their own.
+the swap, and nothing else in the serving path keeps one, so reference
+counting frees the old model at once — no cyclic collection is needed.
+A serving process therefore holds at most two generations: the live one
+and the one loading. The exception is ownership: a caller that keeps
+the detector it passed to the constructor keeps that generation alive
+for as long as it holds it. ``repro serve`` and replica processes hand
+the first detector to the service and keep no reference of their own.
 """
 
 from __future__ import annotations
 
 import asyncio
-import weakref
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -136,31 +133,14 @@ class DetectionService:
         if self._config.cache_size > 0:
             self._cache = LruCache(self._config.cache_size)
         self._inflight: dict[str, asyncio.Future] = {}
-        # One worker thread: batches run off the event loop (the loop
-        # keeps accepting requests), but detection stays single-threaded
-        # so the detector's LRU memoization needs no locking.
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="hdm-serving"
-        )
-        # GC guard, PR 3 pattern: the callback captures the executor,
-        # never the service, so it cannot keep self alive; close()
-        # detaches it after the explicit shutdown.
-        self._finalizer = weakref.finalize(
-            self, _shutdown_executor, self._executor
-        )
         self._closed = False
         self._requests = 0
         self._coalesced = 0
         self._rejected = 0
         self._detected = 0
         self._batch_sizes: Counter[int] = Counter()
-        # The caller owns the detector it handed us; detectors loaded by
-        # reload are ours to close. The epoch is an internal,
-        # strictly monotonic swap counter (cache-fill guard); the
-        # generation is the *reported* model version, taken from snapshot
-        # lineage when available.
-        self._owns_detector = False
-        self._model_epoch = 0
+        # The *reported* model version, taken from snapshot lineage when
+        # available.
         self._model_generation = _lineage_generation(detector)
         self._swaps = 0
 
@@ -248,26 +228,19 @@ class DetectionService:
         self._metrics.observe("queue_wait", waited)
 
     async def _run_batch(self, keys: list[str]) -> list:
-        """Batch runner: detect on the worker thread, fill the cache.
+        """Batch runner: detect inline on the event loop, fill the cache.
 
         Outcomes are per-key: a failing batch is retried key-by-key so
         only the offending request errors (the MicroBatcher delivers an
-        Exception outcome to exactly that waiter). The detector reference
-        and model epoch are captured at dispatch: a swap that lands while
-        this batch is on the worker thread lets it *finish on the old
-        model*, but the epoch mismatch keeps its results out of the
-        post-swap cache.
+        Exception outcome to exactly that waiter). Nothing here awaits,
+        so no swap can land mid-batch: the whole batch answers from the
+        live model and its results may enter the cache.
         """
-        detector = self._detector
-        epoch = self._model_epoch
-        loop = asyncio.get_running_loop()
         with self._metrics.span("detect"):
-            outcomes = await loop.run_in_executor(
-                self._executor, _detect_batch_attributed, detector, keys
-            )
+            outcomes = _detect_batch_attributed(self._detector, keys)
         self._batch_sizes[len(keys)] += 1
         self._detected += len(keys)
-        if self._cache is not None and epoch == self._model_epoch:
+        if self._cache is not None:
             for key, outcome in zip(keys, outcomes):
                 if not isinstance(outcome, Exception):
                     self._cache.put(key, outcome)
@@ -288,21 +261,16 @@ class DetectionService:
 
         - the snapshot loads off the event loop, so requests keep being
           served while it loads;
-        - the batch currently on the worker thread captured the old
-          detector at dispatch and finishes on it;
-        - the old detector's ``close`` is queued *behind* that batch on
-          the same single worker thread, so its mmap stays valid until
-          the last old-model batch returns;
-        - batches dispatched after the swap resolve ``self._detector``
-          to the new model;
-        - the result cache is cleared, and the model-epoch guard in
-          :meth:`_run_batch` keeps any still-running old-model batch
-          from re-filling it;
-        - the old detector is freed when the last batch that uses it
-          returns, so memory stays bounded by the live generation plus
-          the one loading — unless the caller still holds the detector
-          it passed to the constructor, which keeps that one generation
-          alive.
+        - the swap itself runs between batches: batches that ran before
+          it answered from the old model, and every batch that runs
+          after it — those already queued included — resolves
+          ``self._detector`` to the new model;
+        - the result cache is cleared at the swap, so it holds only
+          new-generation results from then on;
+        - the old detector is freed at the swap, so memory stays bounded
+          by the live generation plus the one loading — unless the
+          caller still holds the detector it passed to the constructor,
+          which keeps that one generation alive.
 
         The new generation comes from the snapshot's lineage header; a
         pre-lineage snapshot bumps the current generation by one.
@@ -313,25 +281,17 @@ class DetectionService:
             None, _load_versioned, snapshot
         )
         if self._closed:  # shut down while the snapshot loaded
-            detector.close()
             raise ServerClosedError("detection service is closed")
         if generation is None or generation <= self._model_generation:
             # Rollbacks and pre-lineage snapshots still move the serving
             # generation forward — it tracks *swaps seen by this
             # service*, monotonic so fleet health checks can compare.
             generation = self._model_generation + 1
-        old, old_owned = self._detector, self._owns_detector
         self._detector = detector
-        self._owns_detector = True
-        self._model_epoch += 1
         self._model_generation = generation
         self._swaps += 1
         if self._cache is not None:
             self._cache.clear()
-        if old_owned:
-            # Behind every already-submitted batch on the 1-thread
-            # executor: runs only after the last old-model batch.
-            self._executor.submit(old.close)
         return 200, {
             "reloaded": 1,
             "snapshot": snapshot,
@@ -356,22 +316,11 @@ class DetectionService:
     # ------------------------------------------------------------------
     async def close(self) -> None:
         """Drain and shut down: stop admission, flush the forming batch,
-        wait for every in-flight detection, release the worker thread.
-        Idempotent."""
+        wait for every in-flight detection. Idempotent."""
         if self._closed:
             return
         self._closed = True
         await self._batcher.join()
-        if self._owns_detector:
-            # Swapped-in detectors are ours. The batcher has drained, so
-            # no batch holds the detector — a direct close is safe (the
-            # executor shutdown below may cancel queued work, so this
-            # must not ride the worker thread).
-            self._detector.close()
-            self._owns_detector = False
-        finalizer, self._finalizer = self._finalizer, None
-        if finalizer is not None:
-            finalizer()  # shuts the executor down exactly once
 
     async def __aenter__(self) -> "DetectionService":
         return self
@@ -422,7 +371,8 @@ class DetectionService:
 
 
 def _detect_batch_attributed(detector, keys: list[str]) -> list:
-    """Detect ``keys`` (worker thread), attributing failures per key.
+    """Detect ``keys`` (inline, on the event loop), attributing failures
+    per key.
 
     The fast path is one ``detect_batch`` call; if it raises, each key is
     retried alone so the poisoned one carries its exception and the rest
@@ -467,6 +417,3 @@ def _lineage_generation(detector) -> int:
     except (ModelError, OSError):
         return 1
 
-
-def _shutdown_executor(executor: ThreadPoolExecutor) -> None:
-    executor.shutdown(wait=True, cancel_futures=True)

@@ -18,6 +18,12 @@ _STRIP_RE = re.compile(r"[^\w\s$%.']", re.UNICODE)
 #: and lowercasing are identities too).
 _CANONICAL_RE = re.compile(r"[a-z0-9$%.' ]*")
 
+#: Most tokens one query may carry, counted as ``normalize_fast(text).split()``
+#: (the tokens the detector segments). Head scoring is quadratic in the
+#: segment count, so every ingress (HTTP ``/detect``, the replica ``detect``
+#: op, ``repro detect``) refuses a longer query; none truncates it.
+MAX_QUERY_TOKENS = 32
+
 
 def normalize(text: str) -> str:
     """Return the canonical form of ``text``.
@@ -53,6 +59,18 @@ def normalize_fast(text: str) -> str:
     ):
         return text
     return normalize(text)
+
+
+def token_cap_error(text: str) -> str | None:
+    """Why an ingress refuses ``text`` — it has more than
+    :data:`MAX_QUERY_TOKENS` tokens — or None when it is within the cap."""
+    tokens = len(normalize_fast(text).split())
+    if tokens <= MAX_QUERY_TOKENS:
+        return None
+    return (
+        f"query has {tokens} tokens, over the limit of {MAX_QUERY_TOKENS} "
+        "(MAX_QUERY_TOKENS)"
+    )
 
 
 def normalize_term(term: str) -> str:

@@ -2,9 +2,10 @@
 
 The contract under test, at each layer:
 
-- :meth:`DetectionService.reload` — the running batch finishes on
-  the old model, its results never enter the post-swap cache (epoch
-  guard), later batches answer from the new model, and no request is
+- :meth:`DetectionService.reload` — the swap lands between batches
+  (a batch runs inline on the event loop), so every answer comes from
+  exactly one generation, the post-swap cache holds only new-generation
+  results, later batches answer from the new model, and no request is
   dropped at any point.
 - the replica ``reload`` op — swaps in place and reports the new model
   generation; a bad snapshot is refused with the old model untouched.
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 
 import pytest
 
@@ -25,6 +25,7 @@ from repro.errors import ModelError, ServerClosedError
 from repro.runtime.lineage import save_versioned_snapshot
 from repro.runtime.snapshot import load_snapshot
 from repro.serving import DetectionService, ServingConfig
+from repro.serving import service as service_module
 from repro.serving.replica import ReplicaServer
 from repro.serving.http import DetectionHTTPServer
 from repro.serving.router import Router, RouterConfig
@@ -57,19 +58,25 @@ def gen2_path(compiled, gen1_path, tmp_path_factory):
     return path
 
 
-class _BlockingDetector:
-    """Stub whose batches park on an event — freezes a batch mid-flight
-    so a swap can land while the old model is still answering."""
+class _GenerationStub:
+    """Stub model that tags each answer with its generation's name and
+    records the batches it ran."""
 
-    def __init__(self) -> None:
-        self.release = threading.Event()
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.batches: list[list[str]] = []
 
     def detect(self, text: str) -> str:
-        return f"old[{text}]"
+        return f"{self.name}[{text}]"
 
     def detect_batch(self, texts):
-        self.release.wait(timeout=10)
+        self.batches.append(list(texts))
         return [self.detect(text) for text in texts]
+
+
+def _cached(service) -> dict:
+    """The result cache's contents, as ``{key: answer}``."""
+    return {key: service._cache.get(key) for key in service.hot_keys(1_000)}
 
 
 class TestServiceSwap:
@@ -108,39 +115,50 @@ class TestServiceSwap:
 
         assert run(main()) == 2
 
-    def test_inflight_batch_finishes_on_old_model_and_skips_cache(
-        self, gen2_path
+    def test_reload_amid_queued_batches_answers_one_generation(
+        self, monkeypatch
     ):
-        old = _BlockingDetector()
+        """A reload issued while batches are queued: every answer, and
+        every batch, comes from exactly one generation, the post-swap
+        cache holds only new-generation results, and everything admitted
+        after the reload returns is answered by the new model."""
+        old, new = _GenerationStub("old"), _GenerationStub("new")
+        monkeypatch.setattr(
+            service_module, "_load_versioned", lambda path: (new, 2)
+        )
+        queued = [f"queued {index}" for index in range(12)]
+        after = [f"after {index}" for index in range(5)]
 
         async def main():
-            service = DetectionService(
-                old, ServingConfig(max_batch_size=4)
-            )
-            try:
-                request = asyncio.create_task(service.detect("iphone"))
-                # Wait until the batch is parked on the worker thread.
-                while not service._batch_sizes and not request.done():
-                    await asyncio.sleep(0.005)
-                await service.reload(str(gen2_path))
-                old.release.set()
-                result = await request
-                # The in-flight request was answered by the OLD model...
-                assert result == "old[iphone]"
-                # ...but the epoch guard kept it out of the new cache:
-                # the same query now runs through the NEW detector.
-                fresh = await service.detect("iphone")
-                return fresh
-            finally:
-                old.release.set()
-                await service.close()
+            config = ServingConfig(max_batch_size=3)
+            async with DetectionService(old, config) as service:
+                await service.detect("warm")  # an old-generation cache entry
+                tasks = [asyncio.create_task(service.detect(q)) for q in queued]
+                await asyncio.sleep(0)
+                # Every query admitted, its batch queued or forming; none ran.
+                assert service.pending == len(queued)
+                assert old.batches == [["warm"]]
+                await service.reload("gen2.hdms")
+                cached_at_swap = _cached(service)
+                answers = await asyncio.gather(*tasks)
+                answers += await service.detect_many(after + ["warm"])
+                return answers, cached_at_swap, _cached(service)
 
-        fresh = run(main())
-        reference = load_snapshot(gen2_path)
-        try:
-            assert fresh == reference.detect("iphone")
-        finally:
-            reference.close()
+        answers, cached_at_swap, cached_after = run(main())
+        for query, answer in zip(queued, answers):
+            name = answer.split("[", 1)[0]
+            assert answer == f"{name}[{query}]"
+            # Answered by the one generation whose batch held it.
+            ran = {
+                stub.name: sum(batch.count(query) for batch in stub.batches)
+                for stub in (old, new)
+            }
+            assert ran == {"old": int(name == "old"), "new": int(name == "new")}
+        # After the swap: new answers only, the old cache entry gone.
+        assert answers[len(queued):] == [f"new[{q}]" for q in after + ["warm"]]
+        assert all(value.startswith("new[") for value in cached_at_swap.values())
+        assert all(value.startswith("new[") for value in cached_after.values())
+        assert "warm" in cached_after
 
     def test_no_request_dropped_across_swap_under_load(
         self, compiled, gen2_path
@@ -184,19 +202,16 @@ class TestServiceSwap:
 
         run(main())
 
-    def test_close_closes_only_swapped_in_detectors(
+    def test_callers_detector_outlives_reload_and_close(
         self, compiled, gen2_path
     ):
         async def main():
             service = DetectionService(compiled)
-            assert not service._owns_detector  # caller's detector is theirs
             await service.reload(str(gen2_path))
-            assert service._owns_detector
             await service.close()
-            assert not service._owns_detector  # released at shutdown
 
         run(main())
-        # The caller-owned detector must still be usable afterwards.
+        # The caller's detector must still be usable afterwards.
         assert compiled.detect(QUERIES[0]) is not None
 
 

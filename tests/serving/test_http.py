@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import textwrap
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -33,6 +34,7 @@ from repro.serving.http import (
     http_response,
     read_http_request,
 )
+from repro.text.normalizer import MAX_QUERY_TOKENS, normalize_fast, token_cap_error
 
 
 @pytest.fixture(scope="module")
@@ -514,6 +516,37 @@ class TestConformance:
         assert b"snapshot rejected" in answers["reload_missing"][1]
 
     @FRONT_DOORS
+    def test_query_over_token_cap_is_413(self, compiled, front_door):
+        """A query one token over ``MAX_QUERY_TOKENS`` is refused with
+        413 and a reason naming the limit, never truncated; the
+        connection stays usable and the next query is answered in full."""
+        over = " ".join(["hotels"] * (MAX_QUERY_TOKENS + 1))
+
+        async def main():
+            server, teardown = await front_door(compiled)
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                writer.write(_detect_request(over))
+                refused = await _read_response(reader)
+                writer.write(_detect_request(QUERY, b"Connection: close\r\n"))
+                answered = await _read_response(reader)
+                writer.close()
+                await writer.wait_closed()
+                return refused, answered
+            finally:
+                await teardown()
+
+        (status, _, body), (next_status, _, next_body) = asyncio.run(main())
+        assert status == 413
+        assert json.loads(body) == {
+            "error": f"query has {MAX_QUERY_TOKENS + 1} tokens, over the limit "
+            f"of {MAX_QUERY_TOKENS} (MAX_QUERY_TOKENS)"
+        }
+        assert next_status == 200
+        expected = json.dumps(detection_payload(compiled.detect(QUERY)), sort_keys=True)
+        assert next_body == (expected + "\n").encode()
+
+    @FRONT_DOORS
     def test_keep_alive_answers_in_order(self, compiled, front_door):
         """Several requests on one socket, two of them pipelined in one
         write, get byte-identical bodies in order on a connection that
@@ -688,6 +721,42 @@ class TestConformance:
         assert http["refused_at_cap"] == 0
         assert http["connections_open"] == 1  # the /stats request itself
         assert payload["process"]["max_rss_mb"] > 0
+
+
+class TestQueryTokenCap:
+    """Every ingress caps a query at ``MAX_QUERY_TOKENS`` tokens, so one
+    request's detection cost is bounded."""
+
+    def test_cap_counts_normalized_tokens(self):
+        at_cap = " ".join(["w"] * MAX_QUERY_TOKENS)
+        assert token_cap_error(at_cap) is None
+        # Whitespace runs and punctuation do not make tokens.
+        assert token_cap_error("  " + at_cap.replace(" ", " , ") + "  ") is None
+        assert "33 tokens" in token_cap_error(at_cap + " w")
+
+    def test_query_at_cap_detects_within_budget(self, model, eval_examples):
+        """A fresh detector detects a query of exactly ``MAX_QUERY_TOKENS``
+        held-out words within a fixed budget (a few ms on a 2-vCPU host;
+        head scoring is quadratic, so an uncapped 1,000-token query
+        takes seconds), and the front door answers it 200."""
+        words = dict.fromkeys(
+            word for example in eval_examples for word in example.query.split()
+        )
+        query = " ".join(list(words)[:MAX_QUERY_TOKENS])
+        assert len(normalize_fast(query).split()) == MAX_QUERY_TOKENS
+        fresh = model.compile()
+        began = time.perf_counter()
+        detection = fresh.detect(query)
+        assert time.perf_counter() - began < 0.5
+        assert detection == model.detector().detect(query)
+
+        async def handler(server, port):
+            body = json.dumps({"query": query}).encode()
+            return await _exchange(port, "/detect", body)
+
+        status, payload = asyncio.run(serve(handler)(fresh))
+        assert status == 200
+        assert payload == detection_payload(detection)
 
 
 class TestProcessStats:

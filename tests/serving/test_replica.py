@@ -20,6 +20,7 @@ from repro.serving.replica import (
     encode_frame,
     read_frame,
 )
+from repro.text.normalizer import MAX_QUERY_TOKENS
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +226,32 @@ class TestReplicaServer:
             "error": "unknown op 'frobnicate'",
         }
         assert bad["kind"] == "bad_request"
+
+    def test_query_over_token_cap_is_bad_request(self, compiled):
+        at_cap = " ".join(["hotels"] * MAX_QUERY_TOKENS)
+
+        async def handler(server, reader, writer):
+            over = await _call(
+                writer, reader, {"op": "detect", "id": "1", "query": at_cap + " rome"}
+            )
+            fits = await _call(
+                writer, reader, {"op": "detect", "id": "2", "query": at_cap}
+            )
+            return over, fits, server.backend.stats()["requests"]
+
+        over, fits, requests = _against_server(
+            handler, lambda: DetectionService(compiled)
+        )
+        assert over == {
+            "id": "1",
+            "ok": False,
+            "kind": "bad_request",
+            "error": f"query has {MAX_QUERY_TOKENS + 1} tokens, over the limit "
+            f"of {MAX_QUERY_TOKENS} (MAX_QUERY_TOKENS)",
+        }
+        assert fits["ok"] is True
+        assert fits["result"] == detection_payload(compiled.detect(at_cap))
+        assert requests == 1  # the refused query never reached the service
 
     def test_overloaded_and_closed_are_structured(self):
         class _ShedService:

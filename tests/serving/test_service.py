@@ -1,7 +1,12 @@
 """Serving-layer contract: every response the micro-batched, cached,
 single-flighted path produces must be bit-identical to one-shot
 ``CompiledDetector.detect``, and the control machinery (admission,
-drain, finalize guard) must behave deterministically."""
+drain) must behave deterministically.
+
+Batches run inline on the event loop, so a stub detector must never
+block. The states a parked batch used to freeze are reached by loop
+scheduling instead: N ``detect`` tasks started before one yield are all
+admitted, and the batches they dispatch are queued but have not run."""
 
 from __future__ import annotations
 
@@ -26,10 +31,9 @@ def run(coro):
 class StubDetector:
     """Records batch composition; fails on poisoned texts."""
 
-    def __init__(self, poison: set[str] | None = None, barrier=None):
+    def __init__(self, poison: set[str] | None = None):
         self.poison = poison or set()
         self.batches: list[list[str]] = []
-        self.barrier = barrier  # threading.Event the worker blocks on
 
     def detect(self, text: str) -> str:
         if text in self.poison:
@@ -37,8 +41,6 @@ class StubDetector:
         return f"detection[{text}]"
 
     def detect_batch(self, texts):
-        if self.barrier is not None:
-            self.barrier.wait(timeout=10)
         self.batches.append(list(texts))
         return [self.detect(text) for text in texts]
 
@@ -186,26 +188,26 @@ class TestMicroBatching:
         assert run(serve()) == ([["lonely"]], "done[lonely]")
 
     def test_arrivals_during_a_batch_form_the_next_batch(self):
-        """Requests that arrive while a batch runs accumulate into the
-        next batch; a forming batch that reaches ``max_batch_size``
-        dispatches at once, and the rest go when a batch finishes."""
-        barrier = threading.Event()
-        stub = StubDetector(barrier=barrier)
+        """Requests that arrive between a batch's dispatch and its run
+        accumulate into the next batch; a forming batch that reaches
+        ``max_batch_size`` dispatches at once, and the rest go when a
+        batch finishes."""
+        stub = StubDetector()
         config = ServingConfig(max_batch_size=3, cache_size=0)
-        later = ["b", "c", "d", "e", "f"]
+        queries = ["a", "b", "c", "d", "e", "f"]
 
         async def serve():
             async with DetectionService(stub, config) as service:
-                first = asyncio.create_task(service.detect("a"))
-                await asyncio.sleep(0)  # "a" dispatched alone, parked
-                rest = [asyncio.create_task(service.detect(q)) for q in later]
+                tasks = [asyncio.create_task(service.detect(q)) for q in queries]
                 await asyncio.sleep(0)
-                barrier.set()
-                return await first, await asyncio.gather(*rest)
+                # All six admitted: "a" dispatched alone, "b c d" filled a
+                # batch behind it, "e f" are forming; nothing has run.
+                assert service.pending == 6
+                assert stub.batches == []
+                return await asyncio.gather(*tasks)
 
-        first, rest = run(serve())
-        assert first == "detection[a]"
-        assert rest == [f"detection[{q}]" for q in later]
+        results = run(serve())
+        assert results == [f"detection[{q}]" for q in queries]
         assert stub.batches == [["a"], ["b", "c", "d"], ["e", "f"]]
 
     def test_per_request_errors_spare_batch_mates(self):
@@ -246,8 +248,7 @@ class TestMicroBatching:
 
 class TestAdmissionControl:
     def test_overload_raises_deterministically(self):
-        barrier = threading.Event()
-        stub = StubDetector(barrier=barrier)
+        stub = StubDetector()
         config = ServingConfig(
             max_batch_size=1, max_pending=2, cache_size=0
         )
@@ -256,11 +257,12 @@ class TestAdmissionControl:
             service = DetectionService(stub, config)
             first = asyncio.create_task(service.detect("a"))
             second = asyncio.create_task(service.detect("b"))
-            await asyncio.sleep(0)  # both now occupy the admission queue
+            await asyncio.sleep(0)  # both admitted, their batches queued
             assert service.pending == 2
+            assert stub.batches == []
             with pytest.raises(ServerOverloadedError) as excinfo:
                 await service.detect("c")
-            barrier.set()  # release the worker; queued requests drain
+            # Awaiting lets the queued batches run; the queue drains.
             assert await first == "detection[a]"
             assert await second == "detection[b]"
             stats = service.stats()
@@ -275,8 +277,7 @@ class TestAdmissionControl:
     def test_coalesced_requests_bypass_admission(self):
         """Joining an in-flight query consumes no queue slot: dedup means
         a thundering herd of one hot query cannot trip overload."""
-        barrier = threading.Event()
-        stub = StubDetector(barrier=barrier)
+        stub = StubDetector()
         config = ServingConfig(
             max_batch_size=1, max_pending=1, cache_size=0
         )
@@ -287,7 +288,10 @@ class TestAdmissionControl:
                 asyncio.create_task(service.detect("hot")) for _ in range(10)
             ]
             await asyncio.sleep(0)
-            barrier.set()
+            # One slot, ten callers: the first holds it, nine joined it,
+            # and its batch is queued but has not run.
+            assert service.pending == 1
+            assert stub.batches == []
             results = await asyncio.gather(*tasks)
             stats = service.stats()
             await service.close()
@@ -301,8 +305,7 @@ class TestAdmissionControl:
 
 class TestLifecycle:
     def test_close_drains_inflight_requests(self):
-        barrier = threading.Event()
-        stub = StubDetector(barrier=barrier)
+        stub = StubDetector()
         config = ServingConfig(max_batch_size=64)
 
         async def serve():
@@ -311,13 +314,13 @@ class TestLifecycle:
                 asyncio.create_task(service.detect(f"query {index}"))
                 for index in range(5)
             ]
-            # "query 0" is parked on the barrier and the other four are
-            # still forming behind it when close() begins.
-            await asyncio.sleep(0)
             closing = asyncio.create_task(service.close())
             await asyncio.sleep(0)
-            assert not closing.done()
-            barrier.set()
+            # close() began with "query 0" dispatched but not run and the
+            # other four forming behind it: it flushed them and waits.
+            assert service.closed and not closing.done()
+            assert service.pending == 5
+            assert stub.batches == []
             await closing
             assert service.pending == 0  # close returned fully drained
             return await asyncio.gather(*pending)
@@ -339,27 +342,22 @@ class TestLifecycle:
 
         run(serve())
 
-    def test_finalize_guard_releases_worker_thread(self):
-        """An abandoned service must not strand its executor thread
-        (same weakref.finalize pattern as the runtime pools)."""
-        service = DetectionService(StubDetector())
-        executor = service._executor
-        finalizer = service._finalizer
-        del service
-        gc.collect()
-        assert not finalizer.alive
-        assert executor._shutdown
+    def test_serving_starts_no_thread(self, compiled, eval_examples):
+        """Batches run inline on the event loop: serving requests
+        through a service, batched and single, starts no thread."""
+        queries = [example.query for example in eval_examples[:100]]
+        before = set(threading.enumerate())
 
-    def test_close_detaches_finalizer(self):
         async def serve():
-            service = DetectionService(StubDetector())
-            executor = service._executor
-            await service.close()
-            return service._finalizer, executor
+            async with DetectionService(compiled) as service:
+                await service.detect_many(queries)
+                await service.detect(queries[0])
+                started = set(threading.enumerate()) - before
+                return started, service.stats()["batches"]
 
-        finalizer, executor = run(serve())
-        assert finalizer is None
-        assert executor._shutdown
+        started, batches = run(serve())
+        assert started == set()
+        assert batches >= 2
 
 
 class TestConfigValidation:

@@ -12,6 +12,7 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.text.normalizer import MAX_QUERY_TOKENS
 
 
 class TestVersion:
@@ -121,6 +122,19 @@ class TestPipelineCommands:
         code = main(["detect", "--model", str(workspace["model"])])
         assert code == 2
         assert "no queries" in capsys.readouterr().err
+
+    def test_detect_query_over_token_cap_is_error(self, workspace, capsys):
+        over = " ".join(["hotels"] * (MAX_QUERY_TOKENS + 1))
+        code = main(
+            ["detect", "--model", str(workspace["model"]), "cheap hotels", over]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: query has {MAX_QUERY_TOKENS + 1} tokens, over the limit "
+            f"of {MAX_QUERY_TOKENS} (MAX_QUERY_TOKENS)\n"
+        )
 
     def test_detect_explain(self, workspace, capsys):
         code = main(

@@ -117,6 +117,15 @@ class TestVectorizedDetectorParity:
             compiled.detect(query) for query in queries
         ]
 
+    def test_small_batch_never_builds_engine(self, model, snapshot_path):
+        """Below the cutoff ``detect_batch`` takes the scalar loop without
+        building the engine, so a fresh detector's lone request costs
+        what ``detect`` costs."""
+        for fresh in (model.compile(), load_snapshot(snapshot_path)):
+            query = "cheap hotels in rome"
+            assert fresh.detect_batch([query]) == [fresh.detect(query)]
+            assert fresh._engine is None
+
     def test_duplicates_share_one_detection(self, engine):
         results = engine.detect_batch(
             ["hotels in paris", "iphone 5s case", "hotels in paris"]
