@@ -12,7 +12,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 from repro.errors import QueryLogError
-from repro.text.normalizer import normalize
+from repro.text.normalizer import normalize_fast
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,6 +29,12 @@ class QueryRecord:
     def __post_init__(self) -> None:
         if self.frequency <= 0:
             raise QueryLogError(f"frequency must be positive: {self.query!r}")
+
+    def __reduce__(self):
+        # Constructor arguments, not the dataclass getstate/setstate
+        # pair: a training state holds one record per distinct query, and
+        # this form pickles and unpickles in C.
+        return type(self), (self.query, self.frequency, self.clicks)
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -106,7 +112,7 @@ class QueryLog:
         gold: GoldLabel | None = None,
     ) -> None:
         """Add (or merge) observations of one query string."""
-        key = normalize(query)
+        key = normalize_fast(query)
         if not key:
             raise QueryLogError("query must be non-empty after normalization")
         existing = self._records.get(key)
@@ -146,7 +152,7 @@ class QueryLog:
     # ------------------------------------------------------------------
     def lookup(self, query: str) -> QueryRecord | None:
         """Record for an exact (normalized) query string, if present."""
-        return self._records.get(normalize(query))
+        return self._records.get(normalize_fast(query))
 
     def lookup_exact(self, key: str) -> QueryRecord | None:
         """Record stored under an *already-normalized* key.
@@ -190,7 +196,7 @@ class QueryLog:
 
     def attach_gold(self, query: str, gold: GoldLabel) -> None:
         """Attach (or replace) the ground-truth label of a query."""
-        key = normalize(query)
+        key = normalize_fast(query)
         if key not in self._records:
             raise QueryLogError(f"cannot label unknown query {query!r}")
         self._gold[key] = gold

@@ -3,6 +3,9 @@
 These are the observable signals mining and the constraint features build
 on: click-distribution similarity at two granularities, term document
 frequencies, standalone-query probabilities, and click dispersion.
+:class:`SimilarityCache` serves the same similarities over one state of a
+log with every per-record quantity memoized, for the training passes that
+compare each record against many others.
 """
 
 from __future__ import annotations
@@ -11,9 +14,14 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 
-from repro.querylog.models import QueryLog
+from repro.querylog.models import QueryLog, QueryRecord
 from repro.querylog.urls import url_host_path
+from repro.text.normalizer import normalize_fast
 from repro.utils.mathx import entropy, safe_div
+
+#: Host+path similarity above which a segment counts as head-like and is
+#: excluded from drop evidence (same constant as the reference pipeline).
+HEAD_SIMILARITY_CUTOFF = 0.6
 
 
 def click_similarity(a: Mapping[str, int], b: Mapping[str, int]) -> float:
@@ -36,10 +44,11 @@ def host_path_similarity(a: Mapping[str, int], b: Mapping[str, int]) -> float:
     return _cosine(_collapse(a), _collapse(b))
 
 
-def _collapse(clicks: Mapping[str, int]) -> Counter[str]:
-    collapsed: Counter[str] = Counter()
+def _collapse(clicks: Mapping[str, int]) -> dict[str, int]:
+    collapsed: dict[str, int] = {}
     for url, count in clicks.items():
-        collapsed[url_host_path(url)] += count
+        key = url_host_path(url)
+        collapsed[key] = collapsed.get(key, 0) + count
     return collapsed
 
 
@@ -50,6 +59,97 @@ def _cosine(a: Mapping[str, int], b: Mapping[str, int]) -> float:
     norm_a = math.sqrt(sum(c * c for c in a.values()))
     norm_b = math.sqrt(sum(c * c for c in b.values()))
     return safe_div(dot, norm_a * norm_b)
+
+
+class SimilarityCache:
+    """Memoized click-similarity primitives over one state of a log.
+
+    The training passes that compare each record against many others —
+    the deletion miner's sub-query tests and the drop-evidence pass —
+    share one cache, so each record's collapsed host+path histogram and
+    both cosine norms are computed once rather than once per comparison.
+    Lookups normalize with :func:`~repro.text.normalizer.normalize_fast`
+    (equal to ``normalize`` by contract), memoized per string.
+
+    Every method reproduces the module-level functions bit for bit: the
+    same dict iteration orders, the same ``sqrt``/``safe_div``
+    expressions. The memos are keyed by query, so a cache is valid only
+    while the log's records stay as they were when it was built: build a
+    new one after the log changes.
+    """
+
+    def __init__(self, log: QueryLog) -> None:
+        self._log = log
+        #: text -> (normalized key, record under that key or None).
+        self._lookups: dict[str, tuple[str, QueryRecord | None]] = {}
+        self._norms: dict[str, float] = {}
+        #: query -> (host+path histogram, its cosine norm).
+        self._collapsed: dict[str, tuple[dict[str, int], float]] = {}
+
+    def lookup(self, text: str) -> QueryRecord | None:
+        """``log.lookup(text)``, resolving each distinct string once."""
+        return (self._lookups.get(text) or self._resolve(text))[1]
+
+    def drop_similarity(self, record: QueryRecord, segment: str) -> float | None:
+        """``LogStatistics.drop_similarity(record.query, segment)``."""
+        reduced = _remove_segment(record.query, segment)
+        if reduced is None:
+            return None
+        reduced_record = self.lookup(reduced)
+        if reduced_record is None:
+            return None
+        return self.click_similarity(record, reduced_record)
+
+    def click_similarity(self, a: QueryRecord, b: QueryRecord) -> float:
+        """:func:`click_similarity` of two records' click histograms."""
+        if not a.clicks or not b.clicks:
+            return 0.0
+        dot = sum(count * b.clicks.get(url, 0) for url, count in a.clicks.items())
+        norm_a = self._norms.get(a.query) or self._norm(a)
+        norm_b = self._norms.get(b.query) or self._norm(b)
+        return safe_div(dot, norm_a * norm_b)
+
+    def host_path_similarity(self, a: QueryRecord, b: QueryRecord) -> float:
+        """:func:`host_path_similarity` of two records' click histograms."""
+        collapsed_a, norm_a = self._collapsed.get(a.query) or self._collapse_record(a)
+        collapsed_b, norm_b = self._collapsed.get(b.query) or self._collapse_record(b)
+        if not collapsed_a or not collapsed_b:
+            return 0.0
+        dot = sum(
+            count * collapsed_b.get(url, 0) for url, count in collapsed_a.items()
+        )
+        return safe_div(dot, norm_a * norm_b)
+
+    def is_head_like(
+        self,
+        record: QueryRecord,
+        segment: str,
+        cutoff: float = HEAD_SIMILARITY_CUTOFF,
+    ) -> bool:
+        """Whether the segment's own clicks match the full query's."""
+        segment_record = self.lookup(segment)
+        if segment_record is None or not segment_record.clicks:
+            return False
+        return self.host_path_similarity(record, segment_record) >= cutoff
+
+    def _resolve(self, text: str) -> tuple[str, QueryRecord | None]:
+        key = normalize_fast(text)
+        resolved = self._lookups[text] = (key, self._log.lookup_exact(key))
+        return resolved
+
+    def _norm(self, record: QueryRecord) -> float:
+        norm = self._norms[record.query] = math.sqrt(
+            sum(c * c for c in record.clicks.values())
+        )
+        return norm
+
+    def _collapse_record(self, record: QueryRecord) -> tuple[dict[str, int], float]:
+        collapsed = _collapse(record.clicks)
+        entry = self._collapsed[record.query] = (
+            collapsed,
+            math.sqrt(sum(c * c for c in collapsed.values())),
+        )
+        return entry
 
 
 class LogStatistics:

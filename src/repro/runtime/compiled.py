@@ -80,7 +80,7 @@ from repro.mining.pairs import PairCollection
 from repro.runtime.intern import UNKNOWN, Interner
 from repro.taxonomy.store import ConceptTaxonomy
 from repro.text.lexicon import Lexicon, default_lexicon
-from repro.text.normalizer import normalize, normalize_fast, normalize_term
+from repro.text.normalizer import normalize_fast, normalize_term
 from repro.utils.lru import LruCache, remember
 from repro.utils.mathx import normalize_distribution
 
@@ -412,7 +412,9 @@ class CompiledSegmenter(Segmenter):
         self._multi_first = {phrase.split()[0] for phrase in multi}
 
     def segment(self, text: str):
-        return self.segment_tokens(normalize(text).split())
+        # normalize_fast equals normalize, and skips the regex passes on
+        # text already in normal form (every stored log query).
+        return self.segment_tokens(normalize_fast(text).split())
 
     def segment_tokens(self, tokens: list[str]) -> list[Segment]:
         """Inlined reference Viterbi over the precompiled score tables.

@@ -1,5 +1,7 @@
 """Tests for repro.querylog.models."""
 
+import pickle
+
 import pytest
 
 from repro.errors import QueryLogError
@@ -21,6 +23,23 @@ class TestQueryRecord:
     def test_rejects_non_positive_frequency(self):
         with pytest.raises(QueryLogError):
             QueryRecord("q", 0, {})
+
+    def test_pickle_round_trip(self):
+        record = QueryRecord("iphone 5s case", 3, {"https://a.example.com/case?r=1": 2})
+        for protocol in (2, pickle.HIGHEST_PROTOCOL):
+            assert pickle.loads(pickle.dumps(record, protocol=protocol)) == record
+
+    def test_old_form_pickle_loads(self):
+        # The dataclass getstate/setstate form, as training states written
+        # before QueryRecord defined __reduce__ hold it.
+        payload = (
+            b"\x80\x05\x95j\x00\x00\x00\x00\x00\x00\x00\x8c\x15repro.querylog.models"
+            b"\x94\x8c\x0bQueryRecord\x94\x93\x94)\x81\x94]\x94(\x8c\x0eiphone 5s case"
+            b"\x94K\x03}\x94\x8c\x1ehttps://a.example.com/case?r=1\x94K\x02seb."
+        )
+        assert pickle.loads(payload) == QueryRecord(
+            "iphone 5s case", 3, {"https://a.example.com/case?r=1": 2}
+        )
 
 
 class TestSessionRecord:

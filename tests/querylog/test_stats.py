@@ -3,12 +3,13 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.querylog.models import QueryLog
+from repro.querylog.models import QueryLog, QueryRecord
 from repro.querylog.stats import (
     LogStatistics,
+    SimilarityCache,
     click_similarity,
     host_path_similarity,
 )
@@ -119,3 +120,69 @@ class TestLogStatistics:
 
     def test_subquery_support_missing(self):
         assert self.stats.subquery_support("iphone 5s case", "5s case") is None
+
+
+#: URLs that collide on host+path but not in full, share a host only,
+#: differ only in scheme, carry no scheme or query string, or are not ASCII.
+_CACHE_URLS = st.sampled_from(
+    [
+        "https://acc.example.com/case?c=iphone-5s&r=1",
+        "https://acc.example.com/case?c=iphone-5s&r=2",
+        "http://acc.example.com/case?r=7",
+        "https://acc.example.com/case",
+        "https://acc.example.com/cover?r=1",
+        "acc.example.com/case?r=3",
+        "https://hôtel.example.fr/straße?c=münchen&r=1",
+        "https://hôtel.example.fr/straße?r=2",
+        "https://酒店.example.cn/北京?r=1",
+    ]
+)
+_CLICK_MAPS = st.dictionaries(_CACHE_URLS, st.integers(0, 50), max_size=6)
+
+
+class TestSimilarityCache:
+    """The memoized view must reproduce the module functions exactly (==,
+    not approx): training parity downstream compares floats bit for bit."""
+
+    @given(st.lists(_CLICK_MAPS, min_size=1, max_size=5))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_cached_cosines_equal_module_functions(self, click_maps):
+        log = QueryLog.from_records(
+            QueryRecord(f"q{index}", 1, clicks)
+            for index, clicks in enumerate(click_maps)
+        )
+        records = list(log.records())
+        cache = SimilarityCache(log)
+        # Twice over: the second pass reads every histogram and norm from
+        # the memo the first pass filled.
+        for _ in range(2):
+            for a in records:
+                for b in records:
+                    assert cache.host_path_similarity(a, b) == host_path_similarity(
+                        a.clicks, b.clicks
+                    )
+                    assert cache.click_similarity(a, b) == click_similarity(
+                        a.clicks, b.clicks
+                    )
+
+    def test_lookup_normalizes_like_the_log(self):
+        log = make_log()
+        cache = SimilarityCache(log)
+        for text in ["iphone 5s case", "  iPhone-5S   Case ", "IPHONE 5S", "nope", ""]:
+            assert cache.lookup(text) is log.lookup(text)
+            assert cache.lookup(text) is log.lookup(text)  # memoized
+
+    def test_drop_similarity_matches_statistics(self):
+        log = make_log()
+        stats = LogStatistics(log)
+        cache = SimilarityCache(log)
+        for query, segment in [
+            ("best iphone 5s case", "best"),
+            ("iphone 5s case", "iphone 5s"),
+            ("iphone 5s case", "5s case"),
+            ("case", "case"),
+        ]:
+            record = log.lookup(query)
+            assert cache.drop_similarity(record, segment) == stats.drop_similarity(
+                query, segment
+            )

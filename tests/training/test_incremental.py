@@ -13,6 +13,7 @@ delta queries collide with base queries and with each other.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from repro.core.constraints import ConstraintClassifier
 from repro.errors import ModelError
 from repro.mining.pairs import MiningConfig
 from repro.querylog.models import QueryLog
-from repro.training.incremental import IncrementalTrainer
+from repro.training.evidence import DropEvidence, record_drop_evidence
+from repro.training.incremental import IncrementalTrainer, _ProbeView
 
 EDGE_CASES = [
     "",
@@ -201,6 +203,77 @@ def test_corrupt_state_rejected(tmp_path, split_logs, taxonomy):
     state_path.write_bytes(b"junk" * 16)
     with pytest.raises(ModelError, match="not a training state"):
         IncrementalTrainer.load(state_path)
+
+
+#: ``DropEvidence("cheap iphone 5s case", "cheap", 0.75, 7)`` as pickled
+#: before the class defined ``__reduce__`` (the dataclass getstate/setstate
+#: form that state files written then hold).
+_OLD_FORM_EVIDENCE = (
+    b"\x80\x05\x95^\x00\x00\x00\x00\x00\x00\x00\x8c\x17repro.training.evidence"
+    b"\x94\x8c\x0cDropEvidence\x94\x93\x94)\x81\x94]\x94(\x8c\x14cheap iphone 5s "
+    b"case\x94\x8c\x05cheap\x94G?\xe8\x00\x00\x00\x00\x00\x00K\x07eb."
+)
+
+
+def test_drop_evidence_pickles_old_and_new_form():
+    evidence = DropEvidence("cheap iphone 5s case", "cheap", 0.75, 7)
+    assert pickle.loads(_OLD_FORM_EVIDENCE) == evidence
+    for protocol in (2, pickle.HIGHEST_PROTOCOL):
+        assert pickle.loads(pickle.dumps(evidence, protocol=protocol)) == evidence
+
+
+# ----------------------------------------------------------------------
+# probes only the deletion miner makes
+# ----------------------------------------------------------------------
+
+#: Four made-up words: the segmenter leaves each a one-token segment, so
+#: the drop-evidence pass probes single words and three-word reductions
+#: only, and the two-word halves are probed by the deletion test alone.
+_QUERY = "zorp quix blen frat"
+_MODIFIER_SIDE, _HEAD_SIDE = "zorp quix", "blen frat"
+
+
+def _click(rank: int) -> dict[str, int]:
+    # One host+path for every record: the deletion test sees a match.
+    return {f"https://a.example.com/page?r={rank}": 3}
+
+
+@pytest.mark.parametrize(
+    "base_extra, delta_key, mined_after",
+    [
+        # The head side is absent from the base log: no pair until the
+        # delta adds it.
+        ([], _HEAD_SIDE, True),
+        # The head side matches and the modifier side is absent: a pair
+        # until the delta adds a modifier side that clicks alike.
+        ([_HEAD_SIDE], _MODIFIER_SIDE, False),
+    ],
+)
+def test_fold_dirties_a_record_on_a_deletion_only_probe(
+    taxonomy, base_extra, delta_key, mined_after
+):
+    base_rows = [(_QUERY, 4, _click(1))] + [(q, 4, _click(2)) for q in base_extra]
+    delta_rows = [(delta_key, 2, _click(3))]
+    trainer = IncrementalTrainer(_build_log(base_rows), taxonomy, _FOLD_CONFIG)
+    record = trainer.log.lookup(_QUERY)
+
+    # The key is probed by the deletion miner and by nothing else.
+    assert delta_key in trainer._probes[_QUERY]
+    assert trainer.log.lookup(delta_key) is None
+    evidence_only = _ProbeView(trainer.log)
+    evidence_only.begin()
+    record_drop_evidence(record, trainer._segmenter, evidence_only)
+    assert delta_key not in evidence_only.probes
+    assert (_QUERY in trainer._mined[0]) is not mined_after
+
+    timings: dict[str, float] = {}
+    folded = trainer.fold(_build_log(delta_rows), timings=timings)
+    assert timings["dirty_records"] == 2  # the delta key and the prober
+    assert (_QUERY in trainer._mined[0]) is mined_after
+    reference = train_model(
+        _build_log(base_rows + delta_rows), taxonomy, _FOLD_CONFIG, vectorized=True
+    )
+    _assert_models_identical(folded, reference)
 
 
 # ----------------------------------------------------------------------
