@@ -37,11 +37,12 @@ import pytest
 
 from benchmarks._hw import hardware_info
 from benchmarks.conftest import RESULTS_DIR, publish
-from repro import LogConfig, TrainingConfig, generate_log, train_model
+from repro import LogConfig, TrainingConfig, generate_log
 from repro.core.analysis import compare_tables
 from repro.eval import evaluate_head_detection, format_table
 from repro.querylog.models import QueryLog
 from repro.training.incremental import IncrementalTrainer
+from repro.training.vectorized import train_model_vectorized
 from repro.utils.timer import Timer
 
 LOG_INTENTS = 2200
@@ -78,9 +79,7 @@ def a5_results(slices, taxonomy, eval_examples, tmp_path_factory):
         folded = trainer.fold(_log_from(delta_records), timings=timings)
 
     with Timer() as batch_timer:
-        batch = train_model(
-            _log_from(all_records), taxonomy, CONFIG, vectorized=True
-        )
+        batch = train_model_vectorized(_log_from(all_records), taxonomy, CONFIG)
 
     # Exactness first: the fold IS the batch model, bit for bit.
     assert folded.pairs.support_map() == batch.pairs.support_map()

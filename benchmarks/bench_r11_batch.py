@@ -14,10 +14,10 @@ the singleton row is *expected* to show no win (flagged
 ``"regression": true`` honestly, like R7's sharding rows on a 1-CPU
 host). Those measured small-batch regressions are why ``detect_batch``
 now routes batches below :data:`~repro.runtime.compiled.MIN_VECTORIZED_BATCH`
-through the scalar loop by default; the sweep pins the engine explicitly
-(``min_vectorized_batch=2``) so the regression rows stay measured
-instead of being hidden by the cutoff, and the ``routed`` field records
-which path a default call takes. The checked-in claim: at batch ≥ 256,
+through the scalar loop by default; the sweep hands those batches to the
+engine directly (``_vectorized_engine().detect_batch``) so the
+regression rows stay measured instead of being hidden by the cutoff,
+and the ``routed`` field records which path a default call takes. The checked-in claim: at batch ≥ 256,
 vectorized throughput is ≥ 3x the single-query compiled rate recorded
 in ``BENCH_r7.json``.
 
@@ -91,15 +91,20 @@ def batch_comparison(model, taxonomy, eval_queries):
     assert mismatches == [], f"vectorized parity broke on {mismatches[:3]}"
     reference.detect_batch(queries[:50])  # warm the reference caches
 
+    engine = compiled._vectorized_engine()
     sweep = {}
     for size in BATCH_SIZES:
         chunks = [queries[i : i + size] for i in range(0, len(queries), size)]
+        # Sub-cutoff rows go to the engine directly so they stay
+        # measured (a default call would route them scalar and hide the
+        # regression).
+        run_batch = (
+            compiled.detect_batch if size >= MIN_VECTORIZED_BATCH else engine.detect_batch
+        )
 
         def run_vectorized():
-            # Pin the engine so sub-cutoff rows stay measured (a default
-            # call would route them scalar and hide the regression).
             for chunk in chunks:
-                compiled.detect_batch(chunk, min_vectorized_batch=2)
+                run_batch(chunk)
 
         def run_scalar():
             for chunk in chunks:

@@ -6,7 +6,7 @@ and reach the serving fleet without a full retrain and without dropping
 a request. Three questions, answered in order:
 
 1. **Is the fold exact?** Before any timing is published, the folded
-   model is asserted bit-identical to ``train_model`` on the
+   model is asserted bit-identical to ``train_model_vectorized`` on the
    concatenated log — pair supports *and* their insertion order, pattern
    table, classifier weights, and a sample of detections. A fast wrong
    fold would be worthless.
@@ -39,13 +39,14 @@ import pytest
 
 from benchmarks._hw import hardware_info
 from benchmarks.conftest import RESULTS_DIR, publish
-from repro import LogConfig, TrainingConfig, generate_log, train_model
+from repro import LogConfig, TrainingConfig, generate_log
 from repro.eval import format_table
 from repro.querylog.models import QueryLog
 from repro.runtime.lineage import save_versioned_snapshot
 from repro.runtime.snapshot import load_snapshot
 from repro.serving import DetectionService
 from repro.training.incremental import IncrementalTrainer
+from repro.training.vectorized import train_model_vectorized
 
 LOG_INTENTS = 16_000
 DELTA_FRACTIONS = (0.01, 0.05, 0.25)
@@ -107,9 +108,7 @@ def r13_results(taxonomy):
         folded = trainer.fold(_log_from(delta_records), timings=timings)
 
         retrain_started = perf_counter()
-        retrained = train_model(
-            _log_from(records), taxonomy, config, vectorized=True
-        )
+        retrained = train_model_vectorized(_log_from(records), taxonomy, config)
         retrain_seconds = perf_counter() - retrain_started
 
         # Parity gate BEFORE the timing is recorded anywhere.

@@ -4,7 +4,7 @@ pure-Python reference.
 The serving side was made fast in R7; this guards the *offline* side —
 the pipeline a production log refresh has to re-run (mine pairs, derive
 concept patterns, build droppability tables, train the constraint
-classifier). The fast path (``train_model(vectorized=True)``) must be a
+classifier). The fast path (``train_model_vectorized``) must be a
 pure throughput choice: bit-identical pattern table and detections,
 asserted here on the 2,000-query held-out eval set, and at least 2x the
 reference wall time single-core on the 4k-intent log.
@@ -26,15 +26,16 @@ from benchmarks.conftest import RESULTS_DIR, TRAIN_SEED, publish
 from repro import LogConfig, TrainingConfig, generate_log, train_model
 from repro.core.analysis import compare_tables
 from repro.eval import format_table
+from repro.training.vectorized import train_model_vectorized
 
 SCALES = {"4k": 4000, "16k": 16000}
 STAGES = ("mine", "derive", "features", "classifier")
 MIN_VECTORIZED_SPEEDUP = 2.0
 
 
-def _train_timed(log, taxonomy, **kwargs):
+def _train_timed(log, taxonomy, build=train_model):
     timings: dict[str, float] = {}
-    model = train_model(log, taxonomy, TrainingConfig(), timings=timings, **kwargs)
+    model = build(log, taxonomy, TrainingConfig(), timings=timings)
     return model, timings
 
 
@@ -53,7 +54,9 @@ def training_comparison(taxonomy, train_log, model, eval_queries):
                 taxonomy, LogConfig(seed=TRAIN_SEED, num_intents=num_intents)
             )
         reference_model, reference = _train_timed(log, taxonomy)
-        vectorized_model, vectorized = _train_timed(log, taxonomy, vectorized=True)
+        vectorized_model, vectorized = _train_timed(
+            log, taxonomy, train_model_vectorized
+        )
         speedup = reference["total"] / vectorized["total"]
         scale_entry = {
             "intents": num_intents,
@@ -145,8 +148,5 @@ def test_r9_training_throughput(training_comparison):
 def test_r9_train_benchmark(benchmark, taxonomy, path):
     """pytest-benchmark timing of a small end-to-end train for each path."""
     log = generate_log(taxonomy, LogConfig(seed=TRAIN_SEED, num_intents=1000))
-    benchmark(
-        lambda: train_model(
-            log, taxonomy, TrainingConfig(), vectorized=(path == "vectorized")
-        )
-    )
+    build = train_model_vectorized if path == "vectorized" else train_model
+    benchmark(lambda: build(log, taxonomy, TrainingConfig()))

@@ -125,14 +125,12 @@ def build_default_model(
     seed: int = 13,
     num_intents: int = 4000,
     config: TrainingConfig | None = None,
-    vectorized: bool = False,
 ) -> HdmModel:
     """Train a model on the built-in taxonomy and a synthetic log.
 
     This is the one-call entry point for examples and experiments: build
     the seed taxonomy, generate a search log, and run the full training
-    pipeline. ``vectorized`` selects the fast training path
-    (:mod:`repro.training`), which is output-identical to the reference.
+    pipeline (the reference :func:`~repro.core.pipeline.train_model`).
     """
     from repro.core.pipeline import train_model
     from repro.querylog.generator import LogConfig, generate_log
@@ -140,4 +138,4 @@ def build_default_model(
 
     taxonomy = build_from_seed()
     log = generate_log(taxonomy, LogConfig(seed=seed, num_intents=num_intents))
-    return train_model(log, taxonomy, config, vectorized=vectorized)
+    return train_model(log, taxonomy, config)

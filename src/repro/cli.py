@@ -437,7 +437,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         return _cmd_train_append(args)
 
     from repro.core.model import save_model
-    from repro.core.pipeline import TrainingConfig, train_model
+    from repro.core.pipeline import TrainingConfig
     from repro.querylog.storage import load_query_log
     from repro.taxonomy.serialization import load_taxonomy_tsv
 
@@ -462,21 +462,21 @@ def _cmd_train(args: argparse.Namespace) -> int:
         train_classifier=not args.no_classifier,
     )
     timings: dict[str, float] = {}
+    trainer = None
     if args.state:
         from repro.training.incremental import IncrementalTrainer
 
         trainer = IncrementalTrainer(log, taxonomy, config, timings=timings)
         model = trainer.model
         trainer.save(args.state)
+    elif args.reference:
+        from repro.core.pipeline import train_model
+
+        model = train_model(log, taxonomy, config, timings=timings)
     else:
-        trainer = None
-        model = train_model(
-            log,
-            taxonomy,
-            config,
-            vectorized=not args.reference,
-            timings=timings,
-        )
+        from repro.training.vectorized import train_model_vectorized
+
+        model = train_model_vectorized(log, taxonomy, config, timings=timings)
     save_model(model, args.out)
     classifier = "yes" if model.classifier is not None else "no"
     print(

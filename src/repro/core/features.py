@@ -173,34 +173,6 @@ class ConstraintFeatureExtractor:
             return np.zeros((0, self.num_features))
         return np.vstack([self.extract(q, m) for q, m in rows])
 
-    def extract_training_batch(
-        self,
-        rows: list[tuple[str, str]],
-        drop_similarities: list[float],
-    ) -> np.ndarray:
-        """Feature matrix for rows whose drop similarity is already known.
-
-        The training pipeline measured every row's drop similarity while
-        collecting evidence, so re-deriving it here (the only per-query
-        feature) would be pure waste; everything else is a function of the
-        modifier alone and is memoized per distinct modifier. Bit-identical
-        to :meth:`extract_batch` on the same rows.
-        """
-        if not rows:
-            return np.zeros((0, self.num_features))
-        matrix = np.empty((len(rows), self.num_features), dtype=np.float64)
-        vectors: dict[str, np.ndarray] = {}
-        for index, (_, modifier) in enumerate(rows):
-            vector = vectors.get(modifier)
-            if vector is None:
-                vector = self._modifier_vector(modifier)
-                vectors[modifier] = vector
-            matrix[index] = vector
-        matrix[:, _DROP_SIMILARITY] = drop_similarities
-        # Rows come from observed evidence: drop similarity always exists.
-        matrix[:, _DROP_EVIDENCE_MISSING] = 0.0
-        return matrix
-
     # ------------------------------------------------------------------
     # individual features
     # ------------------------------------------------------------------

@@ -9,6 +9,11 @@ Mirrors the paper's offline pipeline:
    classifier with distant supervision from click behaviour.
 
 No step reads gold labels.
+
+:func:`train_model` is the readable reference and the parity oracle.
+Production builds run its bit-identical fast twin,
+:func:`repro.training.vectorized.train_model_vectorized`, and the
+incremental trainer built from the same pieces.
 """
 
 from __future__ import annotations
@@ -71,49 +76,29 @@ def train_model(
     taxonomy: ConceptTaxonomy,
     config: TrainingConfig | None = None,
     *,
-    vectorized: bool = False,
     timings: dict[str, float] | None = None,
 ) -> HdmModel:
     """Run the full offline pipeline and return the trained bundle.
 
-    ``vectorized`` routes derivation and classifier training through the
-    batched-numpy stages (:mod:`repro.training.vectorized`). The switch is
-    output-identical to the reference — same pattern table to the bit,
-    same detections — so it is purely a throughput choice. ``timings``, when given, is
-    filled with per-stage wall seconds (``mine``, ``derive``, ``features``,
-    ``classifier``, ``total``).
+    ``timings``, when given, is filled with per-stage wall seconds
+    (``mine``, ``derive``, ``features``, ``classifier``, ``total``).
     """
     config = config or TrainingConfig()
     record_stage = _stage_recorder(timings)
     started = time.perf_counter()
     stats = LogStatistics(log)
-    conceptualizer = Conceptualizer(
-        taxonomy,
-        cache_size=config.detector.cache_size if vectorized else None,
-    )
+    conceptualizer = Conceptualizer(taxonomy)
     segmenter = Segmenter(taxonomy)
 
     with record_stage("mine"):
         pairs = mine_pairs(log, config.mining)
     with record_stage("derive"):
-        if vectorized:
-            # repro: noqa[REP007] -- sanctioned inversion: opt-in numpy
-            # fast path; deferred so core never hard-requires numpy.
-            from repro.training.vectorized import derive_pattern_table_vectorized
-
-            patterns = derive_pattern_table_vectorized(
-                pairs,
-                conceptualizer,
-                config.top_k_concepts,
-                hierarchy_discount=config.hierarchy_discount,
-            )
-        else:
-            patterns = derive_pattern_table(
-                pairs,
-                conceptualizer,
-                config.top_k_concepts,
-                hierarchy_discount=config.hierarchy_discount,
-            )
+        patterns = derive_pattern_table(
+            pairs,
+            conceptualizer,
+            config.top_k_concepts,
+            hierarchy_discount=config.hierarchy_discount,
+        )
         if config.pattern_mass < 1.0:
             patterns = patterns.pruned_to_mass(config.pattern_mass)
         if config.max_patterns is not None:
@@ -121,14 +106,9 @@ def train_model(
 
     classifier = None
     if config.train_classifier:
-        if vectorized:
-            classifier = _train_constraint_classifier_vectorized(
-                stats, conceptualizer, config, record_stage
-            )
-        else:
-            classifier = _train_constraint_classifier(
-                stats, conceptualizer, segmenter, config, record_stage
-            )
+        classifier = _train_constraint_classifier(
+            stats, conceptualizer, segmenter, config, record_stage
+        )
 
     if timings is not None:
         timings["total"] = time.perf_counter() - started
@@ -197,10 +177,9 @@ def _train_constraint_classifier(
     conceptualizer: Conceptualizer,
     segmenter: Segmenter,
     config: TrainingConfig,
-    record_stage=None,
+    record_stage,
 ) -> ConstraintClassifier | None:
     """Distant-supervision training of the constraint classifier."""
-    record_stage = record_stage or _stage_recorder(None)
     with record_stage("features"):
         droppability = build_droppability_tables(stats, conceptualizer, segmenter)
         extractor = ConstraintFeatureExtractor(
@@ -212,55 +191,6 @@ def _train_constraint_classifier(
         if len(rows) < 10 or len(set(labels)) < 2:
             return None  # not enough distant supervision in this log
         features = extractor.extract_batch(rows)
-    with record_stage("classifier"):
-        model = LogisticRegression(
-            learning_rate=config.classifier_learning_rate,
-            epochs=config.classifier_epochs,
-            l2=config.classifier_l2,
-        ).fit(features, np.asarray(labels, float), np.asarray(weights, float))
-    return ConstraintClassifier(extractor, model, threshold=config.constraint_threshold)
-
-
-def _train_constraint_classifier_vectorized(
-    stats: LogStatistics,
-    conceptualizer: Conceptualizer,
-    config: TrainingConfig,
-    record_stage,
-) -> ConstraintClassifier | None:
-    """Output-identical fast path: one shared drop-evidence pass (the
-    reference walks the log once for the droppability tables and again
-    for the training rows), the parity-tested compiled segmenter, and
-    batched feature extraction."""
-    # repro: noqa[REP007] -- sanctioned inversion: opt-in vectorized
-    # classifier training borrows the parity-tested compiled segmenter.
-    from repro.runtime.compiled import CompiledSegmenter
-
-    # repro: noqa[REP007] -- sanctioned inversion: shared drop-evidence
-    # pass lives with the other training fast paths.
-    from repro.training.evidence import collect_drop_evidence
-
-    # repro: noqa[REP007] -- sanctioned inversion: opt-in numpy fast
-    # path; deferred so core never hard-requires numpy.
-    from repro.training.vectorized import (
-        build_droppability_tables_vectorized,
-        training_rows_from_evidence,
-    )
-
-    with record_stage("features"):
-        segmenter = CompiledSegmenter(conceptualizer.taxonomy)
-        evidence = collect_drop_evidence(stats.log, segmenter)
-        droppability = build_droppability_tables_vectorized(evidence, conceptualizer)
-        extractor = ConstraintFeatureExtractor(
-            conceptualizer, stats=stats, droppability=droppability
-        )
-        rows, labels, weights = training_rows_from_evidence(
-            evidence, config.drop_label_threshold
-        )
-        if len(rows) < 10 or len(set(labels)) < 2:
-            return None  # not enough distant supervision in this log
-        features = extractor.extract_training_batch(
-            rows, [e.similarity for e in evidence]
-        )
     with record_stage("classifier"):
         model = LogisticRegression(
             learning_rate=config.classifier_learning_rate,

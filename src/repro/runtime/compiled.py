@@ -95,8 +95,7 @@ DENSE_LIMIT = 2_000_000
 #: (1024 held-out queries): vectorized first wins at ~24-32 texts with
 #: cold memo caches and ~48 with warm ones, so 32 routes the serving
 #: path (cache-missed keys, effectively cold) correctly while staying
-#: honest for warm batch tooling. Override per call via
-#: ``detect_batch(..., min_vectorized_batch=N)``.
+#: honest for warm batch tooling.
 MIN_VECTORIZED_BATCH = 32
 
 _DROP_SIMILARITY = FEATURE_NAMES.index("drop_similarity")
@@ -994,11 +993,11 @@ class CompiledDetector(HeadModifierDetector):
             engine = self._engine = VectorizedDetector(self)
         return engine
 
-    def detect_batch(self, texts, min_vectorized_batch: int | None = None):
+    def detect_batch(self, texts):
         """Detect over ``texts`` in input order.
 
-        Batches of at least ``min_vectorized_batch`` texts (default
-        :data:`MIN_VECTORIZED_BATCH`) run through the vectorized engine
+        Batches of at least :data:`MIN_VECTORIZED_BATCH` texts run
+        through the vectorized engine
         (:class:`~repro.runtime.vectorized.VectorizedDetector`) —
         array-at-a-time segmentation and scoring, bit-identical to
         per-query :meth:`detect`. Smaller batches take the scalar loop:
@@ -1006,14 +1005,9 @@ class CompiledDetector(HeadModifierDetector):
         more than it amortizes (the R11 batch sweep's small-batch
         ``regression`` rows)."""
         texts = list(texts)
-        cutoff = (
-            MIN_VECTORIZED_BATCH
-            if min_vectorized_batch is None
-            else min_vectorized_batch
-        )
         # Size first: a small batch never builds the engine, so a fresh
         # generation's lone serving request costs what ``detect`` costs.
-        if len(texts) >= max(cutoff, 2):
+        if len(texts) >= MIN_VECTORIZED_BATCH:
             engine = self._vectorized_engine()
             if engine is not None:
                 return engine.detect_batch(texts)

@@ -1,4 +1,4 @@
-"""Single-pass drop-evidence collection for the fast training path.
+"""Single-pass drop-evidence collection for the fast training builds.
 
 The reference pipeline walks the log twice with identical filtering:
 :func:`repro.core.features.build_droppability_tables` aggregates the
@@ -7,30 +7,30 @@ re-segments every query and recomputes every drop similarity to emit the
 distant-supervision rows. Both passes need exactly the same facts per
 (query, segment): the observed drop similarity and the query volume.
 
-:func:`collect_drop_evidence` computes those facts once and hands the
-stream to both consumers. It reads the log through a
+:func:`record_drop_evidence` computes those facts once per record, and
+the stream of them feeds both consumers. It reads the log through a
 :class:`~repro.querylog.stats.SimilarityCache` (re-exported here), the
 same memoized view the deletion miner compares sub-queries through, so
 each record's lookups, collapsed host+path histogram and cosine norms
 are paid once per log state however many comparisons read them. Every
 arithmetic operation matches the reference (`querylog.stats._cosine`)
 term for term, so the cached similarities are bit-identical, not merely
-close. :func:`record_drop_evidence` is one record's slice of the pass,
-the unit the incremental trainer caches.
+close. Both fast builds call it from
+:func:`repro.training.vectorized.mine_records`; the incremental trainer
+caches its result per record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.querylog.models import QueryLog, QueryRecord
+from repro.querylog.models import QueryRecord
 from repro.querylog.stats import HEAD_SIMILARITY_CUTOFF, SimilarityCache
 
 __all__ = [
     "HEAD_SIMILARITY_CUTOFF",
     "DropEvidence",
     "SimilarityCache",
-    "collect_drop_evidence",
     "record_drop_evidence",
 ]
 
@@ -79,16 +79,3 @@ def record_drop_evidence(
         )
     return tuple(rows)
 
-
-def collect_drop_evidence(log: QueryLog, segmenter) -> list[DropEvidence]:
-    """Every (query, segment) drop observation, in reference scan order.
-
-    The concatenation of :func:`record_drop_evidence` over the log's
-    records. The returned stream feeds both the droppability tables and
-    the distant-supervision rows.
-    """
-    cache = SimilarityCache(log)
-    evidence: list[DropEvidence] = []
-    for record in log.records():
-        evidence.extend(record_drop_evidence(record, segmenter, cache))
-    return evidence

@@ -3,13 +3,14 @@
 A production log grows continuously; retraining from scratch on every
 refresh costs O(full log). :class:`IncrementalTrainer` folds a *delta*
 of new records into a persisted training state and emits a model
-**bit-identical** to ``train_model(merged_log, vectorized=True)`` —
+**bit-identical** to ``train_model_vectorized(merged_log, taxonomy)`` —
 same pairs, same pattern table, same classifier weights, same
-detections — at O(delta + dirty) heavy cost. Four ideas make exactness
+detections — at O(delta + dirty) heavy cost, from the same kernel and
+assembly (:mod:`repro.training.vectorized`). Four ideas make exactness
 and speed coexist:
 
 - **Per-record memoization.** Pair mining and drop-evidence collection
-  are per-record kernels whose only cross-record inputs are lookup
+  form one per-record kernel whose only cross-record inputs are lookup
   probes (the deletion miner tests sub-queries against the log;
   evidence compares clicks of reduced queries). Both kernels read the
   log through one probe-recording view per log state, a
@@ -31,12 +32,13 @@ and speed coexist:
   :func:`repro.mining.pairs.mine_pairs`' miner-major, record-position
   order (the lineup of :func:`~repro.mining.pairs.default_miners`).
   Replay is a cheap O(n) pass over already-mined pairs; the expensive
-  kernels run only for dirty records. The replayed collection is kept
+  kernel runs only for dirty records. The cached batches are kept
   **unfiltered**: a pair below ``min_pair_support`` today may cross the
   threshold after a future fold.
-- **Cheap global stages re-run in full.** Pattern derivation,
-  droppability bincounts, feature assembly, and the classifier fit are
-  re-run per fold — they are the fast vectorized stages, the per-phrase
+- **Cheap global stages re-run in full.** Replay, pattern derivation,
+  droppability bincounts, feature assembly, and the classifier fit
+  (:func:`~repro.training.vectorized.assemble_model`) are re-run per
+  fold — they are the fast vectorized stages, the per-phrase
   conceptualization they lean on stays warm in the trainer's LRU across
   folds, and the static (taxonomy-only) feature slots are memoized per
   modifier. Term counters fold incrementally (integer arithmetic is
@@ -54,45 +56,28 @@ import pickle
 import struct
 import time
 import zlib
+from collections.abc import Iterator
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.conceptualizer import Conceptualizer
-from repro.core.constraints import ConstraintClassifier, LogisticRegression
-from repro.core.features import FEATURE_NAMES, ConstraintFeatureExtractor
 from repro.core.model import HdmModel
 from repro.core.pipeline import TrainingConfig, _stage_recorder
 from repro.errors import ModelError
-from repro.mining.pairs import MinedPair, PairCollection, default_miners
+from repro.mining.pairs import MinedPair, default_miners
 from repro.querylog.models import QueryLog, QueryRecord
-from repro.querylog.stats import LogStatistics
+from repro.querylog.stats import LogStatistics, SimilarityCache
 from repro.taxonomy.store import ConceptTaxonomy
-from repro.training.evidence import (
-    DropEvidence,
-    SimilarityCache,
-    record_drop_evidence,
-)
+from repro.training.evidence import DropEvidence
 from repro.training.vectorized import (
-    build_droppability_tables_vectorized,
-    derive_pattern_table_vectorized,
-    training_rows_from_evidence,
+    TrainingFeatures,
+    assemble_model,
+    mine_records,
 )
 
 #: Magic prefix + version of the persisted training state.
 STATE_MAGIC = b"HDMSTATE1"
 STATE_VERSION = 1
 _STATE_PRELUDE = struct.Struct("<9sIQI")  # magic, version, payload len, crc32
-
-#: Feature slots that change between folds (droppability tables and IDF
-#: move with the log); everything else in the vector is a pure function
-#: of the taxonomy + lexicon and is memoized across folds.
-_DROP_SIMILARITY_SLOT = FEATURE_NAMES.index("drop_similarity")
-_DROP_MISSING_SLOT = FEATURE_NAMES.index("drop_evidence_missing")
-_INSTANCE_DROP_SLOT = FEATURE_NAMES.index("instance_droppability")
-_CONCEPT_DROP_SLOT = FEATURE_NAMES.index("concept_droppability")
-_IDF_SLOT = FEATURE_NAMES.index("idf")
-
 
 class _ProbeView(SimilarityCache):
     """The one view both kernels read a log state through, recording
@@ -117,58 +102,6 @@ class _ProbeView(SimilarityCache):
         key, record = self._lookups.get(text) or self._resolve(text)
         self.probes.add(key)
         return record
-
-
-class _StaticFeatureCache:
-    """Per-modifier feature vectors memoized across folds.
-
-    The static slots of ``ConstraintFeatureExtractor._modifier_vector``
-    depend only on the taxonomy and lexicon; the three fold-dependent
-    slots (instance/concept droppability, IDF) are refilled per call
-    with the *fold's* extractor — evaluating the exact expressions the
-    reference evaluates, on the exact cached readings — so the returned
-    matrix is bit-identical to ``extract_training_batch``.
-    """
-
-    def __init__(self, conceptualizer: Conceptualizer) -> None:
-        self._conceptualizer = conceptualizer
-        # No stats / droppability: the dynamic slots come out as their
-        # 0.5 placeholders and are overwritten below.
-        self._static = ConstraintFeatureExtractor(conceptualizer)
-        self._vectors: dict[str, np.ndarray] = {}
-        self._readings: dict[str, tuple[tuple[str, float], ...]] = {}
-
-    def training_matrix(
-        self,
-        rows: list[tuple[str, str]],
-        drop_similarities: list[float],
-        extractor: ConstraintFeatureExtractor,
-    ) -> np.ndarray:
-        matrix = np.empty((len(rows), len(FEATURE_NAMES)), dtype=np.float64)
-        droppability = extractor.droppability
-        filled: dict[str, np.ndarray] = {}
-        for index, (_, modifier) in enumerate(rows):
-            vector = filled.get(modifier)
-            if vector is None:
-                base = self._vectors.get(modifier)
-                if base is None:
-                    base = self._static._modifier_vector(modifier)
-                    self._vectors[modifier] = base
-                    self._readings[modifier] = tuple(
-                        self._conceptualizer.conceptualize(modifier, top_k=3)
-                    )
-                vector = base.copy()
-                vector[_INSTANCE_DROP_SLOT] = droppability.instance.get(modifier, 0.5)
-                vector[_CONCEPT_DROP_SLOT] = extractor._concept_droppability_of(
-                    list(self._readings[modifier])
-                )
-                vector[_IDF_SLOT] = extractor._idf(modifier)
-                filled[modifier] = vector
-            matrix[index] = vector
-        matrix[:, _DROP_SIMILARITY_SLOT] = drop_similarities
-        # Rows come from observed evidence: drop similarity always exists.
-        matrix[:, _DROP_MISSING_SLOT] = 0.0
-        return matrix
 
 
 class IncrementalTrainer:
@@ -201,10 +134,10 @@ class IncrementalTrainer:
         ]
         #: Record key -> drop-evidence rows of that record.
         self._evidence: dict[str, tuple[DropEvidence, ...]] = {}
-        #: Record key -> every lookup key its kernels probed.
+        #: Record key -> every lookup key its kernel probed.
         self._probes: dict[str, frozenset[str]] = {}
         #: Inverse of ``_probes``: lookup key -> records that probed it.
-        self._probe_index: dict[str, set[str]] = {}
+        self._probe_index: dict[str, set[str]] | None = None
         self._model: HdmModel | None = None
 
         record_stage = _stage_recorder(timings)
@@ -257,19 +190,21 @@ class IncrementalTrainer:
     ) -> HdmModel:
         """Fold ``delta`` into the state and return the refreshed model.
 
-        The result is bit-identical to ``train_model`` with
-        ``vectorized=True`` on the log obtained by adding ``delta``'s
-        records (in order) to the accumulated log. Only dirty records —
-        the delta's own queries plus records whose cached probes touch a
-        changed key — pay the mining/evidence kernels again.
+        The result is bit-identical to
+        :func:`~repro.training.vectorized.train_model_vectorized` on the
+        log obtained by adding ``delta``'s records (in order) to the
+        accumulated log. Only dirty records — the delta's own queries
+        plus records whose cached probes touch a changed key — pay the
+        kernel again.
         """
         record_stage = _stage_recorder(timings)
         started = time.perf_counter()
         with record_stage("mine"):
+            index = self._index_probes()
             changed, probe_changed = self._ingest(delta)
             dirty = set(changed)
             for probe in probe_changed:
-                hit = self._probe_index.get(probe)
+                hit = index.get(probe)
                 if hit:
                     dirty.update(hit)
             view = _ProbeView(self._log)
@@ -367,10 +302,8 @@ class IncrementalTrainer:
         trainer._mined = state["mined"]
         trainer._evidence = state["evidence"]
         trainer._probes = state["probes"]
-        trainer._probe_index = {}
-        for key, probes in trainer._probes.items():
-            for probe in probes:
-                trainer._probe_index.setdefault(probe, set()).add(key)
+        trainer._probe_index = None
+        trainer._index_probes()
         trainer._features._vectors = state["feature_vectors"]
         trainer._features._readings = state["feature_readings"]
         trainer._model = None
@@ -388,7 +321,19 @@ class IncrementalTrainer:
         )
         self._segmenter = CompiledSegmenter(self._taxonomy)
         self._miners = default_miners(self._config.mining)
-        self._features = _StaticFeatureCache(self._conceptualizer)
+        self._features = TrainingFeatures(self._conceptualizer)
+
+    def _index_probes(self) -> dict[str, set[str]]:
+        """The probe index, built from ``_probes`` on first use: only
+        folds read it, so the base build (``repro train --state`` saves
+        and exits) leaves it to :meth:`load` or the first fold."""
+        index = self._probe_index
+        if index is None:
+            index = self._probe_index = {}
+            for key, probes in self._probes.items():
+                for probe in probes:
+                    index.setdefault(probe, set()).add(key)
+        return index
 
     def _ingest(self, delta: QueryLog) -> tuple[set[str], set[str]]:
         """Merge ``delta`` into the log; return (changed keys, keys whose
@@ -418,108 +363,51 @@ class IncrementalTrainer:
         return changed, probe_changed
 
     def _refresh_record(self, record: QueryRecord, view: _ProbeView) -> None:
-        """Re-run both kernels for one record; update caches and index."""
+        """Re-run the kernel for one record; update caches (and the
+        probe index once a fold has built it)."""
         key = record.query
         view.begin()
-        batches: list[tuple[MinedPair, ...]] = []
-        for miner in self._miners:
-            batches.append(tuple(miner.mine_record(view, record)))
-        evidence = record_drop_evidence(record, self._segmenter, view)
+        mined, (evidence,) = mine_records(
+            view, (record,), self._miners, self._segmenter
+        )
         probes = frozenset(view.probes)
 
-        old = self._probes.get(key, frozenset())
-        for stale in old - probes:
-            bucket = self._probe_index.get(stale)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._probe_index[stale]
-        for fresh in probes - old:
-            self._probe_index.setdefault(fresh, set()).add(key)
+        index = self._probe_index
+        if index is not None:
+            old = self._probes.get(key, frozenset())
+            for stale in old - probes:
+                bucket = index.get(stale)
+                if bucket is not None:
+                    bucket.discard(key)
+                    if not bucket:
+                        del index[stale]
+            for fresh in probes - old:
+                index.setdefault(fresh, set()).add(key)
         self._probes[key] = probes
 
-        for index, batch in enumerate(batches):
+        for cache, (batch,) in zip(self._mined, mined):
             if batch:
-                self._mined[index][key] = batch
+                cache[key] = batch
             else:
-                self._mined[index].pop(key, None)
+                cache.pop(key, None)
         if evidence:
             self._evidence[key] = evidence
         else:
             self._evidence.pop(key, None)
 
-    def _replay_pairs(self) -> PairCollection:
-        """Replay cached batches in the reference's exact add order."""
-        collection = PairCollection()
-        add = collection.add
-        for mined in self._mined:
-            for record in self._log.records():
-                batch = mined.get(record.query)
-                if batch:
-                    for pair in batch:
-                        add(pair)
-        return collection
-
-    def _evidence_stream(self) -> list[DropEvidence]:
-        """Cached evidence concatenated in log (= reference scan) order."""
-        stream: list[DropEvidence] = []
+    def _in_log_order(self, by_key: dict) -> Iterator:
+        """Each record's cached value in log (= reference scan) order."""
         for record in self._log.records():
-            rows = self._evidence.get(record.query)
-            if rows:
-                stream.extend(rows)
-        return stream
+            yield by_key.get(record.query, ())
 
     def _build_model(self, record_stage) -> HdmModel:
-        config = self._config
-        with record_stage("mine"):
-            pairs = self._replay_pairs().filtered(config.mining.min_pair_support)
-        with record_stage("derive"):
-            patterns = derive_pattern_table_vectorized(
-                pairs,
-                self._conceptualizer,
-                config.top_k_concepts,
-                hierarchy_discount=config.hierarchy_discount,
-            )
-            if config.pattern_mass < 1.0:
-                patterns = patterns.pruned_to_mass(config.pattern_mass)
-            if config.max_patterns is not None:
-                patterns = patterns.pruned_to_count(config.max_patterns)
-        classifier = None
-        if config.train_classifier:
-            classifier = self._train_classifier(record_stage)
-        self._model = HdmModel(
-            taxonomy=self._taxonomy,
-            patterns=patterns,
-            pairs=pairs,
-            classifier=classifier,
-            detector_config=config.detector,
+        self._model = assemble_model(
+            [self._in_log_order(mined) for mined in self._mined],
+            self._in_log_order(self._evidence),
+            self._stats,
+            self._conceptualizer,
+            self._features,
+            self._config,
+            record_stage,
         )
         return self._model
-
-    def _train_classifier(self, record_stage) -> ConstraintClassifier | None:
-        config = self._config
-        with record_stage("features"):
-            evidence = self._evidence_stream()
-            droppability = build_droppability_tables_vectorized(
-                evidence, self._conceptualizer
-            )
-            extractor = ConstraintFeatureExtractor(
-                self._conceptualizer, stats=self._stats, droppability=droppability
-            )
-            rows, labels, weights = training_rows_from_evidence(
-                evidence, config.drop_label_threshold
-            )
-            if len(rows) < 10 or len(set(labels)) < 2:
-                return None  # not enough distant supervision in this log
-            features = self._features.training_matrix(
-                rows, [e.similarity for e in evidence], extractor
-            )
-        with record_stage("classifier"):
-            model = LogisticRegression(
-                learning_rate=config.classifier_learning_rate,
-                epochs=config.classifier_epochs,
-                l2=config.classifier_l2,
-            ).fit(features, np.asarray(labels, float), np.asarray(weights, float))
-        return ConstraintClassifier(
-            extractor, model, threshold=config.constraint_threshold
-        )

@@ -21,18 +21,45 @@ the same move the compiled serving runtime makes):
 Step 4 matters beyond aesthetics: ``PatternTable.pruned_to_mass`` sums
 ``total_weight`` in insertion order, so reproducing the order reproduces
 the prune boundary exactly.
+
+Both fast builds are put together here from one per-record kernel
+(:func:`mine_records`) and one model assembly (:func:`assemble_model`):
+:func:`train_model_vectorized` runs the kernel over a whole log, while
+:class:`~repro.training.incremental.IncrementalTrainer` runs it one
+record at a time through a probe-recording view and keeps the output.
 """
 
 from __future__ import annotations
 
+import time
+from collections.abc import Iterable, Sequence
+
 import numpy as np
 
 from repro.core.concept_patterns import ConceptPattern, PatternTable
+from repro.core.constraints import ConstraintClassifier, LogisticRegression
 from repro.core.conceptualizer import Conceptualizer
-from repro.core.features import DroppabilityTables
-from repro.mining.pairs import PairCollection
+from repro.core.features import (
+    FEATURE_NAMES,
+    ConstraintFeatureExtractor,
+    DroppabilityTables,
+)
+from repro.core.model import HdmModel
+from repro.core.pipeline import TrainingConfig, _stage_recorder
+from repro.mining.pairs import MinedPair, PairCollection, default_miners
+from repro.querylog.models import QueryLog, QueryRecord
+from repro.querylog.stats import LogStatistics, SimilarityCache
 from repro.runtime.intern import Interner
-from repro.training.evidence import DropEvidence
+from repro.taxonomy.store import ConceptTaxonomy
+from repro.training.evidence import DropEvidence, record_drop_evidence
+
+#: Feature slots that move with the log; the rest of a training vector
+#: is a pure function of the taxonomy and lexicon.
+_DROP_SIMILARITY_SLOT = FEATURE_NAMES.index("drop_similarity")
+_DROP_MISSING_SLOT = FEATURE_NAMES.index("drop_evidence_missing")
+_INSTANCE_DROP_SLOT = FEATURE_NAMES.index("instance_droppability")
+_CONCEPT_DROP_SLOT = FEATURE_NAMES.index("concept_droppability")
+_IDF_SLOT = FEATURE_NAMES.index("idf")
 
 
 def _ragged_arange(counts: np.ndarray) -> np.ndarray:
@@ -232,3 +259,197 @@ def training_rows_from_evidence(
     labels = [int(e.similarity < drop_label_threshold) for e in evidence]
     weights = [float(e.frequency) for e in evidence]
     return rows, labels, weights
+
+
+class TrainingFeatures:
+    """The classifier's training feature matrix, bit-identical to
+    :meth:`~repro.core.features.ConstraintFeatureExtractor.extract_batch`.
+
+    Each modifier's static slots are memoized across calls (an
+    incremental trainer keeps them across folds); the slots that move
+    with the log are refilled per call from that build's extractor,
+    with the reference's expressions on the cached readings, and each
+    row's drop similarity comes from its evidence.
+    """
+
+    def __init__(self, conceptualizer: Conceptualizer) -> None:
+        self._conceptualizer = conceptualizer
+        # No stats / droppability: the dynamic slots come out as their
+        # 0.5 placeholders and are overwritten below.
+        self._static = ConstraintFeatureExtractor(conceptualizer)
+        self._vectors: dict[str, np.ndarray] = {}
+        self._readings: dict[str, tuple[tuple[str, float], ...]] = {}
+
+    def training_matrix(
+        self,
+        rows: list[tuple[str, str]],
+        drop_similarities: list[float],
+        extractor: ConstraintFeatureExtractor,
+    ) -> np.ndarray:
+        """Feature matrix for evidence rows under ``extractor``'s tables."""
+        matrix = np.empty((len(rows), len(FEATURE_NAMES)), dtype=np.float64)
+        droppability = extractor.droppability
+        filled: dict[str, np.ndarray] = {}
+        for index, (_, modifier) in enumerate(rows):
+            vector = filled.get(modifier)
+            if vector is None:
+                base = self._vectors.get(modifier)
+                if base is None:
+                    base = self._static._modifier_vector(modifier)
+                    self._vectors[modifier] = base
+                    self._readings[modifier] = tuple(
+                        self._conceptualizer.conceptualize(modifier, top_k=3)
+                    )
+                vector = base.copy()
+                vector[_INSTANCE_DROP_SLOT] = droppability.instance.get(modifier, 0.5)
+                vector[_CONCEPT_DROP_SLOT] = extractor._concept_droppability_of(
+                    list(self._readings[modifier])
+                )
+                vector[_IDF_SLOT] = extractor._idf(modifier)
+                filled[modifier] = vector
+            matrix[index] = vector
+        matrix[:, _DROP_SIMILARITY_SLOT] = drop_similarities
+        # Rows come from observed evidence: drop similarity always exists.
+        matrix[:, _DROP_MISSING_SLOT] = 0.0
+        return matrix
+
+
+def mine_records(
+    view: SimilarityCache,
+    records: Sequence[QueryRecord],
+    miners: Sequence,
+    segmenter,
+) -> tuple[list[list[tuple[MinedPair, ...]]], list[tuple[DropEvidence, ...]]]:
+    """Each miner's :meth:`~repro.mining.pairs.DeletionMiner.mine_record`
+    batches (per miner, per record) and each record's
+    :func:`~repro.training.evidence.record_drop_evidence` rows, all read
+    through ``view``. Pass by pass, not record by record: over a whole
+    log that order measured about 13% faster.
+    """
+    mined = [
+        [tuple(miner.mine_record(view, record)) for record in records]
+        for miner in miners
+    ]
+    evidence = [record_drop_evidence(record, segmenter, view) for record in records]
+    return mined, evidence
+
+
+def assemble_model(
+    mined: Iterable[Iterable[Sequence[MinedPair]]],
+    evidence: Iterable[Sequence[DropEvidence]],
+    stats: LogStatistics,
+    conceptualizer: Conceptualizer,
+    features: TrainingFeatures,
+    config: TrainingConfig,
+    record_stage,
+) -> HdmModel:
+    """The rest of :func:`repro.core.pipeline.train_model` after
+    :func:`mine_records`, whose output (records in log order) it takes.
+
+    ``PairCollection.add`` is a left fold over floats, so the pair
+    batches are replayed in :func:`~repro.mining.pairs.mine_pairs`'
+    miner-major order. Stages are recorded as ``train_model`` names them.
+    """
+    with record_stage("mine"):
+        collection = PairCollection()
+        add = collection.add
+        for batches in mined:
+            for batch in batches:
+                for pair in batch:
+                    add(pair)
+        pairs = collection.filtered(config.mining.min_pair_support)
+    with record_stage("derive"):
+        patterns = derive_pattern_table_vectorized(
+            pairs,
+            conceptualizer,
+            config.top_k_concepts,
+            hierarchy_discount=config.hierarchy_discount,
+        )
+        if config.pattern_mass < 1.0:
+            patterns = patterns.pruned_to_mass(config.pattern_mass)
+        if config.max_patterns is not None:
+            patterns = patterns.pruned_to_count(config.max_patterns)
+
+    classifier = None
+    if config.train_classifier:
+        classifier = _train_classifier(
+            evidence, stats, conceptualizer, features, config, record_stage
+        )
+    return HdmModel(
+        taxonomy=conceptualizer.taxonomy,
+        patterns=patterns,
+        pairs=pairs,
+        classifier=classifier,
+        detector_config=config.detector,
+    )
+
+
+def _train_classifier(
+    evidence: Iterable[Sequence[DropEvidence]],
+    stats: LogStatistics,
+    conceptualizer: Conceptualizer,
+    features: TrainingFeatures,
+    config: TrainingConfig,
+    record_stage,
+) -> ConstraintClassifier | None:
+    with record_stage("features"):
+        stream = [row for rows in evidence for row in rows]
+        droppability = build_droppability_tables_vectorized(stream, conceptualizer)
+        extractor = ConstraintFeatureExtractor(
+            conceptualizer, stats=stats, droppability=droppability
+        )
+        rows, labels, weights = training_rows_from_evidence(
+            stream, config.drop_label_threshold
+        )
+        if len(rows) < 10 or len(set(labels)) < 2:
+            return None  # not enough distant supervision in this log
+        matrix = features.training_matrix(
+            rows, [e.similarity for e in stream], extractor
+        )
+    with record_stage("classifier"):
+        model = LogisticRegression(
+            learning_rate=config.classifier_learning_rate,
+            epochs=config.classifier_epochs,
+            l2=config.classifier_l2,
+        ).fit(matrix, np.asarray(labels, float), np.asarray(weights, float))
+    return ConstraintClassifier(extractor, model, threshold=config.constraint_threshold)
+
+
+def train_model_vectorized(
+    log: QueryLog,
+    taxonomy: ConceptTaxonomy,
+    config: TrainingConfig | None = None,
+    *,
+    timings: dict[str, float] | None = None,
+) -> HdmModel:
+    """The fast twin of :func:`repro.core.pipeline.train_model`: same
+    pairs, pattern table, classifier weights and detections, to the bit.
+
+    ``timings`` is filled as there, except that ``mine`` also covers the
+    drop-evidence pass.
+    """
+    from repro.runtime.compiled import CompiledSegmenter
+
+    config = config or TrainingConfig()
+    record_stage = _stage_recorder(timings)
+    started = time.perf_counter()
+    stats = LogStatistics(log)
+    conceptualizer = Conceptualizer(taxonomy, cache_size=config.detector.cache_size)
+    segmenter = CompiledSegmenter(taxonomy)
+    miners = default_miners(config.mining)
+    with record_stage("mine"):
+        mined, evidence = mine_records(
+            SimilarityCache(log), list(log.records()), miners, segmenter
+        )
+    model = assemble_model(
+        mined,
+        evidence,
+        stats,
+        conceptualizer,
+        TrainingFeatures(conceptualizer),
+        config,
+        record_stage,
+    )
+    if timings is not None:
+        timings["total"] = time.perf_counter() - started
+    return model

@@ -15,10 +15,14 @@ import inspect
 import pytest
 
 import repro.utils.lru as lru
+from repro import build_default_model
 from repro.cli import _build_parser
 from repro.core.detector import DetectorConfig
+from repro.core.pipeline import train_model
 from repro.serving.router import Router, RouterConfig
 from repro.serving.service import DetectionService, ServingConfig
+from repro.training.incremental import IncrementalTrainer
+from repro.training.vectorized import train_model_vectorized
 
 
 def _fields(config_class) -> list[str]:
@@ -60,6 +64,24 @@ def test_detector_config_fields():
 def test_serving_constructor_parameters():
     assert _parameters(DetectionService.__init__) == ["detector", "config"]
     assert _parameters(Router.__init__) == ["config"]
+
+
+def test_training_parameters():
+    # One fast build per capability: no switch selects a training path.
+    reference = list(inspect.signature(train_model).parameters)
+    assert reference == ["log", "taxonomy", "config", "timings"]
+    assert list(inspect.signature(train_model_vectorized).parameters) == reference
+    assert list(inspect.signature(build_default_model).parameters) == [
+        "seed",
+        "num_intents",
+        "config",
+    ]
+    assert _parameters(IncrementalTrainer.__init__) == [
+        "log",
+        "taxonomy",
+        "config",
+        "timings",
+    ]
 
 
 def test_lru_public_names():

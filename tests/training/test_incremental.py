@@ -1,8 +1,8 @@
 """Bit-identity of the incremental trainer against full retraining.
 
 The contract is the strongest the repo knows: folding a delta into the
-persisted state must reproduce ``train_model(merged_log,
-vectorized=True)`` exactly — same pair supports in the same insertion
+persisted state must reproduce ``train_model_vectorized(merged_log,
+taxonomy)`` exactly — same pair supports in the same insertion
 order, same pattern table, same classifier weights, same detections —
 not approximately, because the serving parity tests downstream compare
 detections by equality. Hypothesis drives the fold algebra
@@ -20,13 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import LogConfig, TrainingConfig, generate_log, train_model
+from repro import LogConfig, TrainingConfig, generate_log
 from repro.core.constraints import ConstraintClassifier
 from repro.errors import ModelError
 from repro.mining.pairs import MiningConfig
 from repro.querylog.models import QueryLog
 from repro.training.evidence import DropEvidence, record_drop_evidence
 from repro.training.incremental import IncrementalTrainer, _ProbeView
+from repro.training.vectorized import train_model_vectorized
 
 EDGE_CASES = [
     "",
@@ -87,7 +88,7 @@ def split_logs(taxonomy):
 def reference_model(split_logs, taxonomy):
     base, delta = split_logs
     merged = _log_from(base + delta)
-    return train_model(merged, taxonomy, TrainingConfig(), vectorized=True)
+    return train_model_vectorized(merged, taxonomy, TrainingConfig())
 
 
 @pytest.fixture(scope="module")
@@ -270,8 +271,8 @@ def test_fold_dirties_a_record_on_a_deletion_only_probe(
     folded = trainer.fold(_build_log(delta_rows), timings=timings)
     assert timings["dirty_records"] == 2  # the delta key and the prober
     assert (_QUERY in trainer._mined[0]) is mined_after
-    reference = train_model(
-        _build_log(base_rows + delta_rows), taxonomy, _FOLD_CONFIG, vectorized=True
+    reference = train_model_vectorized(
+        _build_log(base_rows + delta_rows), taxonomy, _FOLD_CONFIG
     )
     _assert_models_identical(folded, reference)
 
@@ -314,5 +315,5 @@ def test_fold_fold_equals_train_on_concatenation(taxonomy, a, b, c):
     folded = trainer.fold(_build_log(c))
 
     merged = _concat(_build_log(a), _build_log(b), _build_log(c))
-    reference = train_model(merged, taxonomy, _FOLD_CONFIG, vectorized=True)
+    reference = train_model_vectorized(merged, taxonomy, _FOLD_CONFIG)
     _assert_models_identical(folded, reference)

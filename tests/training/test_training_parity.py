@@ -2,7 +2,7 @@
 
 The acceptance contract of the fast path is the same one PR 1 set for
 serving: not approximately equal — *identical*. Same-seed input through
-``train_model(vectorized=True)`` must yield the reference's
+``train_model_vectorized`` must yield the reference ``train_model``'s
 pattern table (rank agreement 1.0), pair memory, classifier weights, and
 bit-identical detections on the held-out eval set.
 """
@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import TrainingConfig, train_model
+from repro import TrainingConfig
 from repro.core.analysis import compare_tables
+from repro.training.vectorized import train_model_vectorized
 
 EDGE_CASES = [
     "",
@@ -28,11 +29,10 @@ EDGE_CASES = [
 @pytest.fixture(scope="module")
 def fast_trained(train_log, taxonomy):
     timings: dict[str, float] = {}
-    model = train_model(
+    model = train_model_vectorized(
         train_log,
         taxonomy,
         TrainingConfig(),
-        vectorized=True,
         timings=timings,
     )
     return model, timings

@@ -16,12 +16,15 @@ from repro.core.features import (
     ConstraintFeatureExtractor,
     build_droppability_tables,
 )
-from repro.core.pipeline import constraint_training_rows
-from repro.mining.pairs import MiningConfig, mine_pairs
-from repro.training.evidence import SimilarityCache, collect_drop_evidence
+from repro.core.pipeline import TrainingConfig, _stage_recorder, constraint_training_rows
+from repro.mining.pairs import MiningConfig, default_miners, mine_pairs
+from repro.training.evidence import SimilarityCache
 from repro.training.vectorized import (
+    TrainingFeatures,
+    assemble_model,
     build_droppability_tables_vectorized,
     derive_pattern_table_vectorized,
+    mine_records,
     training_rows_from_evidence,
 )
 
@@ -32,8 +35,19 @@ def mined_pairs(train_log):
 
 
 @pytest.fixture(scope="module")
-def evidence(train_log, segmenter):
-    return collect_drop_evidence(train_log, segmenter)
+def kernel_output(train_log, segmenter):
+    return mine_records(
+        SimilarityCache(train_log),
+        list(train_log.records()),
+        default_miners(MiningConfig()),
+        segmenter,
+    )
+
+
+@pytest.fixture(scope="module")
+def evidence(kernel_output):
+    _, per_record = kernel_output
+    return [row for rows in per_record for row in rows]
 
 
 def _assert_tables_identical(reference, vectorized):
@@ -86,6 +100,8 @@ def test_training_rows_match_reference(train_stats, segmenter, evidence):
 def test_extract_training_batch_matches_extract_batch(
     train_stats, taxonomy, segmenter, evidence
 ):
+    """The one training matrix (:class:`TrainingFeatures`) against the
+    reference ``extract_batch``, built twice to exercise its memo."""
     conceptualizer = Conceptualizer(taxonomy)
     droppability = build_droppability_tables(train_stats, conceptualizer, segmenter)
     extractor = ConstraintFeatureExtractor(
@@ -93,11 +109,35 @@ def test_extract_training_batch_matches_extract_batch(
     )
     rows, _, _ = training_rows_from_evidence(evidence)
     reference = extractor.extract_batch(rows)
-    batched = extractor.extract_training_batch(
-        rows, [e.similarity for e in evidence]
+    features = TrainingFeatures(conceptualizer)
+    for _ in range(2):
+        batched = features.training_matrix(
+            rows, [e.similarity for e in evidence], extractor
+        )
+        assert reference.shape == batched.shape
+        assert np.array_equal(reference, batched)
+
+
+def test_mine_records_replays_to_mine_pairs(
+    train_log, train_stats, taxonomy, kernel_output, mined_pairs
+):
+    """:func:`assemble_model` replays the per-record batches of
+    :func:`mine_records` in ``mine_pairs``' miner-major add order."""
+    mined, per_record = kernel_output
+    assert len(per_record) == len(mined[0]) == train_log.num_queries
+    conceptualizer = Conceptualizer(taxonomy, cache_size=10_000)
+    model = assemble_model(
+        mined,
+        per_record,
+        train_stats,
+        conceptualizer,
+        TrainingFeatures(conceptualizer),
+        TrainingConfig(train_classifier=False),
+        _stage_recorder(None),
     )
-    assert reference.shape == batched.shape
-    assert np.array_equal(reference, batched)
+    assert model.pairs.support_map() == mined_pairs.support_map()
+    assert list(model.pairs.support_map()) == list(mined_pairs.support_map())
+    assert model.classifier is None
 
 
 def test_similarity_cache_matches_stats(train_stats, evidence):
