@@ -38,12 +38,3 @@ def async_functions(tree: ast.AST) -> Iterator[ast.AsyncFunctionDef]:
         if isinstance(node, ast.AsyncFunctionDef):
             yield node
 
-
-def terminal_name(node: ast.expr) -> str | None:
-    """The final identifier of a name/attribute chain (``self._lock`` →
-    ``_lock``), or ``None`` for other expressions."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None

@@ -1,14 +1,14 @@
 """What a rule sees: one parsed file, or the whole project.
 
 Rules never touch the filesystem. The engine parses every source file
-once into a :class:`FileContext` (source text, split lines, AST) and
+once into a :class:`FileContext` (source text, AST, suppressions) and
 hands per-file rules one context at a time; cross-file rules (REP005)
 receive the whole :class:`ProjectContext`, which also carries the test
 corpus so coverage checks don't re-read the tree per rule.
 
 Paths are always POSIX-style and relative to the ``repro`` package root
 (``runtime/snapshot.py``, not ``/abs/src/repro/runtime/snapshot.py``) so rule
-scopes, baselines, and reports are machine-independent.
+scopes and reports are machine-independent.
 """
 
 from __future__ import annotations
@@ -40,19 +40,12 @@ class FileContext:
     def __init__(self, source: SourceFile) -> None:
         self.relpath = source.relpath
         self.text = source.text
-        self.lines = source.text.splitlines()
         self.tree = ast.parse(source.text, filename=source.relpath)
         self.suppressions: dict[int, Suppression]
         self.suppression_findings: list[Finding]
         self.suppressions, self.suppression_findings = parse_suppressions(
             source.relpath, source.text
         )
-
-    def line_text(self, line: int) -> str:
-        """The 1-based source line (empty string when out of range)."""
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
 
     @cached_property
     def imports(self) -> dict[str, str]:

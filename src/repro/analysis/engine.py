@@ -3,15 +3,13 @@
 :func:`run_lint` is the whole pipeline in one call — parse sources into
 a :class:`~repro.analysis.context.ProjectContext`, run every registered
 rule (optionally filtered to a subset of ids), then apply per-line
-``noqa`` suppressions and the committed baseline. The result separates
-*active* findings (what fails the build) from *suppressed* and
-*baselined* ones (reported for transparency, exit-code-neutral), plus
-*stale* baseline entries (fixed findings whose grandfather entry should
-be deleted).
+``noqa`` suppressions. The result separates *active* findings (what
+fails the build) from *suppressed* ones (reported for transparency,
+exit-code-neutral).
 
 File discovery (:func:`discover_project`) is itself bound by REP001's
-discipline: directory walks are sorted, so reports and baselines are
-byte-stable across filesystems.
+discipline: directory walks are sorted, so reports are byte-stable
+across filesystems.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.context import FileContext, ProjectContext, SourceFile
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Rule, all_rules
@@ -44,31 +41,23 @@ def _benchmark_scoped(finding: Finding) -> bool:
 class LintResult:
     """Everything one lint run produced.
 
-    ``active`` findings gate the exit code; the other buckets exist so
+    ``active`` findings gate the exit code; ``suppressed`` ones exist so
     reporters can show *why* the run is clean, not just that it is.
     """
 
     active: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    stale_baseline: dict[str, dict[str, str]] = field(default_factory=dict)
-    #: fingerprint → {rule, path} of every unsuppressed live finding;
-    #: exactly what ``--write-baseline`` persists.
-    live_fingerprints: dict[str, dict[str, str]] = field(default_factory=dict)
     files_checked: int = 0
     rules_run: list[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        """True when nothing gates the exit code (stale entries do:
-        a shrinking baseline must actually be shrunk)."""
-        return not self.active and not self.stale_baseline
+        """True when nothing gates the exit code."""
+        return not self.active
 
 
 def lint_project(
-    project: ProjectContext,
-    baseline: Baseline | None = None,
-    rule_filter: set[str] | None = None,
+    project: ProjectContext, rule_filter: set[str] | None = None
 ) -> LintResult:
     """Run the registered rules over a prepared project context."""
     rules = _selected_rules(rule_filter)
@@ -98,8 +87,6 @@ def lint_project(
                     raw.extend(rule.file_check(ctx))
 
     contexts = {ctx.relpath: ctx for ctx in project.files}
-    baseline = baseline or Baseline()
-    matched: set[str] = set()
     for finding in sorted(raw):
         ctx = contexts.get(finding.path)
         suppression = ctx.suppressions.get(finding.line) if ctx else None
@@ -109,26 +96,14 @@ def lint_project(
             and suppression.covers(finding.rule)
         ):
             result.suppressed.append(finding)
-            continue
-        line_text = ctx.line_text(finding.line) if ctx else ""
-        fingerprint = finding.fingerprint(line_text)
-        result.live_fingerprints[fingerprint] = {
-            "rule": finding.rule,
-            "path": finding.path,
-        }
-        if fingerprint in baseline:
-            matched.add(fingerprint)
-            result.baselined.append(finding)
-            continue
-        result.active.append(finding)
-    result.stale_baseline = baseline.stale(matched)
+        else:
+            result.active.append(finding)
     return result
 
 
 def run_lint(
     sources: list[SourceFile],
     test_sources: list[SourceFile] | None = None,
-    baseline: Baseline | None = None,
     rule_filter: set[str] | None = None,
     src_corpus: list[SourceFile] | None = None,
 ) -> LintResult:
@@ -145,7 +120,7 @@ def run_lint(
         test_corpus=list(test_sources or []),
         src_corpus=list(src_corpus or []),
     )
-    return lint_project(project, baseline=baseline, rule_filter=rule_filter)
+    return lint_project(project, rule_filter=rule_filter)
 
 
 def _selected_rules(rule_filter: set[str] | None) -> list[Rule]:

@@ -1,17 +1,11 @@
 """The unit of lint output: one :class:`Finding` per rule violation.
 
 A finding pins a rule id to a source location plus a human-readable
-message. Its :meth:`Finding.fingerprint` identifies the violation across
-unrelated edits — it hashes the rule, the file, and the *text* of the
-offending line rather than the line number, so inserting code above a
-grandfathered finding does not invalidate a baseline entry, while
-editing the offending line itself does (the finding then resurfaces for
-a fresh look).
+message.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 
@@ -27,16 +21,6 @@ class Finding:
     col: int
     rule: str
     message: str = field(compare=False)
-
-    def fingerprint(self, line_text: str) -> str:
-        """Stable identity of this violation for baseline matching.
-
-        ``line_text`` is the source line the finding points at; hashing
-        its stripped text instead of the line number keeps baseline
-        entries valid across edits elsewhere in the file.
-        """
-        payload = "\x1f".join((self.rule, self.path, line_text.strip()))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def to_dict(self) -> dict[str, object]:
         """JSON-reporter shape (one object per finding)."""

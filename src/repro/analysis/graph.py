@@ -1,9 +1,9 @@
 """Whole-program graphs: module imports and a name-resolved call graph.
 
-The file-local rules (REP001-REP006) see one AST at a time, so a sync
-helper that calls ``time.sleep`` two hops below an ``async def``, an
-illegal ``core -> serving`` import, or a replica op nobody sends all
-pass a per-file lint. This module grows the analysis layer into
+The file-local rules (REP001, REP002, REP006) see one AST at a time, so
+a sync helper that calls ``time.sleep`` two hops below an ``async
+def``, an illegal ``core -> serving`` import, or a replica op nobody
+sends all pass a per-file lint. This module grows the analysis layer into
 whole-program shape, the same way PR 6 grew per-query detection into
 batch array programs: one deterministic pass over every
 :class:`~repro.analysis.context.SourceFile` builds
@@ -24,15 +24,14 @@ batch array programs: one deterministic pass over every
   table without the graph itself taking a policy position.
 
 Both graphs iterate in sorted order everywhere, so two runs over the
-same sources render byte-identical JSON/DOT. Construction is cached per
-run, keyed by the content hashes of the input files — repeated
-``lint_project`` calls in one process (the test suite, ``--graph``
-after a lint) pay for parsing once.
+same sources build equal graphs and the rules report in a stable order.
+Construction is cached per run, keyed by the content hashes of the
+input files — repeated ``lint_project`` calls in one process (the test
+suite, or the four graph rules of one lint) pay for parsing once.
 
 The project rules REP007 (layering), REP008 (transitive blocking),
 REP009 (wire-protocol conformance), and REP010 (dead public API) are
-all views over these graphs; the CLI exposes them directly via
-``repro lint --graph {dot,json}``.
+all views over these graphs.
 """
 
 from __future__ import annotations
@@ -586,8 +585,8 @@ def _collect_calls(
                 calls.append(CallSite(owner, callee, call.lineno))
             return
         # Unique-name fallback for attribute calls with project-style
-        # (underscored) names: `service.swap_snapshot()` links when the
-        # project defines exactly one `swap_snapshot`.
+        # (underscored) names: `service.hot_keys()` links when the
+        # project defines exactly one `hot_keys`.
         terminal = parts[-1]
         if "_" in terminal.strip("_"):
             candidates = resolver.by_terminal.get(terminal, [])
@@ -620,9 +619,9 @@ def build_graphs(sources: Sequence[SourceFile]) -> ProjectGraphs:
 
     The cache key is the sorted tuple of (path, content-hash) pairs, so
     any edit to any file rebuilds, while repeated runs over identical
-    sources — every project rule in one lint, then ``--graph`` — reuse
-    one construction. Input order never matters: files are processed in
-    sorted path order regardless of discovery order.
+    sources — every project rule in one lint — reuse one construction.
+    Input order never matters: files are processed in sorted path order
+    regardless of discovery order.
     """
     key = tuple(
         sorted(
@@ -676,101 +675,6 @@ def build_graphs(sources: Sequence[SourceFile]) -> ProjectGraphs:
     while len(_CACHE) > _CACHE_CAPACITY:
         _CACHE.popitem(last=False)
     return graphs
-
-
-# ----------------------------------------------------------------------
-# rendering
-# ----------------------------------------------------------------------
-#: JSON graph document schema version (see :func:`graphs_to_dict`).
-GRAPH_VERSION = 1
-
-
-def graphs_to_dict(graphs: ProjectGraphs) -> dict[str, object]:
-    """Both graphs as one JSON-ready document (stable schema)::
-
-        {
-          "version": 1,
-          "modules": [{"path", "subsystem",
-                       "imports": [{"target", "line", "deferred"}, ...]},
-                      ...],                      # sorted by path
-          "functions": [{"id", "path", "qualname", "line", "async",
-                         "calls": [{"callee", "line"}, ...]},
-                        ...],                    # sorted by id
-          "cycles": [["a.py", "b.py"], ...]      # load-time SCCs, sorted
-        }
-
-    Everything iterates sorted, so serializing with ``sort_keys`` yields
-    byte-identical output for identical sources (the determinism pin in
-    ``tests/analysis/test_graph.py``). External (non-project) calls are
-    deliberately not serialized: the document describes the program's
-    own structure, not its stdlib surface.
-    """
-    modules: list[dict[str, object]] = []
-    for path in graphs.modules.modules:
-        modules.append(
-            {
-                "path": path,
-                "subsystem": subsystem_of(path),
-                "imports": [
-                    {
-                        "target": edge.target,
-                        "line": edge.line,
-                        "deferred": edge.deferred,
-                    }
-                    for edge in graphs.modules.imports_of(path)
-                ],
-            }
-        )
-    functions: list[dict[str, object]] = []
-    for node_id in sorted(graphs.calls.functions):
-        node = graphs.calls.functions[node_id]
-        functions.append(
-            {
-                "id": node.node_id,
-                "path": node.path,
-                "qualname": node.qualname,
-                "line": node.line,
-                "async": node.is_async,
-                "calls": [
-                    {"callee": site.callee, "line": site.line}
-                    for site in graphs.calls.calls_of(node_id)
-                ],
-            }
-        )
-    return {
-        "version": GRAPH_VERSION,
-        "modules": modules,
-        "functions": functions,
-        "cycles": [list(cycle) for cycle in graphs.modules.load_time_cycles()],
-    }
-
-
-def render_graph_dot(graphs: ProjectGraphs) -> str:
-    """The module import graph as Graphviz DOT, clustered by subsystem.
-
-    Deferred imports render dashed — at a glance, solid edges are the
-    load-time structure REP007's cycle check runs on.
-    """
-    lines = ["digraph imports {", "  rankdir=LR;", "  node [shape=box];"]
-    by_subsystem: dict[str, list[str]] = {}
-    for path in graphs.modules.modules:
-        by_subsystem.setdefault(subsystem_of(path), []).append(path)
-    for subsystem in sorted(by_subsystem):
-        lines.append(f'  subgraph "cluster_{subsystem}" {{')
-        lines.append(f'    label="{subsystem}";')
-        for path in by_subsystem[subsystem]:
-            lines.append(f'    "{path}";')
-        lines.append("  }")
-    seen: set[tuple[str, str, bool]] = set()
-    for edge in graphs.modules.edges:
-        marker = (edge.source, edge.target, edge.deferred)
-        if marker in seen:
-            continue
-        seen.add(marker)
-        style = " [style=dashed]" if edge.deferred else ""
-        lines.append(f'  "{edge.source}" -> "{edge.target}"{style};')
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def iter_async_roots(

@@ -4,15 +4,13 @@ The text reporter is for humans at a terminal; the JSON reporter is the
 machine surface (CI uploads it as an artifact) with a stable schema::
 
     {
-      "version": 1,
+      "version": 2,
       "clean": false,
       "files_checked": 42,
       "rules_run": ["REP001", ...],
       "findings": [{"rule", "path", "line", "col", "message"}, ...],
       "suppressed": [...same shape...],
-      "baselined": [...same shape...],
-      "stale_baseline": {"<fingerprint>": {"rule", "path"}, ...},
-      "counts": {"active": 3, "suppressed": 5, "baselined": 0, "stale": 0}
+      "counts": {"active": 3, "suppressed": 5}
     }
 
 Schema changes bump ``version``; ``tests/analysis/test_reporters.py``
@@ -26,7 +24,7 @@ import json
 from repro.analysis.engine import LintResult
 
 #: JSON report schema version.
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def render_json(result: LintResult) -> str:
@@ -38,13 +36,9 @@ def render_json(result: LintResult) -> str:
         "rules_run": result.rules_run,
         "findings": [finding.to_dict() for finding in result.active],
         "suppressed": [finding.to_dict() for finding in result.suppressed],
-        "baselined": [finding.to_dict() for finding in result.baselined],
-        "stale_baseline": result.stale_baseline,
         "counts": {
             "active": len(result.active),
             "suppressed": len(result.suppressed),
-            "baselined": len(result.baselined),
-            "stale": len(result.stale_baseline),
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -52,26 +46,12 @@ def render_json(result: LintResult) -> str:
 
 def render_text(result: LintResult) -> str:
     """The human-readable report."""
-    lines: list[str] = []
-    for finding in result.active:
-        lines.append(finding.render())
-    if result.stale_baseline:
-        if lines:
-            lines.append("")
-        lines.append("stale baseline entries (finding fixed; remove with --write-baseline):")
-        for fingerprint, context in sorted(result.stale_baseline.items()):
-            lines.append(
-                f"  {fingerprint}  {context.get('rule', '?')} in "
-                f"{context.get('path', '?')}"
-            )
+    lines = [finding.render() for finding in result.active]
     summary = (
         f"{result.files_checked} files, "
         f"{len(result.rules_run)} rules: "
         f"{len(result.active)} finding(s), "
-        f"{len(result.suppressed)} suppressed, "
-        f"{len(result.baselined)} baselined, "
-        f"{len(result.stale_baseline)} stale baseline entr"
-        f"{'y' if len(result.stale_baseline) == 1 else 'ies'}"
+        f"{len(result.suppressed)} suppressed"
     )
     if lines:
         lines.append("")

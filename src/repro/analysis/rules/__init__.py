@@ -10,8 +10,6 @@ docs table pick it up automatically.
 from repro.analysis.rules import (  # noqa: F401  (registration side effect)
     rep001_determinism,
     rep002_blocking,
-    rep003_locks,
-    rep004_guards,
     rep005_parity,
     rep006_exceptions,
     rep007_layering,

@@ -1,11 +1,11 @@
 """REP002 — blocking calls inside ``async def`` in the serving layer.
 
-The serving tier's entire throughput story (PR 4) rests on the event
-loop never blocking: micro-batches run on an executor thread precisely
-so the loop keeps admitting requests. One ``time.sleep`` or synchronous
-``subprocess``/file/socket call in a coroutine stalls *every* in-flight
-request for its duration — invisible in unit tests, catastrophic under
-load. Use ``asyncio.sleep``, ``loop.run_in_executor``, or the asyncio
+The serving tier runs one event loop per process, and micro-batches
+run inline on it: the batch is the one sanctioned hold on the loop, and
+every other coroutine must yield promptly. One ``time.sleep`` or
+synchronous ``subprocess``/file/socket call in a coroutine stalls
+*every* in-flight request for its duration — invisible in unit tests,
+catastrophic under load. Use ``asyncio.sleep``, ``loop.run_in_executor``, or the asyncio
 stream/subprocess APIs instead.
 """
 

@@ -3,21 +3,23 @@
 A suppression silences the named rules on its line only, and the
 justification after ``--`` is mandatory — the comment is the audit
 trail explaining why the invariant does not apply. A suppression with a
-missing/empty justification or an unknown rule id is itself reported as
-**REP000**, so the escape hatch cannot silently rot.
+missing/empty justification, or naming a rule id that is not
+registered, is itself reported as **REP000**, so the escape hatch
+cannot silently rot (a noqa left behind by a deleted rule fails the
+lint).
 
 Grammar (one comment per line, anywhere in the trailing comment)::
 
-    risky_call()  # repro: noqa[REP004] -- mapping outlives the views
+    risky_call()  # repro: noqa[REP001] -- seeded by the caller
     other_call()  # repro: noqa[REP002,REP006] -- startup, loop not live
 
 A noqa on its *own* line (optionally inside a block of comment lines)
 covers the next source line instead — for statements too long to carry
 a trailing justification::
 
-    # repro: noqa[REP004] -- the mapping must outlive this function:
-    # the numpy views below alias its pages.
-    mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    # repro: noqa[REP006] -- fan-out boundary: the failure is
+    # delivered to every waiter below.
+    except Exception as exc:
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ import tokenize
 from dataclasses import dataclass
 
 from repro.analysis.findings import Finding
-
-#: Rule id syntax: REP + three digits.
-RULE_ID = re.compile(r"^REP\d{3}$")
 
 _NOQA = re.compile(
     r"#\s*repro:\s*noqa"  # marker
@@ -72,8 +71,12 @@ def parse_suppressions(
 
     Returns the valid suppressions keyed by 1-based line number, plus a
     REP000 finding for every malformed one (blanket ``noqa`` without
-    rule ids, unknown ids, or a missing justification).
+    rule ids, ids that are not registered, or a missing justification).
     """
+    # Deferred: the registry imports this module (through context).
+    from repro.analysis.registry import rule_ids
+
+    known = set(rule_ids())
     lines = text.splitlines()
     suppressions: dict[int, Suppression] = {}
     findings: list[Finding] = []
@@ -103,12 +106,12 @@ def parse_suppressions(
                     col,
                     "REP000",
                     "blanket noqa is not allowed; name the rules, e.g. "
-                    "`# repro: noqa[REP004] -- why`",
+                    "`# repro: noqa[REP001] -- why`",
                 )
             )
             continue
         rules = frozenset(part.strip() for part in raw_rules.split(","))
-        bad = sorted(rule for rule in rules if not RULE_ID.match(rule))
+        bad = sorted(rules - known)
         if bad:
             findings.append(
                 Finding(
@@ -117,7 +120,7 @@ def parse_suppressions(
                     col,
                     "REP000",
                     f"noqa names unknown rule id(s) {', '.join(bad)} "
-                    "(expected REPxxx)",
+                    f"(known: {', '.join(sorted(known))})",
                 )
             )
             continue

@@ -305,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="check project invariants (determinism, async hygiene, "
-        "resource guards, parity coverage)",
+        "parity coverage, layering)",
     )
     p.add_argument(
         "paths",
@@ -325,25 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="REPxxx[,REPyyy...]",
         help="run only these rules (repeatable and/or comma-separated)",
-    )
-    p.add_argument(
-        "--graph",
-        choices=("dot", "json"),
-        default=None,
-        help="emit the whole-program import/call graph in this format "
-        "instead of linting",
-    )
-    p.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="baseline file (default <project>/lint-baseline.json)",
-    )
-    p.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="grandfather every current unsuppressed finding into the "
-        "baseline and exit 0",
     )
     p.add_argument(
         "--output",

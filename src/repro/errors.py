@@ -67,5 +67,5 @@ class ReplicaUnavailableError(ServingError):
 
 class AnalysisError(ReproError):
     """Raised by the static-analysis engine (:mod:`repro.analysis`) for
-    usage errors: unknown rule ids, unparseable sources, bad paths, or a
-    corrupt baseline file. The ``repro lint`` CLI maps it to exit 2."""
+    usage errors: unknown rule ids, unparseable sources, or bad paths.
+    The ``repro lint`` CLI maps it to exit 2."""

@@ -503,9 +503,9 @@ def load_snapshot(path: str | Path):
         )
 
     with open(path, "rb") as handle:
-        # repro: noqa[REP004] -- the mapping must outlive this function: the
-        # numpy views built below alias its pages, so it is released by GC
-        # when the last view dies, never by an eager close here.
+        # The mapping must outlive this function: the numpy views built
+        # below alias its pages, so it is released by GC when the last
+        # view dies, never by an eager close here.
         mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     crc = zlib.crc32(
         memoryview(mapped)[payload_start : payload_start + header["payload_bytes"]]

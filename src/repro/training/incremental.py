@@ -239,7 +239,9 @@ class IncrementalTrainer:
         The payload is a pickle, so state files — unlike the pickle-free
         runtime snapshots — are a **trusted-source** format: load only
         files your own pipeline wrote. A CRC32 guards against
-        truncation/corruption, not against hostile input.
+        truncation/corruption, not against hostile input. Probe sets are
+        written as sorted tuples, so the bytes do not depend on
+        ``PYTHONHASHSEED``.
         """
         path = Path(path)
         payload = pickle.dumps(
@@ -250,7 +252,10 @@ class IncrementalTrainer:
                 "generation": self._generation,
                 "mined": self._mined,
                 "evidence": self._evidence,
-                "probes": self._probes,
+                "probes": {
+                    key: tuple(sorted(probes))
+                    for key, probes in self._probes.items()
+                },
                 "feature_vectors": self._features._vectors,
                 "feature_readings": self._features._readings,
             },
@@ -301,7 +306,11 @@ class IncrementalTrainer:
         trainer._stats = LogStatistics(trainer._log)
         trainer._mined = state["mined"]
         trainer._evidence = state["evidence"]
-        trainer._probes = state["probes"]
+        # save() writes sorted tuples; files written before it did hold
+        # frozensets. Both forms load.
+        trainer._probes = {
+            key: frozenset(probes) for key, probes in state["probes"].items()
+        }
         trainer._probe_index = None
         trainer._index_probes()
         trainer._features._vectors = state["feature_vectors"]

@@ -1,13 +1,18 @@
-"""``repro lint`` end to end: exit codes 0/1/2, --write-baseline,
---rule, --format json, --output, --list-rules — on a throwaway project."""
+"""``repro lint`` end to end: exit codes 0/1/2, --rule, --format json,
+--output, --list-rules — on a throwaway project."""
 
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.analysis import rule_ids
 from repro.cli import main
+
+README = Path(__file__).resolve().parents[2] / "README.md"
 
 CLEAN_MODULE = "def detect(query):\n    return sorted(set(query.split()))\n"
 DIRTY_MODULE = (
@@ -79,49 +84,6 @@ class TestExitCodes:
         assert lint(project) == 2
         assert "cannot parse" in capsys.readouterr().err
 
-    def test_corrupt_baseline_exits_2(self, project, capsys):
-        project.add("core/ok.py", CLEAN_MODULE)
-        (project / "lint-baseline.json").write_text("{broken")
-        assert lint(project) == 2
-
-    def test_stale_baseline_exits_1(self, project, capsys):
-        project.add("core/ok.py", CLEAN_MODULE)
-        (project / "lint-baseline.json").write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "findings": {
-                        "feedfeedfeedfeed": {"rule": "REP001", "path": "gone.py"}
-                    },
-                }
-            )
-        )
-        assert lint(project) == 1
-        assert "stale baseline" in capsys.readouterr().out
-
-
-class TestBaselineWorkflow:
-    def test_write_baseline_then_clean(self, project, capsys):
-        project.add("training/shuffle.py", DIRTY_MODULE)
-        assert lint(project) == 1
-        assert lint(project, "--write-baseline") == 0
-        out = capsys.readouterr().out
-        assert "1 grandfathered finding(s)" in out
-        # The finding is now baselined, not active.
-        assert lint(project) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_write_baseline_drops_stale_entries(self, project, capsys):
-        project.add("training/shuffle.py", DIRTY_MODULE)
-        lint(project, "--write-baseline")
-        # Fix the finding; the entry goes stale, rewrite empties the file.
-        project.add("training/shuffle.py", CLEAN_MODULE)
-        assert lint(project) == 1
-        assert lint(project, "--write-baseline") == 0
-        payload = json.loads((project / "lint-baseline.json").read_text())
-        assert payload["findings"] == {}
-        assert lint(project) == 0
-
 
 class TestOptions:
     def test_rule_filter(self, project, capsys):
@@ -131,10 +93,10 @@ class TestOptions:
 
     def test_rule_filter_comma_separated(self, project, capsys):
         project.add("training/shuffle.py", DIRTY_MODULE)
-        assert lint(project, "--rule", "REP002,REP003") == 0
+        assert lint(project, "--rule", "REP002,REP006") == 0
         assert lint(project, "--rule", "REP001,REP002") == 1
         # Mixed styles compose; stray whitespace and commas are tolerated.
-        assert lint(project, "--rule", "REP002, REP003,", "--rule", "REP001") == 1
+        assert lint(project, "--rule", "REP002, REP006,", "--rule", "REP001") == 1
         assert lint(project, "--rule", "REP001,REP999") == 2
         assert "unknown rule" in capsys.readouterr().err
 
@@ -159,34 +121,10 @@ class TestOptions:
     def test_list_rules(self, project, capsys):
         assert lint(project, "--list-rules") == 0
         out = capsys.readouterr().out
-        for number in range(1, 11):
-            assert f"REP{number:03d}" in out
-
-
-class TestGraphOption:
-    def test_graph_json_is_byte_identical_across_runs(self, project, capsys):
-        project.add("core/model.py", "from repro.utils import x\n")
-        project.add("utils/x.py", "X = 1\n")
-        assert lint(project, "--graph", "json") == 0
-        first = capsys.readouterr().out
-        assert lint(project, "--graph", "json") == 0
-        second = capsys.readouterr().out
-        assert first == second
-        payload = json.loads(first)
-        assert payload["version"] == 1
-        paths = [module["path"] for module in payload["modules"]]
-        assert paths == sorted(paths)
-        (edge,) = next(
-            module["imports"]
-            for module in payload["modules"]
-            if module["path"] == "core/model.py"
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert listed == rule_ids()
+        # README's rule table documents exactly the registered rules.
+        documented = re.findall(
+            r"^\| (REP\d{3}) \|", README.read_text(encoding="utf-8"), re.M
         )
-        assert edge == {"target": "utils/x.py", "line": 1, "deferred": False}
-
-    def test_graph_dot_and_output_file(self, project, capsys):
-        project.add("core/model.py", CLEAN_MODULE)
-        dot_path = project / "graph.dot"
-        assert lint(project, "--graph", "dot", "--output", str(dot_path)) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("digraph imports {")
-        assert dot_path.read_text().startswith("digraph imports {")
+        assert documented == rule_ids()

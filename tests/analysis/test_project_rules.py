@@ -368,8 +368,8 @@ class TestRep010DeadApi:
 
 class TestBenchmarkScope:
     def test_bench_files_only_face_the_scoped_rules(self, rule_ids_of):
-        # A benchmark may open files without a guard (REP004 territory)
-        # but unseeded shuffles (REP001) still gate.
+        # Only the scoped rules run on a benchmark: the unseeded
+        # shuffle (REP001) gates.
         sources = [
             SourceFile(
                 "benchmarks/bench_x.py",

@@ -24,17 +24,10 @@ class TestJsonReporter:
             "rules_run",
             "findings",
             "suppressed",
-            "baselined",
-            "stale_baseline",
             "counts",
         }
-        assert payload["version"] == REPORT_VERSION
-        assert set(payload["counts"]) == {
-            "active",
-            "suppressed",
-            "baselined",
-            "stale",
-        }
+        assert payload["version"] == REPORT_VERSION == 2
+        assert set(payload["counts"]) == {"active", "suppressed"}
 
     def test_finding_shape(self):
         payload = json.loads(render_json(run_lint([DIRTY])))
@@ -54,8 +47,6 @@ class TestJsonReporter:
         assert payload["rules_run"] == [
             "REP001",
             "REP002",
-            "REP003",
-            "REP004",
             "REP005",
             "REP006",
             "REP007",
@@ -78,6 +69,5 @@ class TestTextReporter:
     def test_clean_summary(self):
         report = render_text(run_lint([CLEAN]))
         assert report.endswith(
-            "1 files, 10 rules: 0 finding(s), 0 suppressed, 0 baselined, "
-            "0 stale baseline entries"
+            "1 files, 8 rules: 0 finding(s), 0 suppressed"
         )

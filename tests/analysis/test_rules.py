@@ -244,165 +244,6 @@ class TestRep002Blocking:
         assert result.active == []
 
 
-class TestRep003LockAcrossAwait:
-    def test_flags_sync_lock_around_await(self, lint_one, rule_ids_of):
-        result = lint_one(
-            "serving/locky.py",
-            src(
-                """
-                async def update(self, key):
-                    with self._lock:
-                        await self.refresh(key)
-                """
-            ),
-        )
-        assert rule_ids_of(result) == ["REP003"]
-
-    def test_flags_threading_lock_constructor(self, lint_one, rule_ids_of):
-        result = lint_one(
-            "runtime/locky.py",
-            src(
-                """
-                import threading
-
-                async def once(self):
-                    with threading.Lock():
-                        await self.work()
-                """
-            ),
-        )
-        assert rule_ids_of(result) == ["REP003"]
-
-    def test_async_with_and_no_await_not_flagged(self, lint_one):
-        result = lint_one(
-            "serving/fine.py",
-            src(
-                """
-                async def update(self, key):
-                    async with self._lock:      # asyncio lock: cooperative
-                        await self.refresh(key)
-                    with self._lock:            # no await inside: fine
-                        self.counter += 1
-                """
-            ),
-        )
-        assert result.active == []
-
-
-class TestRep004ResourceGuards:
-    def test_flags_unguarded_executor(self, lint_one, rule_ids_of):
-        result = lint_one(
-            "training/leak.py",
-            src(
-                """
-                from concurrent.futures import ProcessPoolExecutor
-
-                def mine(shards):
-                    executor = ProcessPoolExecutor(max_workers=4)
-                    return [executor.submit(len, shard) for shard in shards]
-                """
-            ),
-        )
-        assert rule_ids_of(result) == ["REP004"]
-
-    def test_with_block_is_a_guard(self, lint_one):
-        result = lint_one(
-            "training/fine.py",
-            src(
-                """
-                from concurrent.futures import ProcessPoolExecutor
-
-                def mine(shards):
-                    with ProcessPoolExecutor(max_workers=4) as executor:
-                        return list(executor.map(len, shards))
-                """
-            ),
-        )
-        assert result.active == []
-
-    def test_try_finally_shutdown_is_a_guard(self, lint_one):
-        result = lint_one(
-            "training/fine2.py",
-            src(
-                """
-                from concurrent.futures import ProcessPoolExecutor
-
-                def mine(shards):
-                    executor = ProcessPoolExecutor(max_workers=4)
-                    try:
-                        return list(executor.map(len, shards))
-                    finally:
-                        executor.shutdown(wait=True)
-                """
-            ),
-        )
-        assert result.active == []
-
-    def test_self_attribute_guarded_by_class_close(self, lint_one):
-        result = lint_one(
-            "serving/pooled.py",
-            src(
-                """
-                from concurrent.futures import ThreadPoolExecutor
-
-                class Service:
-                    def start(self):
-                        self._executor = ThreadPoolExecutor(max_workers=1)
-
-                    def close(self):
-                        self._executor.shutdown(wait=True)
-                """
-            ),
-        )
-        assert result.active == []
-
-    def test_self_attribute_without_class_guard_flagged(self, lint_one, rule_ids_of):
-        result = lint_one(
-            "serving/pooled_leak.py",
-            src(
-                """
-                from concurrent.futures import ThreadPoolExecutor
-
-                class Service:
-                    def start(self):
-                        self._executor = ThreadPoolExecutor(max_workers=1)
-                """
-            ),
-        )
-        assert rule_ids_of(result) == ["REP004"]
-
-    def test_weakref_finalize_is_a_guard(self, lint_one):
-        result = lint_one(
-            "serving/finalized.py",
-            src(
-                """
-                import weakref
-                from concurrent.futures import ThreadPoolExecutor
-
-                class Service:
-                    def start(self):
-                        self._executor = ThreadPoolExecutor(max_workers=1)
-                        weakref.finalize(self, self._executor.shutdown)
-                """
-            ),
-        )
-        assert result.active == []
-
-    def test_unguarded_mmap_flagged(self, lint_one, rule_ids_of):
-        result = lint_one(
-            "runtime/mapping.py",
-            src(
-                """
-                import mmap
-
-                def view(handle):
-                    return mmap.mmap(handle.fileno(), 0)
-                """
-            ),
-        )
-        assert rule_ids_of(result) == ["REP004"]
-
-
 class TestRep005ParityCoverage:
     VECTORIZED = src(
         '''

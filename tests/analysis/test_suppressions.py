@@ -57,14 +57,14 @@ class TestStandaloneNoqa:
     def test_covers_next_source_line(self):
         suppressions, findings = parse(
             """
-            # repro: noqa[REP004] -- mapping outlives the function;
-            # released by GC when the last view dies.
-            mapped = make_mapping()
+            # repro: noqa[REP006] -- fan-out boundary; the failure
+            # is delivered to every waiter.
+            outcome = fan_out()
             """
         )
         assert findings == []
         assert list(suppressions) == [3]
-        assert suppressions[3].covers("REP004")
+        assert suppressions[3].covers("REP006")
 
     def test_skips_blank_and_comment_lines(self):
         suppressions, _ = parse(
@@ -80,13 +80,13 @@ class TestStandaloneNoqa:
     def test_duplicate_targets_merge(self):
         suppressions, findings = parse(
             """
-            # repro: noqa[REP004] -- reason one
+            # repro: noqa[REP002] -- reason one
             # repro: noqa[REP006] -- reason two
             call()
             """
         )
         assert findings == []
-        assert suppressions[3].rules == frozenset({"REP004", "REP006"})
+        assert suppressions[3].rules == frozenset({"REP002", "REP006"})
         assert "reason one" in suppressions[3].justification
         assert "reason two" in suppressions[3].justification
 
@@ -101,6 +101,12 @@ class TestRep000:
         _, findings = parse("call()  # repro: noqa[REP9999] -- why\n")
         assert [f.rule for f in findings] == ["REP000"]
         assert "REP9999" in findings[0].message
+
+    def test_unregistered_rule_id_reported(self):
+        # A well-formed id no rule owns, like one a deleted rule left.
+        _, findings = parse("call()  # repro: noqa[REP099] -- why\n")
+        assert [f.rule for f in findings] == ["REP000"]
+        assert "REP099" in findings[0].message
 
     def test_missing_justification_reported(self):
         _, findings = parse("call()  # repro: noqa[REP001]\n")

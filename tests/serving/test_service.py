@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import threading
+import time
 import weakref
 
 import pytest
@@ -22,6 +23,7 @@ from repro.runtime import load_snapshot
 from repro.runtime.compiled import MIN_VECTORIZED_BATCH
 from repro.serving import DetectionService, MicroBatcher, ServingConfig
 from repro.serving.replica import ReplicaServer
+from repro.text.normalizer import MAX_QUERY_TOKENS, normalize_fast
 
 
 def run(coro):
@@ -244,6 +246,63 @@ class TestMicroBatching:
         stats = run(serve())
         assert stats["cache"]["size"] == 0
         assert stats["detected"] == 2  # retried, never served from cache
+
+
+class TestLoopHold:
+    """Batches run inline on the event loop, so one full batch of
+    cap-length queries is the longest the loop is held: other
+    connections, health probes and ``/stats`` wait behind it."""
+
+    #: A full batch of 32 distinct 32-token held-out queries on a fresh
+    #: ``compile()`` held the loop for 36-55 ms on a 2-vCPU host; the
+    #: budget leaves ~18x of slack for a slow or busy CI machine.
+    HOLD_BUDGET_S = 1.0
+
+    def test_full_batch_of_cap_length_queries(self, model, eval_examples):
+        words = list(
+            dict.fromkeys(
+                word for example in eval_examples for word in example.query.split()
+            )
+        )
+        size = ServingConfig().max_batch_size
+        # The first query dispatches alone on an idle service; the next
+        # ``size`` form one full batch behind it.
+        queries = [
+            " ".join((words * 2)[start : start + MAX_QUERY_TOKENS])
+            for start in range(0, (size + 1) * MAX_QUERY_TOKENS, MAX_QUERY_TOKENS)
+        ]
+        assert len(set(queries)) == size + 1
+        assert all(
+            len(normalize_fast(query).split()) == MAX_QUERY_TOKENS
+            for query in queries
+        )
+
+        async def serve():
+            gaps: list[float] = []
+            done = asyncio.Event()
+
+            async def heartbeat():
+                last = time.perf_counter()
+                while not done.is_set():
+                    await asyncio.sleep(0)
+                    now = time.perf_counter()
+                    gaps.append(now - last)
+                    last = now
+
+            beat = asyncio.create_task(heartbeat())
+            await asyncio.sleep(0)
+            async with DetectionService(
+                model.compile(), ServingConfig(cache_size=0)
+            ) as service:
+                await service.detect_many(queries)
+                stats = service.stats()
+            done.set()
+            await beat
+            return max(gaps), stats
+
+        hold, stats = run(serve())
+        assert stats["batch_sizes"] == {"1": 1, str(size): 1}
+        assert hold < self.HOLD_BUDGET_S
 
 
 class TestAdmissionControl:

@@ -168,9 +168,6 @@ COMMAND_OPTIONS = {
     "lint": [
         "--format",
         "--rule",
-        "--graph",
-        "--baseline",
-        "--write-baseline",
         "--output",
         "--list-rules",
         "--root",

@@ -13,20 +13,31 @@ delta queries collide with base queries and with each other.
 from __future__ import annotations
 
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import LogConfig, TrainingConfig, generate_log
 from repro.core.constraints import ConstraintClassifier
 from repro.errors import ModelError
 from repro.mining.pairs import MiningConfig
 from repro.querylog.models import QueryLog
 from repro.training.evidence import DropEvidence, record_drop_evidence
-from repro.training.incremental import IncrementalTrainer, _ProbeView
+from repro.training.incremental import (
+    _STATE_PRELUDE,
+    IncrementalTrainer,
+    _ProbeView,
+)
 from repro.training.vectorized import train_model_vectorized
 
 EDGE_CASES = [
@@ -204,6 +215,79 @@ def test_corrupt_state_rejected(tmp_path, split_logs, taxonomy):
     state_path.write_bytes(b"junk" * 16)
     with pytest.raises(ModelError, match="not a training state"):
         IncrementalTrainer.load(state_path)
+
+
+#: Builds a base state from a small log and saves it to ``sys.argv[1]``,
+#: then folds a delta and saves the folded state to ``sys.argv[2]``.
+_BUILD_AND_FOLD = textwrap.dedent(
+    """
+    import sys
+    from repro import LogConfig, TrainingConfig, build_from_seed, generate_log
+    from repro.querylog.models import QueryLog
+    from repro.training.incremental import IncrementalTrainer
+
+    def log_of(records):
+        log = QueryLog()
+        for record in records:
+            log.add_record(record.query, record.frequency, record.clicks)
+        return log
+
+    taxonomy = build_from_seed()
+    log = generate_log(taxonomy, LogConfig(seed=11, num_intents=300))
+    records = list(log.records())
+    trainer = IncrementalTrainer(log_of(records[:240]), taxonomy, TrainingConfig())
+    trainer.save(sys.argv[1])
+    trainer.fold(log_of(records[240:]))
+    trainer.save(sys.argv[2])
+    """
+)
+
+
+def test_state_bytes_do_not_depend_on_hash_seed(tmp_path):
+    """Two processes under different string-hash seeds write the same
+    state bytes, for the base build and after a fold, so a state can be
+    checked with ``cmp``."""
+    src = str(Path(repro.__file__).parents[1])
+    written = []
+    for hash_seed in ("1", "2"):
+        base = tmp_path / f"base{hash_seed}.hdmt"
+        folded = tmp_path / f"folded{hash_seed}.hdmt"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        subprocess.run(
+            [sys.executable, "-c", _BUILD_AND_FOLD, str(base), str(folded)],
+            env=env,
+            check=True,
+            timeout=300,
+        )
+        written.append((base.read_bytes(), folded.read_bytes()))
+    assert written[0][0] == written[1][0]
+    assert written[0][1] == written[1][1]
+
+
+def test_state_with_frozenset_probes_loads(
+    tmp_path, split_logs, taxonomy, reference_model
+):
+    """States written before probes were saved sorted hold frozensets;
+    they still load and fold to the same model."""
+    base, delta = split_logs
+    trainer = IncrementalTrainer(_log_from(base), taxonomy, TrainingConfig())
+    state_path = tmp_path / "trainer.state"
+    trainer.save(state_path)
+    raw = state_path.read_bytes()
+    magic, version, _, _ = _STATE_PRELUDE.unpack_from(raw)
+    state = pickle.loads(raw[_STATE_PRELUDE.size :])
+    state["probes"] = {
+        key: frozenset(probes) for key, probes in state["probes"].items()
+    }
+    payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    state_path.write_bytes(
+        _STATE_PRELUDE.pack(magic, version, len(payload), zlib.crc32(payload))
+        + payload
+    )
+
+    loaded = IncrementalTrainer.load(state_path)
+    _assert_models_identical(loaded.fold(_log_from(delta)), reference_model)
 
 
 #: ``DropEvidence("cheap iphone 5s case", "cheap", 0.75, 7)`` as pickled
