@@ -11,7 +11,7 @@ Exposes the full offline pipeline and the runtime detector::
     repro snapshot --model model/ --out model.hdms
     repro snapshot --info model.hdms
     repro reload --url http://127.0.0.1:8080 --snapshot g2.hdms
-    repro detect --snapshot model.hdms --batch --input queries.txt
+    repro detect --snapshot model.hdms --input queries.txt
     repro serve --snapshot model.hdms --port 8080
     repro route --snapshot model.hdms --port 8080 --replicas 4
     repro replica --snapshot model.hdms --port 0
@@ -152,12 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="serve from a compiled snapshot (see `repro snapshot`) "
         "instead of a model bundle",
-    )
-    p.add_argument(
-        "--batch",
-        action="store_true",
-        help="answer all queries in one detect_batch call (array-at-a-time "
-        "vectorized detection; bit-identical to per-query results)",
     )
     p.add_argument("queries", nargs="*", metavar="QUERY")
     p.add_argument(
@@ -730,10 +724,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         return 0
     if args.json:
         from repro.serving.http import detection_payload
-    if args.batch:
-        detections = detector.detect_batch(queries)
-    else:
-        detections = [detector.detect(query) for query in queries]
+    detections = detector.detect_batch(queries)
     for query, detection in zip(queries, detections):
         if args.json:
             print(json.dumps(detection_payload(detection), sort_keys=True))

@@ -90,6 +90,12 @@ class SimilarityCache:
         """``log.lookup(text)``, resolving each distinct string once."""
         return (self._lookups.get(text) or self._resolve(text))[1]
 
+    def for_record(self, record: QueryRecord) -> "SimilarityCache":
+        """The view to mine ``record`` through: this cache itself. The
+        incremental trainer's view overrides it to file the lookups
+        that follow under ``record``."""
+        return self
+
     def drop_similarity(self, record: QueryRecord, segment: str) -> float | None:
         """``LogStatistics.drop_similarity(record.query, segment)``."""
         reduced = _remove_segment(record.query, segment)

@@ -24,24 +24,30 @@ structurally, and replaces only the hot inner computations:
   so scores are *bit-identical* to the reference loops. (At top-k ≈ 5
   the grids are so small that NumPy's per-call dispatch costs more than
   the arithmetic; the arrays remain the storage format, and
-  :meth:`PatternMatrix.norm` / :meth:`PatternMatrix.raw` expose the
-  vectorized gathers for batch tooling.)
+  :meth:`PatternMatrix.norm` is the vectorized gather the batch engine
+  scores with.)
 - **Compiled segmentation** — the Viterbi segmenter's span scoring is
   precomputed into plain dict lookups keyed by already-normalized
   tokens, eliminating the per-span regex re-normalization that
   dominates reference segmentation cost.
 - **Compiled constraint annotation** — the paper's step 4 (constraint
-  vs. non-constraint) runs through one :class:`ConstraintMemo` shared by
-  the scalar and batch paths instead of
-  :meth:`repro.core.constraints.ConstraintClassifier.annotate` rebuilding
-  every detection afterwards. The 11 modifier-only features are
-  computed once per modifier text, the query's log record is resolved
-  once per detection, and each ``(modifier, drop_similarity,
+  vs. non-constraint) runs through one :class:`ConstraintMemo` instead
+  of :meth:`repro.core.constraints.ConstraintClassifier.annotate`
+  rebuilding every detection afterwards. The 11 modifier-only features
+  are computed once per modifier text, the query's log record is
+  resolved once per detection, and each ``(modifier, drop_similarity,
   drop_evidence_missing)`` decision is computed once with the
   reference arithmetic, so the flags stay bit-identical.
+- **One memoized assembly** — scalar :meth:`CompiledDetector.detect` and
+  the batch engine (:mod:`repro.runtime.vectorized`) both end in
+  :meth:`CompiledDetector._finish`, which builds each ``Detection`` from
+  ``(text, kind)`` segments and a head position. Terms are immutable
+  and a pure function of their key, so head, modifier and other terms
+  come from three memos and repeated terms are shared across
+  detections.
 - **Bounded memoization** — phrase readings, context bases, pair
-  affinities and constraint decisions are cached in memos sized by
-  ``DetectorConfig.cache_size``.
+  affinities, constraint decisions and terms are cached in memos sized
+  by ``DetectorConfig.cache_size``.
 
 Parity is enforced by ``tests/test_runtime_parity.py``: identical heads,
 modifiers, constraints, methods, and scores on the full held-out
@@ -85,8 +91,8 @@ from repro.utils.lru import LruCache, remember
 from repro.utils.mathx import normalize_distribution
 
 #: Above this many (stride × stride) entries the pattern matrix switches
-#: from a dense flat array to sorted-key binary search (~16 MB per dense
-#: matrix at the limit; raw + normalized are stored separately).
+#: from a dense flat array to sorted-key binary search (~16 MB for the
+#: dense normalized matrix at the limit).
 DENSE_LIMIT = 2_000_000
 
 #: Batches smaller than this take the scalar per-query loop instead of
@@ -97,6 +103,10 @@ DENSE_LIMIT = 2_000_000
 #: path (cache-missed keys, effectively cold) correctly while staying
 #: honest for warm batch tooling.
 MIN_VECTORIZED_BATCH = 32
+
+#: Segment kinds :meth:`CompiledDetector._finish` makes modifiers when a
+#: head is present (reference ``HeadModifierDetector._finish``).
+_MODIFIER_KINDS = CONTENT_KINDS | {KIND_SUBJECTIVE}
 
 _DROP_SIMILARITY = FEATURE_NAMES.index("drop_similarity")
 _DROP_EVIDENCE_MISSING = FEATURE_NAMES.index("drop_evidence_missing")
@@ -122,7 +132,7 @@ class ConstraintMemo:
     records (its ``generation`` moves), since the IDF feature reads
     those live counters. They keep the clear-when-full policy
     (:func:`~repro.utils.lru.remember`): a hit is one ``dict.get``.
-    Moving them and the batch engine's three term memos to
+    Moving them and the three term memos (then the batch engine's) to
     ``LruCache`` lowered perfbench ``batch-annotate`` throughput from
     32.2k to 29.2k q/s and raised its RSS from 71.6 to 73.8 MiB over 6
     interleaved pairs (see :mod:`repro.utils.lru`).
@@ -194,9 +204,11 @@ class PatternMatrix:
     contribute exactly the 0.0 the reference path's dict ``.get`` returns.
 
     Two weight views are kept because the reference path uses both:
-    ``raw`` (:meth:`repro.core.concept_patterns.PatternTable.weight`,
-    context disambiguation) and ``norm`` (``PatternTable.score`` =
-    weight / max weight, head scoring).
+    raw weights (:meth:`repro.core.concept_patterns.PatternTable.weight`,
+    context disambiguation) as the ``raw_map`` dict, and normalized ones
+    (``PatternTable.score`` = weight / max weight, head scoring) as the
+    ``norm_map`` dict for scalar scoring plus an array behind
+    :meth:`norm` for the batch engine's gathers.
     """
 
     def __init__(
@@ -271,35 +283,23 @@ class PatternMatrix:
         )
         self.dense = dense
         if self.dense:
-            self._raw = np.zeros(self.stride * self.stride, dtype=np.float64)
             self._norm = np.zeros(self.stride * self.stride, dtype=np.float64)
-            self._raw[key_array] = raw_array
             self._norm[key_array] = norm_array
         else:
             order = np.argsort(key_array)
             self._keys = key_array[order]
-            self._raw = raw_array[order]
             self._norm = norm_array[order]
-
-    def raw(self, keys: np.ndarray) -> np.ndarray:
-        """Raw weights behind flat ``keys`` (0.0 where absent)."""
-        if self.dense:
-            return self._raw[keys]
-        return self._sparse_take(self._raw, keys)
 
     def norm(self, keys: np.ndarray) -> np.ndarray:
         """Max-normalized weights behind flat ``keys`` (0.0 where absent)."""
         if self.dense:
             return self._norm[keys]
-        return self._sparse_take(self._norm, keys)
-
-    def _sparse_take(self, values: np.ndarray, keys: np.ndarray) -> np.ndarray:
         if not len(self._keys):
             return np.zeros(len(keys), dtype=np.float64)
         positions = np.searchsorted(self._keys, keys)
         positions[positions >= len(self._keys)] = 0
         found = self._keys[positions] == keys
-        return np.where(found, values[positions], 0.0)
+        return np.where(found, self._norm[positions], 0.0)
 
 
 class PhraseReading:
@@ -642,8 +642,8 @@ class CompiledDetector(HeadModifierDetector):
 
     def _init_caches(self) -> None:
         """Empty runtime caches, each bounded by ``config.cache_size``:
-        the four LRUs whose counters :meth:`cache_stats` reports, and
-        the constraint memo."""
+        the four LRUs whose counters :meth:`cache_stats` reports, the
+        constraint memo, and :meth:`_finish`'s three term memos."""
         size = self._config.cache_size
         self._reading_cache: LruCache[str, PhraseReading] = LruCache(size)
         self._context_cache: LruCache[str, _ContextBase] = LruCache(size)
@@ -652,6 +652,11 @@ class CompiledDetector(HeadModifierDetector):
             tuple, tuple[tuple[str, float], ...]
         ] = LruCache(size)
         self._constraints = _constraint_memo(self._classifier, size)
+        self._head_terms: dict[tuple[str, str], DetectedTerm] = {}
+        self._modifier_terms: dict[
+            tuple[str, str, str, bool | None], DetectedTerm
+        ] = {}
+        self._other_terms: dict[tuple[str, str], DetectedTerm] = {}
 
     # ------------------------------------------------------------------
     # compilation
@@ -763,54 +768,91 @@ class CompiledDetector(HeadModifierDetector):
             segments = self._segmenter.segment(query)
         if not segments:
             return Detection(query=query, terms=(), score=0.0, method="empty")
+        pairs = [(segment.text, segment.kind) for segment in segments]
         content = [s for s in segments if s.kind in CONTENT_KINDS]
         if not content:
-            return self._all_structural(query, segments)
+            return self._finish(query, pairs, None, 0.0, "structural")
         if len(content) == 1:
-            return self._finish(
-                query, segments, head=content[0], score=1.0, method="single"
-            )
-        head, score, method = self._choose_head(segments, content)
-        return self._finish(query, segments, head=head, score=score, method=method)
+            head, score, method = content[0], 1.0, "single"
+        else:
+            head, score, method = self._choose_head(segments, content)
+        return self._finish(query, pairs, segments.index(head), score, method)
 
     def _finish(
         self,
         query: str,
-        segments: list[Segment],
-        head: Segment,
+        segments: list[tuple[str, str]],
+        head_position: int | None,
         score: float,
         method: str,
     ) -> Detection:
-        """Reference ``_finish``, with each modifier's constraint flag
-        taken from the :class:`ConstraintMemo` as its term is built
-        rather than by ``annotate`` rebuilding the detection."""
+        """Reference ``_finish`` over ``(text, kind)`` segments, or
+        reference ``_all_structural`` when ``head_position`` is None.
+
+        Each modifier's constraint flag comes from the
+        :class:`ConstraintMemo` as its term is built; a classifier
+        without a memo annotates the assembled detection instead. Terms
+        come from three clear-when-full memos: heads and the rest keyed
+        by ``(text, kind)``, modifiers by ``(text, kind, head text,
+        flag)``, since flags move with the log statistics' generation.
+        """
+        capacity = self._config.cache_size
         memo = self._constraints
-        if memo is None:
-            return super()._finish(query, segments, head, score, method)
-        record = memo.record(query)
-        head_concepts = self._concepts_of(head.text)
-        head_concept_dict = dict(head_concepts)
-        terms = []
-        for segment in segments:
-            if segment is head:
-                terms.append(
-                    DetectedTerm(
-                        segment.text, TermRole.HEAD, segment.kind, head_concepts
+        record = None
+        flag: bool | None = None
+        if head_position is None:
+            # Every term comes from the plain memo below, whose rule
+            # makes subjective segments modifiers with no readings.
+            head_text = ""
+            modifier_kinds: frozenset[str] = frozenset()
+        else:
+            head_text = segments[head_position][0]
+            modifier_kinds = _MODIFIER_KINDS
+            if memo is not None:
+                record = memo.record(query)
+        head_dict: dict[str, float] | None = None
+        terms: list[DetectedTerm] = []
+        for position, (text, kind) in enumerate(segments):
+            if position == head_position:
+                key = (text, kind)
+                term = self._head_terms.get(key)
+                if term is None:
+                    term = DetectedTerm(
+                        text, TermRole.HEAD, kind, self._concepts_of(text)
                     )
-                )
-            elif segment.kind in CONTENT_KINDS or segment.kind == KIND_SUBJECTIVE:
-                terms.append(
-                    DetectedTerm(
-                        segment.text,
+                    remember(self._head_terms, key, term, capacity)
+            elif kind in modifier_kinds:
+                if memo is not None:
+                    flag = memo.is_constraint(record, query, text)
+                key = (text, kind, head_text, flag)
+                term = self._modifier_terms.get(key)
+                if term is None:
+                    if head_dict is None:
+                        head_dict = dict(self._concepts_of(head_text))
+                    term = DetectedTerm(
+                        text,
                         TermRole.MODIFIER,
-                        segment.kind,
-                        self._modifier_concepts(segment.text, head_concept_dict),
-                        memo.is_constraint(record, query, segment.text),
+                        kind,
+                        self._modifier_concepts(text, head_dict),
+                        flag,
                     )
-                )
+                    remember(self._modifier_terms, key, term, capacity)
             else:
-                terms.append(DetectedTerm(segment.text, TermRole.OTHER, segment.kind))
-        return Detection(query=query, terms=tuple(terms), score=score, method=method)
+                key = (text, kind)
+                term = self._other_terms.get(key)
+                if term is None:
+                    role = (
+                        TermRole.MODIFIER if kind == KIND_SUBJECTIVE else TermRole.OTHER
+                    )
+                    term = DetectedTerm(text, role, kind)
+                    remember(self._other_terms, key, term, capacity)
+            terms.append(term)
+        detection = Detection(
+            query=query, terms=tuple(terms), score=score, method=method
+        )
+        if memo is None and self._classifier is not None and head_position is not None:
+            detection = self._classifier.annotate(detection)
+        return detection
 
     def _reading(self, phrase: str) -> PhraseReading:
         # Segment texts are already normalized (modulo a trailing period),

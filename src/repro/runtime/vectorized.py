@@ -33,6 +33,11 @@ The pipeline, per batch of deduplicated queries:
    candidate rows; NumPy's first-wins argmax equals the reference
    stable sort by ``(-score, start)`` because candidates are emitted in
    ascending start order.
+6. **Shared assembly** — each query's ``(text, kind)`` segments, head
+   position, score and method go to
+   :meth:`~repro.runtime.compiled.CompiledDetector._finish`, the one
+   memoized assembly scalar ``detect`` ends in too, so both paths build
+   every ``Detection`` (terms, constraint flags) the same way.
 
 Queries the array program cannot reproduce exactly (a ``.`` anywhere —
 trailing-period stripping can merge spans — or extreme token counts)
@@ -46,8 +51,9 @@ import weakref
 
 import numpy as np
 
-from repro.core.detector import DetectedTerm, Detection, TermRole
+from repro.core.detector import Detection
 from repro.core.segmentation import (
+    CONTENT_KINDS,
     KIND_CONNECTOR,
     KIND_INSTANCE,
     KIND_STOPWORD,
@@ -58,7 +64,6 @@ from repro.core.segmentation import (
 from repro.errors import ModelError
 from repro.runtime.compiled import CompiledSegmenter
 from repro.text.normalizer import normalize_fast
-from repro.utils.lru import remember
 
 _NEG = float("-inf")
 
@@ -72,10 +77,8 @@ KIND_BY_CODE: tuple[str, ...] = (
     KIND_WORD,
 )
 _CODE_OF = {kind: code for code, kind in enumerate(KIND_BY_CODE)}
-_CODE_INSTANCE = _CODE_OF[KIND_INSTANCE]
-_CODE_SUBJECTIVE = _CODE_OF[KIND_SUBJECTIVE]
-_CODE_CONNECTOR = _CODE_OF[KIND_CONNECTOR]
 _CODE_WORD = _CODE_OF[KIND_WORD]
+_KIND_NAMES = np.asarray(KIND_BY_CODE, dtype=object)
 
 #: Queries longer than this fall back to the scalar path: the lockstep
 #: DP pads every query to the batch maximum, so one pathological input
@@ -129,6 +132,12 @@ class SegmentationAutomaton:
                 "segmentation automaton: edge arrays disagree "
                 f"({len(edge_keys)} keys, {len(edge_targets)} targets)"
             )
+        codes = np.asarray(token_kinds, dtype=np.int64)
+        if len(codes) and (codes.min() < 0 or codes.max() >= len(KIND_BY_CODE)):
+            raise ModelError(
+                "segmentation automaton: token kind code outside "
+                f"0..{len(KIND_BY_CODE) - 1}"
+            )
         self.tokens = tokens
         self.token_ids: dict[str, int] = {t: i for i, t in enumerate(tokens)}
         self.oov_id = len(tokens)
@@ -138,9 +147,9 @@ class SegmentationAutomaton:
         self.token_scores = np.append(
             np.asarray(token_scores, dtype=np.float64), 0.7
         )
-        self.token_kinds = np.append(
-            np.asarray(token_kinds, dtype=np.int64), _CODE_WORD
-        )
+        self.token_kinds = np.append(codes, _CODE_WORD)
+        #: The same kinds as strings, for the segments the engine emits.
+        self.token_kind_names = _KIND_NAMES[self.token_kinds]
         self.edge_keys = np.asarray(edge_keys, dtype=np.int64)
         self.edge_targets = np.asarray(edge_targets, dtype=np.int64)
         self.terminal = np.asarray(terminal, dtype=np.float64)
@@ -283,7 +292,6 @@ class VectorizedDetector:
         self._smoothing = config.instance_smoothing
         self._min_evidence = config.min_evidence
         self._use_connector = config.use_connector_heuristic
-        self._memo_cap = config.cache_size
         # Precomputed reading matrix: one padded row of concept ids /
         # probabilities per known phrase. Pad ids are the matrix zero
         # row and pad probabilities are 0.0, so padded cells contribute
@@ -318,13 +326,6 @@ class VectorizedDetector:
             self._support_keys = flat[order]
             self._support_values = values[order]
             self._support_card = card
-        # Term memos: a term is a pure function of its key, so assembled
-        # results are shared across detections (they are immutable).
-        # Modifier terms key on their constraint flag too (None when no
-        # classifier is attached or it annotates on its own).
-        self._head_terms: dict[str, DetectedTerm] = {}
-        self._mod_terms: dict[tuple[str, str, bool | None], DetectedTerm] = {}
-        self._other_terms: dict[tuple[str, int], DetectedTerm] = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -379,7 +380,7 @@ class VectorizedDetector:
         if not items:
             return
         segmented = self._segment_chunk([tokens for _, _, tokens in items])
-        scored: list[tuple[int, list[tuple[str, int]], list[int], int, bool]] = []
+        scored: list[tuple[int, list[tuple[str, str]], list[int], int, bool]] = []
         seg_texts: list[str] = []
         n_counts: list[int] = []
         c_counts: list[int] = []
@@ -388,19 +389,17 @@ class VectorizedDetector:
             content: list[int] = []
             connector_count = 0
             connector_at = -1
-            for position, (_, code) in enumerate(segments):
-                if code == _CODE_INSTANCE or code == _CODE_WORD:
+            for position, (_, kind) in enumerate(segments):
+                if kind in CONTENT_KINDS:
                     content.append(position)
-                elif code == _CODE_CONNECTOR:
+                elif kind == KIND_CONNECTOR:
                     connector_count += 1
                     connector_at = position
             if not content:
-                results[text] = self._all_structural(query, segments)
+                results[text] = det._finish(query, segments, None, 0.0, "structural")
                 continue
             if len(content) == 1:
-                results[text] = self._finish(
-                    det, query, segments, content[0], 1.0, "single"
-                )
+                results[text] = det._finish(query, segments, content[0], 1.0, "single")
                 continue
             # Reference restriction: one connector with both sides
             # non-empty, and content on the left — candidates become
@@ -448,9 +447,10 @@ class VectorizedDetector:
 
     def _segment_chunk(
         self, token_lists: list[list[str]]
-    ) -> list[list[tuple[str, int]]]:
+    ) -> list[list[tuple[str, str]]]:
         """Lockstep Viterbi over the whole chunk — the batched twin of
-        :meth:`~repro.runtime.compiled.CompiledSegmenter.segment_tokens`."""
+        :meth:`~repro.runtime.compiled.CompiledSegmenter.segment_tokens`,
+        giving each query's ``(text, kind)`` segments."""
         auto = self._auto
         batch = len(token_lists)
         lengths = [len(tokens) for tokens in token_lists]
@@ -511,19 +511,19 @@ class VectorizedDetector:
             seg_counts[:, end] = np.where(better, group, best_group)
             back[:, end] = np.where(better, end - 1, best_start)
         back_rows = back.tolist()
-        kind_rows = auto.token_kinds[ids].tolist()
-        segmented: list[list[tuple[str, int]]] = []
+        kind_rows = auto.token_kind_names[ids].tolist()
+        segmented: list[list[tuple[str, str]]] = []
         for row, tokens in enumerate(token_lists):
             back_row = back_rows[row]
             kinds = kind_rows[row]
-            spans: list[tuple[str, int]] = []
+            spans: list[tuple[str, str]] = []
             end = lengths[row]
             while end > 0:
                 start = back_row[end]
                 if end - start == 1:
                     spans.append((tokens[start], kinds[start]))
                 else:
-                    spans.append((" ".join(tokens[start:end]), _CODE_INSTANCE))
+                    spans.append((" ".join(tokens[start:end]), KIND_INSTANCE))
                 end = start
             spans.reverse()
             segmented.append(spans)
@@ -651,13 +651,14 @@ class VectorizedDetector:
         return np.where(found, self._support_values[positions], 0.0)
 
     # ------------------------------------------------------------------
-    # per-query resolution (reference control flow, memoized assembly)
+    # per-query resolution (reference control flow; the detector's
+    # _finish assembles the result)
     # ------------------------------------------------------------------
     def _resolve(
         self,
         det,
         query: str,
-        segments: list[tuple[str, int]],
+        segments: list[tuple[str, str]],
         content: list[int],
         candidates: int,
         restricted: bool,
@@ -667,85 +668,9 @@ class VectorizedDetector:
     ) -> Detection:
         if low:
             if restricted:
-                return self._finish(
-                    det, query, segments, content[candidates - 1], 0.25, "connector"
+                return det._finish(
+                    query, segments, content[candidates - 1], 0.25, "connector"
                 )
-            return self._finish(det, query, segments, content[-1], 0.1, "fallback")
+            return det._finish(query, segments, content[-1], 0.1, "fallback")
         method = "connector+pattern" if restricted else "pattern"
-        return self._finish(
-            det, query, segments, content[best_local], confidence, method
-        )
-
-    def _finish(
-        self,
-        det,
-        query: str,
-        segments: list[tuple[str, int]],
-        head_position: int,
-        score: float,
-        method: str,
-    ) -> Detection:
-        memo = det._constraints
-        record = memo.record(query) if memo is not None else None
-        flag: bool | None = None
-        head_text = segments[head_position][0]
-        head_dict: dict[str, float] | None = None
-        terms: list[DetectedTerm] = []
-        for position, (text, code) in enumerate(segments):
-            if position == head_position:
-                term = self._head_terms.get(head_text)
-                if term is None:
-                    term = DetectedTerm(
-                        head_text,
-                        TermRole.HEAD,
-                        KIND_BY_CODE[code],
-                        det._concepts_of(head_text),
-                    )
-                    remember(self._head_terms, head_text, term, self._memo_cap)
-            elif (
-                code == _CODE_INSTANCE
-                or code == _CODE_WORD
-                or code == _CODE_SUBJECTIVE
-            ):
-                if memo is not None:
-                    flag = memo.is_constraint(record, query, text)
-                key = (text, head_text, flag)
-                term = self._mod_terms.get(key)
-                if term is None:
-                    if head_dict is None:
-                        head_dict = dict(det._concepts_of(head_text))
-                    term = DetectedTerm(
-                        text,
-                        TermRole.MODIFIER,
-                        KIND_BY_CODE[code],
-                        det._modifier_concepts(text, head_dict),
-                        flag,
-                    )
-                    remember(self._mod_terms, key, term, self._memo_cap)
-            else:
-                term = self._other_terms.get((text, code))
-                if term is None:
-                    term = DetectedTerm(text, TermRole.OTHER, KIND_BY_CODE[code])
-                    remember(self._other_terms, (text, code), term, self._memo_cap)
-            terms.append(term)
-        detection = Detection(
-            query=query, terms=tuple(terms), score=score, method=method
-        )
-        if memo is None and det._classifier is not None:
-            detection = det._classifier.annotate(detection)
-        return detection
-
-    def _all_structural(
-        self, query: str, segments: list[tuple[str, int]]
-    ) -> Detection:
-        """Inline twin of
-        :meth:`~repro.core.detector.HeadModifierDetector._all_structural`."""
-        terms = tuple(
-            DetectedTerm(
-                text,
-                TermRole.MODIFIER if code == _CODE_SUBJECTIVE else TermRole.OTHER,
-                KIND_BY_CODE[code],
-            )
-            for text, code in segments
-        )
-        return Detection(query=query, terms=terms, score=0.0, method="structural")
+        return det._finish(query, segments, content[best_local], confidence, method)

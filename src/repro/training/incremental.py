@@ -17,10 +17,12 @@ and speed coexist:
   :class:`~repro.querylog.stats.SimilarityCache` that also memoizes
   each record's host+path histogram and cosine norms, so a record's
   similarity inputs are computed once per build or fold however many
-  comparisons read them. The trainer caches each record's mined batches
-  and evidence rows *plus the exact set of lookup keys the computation
-  touched*. A view answers for the log state it was built on: a fold
-  builds a fresh one after merging the delta.
+  comparisons read them. The kernel runs in pass order over all the
+  records a build or fold mines, and the view files each lookup under
+  the record being mined. The trainer caches each record's mined
+  batches and evidence rows *plus the exact set of lookup keys the
+  computation touched*. A view answers for the log state it was built
+  on: a fold builds a fresh one after merging the delta.
 - **Probe-tracked invalidation.** A delta changes the lookup result of
   exactly the keys it writes. Records whose cached probe set intersects
   those keys — plus the delta records themselves — are recomputed
@@ -81,26 +83,32 @@ _STATE_PRELUDE = struct.Struct("<9sIQI")  # magic, version, payload len, crc32
 
 class _ProbeView(SimilarityCache):
     """The one view both kernels read a log state through, recording
-    every lookup key.
+    every lookup key under the record being mined.
 
-    Miners and the evidence pass share its memoized similarities; every
-    ``lookup`` lands its normalized key in :attr:`probes` — including
-    misses, which is what makes invalidation sound: a miss that later
-    becomes a hit is a change the mined output may depend on. Like any
-    :class:`SimilarityCache` it is valid for one log state only, so the
-    trainer builds one per build or fold, after the delta is merged.
+    Miners and the evidence pass share its memoized similarities;
+    :func:`~repro.training.vectorized.mine_records` names the record
+    before each kernel call (:meth:`for_record`), and every ``lookup``
+    lands its normalized key in that record's :attr:`probes` set —
+    including misses, which is what makes invalidation sound: a miss
+    that later becomes a hit is a change the mined output may depend
+    on. Like any :class:`SimilarityCache` it is valid for one log state
+    only, so the trainer builds one per build or fold, after the delta
+    is merged.
     """
 
     def __init__(self, log: QueryLog) -> None:
         super().__init__(log)
-        self.probes: set[str] = set()
+        #: Record key -> every lookup key probed while mining it.
+        self.probes: dict[str, set[str]] = {}
+        self._filing: set[str] = set()
 
-    def begin(self) -> None:
-        self.probes.clear()
+    def for_record(self, record: QueryRecord) -> "_ProbeView":
+        self._filing = self.probes.setdefault(record.query, set())
+        return self
 
     def lookup(self, text: str) -> QueryRecord | None:
         key, record = self._lookups.get(text) or self._resolve(text)
-        self.probes.add(key)
+        self._filing.add(key)
         return record
 
 
@@ -143,9 +151,7 @@ class IncrementalTrainer:
         record_stage = _stage_recorder(timings)
         started = time.perf_counter()
         with record_stage("mine"):
-            view = _ProbeView(log)
-            for record in log.records():
-                self._refresh_record(record, view)
+            self._mine(list(log.records()), _ProbeView(log))
         self._build_model(record_stage)
         if timings is not None:
             timings["total"] = time.perf_counter() - started
@@ -207,11 +213,9 @@ class IncrementalTrainer:
                 hit = index.get(probe)
                 if hit:
                     dirty.update(hit)
-            view = _ProbeView(self._log)
-            for key in sorted(dirty):
-                record = self._log.lookup_exact(key)
-                assert record is not None  # records are never removed
-                self._refresh_record(record, view)
+            records = [self._log.lookup_exact(key) for key in sorted(dirty)]
+            assert None not in records  # records are never removed
+            self._mine(records, _ProbeView(self._log))
         self._generation += 1
         model = self._build_model(record_stage)
         if timings is not None:
@@ -371,38 +375,38 @@ class IncrementalTrainer:
             self._log.add_session(session)
         return changed, probe_changed
 
-    def _refresh_record(self, record: QueryRecord, view: _ProbeView) -> None:
-        """Re-run the kernel for one record; update caches (and the
-        probe index once a fold has built it)."""
-        key = record.query
-        view.begin()
-        mined, (evidence,) = mine_records(
-            view, (record,), self._miners, self._segmenter
-        )
-        probes = frozenset(view.probes)
-
+    def _mine(self, records: list[QueryRecord], view: _ProbeView) -> None:
+        """Run the kernel over ``records`` in pass order; replace their
+        cached batches, evidence and probe sets (and update the probe
+        index once a fold has built it)."""
+        mined, evidence = mine_records(view, records, self._miners, self._segmenter)
         index = self._probe_index
-        if index is not None:
-            old = self._probes.get(key, frozenset())
-            for stale in old - probes:
-                bucket = index.get(stale)
-                if bucket is not None:
-                    bucket.discard(key)
-                    if not bucket:
-                        del index[stale]
-            for fresh in probes - old:
-                index.setdefault(fresh, set()).add(key)
-        self._probes[key] = probes
+        for position, record in enumerate(records):
+            key = record.query
+            probes = frozenset(view.probes.pop(key, ()))
+            if index is not None:
+                old = self._probes.get(key, frozenset())
+                for stale in old - probes:
+                    bucket = index.get(stale)
+                    if bucket is not None:
+                        bucket.discard(key)
+                        if not bucket:
+                            del index[stale]
+                for fresh in probes - old:
+                    index.setdefault(fresh, set()).add(key)
+            self._probes[key] = probes
 
-        for cache, (batch,) in zip(self._mined, mined):
-            if batch:
-                cache[key] = batch
+            for cache, batches in zip(self._mined, mined):
+                batch = batches[position]
+                if batch:
+                    cache[key] = batch
+                else:
+                    cache.pop(key, None)
+            rows = evidence[position]
+            if rows:
+                self._evidence[key] = rows
             else:
-                cache.pop(key, None)
-        if evidence:
-            self._evidence[key] = evidence
-        else:
-            self._evidence.pop(key, None)
+                self._evidence.pop(key, None)
 
     def _in_log_order(self, by_key: dict) -> Iterator:
         """Each record's cached value in log (= reference scan) order."""

@@ -324,13 +324,21 @@ def mine_records(
     batches (per miner, per record) and each record's
     :func:`~repro.training.evidence.record_drop_evidence` rows, all read
     through ``view``. Pass by pass, not record by record: over a whole
-    log that order measured about 13% faster.
+    log that order measured about 13% faster. Each record is mined
+    through ``view.for_record(record)``, so a probe-recording view can
+    tell whose lookups it sees.
     """
     mined = [
-        [tuple(miner.mine_record(view, record)) for record in records]
+        [
+            tuple(miner.mine_record(view.for_record(record), record))
+            for record in records
+        ]
         for miner in miners
     ]
-    evidence = [record_drop_evidence(record, segmenter, view) for record in records]
+    evidence = [
+        record_drop_evidence(record, segmenter, view.for_record(record))
+        for record in records
+    ]
     return mined, evidence
 
 

@@ -18,10 +18,11 @@ the compiled detector's four runtime caches, whose counters
 
 **Clear-when-full** (:func:`remember` on a plain dict). Once the dict
 holds ``capacity`` entries the next insert empties it first. A hit is a
-bare ``dict.get``, with no recency write and no counter. The batch
-engine's per-phrase term memos and ``ConstraintMemo``'s vectors and
-decisions use it: they sit on the per-query tail of ``detect_batch``,
-where the lookup itself is the cost. Putting those five memos on
+bare ``dict.get``, with no recency write and no counter. The compiled
+detector's three term memos and ``ConstraintMemo``'s vectors and
+decisions use it: they sit on the per-query tail that scalar ``detect``
+and ``detect_batch`` share (``CompiledDetector._finish``), where the
+lookup itself is the cost. Putting those five memos on
 ``LruCache`` instead was measured on perfbench ``batch-annotate`` in 6
 interleaved pairs (seeds 911-916) on a 2-vCPU host: ``throughput_qps``
 fell from 32.2k to 29.2k (lower in 5 of 6 pairs), ``latency_p50_us``

@@ -305,11 +305,12 @@ class TestSnapshotCommands:
         assert from_snapshot == from_model
 
     def test_detect_from_snapshot_with_batch(self, snapshot, capsys):
+        # Every query list goes through one detect_batch call; a repeated
+        # query gets the same answer.
         code = main(
             [
                 "detect",
                 "--snapshot", str(snapshot),
-                "--batch",
                 "--json",
                 "cheap hotels in rome",
                 "iphone 5s smart cover",

@@ -119,7 +119,6 @@ COMMAND_OPTIONS = {
     "detect": [
         "--model",
         "--snapshot",
-        "--batch",
         "--input",
         "--json",
         "--spell",

@@ -346,9 +346,8 @@ def test_fold_dirties_a_record_on_a_deletion_only_probe(
     assert delta_key in trainer._probes[_QUERY]
     assert trainer.log.lookup(delta_key) is None
     evidence_only = _ProbeView(trainer.log)
-    evidence_only.begin()
-    record_drop_evidence(record, trainer._segmenter, evidence_only)
-    assert delta_key not in evidence_only.probes
+    record_drop_evidence(record, trainer._segmenter, evidence_only.for_record(record))
+    assert delta_key not in evidence_only.probes[_QUERY]
     assert (_QUERY in trainer._mined[0]) is not mined_after
 
     timings: dict[str, float] = {}
