@@ -25,6 +25,7 @@ Every command is deterministic given its ``--seed``.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from collections.abc import Sequence
@@ -408,9 +409,23 @@ def _cmd_log_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    if args.append:
-        return _cmd_train_append(args)
+    # Training keeps nearly everything it allocates until it exits, so
+    # cyclic GC frees next to nothing, yet each full collection walks the
+    # whole loaded log and the memos built over it: pausing it took a
+    # --state base build on a 14,721-query log from 0.90-0.93 to
+    # 0.83-0.88 s (in process, 2-vCPU host).
+    paused = gc.isenabled()
+    gc.disable()
+    try:
+        if args.append:
+            return _cmd_train_append(args)
+        return _cmd_train_build(args)
+    finally:
+        if paused:
+            gc.enable()
 
+
+def _cmd_train_build(args: argparse.Namespace) -> int:
     from repro.core.model import save_model
     from repro.core.pipeline import TrainingConfig
     from repro.querylog.storage import load_query_log
@@ -599,9 +614,8 @@ def _cmd_snapshot_info(path: str) -> int:
         print("  log statistics: none")
     else:
         print(
-            f"  log statistics: {log_stats['records']} records, "
-            f"{log_stats['click_entries']} click entries, "
-            f"{log_stats['terms']} terms"
+            f"  log statistics: {log_stats['queries']} queries, "
+            f"{log_stats['edges']} drop edges, {log_stats['terms']} terms"
         )
     print(f"  payload crc32: {header['payload_crc32']}")
     lineage = SnapshotLineage.from_header(header)

@@ -97,7 +97,13 @@ class HdmModel:
         result detects identically to :meth:`detector` (enforced by the
         runtime parity suite) at a multiple of its throughput. The
         compiled detector snapshots the model — recompile after mutating
-        taxonomy/patterns/pairs.
+        taxonomy/patterns/pairs. It also takes the constraint step's
+        evidence as tables
+        (:class:`~repro.runtime.compiled.ConstraintTables`): per known
+        phrase, its features and no-evidence decision; per logged query,
+        its drop similarities. Those are a copy of the classifier's log
+        statistics (or of ``stats``) at compile time, so recompile after
+        the log changes, e.g. after an ``IncrementalTrainer`` fold.
 
         ``snapshot_path`` additionally writes the compiled state as a
         binary snapshot (:mod:`repro.runtime.snapshot`); later sessions

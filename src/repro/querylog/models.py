@@ -8,7 +8,7 @@ by construction.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from repro.errors import QueryLogError
@@ -129,19 +129,6 @@ class QueryLog:
             # First writer wins: when two intents collide on one surface
             # string, the generator emits the more frequent one first.
             self._gold[key] = gold
-
-    @classmethod
-    def from_records(cls, records: Iterable[QueryRecord]) -> "QueryLog":
-        """A log holding exactly ``records``, in order, with no sessions
-        and no gold labels.
-
-        Each record must already be stored under its normalized query
-        (as :meth:`records` yields them) and appear once; this is how a
-        snapshot rebuilds the observable log without re-merging it.
-        """
-        log = cls()
-        log._records = {record.query: record for record in records}
-        return log
 
     def add_session(self, session: SessionRecord) -> None:
         """Append one session record."""

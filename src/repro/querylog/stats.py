@@ -6,6 +6,11 @@ frequencies, standalone-query probabilities, and click dispersion.
 :class:`SimilarityCache` serves the same similarities over one state of a
 log with every per-record quantity memoized, for the training passes that
 compare each record against many others.
+
+:class:`TableStatistics` is what the constraint features read of a log,
+taken once as tables: :class:`DropEdges` (every logged query's drop
+similarities) and the document-frequency counter. A compiled detector
+and its snapshot carry it in place of the click log.
 """
 
 from __future__ import annotations
@@ -158,18 +163,42 @@ class SimilarityCache:
         return entry
 
 
-class LogStatistics:
+class _TermIdf:
+    """Token IDFs over a document-frequency counter (``_term_query_freq``)
+    counted over ``_num_queries`` distinct queries."""
+
+    _term_query_freq: Mapping[str, int]
+    _num_queries: int
+
+    @property
+    def num_queries(self) -> int:
+        """Distinct queries the document frequencies count over."""
+        return self._num_queries
+
+    @property
+    def document_frequencies(self) -> Mapping[str, int]:
+        """Token → number of distinct log queries containing it."""
+        return self._term_query_freq
+
+    def term_idf(self, term: str) -> float:
+        """Smoothed inverse query frequency of a single token."""
+        df = self._term_query_freq.get(term, 0)
+        return math.log((self._num_queries + 1) / (df + 1)) + 1.0
+
+    def phrase_idf(self, phrase: str) -> float:
+        """Mean token IDF of a (possibly multi-token) phrase."""
+        tokens = phrase.split()
+        if not tokens:
+            return 0.0
+        return sum(self.term_idf(t) for t in tokens) / len(tokens)
+
+
+class LogStatistics(_TermIdf):
     """Precomputed per-term and per-query statistics over one log.
 
     Construction is a single pass; lookups are O(1). Everything here uses
     only the observable log interface (never gold labels).
     """
-
-    #: Bumped by every :meth:`absorb`, so callers that memoize values
-    #: derived from these counters (the compiled runtime's constraint
-    #: features) can tell when to drop them. A class-level default keeps
-    #: statistics pickled before the counter existed at generation 0.
-    generation = 0
 
     def __init__(self, log: QueryLog) -> None:
         self._log = log
@@ -187,33 +216,6 @@ class LogStatistics:
                 self._term_volume[term] += record.frequency
         self._num_queries = log.num_queries
 
-    @classmethod
-    def from_counters(
-        cls,
-        log: QueryLog,
-        document_frequencies: Mapping[str, int],
-        term_volumes: Mapping[str, int],
-        *,
-        total_volume: int,
-        num_queries: int,
-        generation: int,
-    ) -> "LogStatistics":
-        """Statistics whose counters are given rather than counted.
-
-        The inverse of reading :attr:`document_frequencies`,
-        :attr:`term_volumes`, :attr:`total_volume`, :attr:`num_queries`
-        and :attr:`generation` off an instance: a snapshot stores those
-        and rebuilds the statistics here without a pass over ``log``.
-        """
-        stats = cls.__new__(cls)
-        stats._log = log
-        stats._term_query_freq = Counter(document_frequencies)
-        stats._term_volume = Counter(term_volumes)
-        stats._total_volume = total_volume
-        stats._num_queries = num_queries
-        stats.generation = generation
-        return stats
-
     def absorb(self, record, *, new_query: bool) -> None:
         """Fold one record's delta contribution into the counters.
 
@@ -225,7 +227,6 @@ class LogStatistics:
         approximately — what a from-scratch construction over the merged
         log would compute, regardless of fold order.
         """
-        self.generation += 1
         self._total_volume += record.frequency
         if new_query:
             for term in dict.fromkeys(record.tokens):
@@ -244,36 +245,9 @@ class LogStatistics:
         """Total query volume of the log."""
         return self._total_volume
 
-    @property
-    def num_queries(self) -> int:
-        """Distinct queries the document frequencies count over."""
-        return self._num_queries
-
-    @property
-    def document_frequencies(self) -> Mapping[str, int]:
-        """Token → number of distinct log queries containing it."""
-        return self._term_query_freq
-
-    @property
-    def term_volumes(self) -> Mapping[str, int]:
-        """Token → total query volume containing it."""
-        return self._term_volume
-
     # ------------------------------------------------------------------
     # term statistics
     # ------------------------------------------------------------------
-    def term_idf(self, term: str) -> float:
-        """Smoothed inverse query frequency of a single token."""
-        df = self._term_query_freq.get(term, 0)
-        return math.log((self._num_queries + 1) / (df + 1)) + 1.0
-
-    def phrase_idf(self, phrase: str) -> float:
-        """Mean token IDF of a (possibly multi-token) phrase."""
-        tokens = phrase.split()
-        if not tokens:
-            return 0.0
-        return sum(self.term_idf(t) for t in tokens) / len(tokens)
-
     def term_volume(self, term: str) -> int:
         """Total query volume containing the token."""
         return self._term_volume.get(term, 0)
@@ -311,12 +285,7 @@ class LogStatistics:
         evidence either way). High values mean the removed segment did not
         change what users clicked — i.e. it was not a constraint.
         """
-        return self.drop_similarity_of(self._log.lookup(query), query, without)
-
-    def drop_similarity_of(self, record, query: str, without: str) -> float | None:
-        """:meth:`drop_similarity` with ``query``'s log record already
-        resolved (``record`` is ``self.log.lookup(query)``), so a caller
-        scoring several segments of one query looks it up once."""
+        record = self._log.lookup(query)
         if record is None:
             return None
         reduced = _remove_segment(query, without)
@@ -338,6 +307,143 @@ class LogStatistics:
             host_path_similarity(record.clicks, part_record.clicks),
             self.standalone_probability(part),
         )
+
+
+class DropEdges:
+    """Every logged query's drop similarities, as one CSR table.
+
+    An *edge* of a logged query is a contiguous span of its tokens whose
+    removal leaves a query the log also holds, together with that
+    removal's :func:`click_similarity` — exactly
+    ``LogStatistics.drop_similarity(query, span)``, a ``0.0`` when either
+    click map is empty included. Query ``queries[i]`` owns the edges
+    ``spans[offsets[i]:offsets[i + 1]]`` and the ``similarities``
+    alongside them. Queries are keyed as the log stores them
+    (:func:`~repro.text.normalizer.normalize_fast`), and a query with no
+    edge is left out: its lookups answer None, as for a query the log
+    does not hold.
+    """
+
+    def __init__(
+        self,
+        queries: list[str],
+        offsets: list[int],
+        spans: list[str],
+        similarities: list[float],
+    ) -> None:
+        self.queries = queries
+        self.offsets = offsets
+        self.spans = spans
+        self.similarities = similarities
+        self._index = dict(zip(queries, range(len(queries))))
+        #: Row dicts, built on a row's first lookup.
+        self._rows: list[dict[str, float] | None] = [None] * len(queries)
+
+    def __len__(self) -> int:
+        """The number of edges."""
+        return len(self.spans)
+
+    def row(self, key: str) -> dict[str, float] | None:
+        """Span → drop similarity for the logged query stored under
+        ``key``; None when the log holds no edge of it."""
+        index = self._index.get(key)
+        if index is None:
+            return None
+        row = self._rows[index]
+        if row is None:
+            start, end = self.offsets[index], self.offsets[index + 1]
+            row = self._rows[index] = dict(
+                zip(self.spans[start:end], self.similarities[start:end])
+            )
+        return row
+
+
+def build_drop_edges(log: QueryLog) -> DropEdges:
+    """The :class:`DropEdges` of ``log``: one pass over its records,
+    with cosine norms memoized by a :class:`SimilarityCache`.
+
+    Spans run shortest first and left to right within a length, so a
+    repeated span is met first at its first occurrence — the one
+    ``_remove_segment`` removes — and its later occurrences are skipped.
+    """
+    view = SimilarityCache(log)
+    queries: list[str] = []
+    offsets = [0]
+    spans: list[str] = []
+    similarities: list[float] = []
+    for record in log.records():
+        query = record.query
+        tokens = query.split()
+        size = len(tokens)
+        if size < 2:
+            continue
+        # A stored query is in normal form. An ASCII one is then made of
+        # [a-z0-9$%.'] and single spaces, and so is every query left by
+        # dropping some of its tokens: normalize_fast keeps those as
+        # they are, so the lookup can skip it.
+        lookup = log.lookup_exact if query.isascii() else log.lookup
+        # heads[i] joins the first i tokens, tails[i] the tokens from i on.
+        heads = [" ".join(tokens[:i]) for i in range(size + 1)]
+        tails = [" ".join(tokens[i:]) for i in range(size + 1)]
+        seen: set[str] | None = set() if len(set(tokens)) < size else None
+        for length in range(1, size):
+            for start in range(size - length + 1):
+                end = start + length
+                span = tokens[start] if length == 1 else " ".join(tokens[start:end])
+                if seen is not None:
+                    if span in seen:
+                        continue
+                    seen.add(span)
+                head, tail = heads[start], tails[end]
+                reduced = lookup(f"{head} {tail}" if head and tail else head or tail)
+                if reduced is not None:
+                    spans.append(span)
+                    similarities.append(view.click_similarity(record, reduced))
+        if len(spans) > offsets[-1]:
+            queries.append(query)
+            offsets.append(len(spans))
+    return DropEdges(queries, offsets, spans, similarities)
+
+
+class TableStatistics(_TermIdf):
+    """What the constraint features read of a log, as tables.
+
+    :meth:`drop_similarity` answers from :class:`DropEdges` and
+    :meth:`phrase_idf` from the document-frequency counter, equal to
+    :class:`LogStatistics` on both for a query in normal form (a
+    ``Detection``'s query and its segments). The click log itself is not
+    kept: this is what a compiled detector and its snapshot carry. The
+    tables are a copy of the statistics when they were taken; take them
+    again after the log changes.
+    """
+
+    def __init__(
+        self,
+        edges: DropEdges,
+        document_frequencies: Mapping[str, int],
+        num_queries: int,
+    ) -> None:
+        self.edges = edges
+        self._term_query_freq = document_frequencies
+        self._num_queries = num_queries
+
+    @classmethod
+    def of(cls, stats: "LogStatistics | TableStatistics") -> "TableStatistics":
+        """``stats`` taken as tables (tables are returned as they are)."""
+        if isinstance(stats, TableStatistics):
+            return stats
+        return cls(
+            build_drop_edges(stats.log),
+            dict(stats.document_frequencies),
+            stats.num_queries,
+        )
+
+    def drop_similarity(self, query: str, without: str) -> float | None:
+        """:meth:`LogStatistics.drop_similarity` from the edge table."""
+        row = self.edges.row(normalize_fast(query))
+        if row is None:
+            return None
+        return row.get(" ".join(without.split()))
 
 
 def _remove_segment(query: str, segment: str) -> str | None:

@@ -30,14 +30,17 @@ structurally, and replaces only the hot inner computations:
   precomputed into plain dict lookups keyed by already-normalized
   tokens, eliminating the per-span regex re-normalization that
   dominates reference segmentation cost.
-- **Compiled constraint annotation** — the paper's step 4 (constraint
-  vs. non-constraint) runs through one :class:`ConstraintMemo` instead
-  of :meth:`repro.core.constraints.ConstraintClassifier.annotate`
-  rebuilding every detection afterwards. The 11 modifier-only features
-  are computed once per modifier text, the query's log record is
-  resolved once per detection, and each ``(modifier, drop_similarity,
-  drop_evidence_missing)`` decision is computed once with the
-  reference arithmetic, so the flags stay bit-identical.
+- **Constraint tables** — the paper's step 4 (constraint vs.
+  non-constraint) runs through one :class:`ConstraintMemo` instead of
+  :meth:`repro.core.constraints.ConstraintClassifier.annotate`
+  rebuilding every detection afterwards. It reads
+  :class:`ConstraintTables`, built once at compile time: each known
+  phrase's modifier features and no-evidence decision (table A), and
+  each logged query's drop similarities (table B), so serving reads no
+  click log. A query's table-B row is looked up once per detection, and
+  each other ``(modifier, drop_similarity, drop_evidence_missing)``
+  decision is computed once with the reference arithmetic, so the flags
+  stay bit-identical.
 - **One memoized assembly** — scalar :meth:`CompiledDetector.detect` and
   the batch engine (:mod:`repro.runtime.vectorized`) both end in
   :meth:`CompiledDetector._finish`, which builds each ``Detection`` from
@@ -70,7 +73,11 @@ from repro.core.detector import (
     HeadModifierDetector,
     TermRole,
 )
-from repro.core.features import FEATURE_NAMES, NO_DROP_EVIDENCE
+from repro.core.features import (
+    FEATURE_NAMES,
+    NO_DROP_EVIDENCE,
+    ConstraintFeatureExtractor,
+)
 from repro.core.segmentation import (
     CONTENT_KINDS,
     KIND_CONNECTOR,
@@ -83,6 +90,7 @@ from repro.core.segmentation import (
     Segmenter,
 )
 from repro.mining.pairs import PairCollection
+from repro.querylog.stats import TableStatistics
 from repro.runtime.intern import UNKNOWN, Interner
 from repro.taxonomy.store import ConceptTaxonomy
 from repro.text.lexicon import Lexicon, default_lexicon
@@ -112,86 +120,183 @@ _DROP_SIMILARITY = FEATURE_NAMES.index("drop_similarity")
 _DROP_EVIDENCE_MISSING = FEATURE_NAMES.index("drop_evidence_missing")
 
 
-class ConstraintMemo:
-    """Memoized twin of
-    :meth:`repro.core.constraints.ConstraintClassifier.annotate`.
+def _memo_stats(size: int, capacity: int, hits: int, misses: int) -> dict:
+    """A clear-when-full memo's counters in ``LruCache.stats`` form."""
+    lookups = hits + misses
+    return {
+        "size": size,
+        "capacity": capacity,
+        "hits": hits,
+        "misses": misses,
+        "hit_rate": hits / lookups if lookups else 0.0,
+    }
+
+
+class ConstraintTables:
+    """The paper's step 4 as tables, built once per compiled detector.
 
     Of the 13 constraint features only ``drop_similarity`` and
     ``drop_evidence_missing`` depend on the query; the other 11 are a
-    function of the modifier text and are computed once per modifier.
-    A detection resolves its query's log record once (:meth:`record`);
-    a query absent from the log gets the fixed no-evidence slots for
-    every modifier without further lookups. Each decision is memoized
-    per ``(modifier, drop_similarity, drop_evidence_missing)``, and a
-    miss runs exactly the reference arithmetic: a copy of the cached
-    vector with the two drop slots filled, scored by the classifier's
-    own ``predict_proba`` — so flags are bit-identical.
+    function of the modifier text. Two tables answer what the click log
+    answered per query before:
 
-    Both memos are bounded by ``capacity`` and cleared whenever the
-    bound :class:`~repro.querylog.stats.LogStatistics` absorbs new
-    records (its ``generation`` moves), since the IDF feature reads
-    those live counters. They keep the clear-when-full policy
-    (:func:`~repro.utils.lru.remember`): a hit is one ``dict.get``.
-    Moving them and the three term memos (then the batch engine's) to
-    ``LruCache`` lowered perfbench ``batch-annotate`` throughput from
-    32.2k to 29.2k q/s and raised its RSS from 71.6 to 73.8 MiB over 6
-    interleaved pairs (see :mod:`repro.utils.lru`).
+    - **table A**, one row per phrase the detector knows
+      (``_compiled_readings``, in that order): the 13-slot modifier
+      vector with its two drop slots as placeholders (``vectors``), and
+      the decision when the log holds no drop evidence (``decisions``),
+      each scored by the classifier's own single-row ``predict_proba``
+      (an N-row call is not bit-equal);
+    - **table B**, ``statistics.edges``: every logged query's drop
+      similarities (:class:`~repro.querylog.stats.DropEdges`), with the
+      document frequencies phrases outside table A need for their IDF
+      (:class:`~repro.querylog.stats.TableStatistics`; None when the
+      classifier has no log bound).
+
+    ``extractor`` is the classifier's feature extractor bound to
+    ``statistics``. The tables copy the log statistics at compile time,
+    so a detector compiled before the log changes keeps the old
+    evidence: recompile after a fold.
     """
 
-    def __init__(self, classifier: ConstraintClassifier, capacity: int) -> None:
-        self._extractor = classifier.extractor
-        self._stats = classifier.extractor.stats
+    def __init__(
+        self,
+        extractor: ConstraintFeatureExtractor,
+        phrases: list[str],
+        vectors: np.ndarray,
+        decisions: list[bool],
+    ) -> None:
+        self.extractor = extractor
+        self.statistics: TableStatistics | None = extractor.stats
+        self.phrases = phrases
+        self.vectors = vectors
+        self.decisions = decisions
+        self.rows = dict(zip(phrases, range(len(phrases))))
+        self.blind = dict(zip(phrases, decisions))
+
+    @classmethod
+    def build(
+        cls, classifier: ConstraintClassifier, phrases: list[str]
+    ) -> "ConstraintTables":
+        """Both tables for ``classifier`` over the known ``phrases``."""
+        extractor = classifier.extractor
+        if extractor.stats is not None:
+            extractor = extractor.with_stats(TableStatistics.of(extractor.stats))
+        vectors = np.empty((len(phrases), len(FEATURE_NAMES)), dtype=np.float64)
+        decisions: list[bool] = []
+        predict_proba = classifier.model.predict_proba
+        for row, phrase in enumerate(phrases):
+            features = extractor._modifier_vector(phrase)  # a fresh array
+            vectors[row] = features
+            features[_DROP_SIMILARITY], features[_DROP_EVIDENCE_MISSING] = (
+                NO_DROP_EVIDENCE
+            )
+            decisions.append(
+                float(predict_proba(features)[0]) >= classifier.threshold
+            )
+        return cls(extractor, phrases, vectors, decisions)
+
+
+class ConstraintMemo:
+    """Memoized twin of
+    :meth:`repro.core.constraints.ConstraintClassifier.annotate`, reading
+    :class:`ConstraintTables`.
+
+    A detection looks its query's table-B row up once (:meth:`record`).
+    A modifier with no edge there takes table A's no-evidence decision
+    when it is a known phrase; every other decision is memoized per
+    ``(modifier, drop_similarity, drop_evidence_missing)``, and a miss
+    runs exactly the reference arithmetic: a copy of the modifier's
+    vector (table A's row, or one computed once per unknown phrase) with
+    the two drop slots filled, scored by the classifier's own
+    ``predict_proba`` — so flags are bit-identical.
+
+    Both memos are bounded by ``capacity`` with the clear-when-full
+    policy (:func:`~repro.utils.lru.remember`): a hit is one
+    ``dict.get``. Moving them and the three term memos (then the batch
+    engine's) to ``LruCache`` lowered perfbench ``batch-annotate``
+    throughput from 32.2k to 29.2k q/s and raised its RSS from 71.6 to
+    73.8 MiB over 6 interleaved pairs (see :mod:`repro.utils.lru`).
+    """
+
+    def __init__(
+        self,
+        classifier: ConstraintClassifier,
+        tables: ConstraintTables,
+        capacity: int,
+    ) -> None:
+        self._extractor = tables.extractor
+        stats = tables.statistics
+        self._edges = stats.edges if stats is not None else None
+        self._rows = tables.rows
+        self._table = tables.vectors
+        self._blind = tables.blind
         self._predict_proba = classifier.model.predict_proba
         self._threshold = classifier.threshold
         self._capacity = capacity
         self._vectors: dict[str, np.ndarray] = {}
         self._decisions: dict[tuple[str, float, float], bool] = {}
-        self._generation = self._stats.generation if self._stats is not None else 0
+        #: ``is_constraint`` calls, decisions scored, vectors computed.
+        self.lookups = self.scored = self.computed = 0
 
-    def record(self, query: str):
-        """``query``'s log record (None when absent or no log is bound).
+    def record(self, query: str) -> dict[str, float] | None:
+        """``query``'s table-B row (None when it has no edge or no log
+        is bound). Call once per detection, before :meth:`is_constraint`.
 
-        Call once per detection, before :meth:`is_constraint`."""
-        stats = self._stats
-        if stats is None:
-            return None
-        if stats.generation != self._generation:
-            self._vectors.clear()
-            self._decisions.clear()
-            self._generation = stats.generation
-        # ``QueryLog.lookup`` normalizes its key; detection queries
-        # almost always are normalized already.
-        return stats.log.lookup_exact(normalize_fast(query))
+        Table B is keyed like the log, by ``normalize_fast``. A
+        detection's query already is that key: it is ``normalize_fast``
+        output, and a speller only swaps whole tokens for taxonomy
+        tokens, which are in normal form too."""
+        edges = self._edges
+        return edges.row(query) if edges is not None else None
 
-    def is_constraint(self, record, query: str, modifier: str) -> bool:
+    def is_constraint(self, row: dict[str, float] | None, modifier: str) -> bool:
         """``ConstraintClassifier.is_constraint(query, modifier)``, given
-        ``record = self.record(query)``."""
-        key = (modifier, *NO_DROP_EVIDENCE)
-        if record is not None:
-            similarity = self._stats.drop_similarity_of(record, query, modifier)
-            if similarity is not None:
-                key = (modifier, similarity, 0.0)
+        ``row = self.record(query)``."""
+        self.lookups += 1
+        similarity = row.get(modifier) if row is not None else None
+        if similarity is None:
+            decision = self._blind.get(modifier)
+            if decision is not None:
+                return decision
+            key = (modifier, *NO_DROP_EVIDENCE)
+        else:
+            key = (modifier, similarity, 0.0)
         decision = self._decisions.get(key)
         if decision is None:
-            vector = self._vectors.get(modifier)
-            if vector is None:
-                vector = self._extractor._modifier_vector(modifier)
-                remember(self._vectors, modifier, vector, self._capacity)
-            features = vector.copy()
-            features[_DROP_SIMILARITY] = key[1]
-            features[_DROP_EVIDENCE_MISSING] = key[2]
-            probability = float(self._predict_proba(features)[0])
-            decision = probability >= self._threshold
-            remember(self._decisions, key, decision, self._capacity)
+            decision = self._score(key)
         return decision
 
+    def _score(self, key: tuple[str, float, float]) -> bool:
+        self.scored += 1
+        modifier = key[0]
+        row = self._rows.get(modifier)
+        if row is not None:
+            vector = self._table[row]
+        else:
+            vector = self._vectors.get(modifier)
+            if vector is None:
+                self.computed += 1
+                vector = self._extractor._modifier_vector(modifier)
+                remember(self._vectors, modifier, vector, self._capacity)
+        features = vector.copy()
+        features[_DROP_SIMILARITY] = key[1]
+        features[_DROP_EVIDENCE_MISSING] = key[2]
+        decision = float(self._predict_proba(features)[0]) >= self._threshold
+        remember(self._decisions, key, decision, self._capacity)
+        return decision
 
-def _constraint_memo(classifier, capacity: int) -> ConstraintMemo | None:
-    """The annotation memo for ``classifier``; None for no classifier or
-    one of another kind, which keeps its own ``annotate``."""
-    if isinstance(classifier, ConstraintClassifier):
-        return ConstraintMemo(classifier, capacity)
-    return None
+    def stats(self) -> dict[str, float]:
+        """Decisions answered without scoring (``hits``: table A or the
+        decision memo) vs. scored (``misses``), and the modifier vectors
+        computed for phrases outside table A (``vectors``)."""
+        stats = _memo_stats(
+            len(self._decisions),
+            self._capacity,
+            self.lookups - self.scored,
+            self.scored,
+        )
+        stats["vectors"] = self.computed
+        return stats
 
 
 class PatternMatrix:
@@ -575,10 +680,15 @@ class CompiledDetector(HeadModifierDetector):
         self._support_map = (
             instance_pairs.support_map() if instance_pairs is not None else None
         )
-        self._init_caches()
         phrases = self._taxonomy_phrases(conceptualizer.taxonomy)
         self._compiled_readings = self._precompute_readings(phrases)
         self._compiled_context = self._precompute_context_bases(phrases)
+        self._constraint_tables = (
+            ConstraintTables.build(self._classifier, phrases)
+            if isinstance(self._classifier, ConstraintClassifier)
+            else None
+        )
+        self._init_caches()
         # detect() can hand pre-split tokens straight to the compiled DP
         # only when the segmenter actually is the compiled one.
         self._fast_segmenter = isinstance(self._segmenter, CompiledSegmenter)
@@ -605,6 +715,7 @@ class CompiledDetector(HeadModifierDetector):
         matrix: PatternMatrix,
         readings: dict[str, PhraseReading],
         context_bases: dict[str, _ContextBase],
+        constraint_tables: ConstraintTables | None,
         snapshot_path: str | None,
         automaton,
     ) -> "CompiledDetector":
@@ -631,9 +742,10 @@ class CompiledDetector(HeadModifierDetector):
         self._support_map = (
             instance_pairs.support_map() if instance_pairs is not None else None
         )
-        self._init_caches()
         self._compiled_readings = readings
         self._compiled_context = context_bases
+        self._constraint_tables = constraint_tables
+        self._init_caches()
         self._fast_segmenter = True
         self._automaton = automaton
         self._engine = None
@@ -642,8 +754,10 @@ class CompiledDetector(HeadModifierDetector):
 
     def _init_caches(self) -> None:
         """Empty runtime caches, each bounded by ``config.cache_size``:
-        the four LRUs whose counters :meth:`cache_stats` reports, the
-        constraint memo, and :meth:`_finish`'s three term memos."""
+        the four LRUs, the constraint memo over the constraint tables
+        (None for a classifier of another kind, which keeps its own
+        ``annotate``), and :meth:`_finish`'s three term memos with their
+        lookup and miss counters; :meth:`cache_stats` reports them all."""
         size = self._config.cache_size
         self._reading_cache: LruCache[str, PhraseReading] = LruCache(size)
         self._context_cache: LruCache[str, _ContextBase] = LruCache(size)
@@ -651,12 +765,20 @@ class CompiledDetector(HeadModifierDetector):
         self._modifier_cache: LruCache[
             tuple, tuple[tuple[str, float], ...]
         ] = LruCache(size)
-        self._constraints = _constraint_memo(self._classifier, size)
+        tables = self._constraint_tables
+        self._constraints = (
+            ConstraintMemo(self._classifier, tables, size)
+            if tables is not None
+            else None
+        )
         self._head_terms: dict[tuple[str, str], DetectedTerm] = {}
         self._modifier_terms: dict[
             tuple[str, str, str, bool | None], DetectedTerm
         ] = {}
         self._other_terms: dict[tuple[str, str], DetectedTerm] = {}
+        #: Term lookups (all, head, modifier) and misses (head,
+        #: modifier, other): counted per call, and on misses only.
+        self._term_counts = [0] * 6
 
     # ------------------------------------------------------------------
     # compilation
@@ -794,11 +916,14 @@ class CompiledDetector(HeadModifierDetector):
         without a memo annotates the assembled detection instead. Terms
         come from three clear-when-full memos: heads and the rest keyed
         by ``(text, kind)``, modifiers by ``(text, kind, head text,
-        flag)``, since flags move with the log statistics' generation.
+        flag)``, since a modifier's flag follows its query's drop
+        evidence.
         """
         capacity = self._config.cache_size
         memo = self._constraints
-        record = None
+        counts = self._term_counts
+        counts[0] += len(segments)
+        row = None
         flag: bool | None = None
         if head_position is None:
             # Every term comes from the plain memo below, whose rule
@@ -806,27 +931,32 @@ class CompiledDetector(HeadModifierDetector):
             head_text = ""
             modifier_kinds: frozenset[str] = frozenset()
         else:
+            counts[1] += 1
             head_text = segments[head_position][0]
             modifier_kinds = _MODIFIER_KINDS
             if memo is not None:
-                record = memo.record(query)
+                row = memo.record(query)
         head_dict: dict[str, float] | None = None
+        modifiers = 0
         terms: list[DetectedTerm] = []
         for position, (text, kind) in enumerate(segments):
             if position == head_position:
                 key = (text, kind)
                 term = self._head_terms.get(key)
                 if term is None:
+                    counts[3] += 1
                     term = DetectedTerm(
                         text, TermRole.HEAD, kind, self._concepts_of(text)
                     )
                     remember(self._head_terms, key, term, capacity)
             elif kind in modifier_kinds:
+                modifiers += 1
                 if memo is not None:
-                    flag = memo.is_constraint(record, query, text)
+                    flag = memo.is_constraint(row, text)
                 key = (text, kind, head_text, flag)
                 term = self._modifier_terms.get(key)
                 if term is None:
+                    counts[4] += 1
                     if head_dict is None:
                         head_dict = dict(self._concepts_of(head_text))
                     term = DetectedTerm(
@@ -841,12 +971,14 @@ class CompiledDetector(HeadModifierDetector):
                 key = (text, kind)
                 term = self._other_terms.get(key)
                 if term is None:
+                    counts[5] += 1
                     role = (
                         TermRole.MODIFIER if kind == KIND_SUBJECTIVE else TermRole.OTHER
                     )
                     term = DetectedTerm(text, role, kind)
                     remember(self._other_terms, key, term, capacity)
             terms.append(term)
+        counts[2] += modifiers
         detection = Detection(
             query=query, terms=tuple(terms), score=score, method=method
         )
@@ -972,21 +1104,37 @@ class CompiledDetector(HeadModifierDetector):
         return tuple(sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k])
 
     def cache_stats(self) -> dict[str, dict]:
-        """Hit/miss counters of the runtime memoization caches.
+        """Hit/miss counters of the runtime memos and caches.
 
-        One entry per LRU (``readings``, ``context``, ``affinity``,
-        ``modifier``) with ``size``/``capacity``/``hits``/``misses``/
-        ``hit_rate``. Phrases served from the precompiled taxonomy
-        tables never touch these caches, so low traffic here is the
-        healthy case — the counters matter when live vocabulary falls
-        outside the taxonomy (``repro detect --stats`` prints them).
+        Every entry has ``size``/``capacity``/``hits``/``misses``/
+        ``hit_rate``: the four LRUs (``readings``, ``context``,
+        ``affinity``, ``modifier``), which phrases served from the
+        precompiled taxonomy tables never touch; the three term memos of
+        :meth:`_finish` (``head_terms``, ``modifier_terms``,
+        ``other_terms``), which answer most lookups; and, with a
+        constraint memo, ``constraints``: decisions answered from the
+        constraint tables or the decision memo vs. scored, plus
+        ``vectors``, the modifier vectors computed for phrases outside
+        table A. ``repro detect --stats`` prints them.
         """
-        return {
+        size = self._config.cache_size
+        lookups, heads, modifiers, *misses = self._term_counts
+        stats = {
             "readings": self._reading_cache.stats(),
             "context": self._context_cache.stats(),
             "affinity": self._affinity_cache.stats(),
             "modifier": self._modifier_cache.stats(),
         }
+        for name, memo, calls, missed in zip(
+            ("head_terms", "modifier_terms", "other_terms"),
+            (self._head_terms, self._modifier_terms, self._other_terms),
+            (heads, modifiers, lookups - heads - modifiers),
+            misses,
+        ):
+            stats[name] = _memo_stats(len(memo), size, calls - missed, missed)
+        if self._constraints is not None:
+            stats["constraints"] = self._constraints.stats()
+        return stats
 
     # ------------------------------------------------------------------
     # snapshots & batch API

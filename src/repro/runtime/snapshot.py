@@ -28,27 +28,30 @@ vocabulary blob and are referenced by id. Every file carries the
 directly over the mapping (``np.frombuffer``), so the array payload is
 never copied — replica processes that load the same snapshot share the
 read-only page-cache pages instead of each unpickling a private replica,
-and cold-start cost is decoding the vocabulary strings plus dict and
-record construction.
+and cold-start cost is decoding the vocabulary strings plus dict
+construction.
 
-The lexicon and the classifier's weights are small JSON blobs. When
-the classifier has live :class:`~repro.querylog.stats.LogStatistics`
-bound (the click-log evidence of the paper's constraint features), they
-ride along as flat ``log_*`` sections over the same vocabulary:
+The lexicon and the classifier's weights are small JSON blobs. With a
+constraint classifier, the paper's step 4 ships as the detector's
+constraint tables (:class:`~repro.runtime.compiled.ConstraintTables`),
+never as the click log:
 
-- ``log_queries`` / ``log_frequencies`` — the log's records in insertion
-  order;
-- ``log_click_offsets`` / ``log_click_urls`` / ``log_click_counts`` —
-  each record's clicks as CSR rows, in that record's dict order;
-- ``log_df_*`` / ``log_volume_*`` — the two term counters (terms and
-  counts), in insertion order;
+- ``constraint_vectors`` / ``constraint_decisions`` — table A: per
+  entry of ``phrases``, the 13 constraint features with the two drop
+  slots as placeholders, and the decision without drop evidence;
+- ``drop_queries`` / ``drop_offsets`` / ``drop_spans`` /
+  ``drop_similarities`` — table B, when log statistics are bound: each
+  logged query with at least one edge, and its edges (removed span,
+  click similarity) as CSR rows over the vocabulary;
+- ``log_df_terms`` / ``log_df_counts`` — the document frequencies, in
+  insertion order, for the IDF of phrases outside table A;
 
-and the header's ``log_stats`` entry holds their sizes plus
-``total_volume``, ``num_queries`` and ``generation``. Sessions and gold
-labels are never written: the statistics do not read them, and gold is
-evaluation ground truth. The file holds only arrays and JSON, so loading
-one runs no pickle and executes nothing from the file; the reader
-bounds-checks every offset and vocabulary id of the ``log_*`` sections.
+and the header's ``log_stats`` entry holds table B's sizes, the number
+of terms and ``num_queries`` (None without bound statistics). Clicks,
+click URLs, sessions and gold labels are never written. The file holds
+only arrays and JSON, so loading one runs no pickle and executes
+nothing from the file; the reader bounds-checks every offset and
+vocabulary id of these sections.
 
 Floats round-trip bit-exactly (raw IEEE-754 bytes), so a snapshot-loaded
 detector is *bit-identical* to the detector it was saved from — enforced
@@ -57,6 +60,8 @@ by ``tests/test_runtime_parity.py`` over the held-out evaluation set.
 Format stability: the prelude magic and version gate the whole file; a
 wrong magic, unsupported version, truncated payload, or CRC mismatch
 raises :class:`~repro.errors.ModelError` with a message naming the file.
+Version 3 replaced version 2's click-log sections with the constraint
+tables, so files of versions 1 and 2 are refused, not converted.
 The prelude and :func:`read_snapshot_header` live in the NumPy-free
 :mod:`repro.runtime.snapshot_header`, which this module re-exports.
 """
@@ -68,7 +73,6 @@ import mmap
 import os
 import tempfile
 import zlib
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -77,11 +81,14 @@ from repro.core.concept_patterns import ConceptPattern, PatternTable
 from repro.core.conceptualizer import Conceptualizer
 from repro.core.constraints import ConstraintClassifier, LogisticRegression
 from repro.core.detector import DetectorConfig
-from repro.core.features import ConstraintFeatureExtractor, DroppabilityTables
+from repro.core.features import (
+    FEATURE_NAMES,
+    ConstraintFeatureExtractor,
+    DroppabilityTables,
+)
 from repro.errors import ModelError
 from repro.mining.pairs import PairCollection
-from repro.querylog.models import QueryLog, QueryRecord
-from repro.querylog.stats import LogStatistics
+from repro.querylog.stats import DropEdges, TableStatistics
 from repro.runtime.snapshot_header import (
     _ALIGN,
     _PRELUDE,
@@ -156,48 +163,37 @@ class _Vocab:
         return [self.id_of(s) for s in strings]
 
 
-def _write_log_statistics(
-    writer: _SectionWriter, vocab: _Vocab, stats: LogStatistics
-) -> dict:
-    """Lay ``stats`` out as the ``log_*`` sections; return the header's
-    ``log_stats`` entry.
+def _write_constraint_tables(
+    writer: _SectionWriter, vocab: _Vocab, tables, phrases: list[str]
+) -> dict | None:
+    """Lay the constraint tables out as sections; return the header's
+    ``log_stats`` entry (None when no log statistics are bound).
 
-    Only what the constraint features read is stored: every record's
-    query and frequency, its clicks as CSR rows over the records (each
-    row in its dict's order, so the cosine sums repeat exactly), and the
-    two term counters in insertion order. Sessions and gold labels stay
-    in the training log.
+    Table A is ``constraint_vectors`` (one 13-feature row per entry of
+    ``phrases``) and ``constraint_decisions``; table B is the
+    ``drop_*`` CSR over vocabulary ids, and the document frequencies
+    are ``log_df_*`` in insertion order.
     """
-    queries: list[int] = []
-    frequencies: list[int] = []
-    click_offsets = [0]
-    click_urls: list[int] = []
-    click_counts: list[int] = []
-    for record in stats.log.records():
-        queries.append(vocab.id_of(record.query))
-        frequencies.append(record.frequency)
-        for url, count in record.clicks.items():
-            click_urls.append(vocab.id_of(url))
-            click_counts.append(count)
-        click_offsets.append(len(click_urls))
-    writer.add_array("log_queries", queries, _I64)
-    writer.add_array("log_frequencies", frequencies, _I64)
-    writer.add_array("log_click_offsets", click_offsets, _I64)
-    writer.add_array("log_click_urls", click_urls, _I64)
-    writer.add_array("log_click_counts", click_counts, _I64)
-    for prefix, counter in (
-        ("log_df", stats.document_frequencies),
-        ("log_volume", stats.term_volumes),
-    ):
-        writer.add_array(f"{prefix}_terms", vocab.ids_of(counter), _I64)
-        writer.add_array(f"{prefix}_counts", list(counter.values()), _I64)
+    if tables.phrases != phrases:  # pragma: no cover - compile() invariant
+        raise ModelError("snapshot: constraint and reading phrase tables disagree")
+    writer.add_array("constraint_vectors", tables.vectors.ravel(), _F64)
+    writer.add_array("constraint_decisions", tables.decisions, _I64)
+    stats = tables.statistics
+    if stats is None:
+        return None
+    edges = stats.edges
+    writer.add_array("drop_queries", vocab.ids_of(edges.queries), _I64)
+    writer.add_array("drop_offsets", edges.offsets, _I64)
+    writer.add_array("drop_spans", vocab.ids_of(edges.spans), _I64)
+    writer.add_array("drop_similarities", edges.similarities, _F64)
+    counter = stats.document_frequencies
+    writer.add_array("log_df_terms", vocab.ids_of(counter), _I64)
+    writer.add_array("log_df_counts", list(counter.values()), _I64)
     return {
-        "records": len(queries),
-        "click_entries": len(click_urls),
-        "terms": len(stats.document_frequencies),
-        "total_volume": stats.total_volume,
+        "queries": len(edges.queries),
+        "edges": len(edges),
+        "terms": len(counter),
         "num_queries": stats.num_queries,
-        "generation": stats.generation,
     }
 
 
@@ -215,11 +211,11 @@ def save_snapshot(detector, path: str | Path, *, lineage: dict | None = None) ->
     represent (currently: a custom, non-compiled segmenter).
 
     Unlike ``save_model``, a classifier with live
-    :class:`~repro.querylog.stats.LogStatistics` bound *is* representable:
-    the log's records, clicks and term counters ride along as the flat
-    ``log_*`` sections (no pickle), so the loaded detector is
-    bit-identical to this one, constraint features included. The log's
-    sessions and gold labels are not written.
+    :class:`~repro.querylog.stats.LogStatistics` bound *is*
+    representable: the detector's constraint tables, taken from those
+    statistics at compile time, ride along as flat sections (no pickle),
+    so the loaded detector is bit-identical to this one, constraint flags
+    included. The click log itself is not written.
     """
     from repro.runtime.compiled import CompiledSegmenter
 
@@ -229,7 +225,6 @@ def save_snapshot(detector, path: str | Path, *, lineage: dict | None = None) ->
             "custom segmenter cannot be snapshotted"
         )
     classifier = detector._classifier
-    stats = classifier.extractor.stats if classifier is not None else None
 
     vocab = _Vocab()
     writer = _SectionWriter()
@@ -343,8 +338,10 @@ def save_snapshot(detector, path: str | Path, *, lineage: dict | None = None) ->
             ).encode("utf-8"),
         )
     log_stats = None
-    if stats is not None:
-        log_stats = _write_log_statistics(writer, vocab, stats)
+    if detector._constraint_tables is not None:
+        log_stats = _write_constraint_tables(
+            writer, vocab, detector._constraint_tables, phrases
+        )
 
     # --- vocabulary blob (added last: every section interned into it) -
     blob = "".join(vocab.strings).encode("utf-8")
@@ -416,69 +413,67 @@ def save_snapshot(detector, path: str | Path, *, lineage: dict | None = None) ->
     return header
 
 
-def _read_log_statistics(
-    path: Path, meta: dict, array, vocab: list[str]
-) -> LogStatistics:
-    """Rebuild the statistics :func:`_write_log_statistics` laid out.
+def _corrupted(path: Path, name: str, problem: str) -> ModelError:
+    return ModelError(f"{path}: corrupted snapshot section {name} ({problem})")
+
+
+def _read_constraint_tables(
+    path: Path, header: dict, array, vocab: list[str], phrases: list[str]
+) -> tuple[np.ndarray, list[bool], TableStatistics | None]:
+    """Table A's vectors and decisions, and the table statistics (None
+    without a ``log_stats`` entry), as :func:`_write_constraint_tables`
+    laid them out.
 
     Every id, length and offset is checked before use, so a malformed
     file raises :class:`~repro.errors.ModelError` naming the file and
     the section rather than an ``IndexError`` halfway through.
     """
 
-    def corrupted(name: str, problem: str) -> ModelError:
-        return ModelError(f"{path}: corrupted snapshot section {name} ({problem})")
-
     def strings(name: str) -> list[str]:
         ids = array(name)
         if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= len(vocab)):
-            raise corrupted(name, f"vocab id out of range 0..{len(vocab) - 1}")
+            raise _corrupted(path, name, f"vocab id out of range 0..{len(vocab) - 1}")
         return [vocab[i] for i in ids.tolist()]
 
-    def values_for(keys: list[str], keys_name: str, name: str) -> list[int]:
+    def values_for(count: int, what: str, name: str) -> np.ndarray:
         values = array(name)
-        if len(values) != len(keys):
-            raise corrupted(
-                name, f"{len(values)} entries for {len(keys)} in {keys_name}"
-            )
-        return values.tolist()
+        if len(values) != count:
+            raise _corrupted(path, name, f"{len(values)} entries for {count} {what}")
+        return values
 
-    queries = strings("log_queries")
-    frequencies = values_for(queries, "log_queries", "log_frequencies")
-    if queries and min(frequencies) <= 0:
-        raise corrupted("log_frequencies", "frequency must be positive")
-    urls = strings("log_click_urls")
-    counts = values_for(urls, "log_click_urls", "log_click_counts")
-    offsets = array("log_click_offsets")
-    row_sizes = np.diff(offsets)
+    width = len(FEATURE_NAMES)
+    vectors = values_for(
+        len(phrases) * width, f"in {len(phrases)} phrases", "constraint_vectors"
+    ).reshape(len(phrases), width)
+    decisions = values_for(len(phrases), "phrases", "constraint_decisions")
+    if bool(np.any((decisions != 0) & (decisions != 1))):
+        raise _corrupted(path, "constraint_decisions", "decision must be 0 or 1")
+    meta = header.get("log_stats")
+    if meta is None:
+        return vectors, (decisions == 1).tolist(), None
+
+    queries = strings("drop_queries")
+    spans = strings("drop_spans")
+    similarities = values_for(len(spans), "in drop_spans", "drop_similarities")
+    offsets = array("drop_offsets")
     if (
         len(offsets) != len(queries) + 1
         or offsets[0] != 0
-        or offsets[-1] != len(urls)
-        or bool(np.any(row_sizes < 0))
+        or offsets[-1] != len(spans)
+        or bool(np.any(np.diff(offsets) < 0))
     ):
-        raise corrupted(
-            "log_click_offsets",
-            f"need {len(queries) + 1} offsets rising from 0 to {len(urls)}",
+        raise _corrupted(
+            path,
+            "drop_offsets",
+            f"need {len(queries) + 1} offsets rising from 0 to {len(spans)}",
         )
-    clicks = zip(urls, counts)  # consumed row by row, in record order
-    records = [
-        QueryRecord(query, frequency, dict(islice(clicks, size)))
-        for query, frequency, size in zip(queries, frequencies, row_sizes.tolist())
-    ]
-    counters = []
-    for prefix in ("log_df", "log_volume"):
-        terms = strings(f"{prefix}_terms")
-        counters.append(
-            dict(zip(terms, values_for(terms, f"{prefix}_terms", f"{prefix}_counts")))
-        )
-    return LogStatistics.from_counters(
-        QueryLog.from_records(records),
-        *counters,
-        total_volume=meta["total_volume"],
-        num_queries=meta["num_queries"],
-        generation=meta["generation"],
-    )
+    terms = strings("log_df_terms")
+    counts = values_for(len(terms), "in log_df_terms", "log_df_counts").tolist()
+    if counts and min(counts) <= 0:
+        raise _corrupted(path, "log_df_counts", "document frequency must be positive")
+    edges = DropEdges(queries, offsets.tolist(), spans, similarities.tolist())
+    statistics = TableStatistics(edges, dict(zip(terms, counts)), meta["num_queries"])
+    return vectors, (decisions == 1).tolist(), statistics
 
 
 def load_snapshot(path: str | Path):
@@ -601,7 +596,7 @@ def load_snapshot(path: str | Path):
     )
 
     # --- readings + context bases -------------------------------------
-    from repro.runtime.compiled import PhraseReading, _ContextBase
+    from repro.runtime.compiled import ConstraintTables, PhraseReading, _ContextBase
 
     phrases = [vocab[i] for i in array("phrases").tolist()]
     reading_offsets = array("reading_offsets").tolist()
@@ -650,13 +645,11 @@ def load_snapshot(path: str | Path):
     )
 
     classifier = None
+    constraint_tables = None
     if header["has_classifier"]:
         payload = json.loads(raw_bytes("classifier_json").decode("utf-8"))
-        log_stats = header.get("log_stats")
-        stats = (
-            _read_log_statistics(path, log_stats, array, vocab)
-            if log_stats is not None
-            else None
+        vectors, decisions, stats = _read_constraint_tables(
+            path, header, array, vocab, phrases
         )
         extractor = ConstraintFeatureExtractor(
             conceptualizer,
@@ -672,6 +665,7 @@ def load_snapshot(path: str | Path):
             LogisticRegression.from_dict(payload["model"]),
             threshold=payload["threshold"],
         )
+        constraint_tables = ConstraintTables(extractor, phrases, vectors, decisions)
 
     speller = None
     if header["has_speller"]:
@@ -707,6 +701,7 @@ def load_snapshot(path: str | Path):
         matrix=matrix,
         readings=readings,
         context_bases=contexts,
+        constraint_tables=constraint_tables,
         snapshot_path=str(path),
         automaton=automaton,
     )

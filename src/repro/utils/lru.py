@@ -18,7 +18,8 @@ the compiled detector's four runtime caches, whose counters
 
 **Clear-when-full** (:func:`remember` on a plain dict). Once the dict
 holds ``capacity`` entries the next insert empties it first. A hit is a
-bare ``dict.get``, with no recency write and no counter. The compiled
+bare ``dict.get``, with no recency write and no counter (a caller that
+reports traffic counts lookups once per call, and misses). The compiled
 detector's three term memos and ``ConstraintMemo``'s vectors and
 decisions use it: they sit on the per-query tail that scalar ``detect``
 and ``detect_batch`` share (``CompiledDetector._finish``), where the

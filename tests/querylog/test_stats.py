@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.querylog.models import QueryLog, QueryRecord
+from repro.querylog.models import QueryLog
 from repro.querylog.stats import (
+    DropEdges,
     LogStatistics,
     SimilarityCache,
+    TableStatistics,
+    build_drop_edges,
     click_similarity,
     host_path_similarity,
 )
@@ -147,10 +150,9 @@ class TestSimilarityCache:
     @given(st.lists(_CLICK_MAPS, min_size=1, max_size=5))
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     def test_cached_cosines_equal_module_functions(self, click_maps):
-        log = QueryLog.from_records(
-            QueryRecord(f"q{index}", 1, clicks)
-            for index, clicks in enumerate(click_maps)
-        )
+        log = QueryLog()
+        for index, clicks in enumerate(click_maps):
+            log.add_record(f"q{index}", 1, clicks)
         records = list(log.records())
         cache = SimilarityCache(log)
         # Twice over: the second pass reads every histogram and norm from
@@ -186,3 +188,77 @@ class TestSimilarityCache:
             assert cache.drop_similarity(record, segment) == stats.drop_similarity(
                 query, segment
             )
+
+
+# Few distinct tokens, so queries repeat spans ("a b a") and removals
+# often (not always) leave a logged query; click maps may be empty.
+_TOKEN = st.sampled_from(["a", "b", "c", "d"])
+_CLICKS = st.dictionaries(
+    st.sampled_from([f"https://x.example.com/{n}" for n in range(4)]),
+    st.integers(min_value=1, max_value=9),
+    max_size=3,
+)
+
+
+@st.composite
+def repetitive_logs(draw):
+    log = QueryLog()
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        tokens = draw(st.lists(_TOKEN, min_size=1, max_size=5))
+        log.add_record(" ".join(tokens), draw(st.integers(1, 50)), draw(_CLICKS))
+    return log
+
+
+def _spans(query: str):
+    tokens = query.split()
+    for start in range(len(tokens)):
+        for end in range(start + 1, len(tokens) + 1):
+            yield " ".join(tokens[start:end])
+
+
+class TestDropEdges:
+    """Table B (``DropEdges``) answers exactly what
+    ``LogStatistics.drop_similarity`` answers from the click log."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(log=repetitive_logs(), extra=st.lists(_TOKEN, min_size=1, max_size=4))
+    def test_every_span_matches_statistics(self, log, extra):
+        stats = LogStatistics(log)
+        tables = TableStatistics.of(stats)
+        for record in log.records():
+            for span in [*_spans(record.query), " ".join(extra), "zz"]:
+                assert tables.drop_similarity(record.query, span) == (
+                    stats.drop_similarity(record.query, span)
+                ), (record.query, span)
+        unlogged = " ".join(extra + ["zz"])
+        for span in _spans(unlogged):
+            assert tables.drop_similarity(unlogged, span) is None
+        assert tables.num_queries == stats.num_queries
+        assert tables.phrase_idf("a c zz") == stats.phrase_idf("a c zz")
+
+    def test_repeated_span_removes_its_first_occurrence(self):
+        log = QueryLog()
+        log.add_record("a b a", 5, {"u1": 3, "u2": 1})
+        log.add_record("b a", 5, {"u1": 2})  # "a b a" minus its first "a"
+        log.add_record("a b", 5, {"u2": 4})  # minus its last "a"
+        edges = build_drop_edges(log)
+        row = edges.row("a b a")
+        assert row["a"] == click_similarity({"u1": 3, "u2": 1}, {"u1": 2})
+        assert row["a"] != click_similarity({"u1": 3, "u2": 1}, {"u2": 4})
+        assert list(row) == ["a"]  # "b" leaves "a a", not logged
+
+    def test_empty_clicks_give_a_zero_edge(self):
+        log = QueryLog()
+        log.add_record("a b", 3, {"u1": 1})
+        log.add_record("a", 3, {})
+        assert build_drop_edges(log).row("a b") == {"b": 0.0}
+        assert LogStatistics(log).drop_similarity("a b", "b") == 0.0
+
+    def test_queries_without_edges_are_left_out(self):
+        log = QueryLog()
+        log.add_record("a b", 3, {"u1": 1})
+        log.add_record("c", 3, {"u1": 1})
+        edges = build_drop_edges(log)
+        assert isinstance(edges, DropEdges)
+        assert (edges.queries, edges.offsets, len(edges)) == ([], [0], 0)
+        assert edges.row("a b") is None and edges.row("c") is None

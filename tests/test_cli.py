@@ -286,14 +286,14 @@ class TestSnapshotCommands:
         path = tmp_path / "with-log.hdms"
         compiled = model.compile()
         compiled.save_snapshot(path)
-        stats = compiled._classifier.extractor.stats
-        records = list(stats.log.records())
-        clicks = sum(len(record.clicks) for record in records)
+        stats = compiled._constraint_tables.statistics
+        edges = stats.edges
         terms = len(stats.document_frequencies)
+        assert len(edges) > len(edges.queries) > 0
         assert main(["snapshot", "--info", str(path)]) == 0
         assert (
-            f"  log statistics: {len(records)} records, {clicks} click entries, "
-            f"{terms} terms\n"
+            f"  log statistics: {len(edges.queries)} queries, {len(edges)} drop "
+            f"edges, {terms} terms\n"
         ) in capsys.readouterr().out
 
     def test_detect_from_snapshot_matches_model(self, workspace, snapshot, capsys):

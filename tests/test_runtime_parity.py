@@ -28,7 +28,7 @@ from repro.core.detector import DetectorConfig
 from repro.core.segmentation import Segmenter
 from repro.errors import ModelError
 from repro.querylog.models import QueryLog
-from repro.querylog.stats import LogStatistics
+from repro.querylog.stats import LogStatistics, TableStatistics
 from repro.runtime import (
     SNAPSHOT_VERSION,
     CompiledDetector,
@@ -143,7 +143,16 @@ class TestCacheStats:
     def test_counters_expose_runtime_cache_traffic(self, model):
         fresh = model.compile()
         stats = fresh.cache_stats()
-        assert set(stats) == {"readings", "context", "affinity", "modifier"}
+        assert set(stats) == {
+            "readings",
+            "context",
+            "affinity",
+            "modifier",
+            "head_terms",
+            "modifier_terms",
+            "other_terms",
+            "constraints",
+        }
         for entry in stats.values():
             assert entry["hits"] == 0 and entry["misses"] == 0
         fresh.detect("zzqx glorp widget")  # unknown phrases → cache misses
@@ -217,22 +226,21 @@ class TestBatch:
         assert results[0] is results[2]  # duplicate shares the Detection
 
 
-def assert_same_statistics(original, restored):
-    """Everything the constraint features read round-trips exactly, in
-    the same order; the training-only sessions and gold do not ship."""
-    records = list(original.log.records())
-    assert list(restored.log.records()) == records
-    for want, got in zip(records, restored.log.records()):
-        assert list(got.clicks.items()) == list(want.clicks.items())
-    assert restored.log.lookup_exact(records[0].query) == records[0]
-    for name in ("document_frequencies", "term_volumes"):
-        want, got = getattr(original, name), getattr(restored, name)
-        assert list(got.items()) == list(want.items())
-    assert restored.total_volume == original.total_volume
-    assert restored.num_queries == original.num_queries
-    assert restored.generation == original.generation
-    assert restored.log.num_sessions == 0
-    assert len(restored.log.gold_labels) == 0
+def assert_same_tables(original, restored):
+    """The constraint tables round-trip exactly, in the same order: table
+    A's rows and decisions, table B's CSR rows, and the document
+    frequencies. The click log itself deliberately does not ship."""
+    assert restored.phrases == original.phrases
+    assert restored.vectors.tobytes() == original.vectors.tobytes()
+    assert restored.decisions == original.decisions
+    want, got = original.statistics, restored.statistics
+    assert isinstance(got, TableStatistics) and not hasattr(got, "log")
+    for name in ("queries", "offsets", "spans", "similarities"):
+        assert list(getattr(got.edges, name)) == list(getattr(want.edges, name))
+    assert list(got.document_frequencies.items()) == list(
+        want.document_frequencies.items()
+    )
+    assert got.num_queries == want.num_queries
 
 
 _WORDS = st.text(alphabet="abcxyzéüñ日本ß", min_size=1, max_size=6)
@@ -285,13 +293,16 @@ class TestSnapshotParity:
 
     def test_log_statistics_survive_roundtrip(self, compiled, loaded):
         # train_model binds live LogStatistics to the classifier; the
-        # snapshot must carry them so constraint features stay exact.
-        original = compiled._classifier.extractor.stats
-        restored = loaded._classifier.extractor.stats
-        assert original is not None and restored is not None
-        assert original.log.num_sessions > 0 and original.log.gold_labels
-        assert_same_statistics(original, restored)
-        assert restored.phrase_idf("iphone") == original.phrase_idf("iphone")
+        # snapshot carries the constraint tables taken from them, so
+        # constraint features stay exact without the click log.
+        live = compiled._classifier.extractor.stats
+        assert live.log.num_sessions > 0 and live.log.gold_labels
+        original = compiled._constraint_tables
+        restored = loaded._constraint_tables
+        assert original.statistics is not None
+        assert_same_tables(original, restored)
+        assert loaded._classifier.extractor.stats is restored.statistics
+        assert restored.statistics.phrase_idf("iphone") == live.phrase_idf("iphone")
 
     def test_load_runs_no_pickle(self, snapshot_path, compiled, monkeypatch):
         def refuse(*args, **kwargs):
@@ -316,7 +327,16 @@ class TestSnapshotParity:
         )
         path = tmp_path_factory.mktemp("random-log") / "tiny.hdms"
         tiny.save_snapshot(path)
-        assert_same_statistics(stats, load_snapshot(path)._classifier.extractor.stats)
+        restored = load_snapshot(path)._constraint_tables
+        assert_same_tables(tiny._constraint_tables, restored)
+        for record in log.records():
+            tokens = record.query.split()
+            for start in range(len(tokens)):
+                for end in range(start + 1, len(tokens) + 1):
+                    span = " ".join(tokens[start:end])
+                    assert restored.statistics.drop_similarity(
+                        record.query, span
+                    ) == stats.drop_similarity(record.query, span)
 
     def test_loaded_arrays_are_readonly_views(self, loaded):
         reading = next(iter(loaded._compiled_readings.values()))
@@ -395,7 +415,21 @@ class TestSnapshotErrors:
         )
         with pytest.raises(
             ModelError,
-            match=r"unsupported snapshot version 1 \(this build reads version 2\)",
+            match=r"unsupported snapshot version 1 \(this build reads version 3\)",
+        ):
+            load_snapshot(bad)
+
+    def test_version_2_is_refused(self, snapshot_path, tmp_path):
+        """Version 2 shipped the click log; its files are refused, not
+        read as tables."""
+        bad = self._mutated(
+            snapshot_path,
+            tmp_path,
+            lambda data: data.__setitem__(slice(8, 12), struct.pack("<I", 2)),
+        )
+        with pytest.raises(
+            ModelError,
+            match=r"unsupported snapshot version 2 \(this build reads version 3\)",
         ):
             load_snapshot(bad)
 
@@ -464,16 +498,6 @@ def _adjust(section, **deltas):
     return edit
 
 
-def _together(*edits):
-    """An ``edit`` applying each of ``edits`` in turn."""
-
-    def edit(header, payload):
-        for each in edits:
-            each(header, payload)
-
-    return edit
-
-
 _OFFSETS = "offsets rising from 0"
 _VOCAB = "vocab id out of range"
 _SHORT = "entries for"
@@ -481,56 +505,54 @@ _FREQUENCY = "frequency must be positive"
 
 
 class TestLogSectionChecks:
-    """Malformed ``log_*`` sections under a valid CRC raise ModelError
-    naming the file and the section."""
+    """Malformed constraint-table sections (``drop_*``, ``log_df_*``,
+    ``constraint_*``) under a valid CRC raise ModelError naming the file
+    and the section."""
 
     @pytest.mark.parametrize(
         ("edit", "section", "problem"),
         [
             pytest.param(
-                _store("log_click_offsets", 2, 10**6),
-                "log_click_offsets",
+                _store("drop_offsets", 2, 10**6),
+                "drop_offsets",
                 _OFFSETS,
                 id="offsets-not-monotone",
             ),
             pytest.param(
-                _store("log_click_offsets", -1, 10**6),
-                "log_click_offsets",
+                _store("drop_offsets", -1, 10**6),
+                "drop_offsets",
                 _OFFSETS,
                 id="offsets-end-past-clicks",
             ),
             pytest.param(
-                _store("log_click_offsets", 0, 1),
-                "log_click_offsets",
+                _store("drop_offsets", 0, 1),
+                "drop_offsets",
                 _OFFSETS,
                 id="offsets-start-nonzero",
             ),
             pytest.param(
-                _adjust("log_click_offsets", count=-1, bytes=-8),
-                "log_click_offsets",
+                _adjust("drop_offsets", count=-1, bytes=-8),
+                "drop_offsets",
                 _OFFSETS,
                 id="offsets-short",
             ),
             pytest.param(
-                _together(
-                    _adjust("log_queries", count=-1, bytes=-8),
-                    _adjust("log_frequencies", count=-1, bytes=-8),
-                ),
-                "log_click_offsets",
+                _adjust("drop_queries", count=-1, bytes=-8),
+                "drop_offsets",
                 _OFFSETS,
                 id="offsets-one-extra",
             ),
             pytest.param(
-                _store("log_queries", 0, -1),
-                "log_queries",
+                _store("drop_queries", 0, -1),
+                "drop_queries",
                 _VOCAB,
                 id="query-id-negative",
             ),
             pytest.param(
-                _store("log_click_urls", 3, 10**9),
-                "log_click_urls",
+                _store("drop_spans", 3, 10**9),
+                "drop_spans",
                 _VOCAB,
-                id="url-id-out-of-range",
+                id="span-id-out-of-range",
             ),
             pytest.param(
                 _store("log_df_terms", 0, 10**9),
@@ -539,26 +561,38 @@ class TestLogSectionChecks:
                 id="term-id-out-of-range",
             ),
             pytest.param(
-                _adjust("log_frequencies", count=-1, bytes=-8),
-                "log_frequencies",
+                _adjust("log_df_counts", count=-1, bytes=-8),
+                "log_df_counts",
                 _SHORT,
                 id="frequencies-short",
             ),
             pytest.param(
-                _adjust("log_click_counts", count=-1, bytes=-8),
-                "log_click_counts",
+                _adjust("drop_similarities", count=-1, bytes=-8),
+                "drop_similarities",
                 _SHORT,
-                id="click-counts-short",
+                id="similarities-short",
             ),
             pytest.param(
-                _adjust("log_volume_counts", count=-1, bytes=-8),
-                "log_volume_counts",
+                _adjust("constraint_vectors", count=-1, bytes=-8),
+                "constraint_vectors",
                 _SHORT,
-                id="volume-counts-short",
+                id="vectors-short",
             ),
             pytest.param(
-                _adjust("log_click_urls", count=1),
-                "log_click_urls",
+                _adjust("constraint_decisions", count=-1, bytes=-8),
+                "constraint_decisions",
+                _SHORT,
+                id="decisions-short",
+            ),
+            pytest.param(
+                _store("constraint_decisions", 0, 2),
+                "constraint_decisions",
+                "decision must be 0 or 1",
+                id="decision-not-boolean",
+            ),
+            pytest.param(
+                _adjust("drop_spans", count=1),
+                "drop_spans",
                 "count past its bytes",
                 id="count-past-bytes",
             ),
@@ -569,14 +603,14 @@ class TestLogSectionChecks:
                 id="section-past-payload",
             ),
             pytest.param(
-                _store("log_frequencies", 5, 0),
-                "log_frequencies",
+                _store("log_df_counts", 5, 0),
+                "log_df_counts",
                 _FREQUENCY,
                 id="frequency-zero",
             ),
             pytest.param(
-                _store("log_frequencies", 0, -3),
-                "log_frequencies",
+                _store("log_df_counts", 0, -3),
+                "log_df_counts",
                 _FREQUENCY,
                 id="frequency-negative",
             ),

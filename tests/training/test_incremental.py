@@ -132,15 +132,15 @@ def test_detections_bit_identical(folded_state, reference_model, split_logs):
     assert reference == folded
 
 
-def test_compiled_memo_follows_in_process_fold(split_logs, taxonomy):
+def test_recompile_follows_in_process_fold(split_logs, taxonomy):
     """Every fold's classifier reads the trainer's one live
-    ``LogStatistics``; a compiled detector warmed before a fold must
-    not keep serving constraint features (IDF) memoized from the
-    pre-fold counters.
+    ``LogStatistics``, but a compiled detector's constraint tables are a
+    copy taken at compile time: a detector compiled before a fold keeps
+    the pre-fold flags, and one compiled after it matches the reference.
 
     The threshold is set between one modifier's pre- and post-fold
     constraint probabilities (measured on a twin trainer), so the fold
-    flips that flag and a stale memo cannot go unnoticed."""
+    flips that flag and the two detectors must disagree on it."""
     base, delta = split_logs
     query = "cheap iphone 5s case"
 
@@ -168,18 +168,17 @@ def test_compiled_memo_follows_in_process_fold(split_logs, taxonomy):
         + EDGE_CASES
     )
     reference = model.detector()
-    flag_before = reference.detect(query).constraints
+    expected_before = [reference.detect(text) for text in queries]
     with model.compile() as compiled:
-        compiled.detect_batch(queries)
-        for text in queries:
-            compiled.detect(text)
-        generation = trainer.stats.generation
+        assert compiled.detect_batch(queries) == expected_before
         trainer.fold(_log_from(delta))
-        assert trainer.stats.generation > generation
         expected = [reference.detect(text) for text in queries]
-        assert expected[0].constraints != flag_before
-        assert [compiled.detect(text) for text in queries] == expected
-        assert compiled.detect_batch(queries) == expected
+        assert expected[0].constraints != expected_before[0].constraints
+        assert [compiled.detect(text) for text in queries] == expected_before
+        assert compiled.detect_batch(queries) == expected_before
+    with model.compile() as recompiled:
+        assert [recompiled.detect(text) for text in queries] == expected
+        assert recompiled.detect_batch(queries) == expected
 
 
 def test_generation_counts_folds(folded_state):
