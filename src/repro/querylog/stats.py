@@ -203,17 +203,14 @@ class LogStatistics(_TermIdf):
     def __init__(self, log: QueryLog) -> None:
         self._log = log
         self._term_query_freq: Counter[str] = Counter()
-        self._term_volume: Counter[str] = Counter()
         self._total_volume = 0
         for record in log.records():
             self._total_volume += record.frequency
             # dict.fromkeys, not set: first-seen order keeps the
-            # counters' key order (and every snapshot built from them)
+            # counter's key order (and every snapshot built from it)
             # independent of the process's string hash seed.
             for term in dict.fromkeys(record.tokens):
                 self._term_query_freq[term] += 1
-            for term in record.tokens:
-                self._term_volume[term] += record.frequency
         self._num_queries = log.num_queries
 
     def absorb(self, record, *, new_query: bool) -> None:
@@ -232,8 +229,6 @@ class LogStatistics(_TermIdf):
             for term in dict.fromkeys(record.tokens):
                 self._term_query_freq[term] += 1
             self._num_queries += 1
-        for term in record.tokens:
-            self._term_volume[term] += record.frequency
 
     @property
     def log(self) -> QueryLog:
@@ -244,13 +239,6 @@ class LogStatistics(_TermIdf):
     def total_volume(self) -> int:
         """Total query volume of the log."""
         return self._total_volume
-
-    # ------------------------------------------------------------------
-    # term statistics
-    # ------------------------------------------------------------------
-    def term_volume(self, term: str) -> int:
-        """Total query volume containing the token."""
-        return self._term_volume.get(term, 0)
 
     # ------------------------------------------------------------------
     # query statistics
@@ -335,7 +323,8 @@ class DropEdges:
         self.offsets = offsets
         self.spans = spans
         self.similarities = similarities
-        self._index = dict(zip(queries, range(len(queries))))
+        #: Query key → its row.
+        self.index = dict(zip(queries, range(len(queries))))
         #: Row dicts, built on a row's first lookup.
         self._rows: list[dict[str, float] | None] = [None] * len(queries)
 
@@ -346,7 +335,7 @@ class DropEdges:
     def row(self, key: str) -> dict[str, float] | None:
         """Span → drop similarity for the logged query stored under
         ``key``; None when the log holds no edge of it."""
-        index = self._index.get(key)
+        index = self.index.get(key)
         if index is None:
             return None
         row = self._rows[index]

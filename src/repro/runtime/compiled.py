@@ -42,12 +42,16 @@ structurally, and replaces only the hot inner computations:
   decision is computed once with the reference arithmetic, so the flags
   stay bit-identical.
 - **One memoized assembly** — scalar :meth:`CompiledDetector.detect` and
-  the batch engine (:mod:`repro.runtime.vectorized`) both end in
-  :meth:`CompiledDetector._finish`, which builds each ``Detection`` from
-  ``(text, kind)`` segments and a head position. Terms are immutable
-  and a pure function of their key, so head, modifier and other terms
-  come from three memos and repeated terms are shared across
-  detections.
+  the batch engine (:mod:`repro.runtime.vectorized`) key every term by
+  one interned phrase id (:meth:`CompiledDetector._intern_phrases`):
+  the row of the phrase in the compiled readings, in table A and in the
+  engine's reading matrix. Heads and other terms are keyed by phrase id,
+  modifiers by the packed (modifier id, head reading id, flag), and
+  contextualized readings by (modifier id, head reading id); only text
+  outside the id space is keyed by its string. Terms are immutable and a
+  pure function of their key, so three memos share them across
+  detections and paths, and both paths build a missing term with
+  :meth:`CompiledDetector._term`.
 - **Bounded memoization** — phrase readings, context bases, pair
   affinities, constraint decisions and terms are cached in memos sized
   by ``DetectorConfig.cache_size``.
@@ -105,16 +109,26 @@ DENSE_LIMIT = 2_000_000
 
 #: Batches smaller than this take the scalar per-query loop instead of
 #: the vectorized engine: NumPy's fixed per-batch dispatch cost beats
-#: its per-query win below the crossover. Measured on the R11 sweep
-#: (1024 held-out queries): vectorized first wins at ~24-32 texts with
-#: cold memo caches and ~48 with warm ones, so 32 routes the serving
-#: path (cache-missed keys, effectively cold) correctly while staying
-#: honest for warm batch tooling.
+#: its per-query win below the crossover. Measured on the shipped
+#: snapshot (classifier on; 2,048 distinct held-out queries per run in
+#: batches of each size, median of 5 runs, 2-vCPU host): the engine
+#: first wins between 24 and 32 texts on a fresh detector (21.7 vs
+#: 20.7 µs/query at 24, 19.0 vs 20.9 at 32) and between 32 and 48 on
+#: the same queries again (12.9 vs 11.1 at 32, 10.1 vs 11.1 at 48), so
+#: 32 routes the serving path (cache-missed keys, effectively cold)
+#: correctly while staying honest for warm batch tooling.
 MIN_VECTORIZED_BATCH = 32
 
 #: Segment kinds :meth:`CompiledDetector._finish` makes modifiers when a
 #: head is present (reference ``HeadModifierDetector._finish``).
 _MODIFIER_KINDS = CONTENT_KINDS | {KIND_SUBJECTIVE}
+
+#: Term roles, as :meth:`CompiledDetector._terms` takes them; each role
+#: has its own memo.
+ROLE_HEAD, ROLE_MODIFIER, ROLE_OTHER = 0, 1, 2
+#: Constraint flags as packed into a modifier's term key, and back.
+FLAG_CODE = {False: 0, True: 1, None: 2}
+FLAGS = (False, True, None)
 
 _DROP_SIMILARITY = FEATURE_NAMES.index("drop_similarity")
 _DROP_EVIDENCE_MISSING = FEATURE_NAMES.index("drop_evidence_missing")
@@ -170,8 +184,12 @@ class ConstraintTables:
         self.phrases = phrases
         self.vectors = vectors
         self.decisions = decisions
-        self.rows = dict(zip(phrases, range(len(phrases))))
-        self.blind = dict(zip(phrases, decisions))
+
+    @property
+    def rows(self) -> dict[str, int]:
+        """Phrase → table row, for inspection. A detector reads rows by
+        phrase id, which is the row (``CompiledDetector._phrase_ids``)."""
+        return dict(zip(self.phrases, range(len(self.phrases))))
 
     @classmethod
     def build(
@@ -203,12 +221,13 @@ class ConstraintMemo:
 
     A detection looks its query's table-B row up once (:meth:`record`).
     A modifier with no edge there takes table A's no-evidence decision
-    when it is a known phrase; every other decision is memoized per
-    ``(modifier, drop_similarity, drop_evidence_missing)``, and a miss
-    runs exactly the reference arithmetic: a copy of the modifier's
-    vector (table A's row, or one computed once per unknown phrase) with
-    the two drop slots filled, scored by the classifier's own
-    ``predict_proba`` — so flags are bit-identical.
+    when it is a known phrase (``decisions[id]``, by phrase id); every
+    other decision is memoized per ``(modifier, drop_similarity,
+    drop_evidence_missing)``, and a miss runs exactly the reference
+    arithmetic: a copy of the modifier's vector (table A's row, or one
+    computed once per unknown phrase) with the two drop slots filled,
+    scored by the classifier's own ``predict_proba`` — so flags are
+    bit-identical.
 
     Both memos are bounded by ``capacity`` with the clear-when-full
     policy (:func:`~repro.utils.lru.remember`): a hit is one
@@ -226,16 +245,18 @@ class ConstraintMemo:
     ) -> None:
         self._extractor = tables.extractor
         stats = tables.statistics
-        self._edges = stats.edges if stats is not None else None
-        self._rows = tables.rows
+        self.edges = stats.edges if stats is not None else None
         self._table = tables.vectors
-        self._blind = tables.blind
+        #: Table A's no-evidence decisions, by phrase id.
+        self.decisions = tables.decisions
+        self._known = len(tables.decisions)
         self._predict_proba = classifier.model.predict_proba
         self._threshold = classifier.threshold
         self._capacity = capacity
         self._vectors: dict[str, np.ndarray] = {}
         self._decisions: dict[tuple[str, float, float], bool] = {}
-        #: ``is_constraint`` calls, decisions scored, vectors computed.
+        #: ``is_constraint`` answers (with the batch engine's table-A
+        #: gathers), decisions scored, vectors computed.
         self.lookups = self.scored = self.computed = 0
 
     def record(self, query: str) -> dict[str, float] | None:
@@ -246,32 +267,33 @@ class ConstraintMemo:
         detection's query already is that key: it is ``normalize_fast``
         output, and a speller only swaps whole tokens for taxonomy
         tokens, which are in normal form too."""
-        edges = self._edges
+        edges = self.edges
         return edges.row(query) if edges is not None else None
 
-    def is_constraint(self, row: dict[str, float] | None, modifier: str) -> bool:
+    def is_constraint(
+        self, row: dict[str, float] | None, modifier: str, key: int | str
+    ) -> bool:
         """``ConstraintClassifier.is_constraint(query, modifier)``, given
-        ``row = self.record(query)``."""
+        ``row = self.record(query)`` and the modifier's phrase id (its
+        text when it has none) as ``key``."""
         self.lookups += 1
         similarity = row.get(modifier) if row is not None else None
         if similarity is None:
-            decision = self._blind.get(modifier)
-            if decision is not None:
-                return decision
-            key = (modifier, *NO_DROP_EVIDENCE)
+            if type(key) is int and key < self._known:
+                return self.decisions[key]
+            evidence = (modifier, *NO_DROP_EVIDENCE)
         else:
-            key = (modifier, similarity, 0.0)
-        decision = self._decisions.get(key)
+            evidence = (modifier, similarity, 0.0)
+        decision = self._decisions.get(evidence)
         if decision is None:
-            decision = self._score(key)
+            decision = self._score(evidence, key)
         return decision
 
-    def _score(self, key: tuple[str, float, float]) -> bool:
+    def _score(self, evidence: tuple[str, float, float], key: int | str) -> bool:
         self.scored += 1
-        modifier = key[0]
-        row = self._rows.get(modifier)
-        if row is not None:
-            vector = self._table[row]
+        modifier = evidence[0]
+        if type(key) is int and key < self._known:
+            vector = self._table[key]
         else:
             vector = self._vectors.get(modifier)
             if vector is None:
@@ -279,10 +301,10 @@ class ConstraintMemo:
                 vector = self._extractor._modifier_vector(modifier)
                 remember(self._vectors, modifier, vector, self._capacity)
         features = vector.copy()
-        features[_DROP_SIMILARITY] = key[1]
-        features[_DROP_EVIDENCE_MISSING] = key[2]
+        features[_DROP_SIMILARITY] = evidence[1]
+        features[_DROP_EVIDENCE_MISSING] = evidence[2]
         decision = float(self._predict_proba(features)[0]) >= self._threshold
-        remember(self._decisions, key, decision, self._capacity)
+        remember(self._decisions, evidence, decision, self._capacity)
         return decision
 
     def stats(self) -> dict[str, float]:
@@ -697,6 +719,7 @@ class CompiledDetector(HeadModifierDetector):
             from repro.runtime.vectorized import SegmentationAutomaton
 
             self._automaton = SegmentationAutomaton.build(self._segmenter)
+        self._intern_phrases()
         self._engine = None
         self._snapshot_path: str | None = None
 
@@ -748,6 +771,7 @@ class CompiledDetector(HeadModifierDetector):
         self._init_caches()
         self._fast_segmenter = True
         self._automaton = automaton
+        self._intern_phrases()
         self._engine = None
         self._snapshot_path = snapshot_path
         return self
@@ -756,14 +780,15 @@ class CompiledDetector(HeadModifierDetector):
         """Empty runtime caches, each bounded by ``config.cache_size``:
         the four LRUs, the constraint memo over the constraint tables
         (None for a classifier of another kind, which keeps its own
-        ``annotate``), and :meth:`_finish`'s three term memos with their
-        lookup and miss counters; :meth:`cache_stats` reports them all."""
+        ``annotate``), and :meth:`_terms`' three term memos with their
+        lookup and miss counters; :meth:`cache_stats` reports them all.
+        Term keys are described at :meth:`_terms`."""
         size = self._config.cache_size
         self._reading_cache: LruCache[str, PhraseReading] = LruCache(size)
         self._context_cache: LruCache[str, _ContextBase] = LruCache(size)
         self._affinity_cache: LruCache[tuple[str, str], float] = LruCache(size)
         self._modifier_cache: LruCache[
-            tuple, tuple[tuple[str, float], ...]
+            int | tuple, tuple[tuple[str, float], ...]
         ] = LruCache(size)
         tables = self._constraint_tables
         self._constraints = (
@@ -771,11 +796,12 @@ class CompiledDetector(HeadModifierDetector):
             if tables is not None
             else None
         )
-        self._head_terms: dict[tuple[str, str], DetectedTerm] = {}
-        self._modifier_terms: dict[
-            tuple[str, str, str, bool | None], DetectedTerm
-        ] = {}
-        self._other_terms: dict[tuple[str, str], DetectedTerm] = {}
+        self._head_terms: dict[int | str, DetectedTerm] = {}
+        self._modifier_terms: dict[int | tuple, DetectedTerm] = {}
+        self._other_terms: dict[int | str, DetectedTerm] = {}
+        #: The three memos by role code, and their item getters.
+        self._term_memos = (self._head_terms, self._modifier_terms, self._other_terms)
+        self._term_lookup = tuple(memo.__getitem__ for memo in self._term_memos)
         #: Term lookups (all, head, modifier) and misses (head,
         #: modifier, other): counted per call, and on misses only.
         self._term_counts = [0] * 6
@@ -797,6 +823,45 @@ class CompiledDetector(HeadModifierDetector):
                 seen.add(phrase)
                 phrases.append(phrase)
         return phrases
+
+    def _intern_phrases(self) -> None:
+        """The phrase id space every term and constraint key uses.
+
+        Ids ``0 .. len(_compiled_readings) - 1`` are the known phrases in
+        reading order, which is also the row order of table A and of the
+        batch engine's reading matrix, so one id addresses all three.
+        The batch automaton's other single tokens (lexicon words, tokens
+        of multi-token instances) follow, so that only text outside the
+        automaton's vocabulary is keyed by its string.
+
+        A modifier's term depends on its head only through the head's
+        readings, and many known phrases read alike (102 distinct
+        readings over perfbench's 789 phrases), so modifier keys carry
+        the head's reading id: known phrases with equal readings share
+        one, every other id has its own. ``_reading_heads`` holds one
+        phrase per reading id."""
+        readings = self._compiled_readings
+        ids = dict(zip(readings, range(len(readings))))
+        if self._automaton is not None:
+            for token in self._automaton.tokens:
+                ids.setdefault(token, len(ids))
+        self._phrase_ids = ids
+        self._phrase_texts = list(ids)
+        shared: dict[tuple, int] = {}
+        heads: list[str] = []
+        reading_of: list[int] = []
+        for phrase, reading in readings.items():
+            index = shared.get(reading.concepts)
+            if index is None:
+                index = shared[reading.concepts] = len(heads)
+                heads.append(phrase)
+            reading_of.append(index)
+        for phrase in self._phrase_texts[len(readings) :]:
+            reading_of.append(len(heads))
+            heads.append(phrase)
+        #: Phrase id → reading id, and reading id → a phrase reading so.
+        self._reading_of = reading_of
+        self._reading_heads = heads
 
     def _precompute_readings(self, phrases: list[str]) -> dict[str, PhraseReading]:
         """Flatten every known phrase's typicality readings into slices
@@ -890,101 +955,172 @@ class CompiledDetector(HeadModifierDetector):
             segments = self._segmenter.segment(query)
         if not segments:
             return Detection(query=query, terms=(), score=0.0, method="empty")
-        pairs = [(segment.text, segment.kind) for segment in segments]
         content = [s for s in segments if s.kind in CONTENT_KINDS]
         if not content:
-            return self._finish(query, pairs, None, 0.0, "structural")
+            return self._finish(query, segments, None, 0.0, "structural")
         if len(content) == 1:
             head, score, method = content[0], 1.0, "single"
         else:
             head, score, method = self._choose_head(segments, content)
-        return self._finish(query, pairs, segments.index(head), score, method)
+        return self._finish(query, segments, segments.index(head), score, method)
 
     def _finish(
         self,
         query: str,
-        segments: list[tuple[str, str]],
+        segments: list[Segment],
         head_position: int | None,
         score: float,
         method: str,
     ) -> Detection:
-        """Reference ``_finish`` over ``(text, kind)`` segments, or
-        reference ``_all_structural`` when ``head_position`` is None.
+        """Reference ``_finish`` over ``segments``, or reference
+        ``_all_structural`` when ``head_position`` is None.
 
-        Each modifier's constraint flag comes from the
-        :class:`ConstraintMemo` as its term is built; a classifier
-        without a memo annotates the assembled detection instead. Terms
-        come from three clear-when-full memos: heads and the rest keyed
-        by ``(text, kind)``, modifiers by ``(text, kind, head text,
-        flag)``, since a modifier's flag follows its query's drop
-        evidence.
-        """
-        capacity = self._config.cache_size
-        memo = self._constraints
+        Each segment's term comes from the memo of its role, under the
+        key :meth:`_terms` describes, and a miss builds it with
+        :meth:`_term`; a modifier's constraint flag comes from the
+        :class:`ConstraintMemo`. A classifier without a memo annotates
+        the assembled detection instead."""
+        phrase_id = self._phrase_ids.get
+        head_memo, modifier_memo, other_memo = self._term_memos
         counts = self._term_counts
         counts[0] += len(segments)
-        row = None
-        flag: bool | None = None
-        if head_position is None:
-            # Every term comes from the plain memo below, whose rule
-            # makes subjective segments modifiers with no readings.
-            head_text = ""
-            modifier_kinds: frozenset[str] = frozenset()
-        else:
-            counts[1] += 1
-            head_text = segments[head_position][0]
-            modifier_kinds = _MODIFIER_KINDS
-            if memo is not None:
-                row = memo.record(query)
-        head_dict: dict[str, float] | None = None
-        modifiers = 0
         terms: list[DetectedTerm] = []
-        for position, (text, kind) in enumerate(segments):
-            if position == head_position:
-                key = (text, kind)
-                term = self._head_terms.get(key)
+        if head_position is None:
+            # Every term comes from the plain memo, whose rule makes
+            # subjective segments modifiers with no readings.
+            for segment in segments:
+                key = phrase_id(segment.text, segment.text)
+                term = other_memo.get(key)
                 if term is None:
-                    counts[3] += 1
-                    term = DetectedTerm(
-                        text, TermRole.HEAD, kind, self._concepts_of(text)
-                    )
-                    remember(self._head_terms, key, term, capacity)
-            elif kind in modifier_kinds:
-                modifiers += 1
-                if memo is not None:
-                    flag = memo.is_constraint(row, text)
-                key = (text, kind, head_text, flag)
-                term = self._modifier_terms.get(key)
+                    term = self._term(ROLE_OTHER, key, segment.kind)
+                terms.append(term)
+        else:
+            memo = self._constraints
+            row = memo.record(query) if memo is not None else None
+            head_text = segments[head_position].text
+            head_key = phrase_id(head_text, head_text)
+            # _modifier_key, inlined for the common case of two ids.
+            packed = type(head_key) is int
+            if packed:
+                head_reading = self._reading_of[head_key]
+                readings = len(self._reading_heads)
+            flag = None
+            modifiers = 0
+            for position, segment in enumerate(segments):
+                text = segment.text
+                kind = segment.kind
+                key = phrase_id(text, text)
+                if position == head_position:
+                    role = ROLE_HEAD
+                    term = head_memo.get(key)
+                elif kind in _MODIFIER_KINDS:
+                    role = ROLE_MODIFIER
+                    modifiers += 1
+                    if memo is not None:
+                        flag = memo.is_constraint(row, text, key)
+                    if packed and type(key) is int:
+                        key = (key * readings + head_reading) * 3 + FLAG_CODE[flag]
+                    else:
+                        key = self._modifier_key(key, head_key, flag)
+                    term = modifier_memo.get(key)
+                else:
+                    role = ROLE_OTHER
+                    term = other_memo.get(key)
                 if term is None:
-                    counts[4] += 1
-                    if head_dict is None:
-                        head_dict = dict(self._concepts_of(head_text))
-                    term = DetectedTerm(
-                        text,
-                        TermRole.MODIFIER,
-                        kind,
-                        self._modifier_concepts(text, head_dict),
-                        flag,
-                    )
-                    remember(self._modifier_terms, key, term, capacity)
-            else:
-                key = (text, kind)
-                term = self._other_terms.get(key)
-                if term is None:
-                    counts[5] += 1
-                    role = (
-                        TermRole.MODIFIER if kind == KIND_SUBJECTIVE else TermRole.OTHER
-                    )
-                    term = DetectedTerm(text, role, kind)
-                    remember(self._other_terms, key, term, capacity)
-            terms.append(term)
-        counts[2] += modifiers
-        detection = Detection(
-            query=query, terms=tuple(terms), score=score, method=method
-        )
-        if memo is None and self._classifier is not None and head_position is not None:
+                    term = self._term(role, key, kind)
+                terms.append(term)
+            counts[1] += 1
+            counts[2] += modifiers
+        detection = Detection(query, tuple(terms), score, method)
+        if (
+            self._constraints is None
+            and self._classifier is not None
+            and head_position is not None
+        ):
             detection = self._classifier.annotate(detection)
         return detection
+
+    def _modifier_key(self, key: int | str, head_key: int | str, flag) -> int | tuple:
+        """A modifier's term key: its phrase id, its head's reading id
+        (:meth:`_intern_phrases`) and its constraint flag packed into one
+        int, or a tuple when either phrase has no id (keyed by its
+        text)."""
+        if type(head_key) is int:
+            head_key = self._reading_of[head_key]
+            if type(key) is int:
+                return (key * len(self._reading_heads) + head_key) * 3 + FLAG_CODE[
+                    flag
+                ]
+        return (key, head_key, flag)
+
+    def _terms(
+        self, roles: list[int], keys: list, kinds: list[str]
+    ) -> list[DetectedTerm]:
+        """The terms of many segments at once, in order (the batch
+        engine's lookup): each from the memo of its ``role``
+        (``ROLE_HEAD``, ``ROLE_MODIFIER``, ``ROLE_OTHER``) under its key.
+
+        A head or other term is keyed by the segment's phrase id
+        (:meth:`_intern_phrases`), or by its text when it has none; a
+        modifier by :meth:`_modifier_key`, since its readings follow its
+        head's and its flag its query's drop evidence. A segment's kind
+        is a function of its text, so a key names one term. Terms are
+        immutable and a pure function of their key, so the memos share
+        repeated terms across detections and across scalar
+        :meth:`detect` and the engine. A miss builds the term with
+        :meth:`_term`, as :meth:`_finish` does."""
+        counts = self._term_counts
+        counts[0] += len(roles)
+        counts[1] += roles.count(ROLE_HEAD)
+        counts[2] += roles.count(ROLE_MODIFIER)
+        lookup = self._term_lookup
+        try:
+            return [lookup[role](key) for role, key in zip(roles, keys)]
+        except KeyError:
+            pass  # a miss: build what is missing, in order
+        memos = self._term_memos
+        terms = []
+        for role, key, kind in zip(roles, keys, kinds):
+            term = memos[role].get(key)
+            if term is None:
+                term = self._term(role, key, kind)
+            terms.append(term)
+        return terms
+
+    def _term(self, role: int, key, kind: str) -> DetectedTerm:
+        """Build, count and memoize the term a lookup of ``key`` in the
+        ``role`` memo missed, by reference ``_finish``'s rules: the one
+        term-building path of both :meth:`_finish` and :meth:`_terms`.
+        Each memo is bounded by ``cache_size`` (clear when full)."""
+        self._term_counts[3 + role] += 1
+        term = self._new_term(role, key, kind)
+        remember(self._term_memos[role], key, term, self._config.cache_size)
+        return term
+
+    def _new_term(self, role: int, key, kind: str) -> DetectedTerm:
+        texts = self._phrase_texts
+        if role == ROLE_MODIFIER:
+            if type(key) is int:
+                context, code = divmod(key, 3)
+                modifier, head = divmod(context, len(self._reading_heads))
+                flag = FLAGS[code]
+            else:
+                modifier, head, flag = key
+                context = (modifier, head)
+            text = texts[modifier] if type(modifier) is int else modifier
+            head_text = self._reading_heads[head] if type(head) is int else head
+            return DetectedTerm(
+                text,
+                TermRole.MODIFIER,
+                kind,
+                self._modifier_concepts(text, head_text, context),
+                flag,
+            )
+        text = texts[key] if type(key) is int else key
+        if role == ROLE_HEAD:
+            return DetectedTerm(text, TermRole.HEAD, kind, self._concepts_of(text))
+        role_of = TermRole.MODIFIER if kind == KIND_SUBJECTIVE else TermRole.OTHER
+        return DetectedTerm(text, role_of, kind)
 
     def _reading(self, phrase: str) -> PhraseReading:
         # Segment texts are already normalized (modulo a trailing period),
@@ -1062,15 +1198,18 @@ class CompiledDetector(HeadModifierDetector):
         return base
 
     def _modifier_concepts(
-        self, phrase: str, head_concepts: dict[str, float]
+        self, phrase: str, head: str, context: int | tuple
     ) -> tuple[tuple[str, float], ...]:
+        """Reference ``_modifier_concepts(phrase, dict(readings of
+        head))``, memoized under ``context``: the packed (modifier id,
+        head reading id) pair, or a tuple of their keys."""
+        head_concepts = self._concepts_of(head)
         if not self._config.contextualize_modifiers or not head_concepts:
             return self._concepts_of(phrase)
-        cache_key = (phrase, tuple(head_concepts.items()))
-        cached = self._modifier_cache.get(cache_key)
+        cached = self._modifier_cache.get(context)
         if cached is None:
-            cached = self._contextualized_concepts(phrase, head_concepts)
-            self._modifier_cache.put(cache_key, cached)
+            cached = self._contextualized_concepts(phrase, dict(head_concepts))
+            self._modifier_cache.put(context, cached)
         return cached
 
     def _contextualized_concepts(
@@ -1192,8 +1331,7 @@ class CompiledDetector(HeadModifierDetector):
         array-at-a-time segmentation and scoring, bit-identical to
         per-query :meth:`detect`. Smaller batches take the scalar loop:
         below the cutoff the engine's fixed NumPy dispatch cost costs
-        more than it amortizes (the R11 batch sweep's small-batch
-        ``regression`` rows)."""
+        more than it amortizes (see :data:`MIN_VECTORIZED_BATCH`)."""
         texts = list(texts)
         # Size first: a small batch never builds the engine, so a fresh
         # generation's lone serving request costs what ``detect`` costs.

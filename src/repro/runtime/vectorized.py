@@ -12,32 +12,45 @@ The pipeline, per batch of deduplicated queries:
 1. **Token interning** — every token becomes a dense integer id from the
    :class:`SegmentationAutomaton`'s vocabulary; out-of-vocabulary tokens
    share one reserved id whose score/kind rows encode the reference
-   unknown-token behaviour (score 0.7, kind ``word``).
+   unknown-token behaviour (score 0.7, kind ``word``). Each vocabulary
+   token also has a phrase id
+   (:meth:`~repro.runtime.compiled.CompiledDetector._intern_phrases`),
+   the one key of everything after segmentation.
 2. **Batched span matching** — multi-token taxonomy instances live in a
    token-id trie stored as flat sorted ``state·V + token`` edge arrays;
    one :func:`numpy.searchsorted` pass per depth finds every candidate
-   span of every query simultaneously.
+   span of every query simultaneously, and the terminal state of each.
 3. **Lockstep Viterbi** — the segmentation DP advances over all queries
    at once, one token position per step, replicating the reference
    tie-break (strict score improvement, then fewer segments) with
    vectorized compares, so padded positions can never leak into a real
-   query's backtrack.
-4. **Gathered scoring** — all candidate ``(modifier, head)`` pairs of
-   the batch are laid out in reference order and scored with ``take``
-   gathers against the :class:`~repro.runtime.compiled.PatternMatrix`
-   plus one ``bincount`` per reduction. ``np.bincount`` accumulates
-   strictly in input order, so each pair's ``Σ p_m·p_h·w`` and each
-   candidate's affinity total add up in exactly the reference order —
-   float-for-float the same partial sums, hence bit-identical scores.
+   query's backtrack. The backtrack runs in lockstep too and emits
+   per-segment arrays: query, start, end, kind code and phrase id (a
+   single token's from a token→phrase table, a multi-token span's from
+   a trie-state→phrase table; only OOV tokens need their text).
+4. **Gathered scoring** — content, connector and candidate rules run on
+   the kind-code arrays. All candidate ``(modifier, head)`` pairs of the
+   batch are laid out in reference order; reading rows are gathered by
+   phrase id and scored against the
+   :class:`~repro.runtime.compiled.PatternMatrix` with one ``bincount``
+   per reduction. ``np.bincount`` accumulates strictly in input order,
+   so each pair's ``Σ p_m·p_h·w`` and each candidate's affinity total
+   add up in exactly the reference order — float-for-float the same
+   partial sums, hence bit-identical scores. A pattern score depends on
+   the two phrases' readings only, so it is cached by reading-id pair;
+   instance scores are looked up by phrase-id pair.
 5. **Argmax selection** — per-query argmax over ``-inf``-padded
    candidate rows; NumPy's first-wins argmax equals the reference
    stable sort by ``(-score, start)`` because candidates are emitted in
    ascending start order.
-6. **Shared assembly** — each query's ``(text, kind)`` segments, head
-   position, score and method go to
-   :meth:`~repro.runtime.compiled.CompiledDetector._finish`, the one
-   memoized assembly scalar ``detect`` ends in too, so both paths build
-   every ``Detection`` (terms, constraint flags) the same way.
+6. **Shared assembly** — roles and term keys are array programs too:
+   each modifier's constraint flag is one gather of table A's
+   no-evidence decisions, except in queries with a table-B row, which
+   ask the constraint memo modifier by modifier. The keys go to
+   :meth:`~repro.runtime.compiled.CompiledDetector._terms`, which reads
+   the same term memos scalar ``detect`` reads and builds a missing term
+   with the same function, so each ``Detection`` is one tuple of
+   looked-up terms, the same objects either path returns.
 
 Queries the array program cannot reproduce exactly (a ``.`` anywhere —
 trailing-period stripping can merge spans — or extreme token counts)
@@ -53,7 +66,6 @@ import numpy as np
 
 from repro.core.detector import Detection
 from repro.core.segmentation import (
-    CONTENT_KINDS,
     KIND_CONNECTOR,
     KIND_INSTANCE,
     KIND_STOPWORD,
@@ -62,7 +74,14 @@ from repro.core.segmentation import (
     KIND_WORD,
 )
 from repro.errors import ModelError
-from repro.runtime.compiled import CompiledSegmenter
+from repro.runtime.compiled import (
+    FLAG_CODE,
+    FLAGS,
+    ROLE_HEAD,
+    ROLE_MODIFIER,
+    ROLE_OTHER,
+    CompiledSegmenter,
+)
 from repro.text.normalizer import normalize_fast
 
 _NEG = float("-inf")
@@ -77,23 +96,19 @@ KIND_BY_CODE: tuple[str, ...] = (
     KIND_WORD,
 )
 _CODE_OF = {kind: code for code, kind in enumerate(KIND_BY_CODE)}
+_CODE_INSTANCE = _CODE_OF[KIND_INSTANCE]
+_CODE_SUBJECTIVE = _CODE_OF[KIND_SUBJECTIVE]
+_CODE_CONNECTOR = _CODE_OF[KIND_CONNECTOR]
 _CODE_WORD = _CODE_OF[KIND_WORD]
 _KIND_NAMES = np.asarray(KIND_BY_CODE, dtype=object)
+
+#: Slots of the engine's pattern-score cache (a power of two).
+_PATTERN_SLOTS = 1 << 15
 
 #: Queries longer than this fall back to the scalar path: the lockstep
 #: DP pads every query to the batch maximum, so one pathological input
 #: must not widen the whole batch's arrays.
 MAX_BATCH_TOKENS = 48
-
-
-def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(start, start+length)`` blocks, vectorized."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    within = np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)
-    return np.repeat(starts, lengths) + within
 
 
 class SegmentationAutomaton:
@@ -148,11 +163,11 @@ class SegmentationAutomaton:
             np.asarray(token_scores, dtype=np.float64), 0.7
         )
         self.token_kinds = np.append(codes, _CODE_WORD)
-        #: The same kinds as strings, for the segments the engine emits.
-        self.token_kind_names = _KIND_NAMES[self.token_kinds]
         self.edge_keys = np.asarray(edge_keys, dtype=np.int64)
         self.edge_targets = np.asarray(edge_targets, dtype=np.int64)
         self.terminal = np.asarray(terminal, dtype=np.float64)
+        # The same with a trailing -inf slot, which state -1 reads.
+        self._terminal = np.append(self.terminal, _NEG)
         self.max_span = max_span
         # Depth-1 transitions as a dense row (the hot first hop).
         root_child = np.full(self.vsize, -1, dtype=np.int64)
@@ -208,43 +223,38 @@ class SegmentationAutomaton:
             segmenter._max_span,
         )
 
-    def match_spans(self, token_ids: np.ndarray) -> dict[int, np.ndarray]:
-        """Span scores for every window of every query, one array per
-        span length.
+    def match_spans(
+        self, token_ids: np.ndarray
+    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Span scores and trie states for every window of every query,
+        one pair of arrays per span length.
 
         ``token_ids`` is the padded ``(batch, max_tokens)`` id matrix
         (pads carry the OOV id, which kills any window crossing a query
-        boundary). Returns ``{length: (batch, max_tokens) scores}``
-        where entry ``[b, i]`` scores ``tokens[i:i+length]`` (``-inf``
-        when that window is no taxonomy instance) — the batched twin of
-        the span probes inside
+        boundary). Returns ``{length: (scores, states)}``, both
+        ``(batch, max_tokens - length + 1)``, where entry ``[b, i]``
+        describes ``tokens[i:i+length]``: its span score (``-inf`` when
+        that window is no taxonomy instance) and the trie state it ends
+        in (``-1`` when it leaves the trie) — the batched twin of the
+        span probes inside
         :meth:`~repro.runtime.compiled.CompiledSegmenter.segment_tokens`.
         """
-        batch, width = token_ids.shape
-        matches: dict[int, np.ndarray] = {}
-        if self.max_span < 2 or not len(self.edge_keys) or width < 2:
+        matches: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        if self.max_span < 2 or not len(self.edge_keys):
             return matches
         last_edge = len(self.edge_keys) - 1
         state = self.root_child[token_ids]
-        for length in range(2, self.max_span + 1):
-            if length - 1 >= width:
-                break
-            valid_width = width - (length - 1)
-            prev = state[:, :valid_width]
-            keys = prev * self.vsize + token_ids[:, length - 1 :]
-            positions = np.searchsorted(self.edge_keys, keys)
+        for length in range(2, min(self.max_span, token_ids.shape[1]) + 1):
+            # A dead state (-1) makes a negative key, which no edge has.
+            keys = state[:, :-1] * self.vsize + token_ids[:, length - 1 :]
+            positions = self.edge_keys.searchsorted(keys)
             np.minimum(positions, last_edge, out=positions)
-            found = (prev >= 0) & (self.edge_keys[positions] == keys)
-            state = np.full((batch, width), -1, dtype=np.int64)
-            state[:, :valid_width] = np.where(
-                found, self.edge_targets[positions], -1
+            state = np.where(
+                self.edge_keys[positions] == keys, self.edge_targets[positions], -1
             )
-            alive = state >= 0
-            if not alive.any():
+            if state.max() < 0:
                 break
-            scores = np.where(alive, self.terminal[np.maximum(state, 0)], _NEG)
-            if np.isfinite(scores).any():
-                matches[length] = scores
+            matches[length] = (self._terminal[state], state)
         return matches
 
 
@@ -292,40 +302,90 @@ class VectorizedDetector:
         self._smoothing = config.instance_smoothing
         self._min_evidence = config.min_evidence
         self._use_connector = config.use_connector_heuristic
-        # Precomputed reading matrix: one padded row of concept ids /
-        # probabilities per known phrase. Pad ids are the matrix zero
-        # row and pad probabilities are 0.0, so padded cells contribute
-        # exactly the +0.0 the scalar loop's skips never add.
-        readings = detector._compiled_readings
-        width = max((len(r.ids) for r in readings.values()), default=0)
+        # Phrase ids (CompiledDetector._intern_phrases) of every
+        # automaton token and of every terminal trie state; each table
+        # has a trailing -1 slot, so the OOV token and state -1 map to
+        # "no id".
+        phrase_ids = detector._phrase_ids
+        self._texts = detector._phrase_texts
+        self._token_pid = np.asarray(
+            [phrase_ids.get(token, -1) for token in automaton.tokens] + [-1],
+            dtype=np.int64,
+        )
+        self._state_pid = self._state_phrases(automaton, phrase_ids)
+        # Reading ids as modifier term keys pack them (trailing -1 slot).
+        self._reading_of = np.asarray(detector._reading_of + [-1], dtype=np.int64)
+        self._readings = len(detector._reading_heads)
+        # Precomputed reading matrix: row ``id`` holds known phrase
+        # ``id``'s padded concept ids / probabilities. Pad ids are the
+        # matrix zero row and pad probabilities are 0.0, so padded cells
+        # contribute exactly the +0.0 the scalar loop's skips never add.
+        readings = list(detector._compiled_readings.values())
+        self._known = len(readings)
+        width = max((len(r.ids) for r in readings), default=0)
         self._k = max(width, 1)
         self._ids_mat = np.full((len(readings), self._k), self._zero_id, np.int64)
         self._probs_mat = np.zeros((len(readings), self._k), np.float64)
-        self._phrase_row: dict[str, int] = {}
-        for row, (phrase, reading) in enumerate(readings.items()):
+        for row, reading in enumerate(readings):
             count = len(reading.ids)
             self._ids_mat[row, :count] = reading.ids
             self._probs_mat[row, :count] = reading.probs
-            self._phrase_row[phrase] = row
-        # Instance-pair supports behind a phrase interner + sorted keys.
+        memo = detector._constraints
+        #: Table A's no-evidence decisions as flag codes, by phrase id.
+        self._decisions = (
+            np.asarray(memo.decisions, dtype=np.int64) if memo is not None else None
+        )
+        # Reading ids of known phrases only (the reading matrix's rows),
+        # and the direct-mapped pattern-score cache over their pairs.
+        self._reading_row = self._reading_of.copy()
+        self._reading_row[self._known : -1] = -1
+        self._known_readings = int(self._reading_row.max()) + 1
+        self._pattern_keys = np.full(_PATTERN_SLOTS, -1, dtype=np.int64)
+        self._pattern_values = np.zeros(_PATTERN_SLOTS, dtype=np.float64)
+        # Instance scores of every mined pair of two phrase ids, behind
+        # sorted ``modifier id * ids + head id`` keys.
         support = detector._support_map
-        self._support_sid: dict[str, int] = {}
-        self._support_keys: np.ndarray | None = None
-        self._support_values: np.ndarray | None = None
-        self._support_card = 0
+        self._instance_keys: np.ndarray | None = None
+        self._instance_values: np.ndarray | None = None
         if support:
-            names = sorted({m for m, _ in support} | {h for _, h in support})
-            sid = {name: i for i, name in enumerate(names)}
-            card = len(names)
-            flat = np.asarray(
-                [sid[m] * card + sid[h] for m, h in support], dtype=np.int64
-            )
-            values = np.asarray(list(support.values()), dtype=np.float64)
-            order = np.argsort(flat)
-            self._support_sid = sid
-            self._support_keys = flat[order]
-            self._support_values = values[order]
-            self._support_card = card
+            scored = {}
+            for modifier, head in support:
+                modifier_id = phrase_ids.get(modifier)
+                head_id = phrase_ids.get(head)
+                if modifier_id is not None and head_id is not None:
+                    scored[modifier_id * len(self._texts) + head_id] = _instance_score(
+                        support, modifier, head, self._smoothing
+                    )
+            keys = np.fromiter(scored, dtype=np.int64, count=len(scored))
+            order = np.argsort(keys)
+            self._instance_keys = keys[order]
+            self._instance_values = np.fromiter(
+                scored.values(), dtype=np.float64, count=len(scored)
+            )[order]
+
+    @staticmethod
+    def _state_phrases(automaton: SegmentationAutomaton, phrase_ids) -> np.ndarray:
+        """Phrase id of each trie state that completes a multi-token
+        phrase of ``phrase_ids`` (-1 elsewhere, and in a trailing slot)."""
+        edges = dict(zip(automaton.edge_keys.tolist(), automaton.edge_targets.tolist()))
+        token_id = automaton.token_ids.get
+        vsize = automaton.vsize
+        state_pid = np.full(len(automaton.terminal) + 1, -1, dtype=np.int64)
+        for phrase, pid in phrase_ids.items():
+            tokens = phrase.split()
+            if len(tokens) < 2 or " ".join(tokens) != phrase:
+                continue
+            state: int | None = 0
+            for token in tokens:
+                token_index = token_id(token)
+                if token_index is None:
+                    break
+                state = edges.get(state * vsize + token_index)
+                if state is None:
+                    break
+            else:
+                state_pid[state] = pid
+        return state_pid
 
     # ------------------------------------------------------------------
     # public API
@@ -345,128 +405,236 @@ class VectorizedDetector:
                 "keep a reference to it while the engine is in use"
             )
         texts = list(texts)
-        results: dict[str, Detection | None] = {}
-        vectorizable: list[tuple[str, str, list[str]]] = []
-        for text in texts:
-            if text in results:
-                continue
-            results[text] = None
-            query = normalize_fast(text)
-            tokens = query.split()
-            if not tokens:
-                results[text] = Detection(
-                    query=query, terms=(), score=0.0, method="empty"
-                )
-            elif "." in query or len(tokens) > MAX_BATCH_TOKENS:
-                # Trailing-period stripping re-normalizes span-by-span;
-                # only the scalar path reproduces it exactly.
-                results[text] = det.detect(text)
-            else:
-                vectorizable.append((text, query, tokens))
+        unique = list(dict.fromkeys(texts))
+        queries = list(map(normalize_fast, unique))
+        token_lists = list(map(str.split, queries))
+        results: dict[str, Detection] = {}
+        odd = [
+            index
+            for index, (query, tokens) in enumerate(zip(queries, token_lists))
+            if not tokens or "." in query or len(tokens) > MAX_BATCH_TOKENS
+        ]
+        if odd:
+            for index in reversed(odd):
+                text, query = unique.pop(index), queries.pop(index)
+                if token_lists.pop(index):
+                    # Trailing-period stripping re-normalizes span by
+                    # span; only the scalar path reproduces it exactly.
+                    results[text] = det.detect(text)
+                else:
+                    results[text] = Detection(
+                        query=query, terms=(), score=0.0, method="empty"
+                    )
         # Chunked so one huge batch cannot balloon the padded arrays.
-        for start in range(0, len(vectorizable), 4096):
-            self._detect_chunk(det, vectorizable[start : start + 4096], results)
-        return [results[text] for text in texts]  # type: ignore[misc]
+        for start in range(0, len(unique), 4096):
+            end = start + 4096
+            results.update(
+                zip(
+                    unique[start:end],
+                    self._detect_chunk(det, queries[start:end], token_lists[start:end]),
+                )
+            )
+        return list(map(results.__getitem__, texts))
 
     # ------------------------------------------------------------------
     # the array pipeline
     # ------------------------------------------------------------------
     def _detect_chunk(
+        self, det, queries: list[str], token_lists: list[list[str]]
+    ) -> list[Detection]:
+        """Every query's detection, from per-segment arrays: the
+        reference control flow (content, connector, head choice, roles,
+        flags) as array programs, then one :meth:`CompiledDetector._terms
+        <repro.runtime.compiled.CompiledDetector._terms>` call for the
+        whole chunk."""
+        batch = len(queries)
+        seg_query, seg_start, seg_end, kind, pid = self._segment_chunk(token_lists)
+        total = len(seg_query)
+        offsets = np.zeros(batch + 1, dtype=np.int64)
+        np.bincount(seg_query, minlength=batch).cumsum(out=offsets[1:])
+        texts = self._texts
+
+        def text_of(index: int) -> str:
+            """A segment's text (only segments without a phrase id need
+            their tokens)."""
+            phrase = int(pid[index])
+            if phrase >= 0:
+                return texts[phrase]
+            tokens = token_lists[int(seg_query[index])]
+            return " ".join(tokens[int(seg_start[index]) : int(seg_end[index])])
+
+        # Content segments, query by query in segment order.
+        content = (kind == _CODE_INSTANCE) | (kind == _CODE_WORD)
+        content_at = content.nonzero()[0]
+        n_content = np.bincount(seg_query[content_at], minlength=batch)
+        content_first = np.zeros(batch + 1, dtype=np.int64)
+        n_content.cumsum(out=content_first[1:])
+        # Reference restriction: one connector with both sides
+        # non-empty, and content on the left — candidates become that
+        # (possibly complete) prefix of the content list.
+        candidates = n_content
+        restricted = np.zeros(batch, dtype=bool)
+        if self._use_connector:
+            connector_at = (kind == _CODE_CONNECTOR).nonzero()[0]
+            connector_query = seg_query[connector_at]
+            n_connectors = np.bincount(connector_query, minlength=batch)
+            position = np.full(batch, -1, dtype=np.int64)
+            position[connector_query] = connector_at - offsets[connector_query]
+            local = np.arange(total, dtype=np.int64) - offsets[seg_query]
+            left = np.bincount(
+                seg_query[content & (local < position[seg_query])], minlength=batch
+            )
+            restricted = (
+                (n_connectors == 1)
+                & (position > 0)
+                & (position < offsets[1:] - offsets[:-1] - 1)
+                & (left > 0)
+            )
+            candidates = np.where(restricted, left, n_content)
+
+        head = np.full(batch, -1, dtype=np.int64)
+        score = np.zeros(batch, dtype=np.float64)
+        method = np.full(batch, "structural", dtype=object)
+        single = (n_content == 1).nonzero()[0]
+        head[single] = content_at[content_first[single]]
+        score[single] = 1.0
+        method[single] = "single"
+        scored = (n_content > 1).nonzero()[0]
+        if len(scored):
+            counts = n_content[scored]
+            allowed = candidates[scored]
+            narrowed = restricted[scored]
+            best_local, low, confidence = self._score_heads(
+                det,
+                content_at[(n_content > 1)[seg_query[content_at]]],
+                pid,
+                counts,
+                allowed,
+                text_of,
+            )
+            pick = np.where(
+                low, np.where(narrowed, allowed - 1, counts - 1), best_local
+            )
+            head[scored] = content_at[content_first[scored] + pick]
+            score[scored] = np.where(
+                low, np.where(narrowed, 0.25, 0.1), confidence
+            )
+            method[scored] = np.where(
+                low,
+                np.where(narrowed, "connector", "fallback"),
+                np.where(narrowed, "connector+pattern", "pattern"),
+            )
+
+        # Roles: the head, modifier kinds beside a head, the rest other.
+        seg_head = head[seg_query]
+        heads = head[head >= 0]
+        modifier = (seg_head >= 0) & (content | (kind == _CODE_SUBJECTIVE))
+        modifier[heads] = False
+        role = np.full(total, ROLE_OTHER, dtype=np.int64)
+        role[modifier] = ROLE_MODIFIER
+        role[heads] = ROLE_HEAD
+        key = pid.copy()
+        modifiers = modifier.nonzero()[0]
+        flags = self._flags(det, queries, modifiers, seg_query, pid, text_of)
+        key[modifiers] = (
+            pid[modifiers] * self._readings + self._reading_of[pid[seg_head[modifiers]]]
+        ) * 3 + flags
+        keys = key.tolist()
+        unnamed = (pid < 0).nonzero()[0].tolist()
+        if unnamed:
+            # Text outside the id space is keyed by its string, and so
+            # is a modifier beside such text, as in scalar detect.
+            for index in unnamed:
+                keys[index] = text_of(index)
+            mod_head = seg_head[modifiers]
+            for slot in np.flatnonzero((pid[modifiers] < 0) | (pid[mod_head] < 0)):
+                index, phrase = int(modifiers[slot]), int(pid[modifiers[slot]])
+                keys[index] = det._modifier_key(
+                    phrase if phrase >= 0 else text_of(index),
+                    keys[int(mod_head[slot])],
+                    FLAGS[flags[slot]],
+                )
+        terms = det._terms(role.tolist(), keys, _KIND_NAMES[kind].tolist())
+        bounds = offsets.tolist()
+        detections = list(
+            map(
+                Detection,
+                queries,
+                [tuple(terms[a:b]) for a, b in zip(bounds, bounds[1:])],
+                score.tolist(),
+                method.tolist(),
+            )
+        )
+        if det._constraints is None and det._classifier is not None:
+            annotate = det._classifier.annotate
+            for index in np.flatnonzero(head >= 0).tolist():
+                detections[index] = annotate(detections[index])
+        return detections
+
+    def _flags(
         self,
         det,
-        items: list[tuple[str, str, list[str]]],
-        results: dict[str, Detection | None],
-    ) -> None:
-        if not items:
-            return
-        segmented = self._segment_chunk([tokens for _, _, tokens in items])
-        scored: list[tuple[int, list[tuple[str, str]], list[int], int, bool]] = []
-        seg_texts: list[str] = []
-        n_counts: list[int] = []
-        c_counts: list[int] = []
-        for index, (text, query, _) in enumerate(items):
-            segments = segmented[index]
-            content: list[int] = []
-            connector_count = 0
-            connector_at = -1
-            for position, (_, kind) in enumerate(segments):
-                if kind in CONTENT_KINDS:
-                    content.append(position)
-                elif kind == KIND_CONNECTOR:
-                    connector_count += 1
-                    connector_at = position
-            if not content:
-                results[text] = det._finish(query, segments, None, 0.0, "structural")
-                continue
-            if len(content) == 1:
-                results[text] = det._finish(query, segments, content[0], 1.0, "single")
-                continue
-            # Reference restriction: one connector with both sides
-            # non-empty, and content on the left — candidates become
-            # that (possibly complete) prefix of the content list.
-            candidates = len(content)
-            restricted = False
-            if (
-                self._use_connector
-                and connector_count == 1
-                and 0 < connector_at < len(segments) - 1
+        queries: list[str],
+        modifiers: np.ndarray,
+        seg_query: np.ndarray,
+        pid: np.ndarray,
+        text_of,
+    ) -> np.ndarray:
+        """Each modifier's constraint flag code (``FLAG_CODE``). One
+        gather of table A's decisions answers known phrases in queries
+        without a table-B row; the rest ask the constraint memo one by
+        one, as scalar ``detect`` does."""
+        memo = det._constraints
+        if memo is None:
+            return np.full(len(modifiers), FLAG_CODE[None], dtype=np.int64)
+        mod_query = seg_query[modifiers]
+        mod_pid = pid[modifiers]
+        evidenced = np.zeros(len(queries), dtype=bool)
+        if memo.edges is not None:
+            index = memo.edges.index
+            evidenced[[b for b, query in enumerate(queries) if query in index]] = True
+        ask = evidenced[mod_query] | (mod_pid < 0) | (mod_pid >= self._known)
+        flags = np.empty(len(modifiers), dtype=np.int64)
+        blind = ~ask
+        flags[blind] = self._decisions[mod_pid[blind]]
+        memo.lookups += len(modifiers) - int(np.count_nonzero(ask))
+        asked = ask.nonzero()[0]
+        if len(asked):
+            texts = self._texts
+            rows: dict[int, dict[str, float] | None] = {}
+            answers = []
+            for query, phrase, index in zip(
+                mod_query[asked].tolist(),
+                mod_pid[asked].tolist(),
+                modifiers[asked].tolist(),
             ):
-                left = 0
-                while left < len(content) and content[left] < connector_at:
-                    left += 1
-                if left:
-                    candidates = left
-                    restricted = True
-            scored.append((index, segments, content, candidates, restricted))
-            seg_texts.extend(segments[i][0] for i in content)
-            n_counts.append(len(content))
-            c_counts.append(candidates)
-        if not scored:
-            return
-        best_local, low, confidence = self._score_heads(
-            det,
-            seg_texts,
-            np.asarray(n_counts, dtype=np.int64),
-            np.asarray(c_counts, dtype=np.int64),
-        )
-        for row, (index, segments, content, candidates, restricted) in enumerate(
-            scored
-        ):
-            text, query, _ = items[index]
-            results[text] = self._resolve(
-                det,
-                query,
-                segments,
-                content,
-                candidates,
-                restricted,
-                bool(low[row]),
-                int(best_local[row]),
-                float(confidence[row]),
-            )
+                if query not in rows and evidenced[query]:
+                    rows[query] = memo.record(queries[query])
+                text = texts[phrase] if phrase >= 0 else text_of(index)
+                key = phrase if phrase >= 0 else text
+                answers.append(FLAG_CODE[memo.is_constraint(rows.get(query), text, key)])
+            flags[asked] = answers
+        return flags
 
     def _segment_chunk(
         self, token_lists: list[list[str]]
-    ) -> list[list[tuple[str, str]]]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Lockstep Viterbi over the whole chunk — the batched twin of
-        :meth:`~repro.runtime.compiled.CompiledSegmenter.segment_tokens`,
-        giving each query's ``(text, kind)`` segments."""
+        :meth:`~repro.runtime.compiled.CompiledSegmenter.segment_tokens`.
+
+        Returns per-segment arrays in query order, each query's
+        segments by ascending start: the query, start, end, kind code
+        and phrase id (-1 for text outside the id space)."""
         auto = self._auto
         batch = len(token_lists)
-        lengths = [len(tokens) for tokens in token_lists]
-        width = max(lengths)
+        lengths = np.asarray([len(tokens) for tokens in token_lists], dtype=np.int64)
+        width = int(lengths.max())
         token_id = auto.token_ids.get
         oov = auto.oov_id
-        flat_ids = [token_id(t, oov) for tokens in token_lists for t in tokens]
         ids = np.full((batch, width), oov, dtype=np.int64)
-        length_arr = np.asarray(lengths, dtype=np.int64)
-        ends = np.cumsum(length_arr)
-        positions = (
-            np.repeat(np.arange(batch, dtype=np.int64) * width, length_arr)
-            + np.arange(int(ends[-1]), dtype=np.int64)
-            - np.repeat(ends - length_arr, length_arr)
-        )
-        ids.ravel()[positions] = flat_ids
+        ids[np.arange(width) < lengths[:, None]] = [
+            token_id(token, oov) for tokens in token_lists for token in tokens
+        ]
         matches = auto.match_spans(ids)
         token_scores = auto.token_scores[ids]
         # DP tables over [0, width]; padded tails compute garbage that
@@ -477,19 +645,22 @@ class VectorizedDetector:
         back = np.full((batch, width + 1), -1, dtype=np.int64)
         # Longest spans first: the reference probes candidates by
         # ascending start (= descending length), the single token last.
-        match_items = sorted(matches.items(), reverse=True)
+        # A start column where no query matches adds no candidate.
+        match_items = [
+            (length, span_scores, np.isfinite(span_scores).any(axis=0).tolist())
+            for length, (span_scores, _) in sorted(matches.items(), reverse=True)
+        ]
         for end in range(1, width + 1):
             best_score: np.ndarray | None = None
             best_group = best_start = None
-            for length, span_scores in match_items:
-                if length > end:
+            for length, span_scores, live in match_items:
+                if length > end or not live[end - length]:
                     continue
                 start = end - length
                 score = scores[:, start] + span_scores[:, start]
                 group = seg_counts[:, start] - 1
                 if best_score is None:
-                    best_score, best_group = score, group
-                    best_start = np.full(batch, start, dtype=np.int64)
+                    best_score, best_group, best_start = score, group, start
                     continue
                 better = (score > best_score) | (
                     (score == best_score) & (group > best_group)
@@ -510,167 +681,186 @@ class VectorizedDetector:
             scores[:, end] = np.where(better, score, best_score)
             seg_counts[:, end] = np.where(better, group, best_group)
             back[:, end] = np.where(better, end - 1, best_start)
-        back_rows = back.tolist()
-        kind_rows = auto.token_kind_names[ids].tolist()
-        segmented: list[list[tuple[str, str]]] = []
-        for row, tokens in enumerate(token_lists):
-            back_row = back_rows[row]
-            kinds = kind_rows[row]
-            spans: list[tuple[str, str]] = []
-            end = lengths[row]
-            while end > 0:
-                start = back_row[end]
-                if end - start == 1:
-                    spans.append((tokens[start], kinds[start]))
-                else:
-                    spans.append((" ".join(tokens[start:end]), KIND_INSTANCE))
-                end = start
-            spans.reverse()
-            segmented.append(spans)
-        return segmented
+        # Lockstep backtrack: each step takes every unfinished query's
+        # last untaken segment.
+        found_query: list[np.ndarray] = []
+        found_start: list[np.ndarray] = []
+        found_end: list[np.ndarray] = []
+        active = np.arange(batch, dtype=np.int64)
+        ends = lengths
+        while len(active):
+            starts = back[active, ends]
+            found_query.append(active)
+            found_start.append(starts)
+            found_end.append(ends)
+            going = starts > 0
+            active = active[going]
+            ends = starts[going]
+        seg_query = np.concatenate(found_query)
+        seg_start = np.concatenate(found_start)
+        seg_end = np.concatenate(found_end)
+        order = (seg_query * (width + 1) + seg_start).argsort()
+        seg_query = seg_query[order]
+        seg_start = seg_start[order]
+        seg_end = seg_end[order]
+        token = ids[seg_query, seg_start]
+        kind = auto.token_kinds[token]
+        pid = self._token_pid[token]
+        multi = (seg_end - seg_start > 1).nonzero()[0]
+        if len(multi):
+            # Multi-token spans are taxonomy instances; the trie state
+            # each ends in names its phrase.
+            kind[multi] = _CODE_INSTANCE
+            span = seg_end[multi] - seg_start[multi]
+            for length, (_, states) in matches.items():
+                at = multi[span == length]
+                if len(at):
+                    pid[at] = self._state_pid[states[seg_query[at], seg_start[at]]]
+        return seg_query, seg_start, seg_end, kind, pid
 
     def _score_heads(
         self,
         det,
-        seg_texts: list[str],
+        content_at: np.ndarray,
+        pid: np.ndarray,
         n_counts: np.ndarray,
         c_counts: np.ndarray,
+        text_of,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batched twin of the scalar ``_head_score`` loop inside
-        :meth:`~repro.core.detector.HeadModifierDetector._choose_head`:
-        bincount-accumulated affinities in reference order, argmax with
+        :meth:`~repro.core.detector.HeadModifierDetector._choose_head`,
+        over the content segments ``content_at`` of the scored queries
+        (``n_counts`` each, the first ``c_counts`` of them candidates):
+        affinities accumulated in reference order, argmax with
         first-wins ties."""
-        total_segments = len(seg_texts)
-        row_of = self._phrase_row.get
-        rows = [row_of(text, -1) for text in seg_texts]
-        row_arr = np.asarray(rows, dtype=np.int64)
-        if min(rows, default=0) >= 0:
-            # Every phrase is in the compiled reading matrix (the common
-            # warm case): plain row gathers, no scatter needed.
-            width = self._k
-            seg_ids = self._ids_mat[row_arr]
-            seg_probs = self._probs_mat[row_arr]
-        else:
-            fresh = [
-                (i, det._reading(seg_texts[i]))
-                for i in range(total_segments)
-                if rows[i] < 0
-            ]
-            width = self._k
-            for _, reading in fresh:
-                width = max(width, len(reading.ids))
-            seg_ids = np.full(
-                (total_segments, width), self._zero_id, dtype=np.int64
-            )
-            seg_probs = np.zeros((total_segments, width), dtype=np.float64)
-            known = row_arr >= 0
-            seg_ids[known, : self._k] = self._ids_mat[row_arr[known]]
-            seg_probs[known, : self._k] = self._probs_mat[row_arr[known]]
-            for i, reading in fresh:
-                count = len(reading.ids)
-                seg_ids[i, :count] = reading.ids
-                seg_probs[i, :count] = reading.probs
-        # Pair layout: candidate-major, modifiers in content order — the
-        # exact reference iteration order, so bincount partial sums match.
+        seg_pid = pid[content_at]
         queries = len(n_counts)
         offsets = np.zeros(queries + 1, dtype=np.int64)
-        np.cumsum(n_counts, out=offsets[1:])
-        cand_global = _concat_ranges(offsets[:-1], c_counts)
-        total_cands = len(cand_global)
-        reps = np.repeat(n_counts, c_counts)
-        pair_mod = _concat_ranges(np.repeat(offsets[:-1], c_counts), reps)
-        pair_head = np.repeat(cand_global, reps)
-        pair_bin = np.repeat(np.arange(total_cands, dtype=np.int64), reps)
-        pairs = len(pair_mod)
-        mod_ids = seg_ids[pair_mod]
-        head_ids = seg_ids[pair_head]
-        keys = (mod_ids * self._stride)[:, :, None] + head_ids[:, None, :]
-        weights = self._matrix.norm(keys.reshape(-1)).reshape(pairs, width, width)
-        weights[mod_ids[:, :, None] == head_ids[:, None, :]] = 0.0
-        grid = (
-            seg_probs[pair_mod][:, :, None] * seg_probs[pair_head][:, None, :]
-        ) * weights
-        pattern = np.bincount(
-            np.repeat(np.arange(pairs, dtype=np.int64), width * width),
-            weights=grid.reshape(-1),
-            minlength=pairs,
-        )
-        if self._support_keys is not None:
-            sid_of = self._support_sid.get
-            sids = np.asarray(
-                [sid_of(text, -1) for text in seg_texts], dtype=np.int64
-            )
-            mod_sid = sids[pair_mod]
-            head_sid = sids[pair_head]
-            valid = (mod_sid >= 0) & (head_sid >= 0)
-            card = self._support_card
-            # Forward and backward keys probed in one searchsorted pass;
-            # keys with an unknown phrase (sid -1) may collide with real
-            # entries, but ``valid`` masks them out inside the take.
-            both = self._support_take(
-                np.concatenate(
-                    (mod_sid * card + head_sid, head_sid * card + mod_sid)
-                ),
-                np.concatenate((valid, valid)),
-            )
-            forward = both[:pairs]
-            backward = both[pairs:]
-            denominator = forward + backward + self._smoothing
-            with np.errstate(divide="ignore", invalid="ignore"):
-                instance = np.where(denominator > 0, forward / denominator, 0.0)
-        else:
-            instance = np.zeros(pairs, dtype=np.float64)
+        n_counts.cumsum(out=offsets[1:])
+        # Pair layout: query-major, then candidate, then modifier in
+        # content order — the exact reference iteration order, so the
+        # bincount partial sums match.
+        c_max = int(c_counts.max())
+        candidate = np.arange(c_max, dtype=np.int64)
+        pair_query, pair_candidate, pair_other = (
+            (candidate[None, :, None] < c_counts[:, None, None])
+            & (np.arange(int(n_counts.max()))[None, None, :] < n_counts[:, None, None])
+        ).nonzero()
+        base = offsets[pair_query]
+        pair_head = base + pair_candidate
+        pair_mod = base + pair_other
+        pair_bin = pair_query * c_max + pair_candidate
+        pattern = self._pattern(det, content_at, seg_pid, pair_mod, pair_head, text_of)
+        instance = self._instance(det, content_at, seg_pid, pair_mod, pair_head, text_of)
         affinity = self._iw * instance + self._one_minus_iw * pattern
         affinity[pair_mod == pair_head] = 0.0
-        head_scores = np.bincount(pair_bin, weights=affinity, minlength=total_cands)
         # Per-query argmax over -inf-padded candidate rows; first-wins
         # ties replicate the reference stable sort by (-score, start).
-        c_max = int(c_counts.max())
-        matrix = np.full((queries, c_max), _NEG)
-        matrix[
-            np.repeat(np.arange(queries, dtype=np.int64), c_counts),
-            _concat_ranges(np.zeros(queries, dtype=np.int64), c_counts),
-        ] = head_scores
+        matrix = np.bincount(
+            pair_bin, weights=affinity, minlength=queries * c_max
+        ).reshape(queries, c_max)
+        matrix[candidate[None, :] >= c_counts[:, None]] = _NEG
         best_local = matrix.argmax(axis=1)
         rows_idx = np.arange(queries)
         best = matrix[rows_idx, best_local]
         matrix[rows_idx, best_local] = _NEG
         second = matrix.max(axis=1)
         low = best < self._min_evidence
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw_margin = (best - second) / best
-        margin = np.where((c_counts > 1) & (best > 0), raw_margin, 1.0)
+        margin = np.ones(queries, dtype=np.float64)
+        ranked = (c_counts > 1) & (best > 0)
+        margin[ranked] = (best[ranked] - second[ranked]) / best[ranked]
         confidence = np.minimum(1.0, 0.5 + 0.5 * margin)
         return best_local, low, confidence
 
-    def _support_take(self, keys: np.ndarray, valid: np.ndarray) -> np.ndarray:
-        assert self._support_keys is not None and self._support_values is not None
-        positions = np.searchsorted(self._support_keys, keys)
-        np.minimum(positions, len(self._support_keys) - 1, out=positions)
-        found = (self._support_keys[positions] == keys) & valid
-        return np.where(found, self._support_values[positions], 0.0)
+    def _pattern(
+        self, det, content_at, seg_pid, pair_mod, pair_head, text_of
+    ) -> np.ndarray:
+        """Each pair's pattern score ``Σ p_m·p_h·w`` (reference
+        ``_pattern_score``). It depends on the two phrases' readings
+        only, so pairs of known phrases are cached by reading-id pair in
+        a direct-mapped table; the rest are summed over the reading
+        grid, in reference order."""
+        seg_reading = self._reading_row[seg_pid]
+        mod_reading = seg_reading[pair_mod]
+        head_reading = seg_reading[pair_head]
+        known = (mod_reading >= 0) & (head_reading >= 0)
+        key = mod_reading * self._known_readings + head_reading
+        slot = key & _PATTERN_SLOTS - 1
+        hit = known & (self._pattern_keys[slot] == key)
+        pattern = self._pattern_values[slot]
+        todo = (~hit).nonzero()[0]
+        if not len(todo):
+            return pattern
+        mod_at = pair_mod[todo]
+        head_at = pair_head[todo]
+        rows = seg_pid[np.concatenate((mod_at, head_at))]
+        width = self._k
+        if (rows >= 0).all() and (rows < self._known).all():
+            ids = self._ids_mat[rows]
+            probs = self._probs_mat[rows]
+        else:
+            readings = [
+                det._reading(text_of(int(content_at[at])))
+                for at in np.concatenate((mod_at, head_at)).tolist()
+            ]
+            width = max(width, *(len(reading.ids) for reading in readings))
+            ids = np.full((len(readings), width), self._zero_id, dtype=np.int64)
+            probs = np.zeros((len(readings), width), dtype=np.float64)
+            for i, reading in enumerate(readings):
+                ids[i, : len(reading.ids)] = reading.ids
+                probs[i, : len(reading.probs)] = reading.probs
+        # Pad ids are the matrix zero row and pad probabilities 0.0, so
+        # padded cells add exactly the +0.0 the scalar loop's skips
+        # never add.
+        count = len(todo)
+        mod_ids, head_ids = ids[:count], ids[count:]
+        keys = (mod_ids * self._stride)[:, :, None] + head_ids[:, None, :]
+        weights = self._matrix.norm(keys.reshape(-1)).reshape(count, width, width)
+        weights[mod_ids[:, :, None] == head_ids[:, None, :]] = 0.0
+        grid = (probs[:count][:, :, None] * probs[count:][:, None, :]) * weights
+        pattern[todo] = np.bincount(
+            np.repeat(np.arange(count, dtype=np.int64), width * width),
+            weights=grid.reshape(-1),
+            minlength=count,
+        )
+        store = todo[known[todo]]
+        self._pattern_keys[slot[store]] = key[store]
+        self._pattern_values[slot[store]] = pattern[store]
+        return pattern
 
-    # ------------------------------------------------------------------
-    # per-query resolution (reference control flow; the detector's
-    # _finish assembles the result)
-    # ------------------------------------------------------------------
-    def _resolve(
-        self,
-        det,
-        query: str,
-        segments: list[tuple[str, str]],
-        content: list[int],
-        candidates: int,
-        restricted: bool,
-        low: bool,
-        best_local: int,
-        confidence: float,
-    ) -> Detection:
-        if low:
-            if restricted:
-                return det._finish(
-                    query, segments, content[candidates - 1], 0.25, "connector"
-                )
-            return det._finish(query, segments, content[-1], 0.1, "fallback")
-        method = "connector+pattern" if restricted else "pattern"
-        return det._finish(query, segments, content[best_local], confidence, method)
+    def _instance(
+        self, det, content_at, seg_pid, pair_mod, pair_head, text_of
+    ) -> np.ndarray:
+        """Each pair's instance score (reference ``_instance_score``):
+        a sorted-key lookup by phrase-id pair, and the mined supports
+        themselves for a pair with a phrase outside the id space."""
+        instance = np.zeros(len(pair_mod), dtype=np.float64)
+        keys = self._instance_keys
+        if keys is None:
+            return instance
+        mod_pid = seg_pid[pair_mod]
+        head_pid = seg_pid[pair_head]
+        if len(keys):
+            key = mod_pid * len(self._texts) + head_pid
+            position = keys.searchsorted(key)
+            np.minimum(position, len(keys) - 1, out=position)
+            found = keys[position] == key
+            instance[found] = self._instance_values[position[found]]
+        unnamed = np.flatnonzero((mod_pid < 0) | (head_pid < 0)).tolist()
+        for pair in unnamed:
+            instance[pair] = _instance_score(
+                det._support_map,
+                text_of(int(content_at[pair_mod[pair]])),
+                text_of(int(content_at[pair_head[pair]])),
+                self._smoothing,
+            )
+        return instance
+
+
+def _instance_score(support, modifier: str, head: str, smoothing: float) -> float:
+    """Reference ``HeadModifierDetector._instance_score`` over a support
+    dict."""
+    forward = support.get((modifier, head), 0.0)
+    backward = support.get((head, modifier), 0.0)
+    denominator = forward + backward + smoothing
+    return forward / denominator if denominator > 0 else 0.0

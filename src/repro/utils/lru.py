@@ -22,8 +22,8 @@ bare ``dict.get``, with no recency write and no counter (a caller that
 reports traffic counts lookups once per call, and misses). The compiled
 detector's three term memos and ``ConstraintMemo``'s vectors and
 decisions use it: they sit on the per-query tail that scalar ``detect``
-and ``detect_batch`` share (``CompiledDetector._finish``), where the
-lookup itself is the cost. Putting those five memos on
+and ``detect_batch`` share (``CompiledDetector._finish`` and
+``_terms``), where the lookup itself is the cost. Putting those five memos on
 ``LruCache`` instead was measured on perfbench ``batch-annotate`` in 6
 interleaved pairs (seeds 911-916) on a 2-vCPU host: ``throughput_qps``
 fell from 32.2k to 29.2k (lower in 5 of 6 pairs), ``latency_p50_us``

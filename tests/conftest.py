@@ -8,11 +8,27 @@ dominate suite runtime.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import LogConfig, TrainingConfig, build_from_seed, generate_log, train_model
 from repro.core import Segmenter
 from repro.eval import build_eval_set
 from repro.querylog.stats import LogStatistics
+
+#: CI-only profile for the engine parity properties
+#: (``pytest --hypothesis-profile=parity-long``): each draws this many
+#: examples in place of its tier-1 count (:func:`parity_settings`).
+PARITY_LONG = "parity-long"
+settings.register_profile(PARITY_LONG, max_examples=600, deadline=None)
+
+
+def parity_settings(examples: int) -> settings:
+    """Settings for an engine parity property: ``examples`` in tier-1,
+    the :data:`PARITY_LONG` profile's count when that profile is loaded
+    (a ``max_examples`` set on the test would override the profile)."""
+    if settings.get_current_profile_name() == PARITY_LONG:
+        return settings(deadline=None)
+    return settings(max_examples=examples, deadline=None)
 
 
 @pytest.fixture(scope="session")

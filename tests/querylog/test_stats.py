@@ -89,9 +89,6 @@ class TestLogStatistics:
             (single + self.stats.term_idf("5s")) / 2
         )
 
-    def test_term_volume(self):
-        assert self.stats.term_volume("case") == 54
-
     def test_standalone_probability(self):
         assert self.stats.standalone_probability("case") == pytest.approx(40 / 79)
         assert self.stats.standalone_probability("unknown query") == 0.0

@@ -17,7 +17,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.detector import DetectorConfig
@@ -29,6 +29,7 @@ from repro.runtime import (
 )
 from repro.runtime.compiled import MIN_VECTORIZED_BATCH, ConstraintMemo
 from repro.runtime.snapshot import _ALIGN, _PRELUDE
+from tests.conftest import parity_settings
 
 EDGE_TEXTS = [
     "",
@@ -69,9 +70,7 @@ _TOKENS = [
 _queries = st.lists(
     st.sampled_from(_TOKENS), min_size=0, max_size=7
 ).map(" ".join)
-_batches = st.lists(
-    st.one_of(_queries, st.sampled_from(EDGE_TEXTS)), min_size=1, max_size=24
-)
+_CONNECTORS = ["for", "in", "with", "of"]
 
 
 @pytest.fixture(scope="module")
@@ -132,12 +131,42 @@ class TestVectorizedDetectorParity:
         )
         assert results[0] is results[2]
 
-    @settings(max_examples=60, deadline=None)
-    @given(batch=_batches)
-    def test_random_batches_elementwise_identical(self, compiled, batch):
-        assert compiled.detect_batch(batch) == [
-            compiled.detect(text) for text in batch
-        ]
+    @pytest.fixture(scope="class")
+    def fragments(self, compiled):
+        """Multi-token instances, and logged queries that have a table-B
+        row (their flags read drop evidence)."""
+        instances = sorted(compiled._segmenter._multi)[::7][:16]
+        edges = compiled._constraints.edges
+        logged = [edges.queries[i] for i in range(0, len(edges.queries), 97)][:40]
+        assert len(instances) >= 8 and len(logged) >= 20
+        return instances, logged
+
+    @parity_settings(60)
+    @given(data=st.data())
+    def test_random_batches_elementwise_identical(self, compiled, engine, fragments, data):
+        """The engine itself (``detect_batch`` routes batches under
+        ``MIN_VECTORIZED_BATCH`` to the scalar loop) on mixed batches:
+        repeated segments, logged queries with drop evidence, OOV tokens
+        beside multi-token instances, connectors at either end."""
+        instances, logged = fragments
+        piece = st.sampled_from(_TOKENS + instances + _CONNECTORS)
+        query = st.one_of(
+            st.lists(piece, min_size=0, max_size=7).map(" ".join),
+            piece.map(lambda text: f"{text} {text}"),
+            st.sampled_from(logged),
+            st.tuples(st.sampled_from(["zzqx", "glorp"]), st.sampled_from(instances))
+            .flatmap(lambda pair: st.permutations(pair))
+            .map(" ".join),
+            st.tuples(
+                st.sampled_from(_CONNECTORS), st.sampled_from(logged + instances)
+            ).map(lambda pair: f"{pair[0]} {pair[1]}"),
+            st.tuples(
+                st.sampled_from(logged + instances), st.sampled_from(_CONNECTORS)
+            ).map(" ".join),
+            st.sampled_from(EDGE_TEXTS),
+        )
+        batch = data.draw(st.lists(query, min_size=1, max_size=40))
+        assert engine.detect_batch(batch) == [compiled.detect(text) for text in batch]
 
     def test_speller_detector_is_refused(self, model):
         spelled = model.compile(correct_spelling=True)
@@ -207,7 +236,7 @@ class TestConstraintMemoParity:
     def test_memo_is_built_for_the_classifier(self, shared):
         assert isinstance(shared._constraints, ConstraintMemo)
 
-    @settings(max_examples=30, deadline=None)
+    @parity_settings(30)
     @given(data=st.data())
     def test_shuffled_batches_match_reference(
         self, detector, shared, tiny, logged_queries, eval_examples, data
@@ -250,14 +279,16 @@ class TestSegmentationAutomaton:
             ids = np.asarray(
                 [[automaton.token_ids[token] for token in tokens]]
             )
-            spans = automaton.match_spans(ids)
-            assert spans[len(tokens)][0, 0] == segmenter._multi[phrase]
+            scores, states = automaton.match_spans(ids)[len(tokens)]
+            assert scores[0, 0] == segmenter._multi[phrase]
+            assert states[0, 0] >= 0
 
     def test_oov_windows_never_match(self, compiled):
         automaton = compiled._automaton
         ids = np.full((2, 5), automaton.oov_id, dtype=np.int64)
-        for scores in automaton.match_spans(ids).values():
+        for scores, states in automaton.match_spans(ids).values():
             assert not np.isfinite(scores).any()
+            assert (states == -1).all()
 
     def test_single_token_table_matches_segmenter(self, compiled):
         automaton = compiled._automaton
