@@ -1,26 +1,26 @@
-"""R10 — Online serving: micro-batched, cached, single-flighted front end
-against the one-shot ``CompiledDetector.detect`` loop.
+"""R10 — Online serving: the cached front end against the one-shot
+``CompiledDetector.detect`` loop.
 
 R7 made a single detect call fast; this guards the *serving* layer built
-on top of it (PR 4): an asyncio micro-batcher that coalesces concurrent
-requests into ``detect_batch`` calls, a sharded normalized-query result
-cache with single-flight dedup, and bounded-queue admission control.
+on top of it: :class:`~repro.serving.DetectionService`, a
+normalized-query result cache in front of one inline ``detect`` per
+miss.
 
 The workload is a Zipfian query mix over the 2,000-query held-out eval
 set — the skew a production front end actually sees, where a small head
 of hot queries dominates — driven by closed-loop async clients at
 several concurrency levels. Each level reports q/s, p50/p95/p99 request
-latency, cache hit rate, and the batch-size histogram, and every
-response is checked bit-identical to one-shot ``detect``.
+latency and cache hit rate, and every response is checked bit-identical
+to one-shot ``detect``.
 
-Two honesty rules, same as R7/R9 on this 1-CPU bench host:
+Two honesty rules, same as R7/R9:
 
 * the warm cache-hit path must be >= 10x cheaper per query than a cold
   detect (that is the point of the result cache), asserted here;
 * any concurrency level slower than the plain single-shot loop is
   flagged ``"regression": true`` in the JSON and called out with a
-  WARNING next to the host's CPU count — micro-batching buys latency
-  smoothing under concurrency, not raw single-core throughput.
+  WARNING next to the host's CPU count — concurrent clients share one
+  event loop, so they add task switches, not cores.
 
 Writes ``benchmarks/results/BENCH_r10.json`` and ``r10_serving.txt``.
 """
@@ -45,11 +45,7 @@ CONCURRENCY_LEVELS = (1, 8, 32, 128)
 HOT_REPEATS = 5000
 MIN_CACHE_HIT_SPEEDUP = 10.0
 
-SERVING_CONFIG = ServingConfig(
-    max_batch_size=32,
-    max_pending=NUM_REQUESTS,
-    cache_size=50_000,
-)
+SERVING_CONFIG = ServingConfig(cache_size=50_000)
 
 
 def _zipf_workload(distinct: list[str]) -> list[str]:
@@ -99,9 +95,6 @@ async def _serve_level(detector, workload, clients):
         },
         "cache_hit_rate": stats["cache"]["hit_rate"],
         "detected": stats["detected"],
-        "coalesced": stats["coalesced"],
-        "batches": stats["batches"],
-        "batch_sizes": stats["batch_sizes"],
     }
 
 
@@ -191,7 +184,6 @@ def test_r10_serving_throughput(serving_comparison):
     rows = []
     for clients, entry in serving_comparison["concurrency"].items():
         latency = entry["latency_us"]
-        sizes = entry["batch_sizes"]
         rows.append(
             [
                 clients,
@@ -200,8 +192,7 @@ def test_r10_serving_throughput(serving_comparison):
                 f"{latency['p95']:.0f}",
                 f"{latency['p99']:.0f}",
                 f"{entry['cache_hit_rate']:.2f}",
-                entry["batches"],
-                max((int(size) for size in sizes), default=0),
+                entry["detected"],
                 f"{entry['speedup_vs_single_shot']:.2f}x",
                 "yes" if entry["regression"] else "",
             ]
@@ -216,8 +207,7 @@ def test_r10_serving_throughput(serving_comparison):
                 "p95 us",
                 "p99 us",
                 "hit rate",
-                "batches",
-                "max batch",
+                "detected",
                 "vs 1-shot",
                 "regression",
             ],
@@ -233,11 +223,10 @@ def test_r10_serving_throughput(serving_comparison):
         print(
             "\nWARNING: at least one concurrency level is slower than the "
             "plain single-shot detect loop on this host "
-            f"({hardware['usable_cpus']} usable CPU(s)); the event loop, "
-            "batching wait, and detection worker all share one core, so "
-            "micro-batching overhead cannot be hidden. The cache-hit path "
-            "still wins (see 'warm_cache_hit'); per-level flags are in "
-            "BENCH_r10.json."
+            f"({hardware['usable_cpus']} usable CPU(s)); concurrent clients "
+            "share one event loop, so they add task switches, not cores. "
+            "The cache-hit path still wins (see 'warm_cache_hit'); "
+            "per-level flags are in BENCH_r10.json."
         )
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_r10.json").write_text(
@@ -253,11 +242,6 @@ def test_r10_serving_throughput(serving_comparison):
         "warm cache hits must be >= "
         f"{MIN_CACHE_HIT_SPEEDUP}x cheaper than cold detect, got {speedup:.1f}x"
     )
-    for entry in serving_comparison["concurrency"].values():
-        assert all(
-            int(size) <= SERVING_CONFIG.max_batch_size
-            for size in entry["batch_sizes"]
-        )
 
 
 @pytest.mark.parametrize("path", ["one_shot", "served_cache_hit"])

@@ -1,8 +1,8 @@
 """REP002 — blocking calls inside ``async def`` in the serving layer.
 
-The serving tier runs one event loop per process, and micro-batches
-run inline on it: the batch is the one sanctioned hold on the loop, and
-every other coroutine must yield promptly. One ``time.sleep`` or
+The serving tier runs one event loop per process, and detection runs
+inline on it: one capped detection is the one sanctioned hold on the
+loop, and every other coroutine must yield promptly. One ``time.sleep`` or
 synchronous ``subprocess``/file/socket call in a coroutine stalls
 *every* in-flight request for its duration — invisible in unit tests,
 catastrophic under load. Use ``asyncio.sleep``, ``loop.run_in_executor``, or the asyncio

@@ -175,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_detect)
 
     p = sub.add_parser(
-        "serve", help="serve detection over HTTP (micro-batched, cached)"
+        "serve", help="serve detection over HTTP (cached)"
     )
     p.add_argument("--model", help="model bundle directory")
     p.add_argument(
@@ -344,19 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_service_flags(p: argparse.ArgumentParser) -> None:
     """Serving-policy flags shared by ``serve``, ``route``, ``replica``."""
     p.add_argument(
-        "--max-batch-size",
-        type=int,
-        default=32,
-        help="cap micro-batches at this many queries (default 32)",
-    )
-    p.add_argument(
-        "--max-pending",
-        type=int,
-        default=1024,
-        help="admission limit: distinct in-flight queries before 503 "
-        "(default 1024)",
-    )
-    p.add_argument(
         "--cache-size",
         type=int,
         default=50_000,
@@ -368,11 +355,7 @@ def _serving_config(args: argparse.Namespace):
     """The :class:`~repro.serving.ServingConfig` the service flags name."""
     from repro.serving import ServingConfig
 
-    return ServingConfig(
-        max_batch_size=args.max_batch_size,
-        max_pending=args.max_pending,
-        cache_size=args.cache_size,
-    )
+    return ServingConfig(cache_size=args.cache_size)
 
 
 def _cmd_taxonomy_build(args: argparse.Namespace) -> int:
@@ -834,11 +817,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
     router.spawn(
         args.snapshot,
         args.replicas,
-        extra_args=[
-            "--max-batch-size", str(serving.max_batch_size),
-            "--max-pending", str(serving.max_pending),
-            "--cache-size", str(serving.cache_size),
-        ],
+        extra_args=["--cache-size", str(serving.cache_size)],
     )
 
     def _ready(port: int) -> None:

@@ -40,9 +40,10 @@ class ServingError(ReproError):
 
 
 class ServerOverloadedError(ServingError):
-    """Raised when admission control rejects a request: the serving
-    queue is at capacity. Deterministic backpressure — callers should
-    shed load or retry with backoff, never queue unboundedly."""
+    """Raised when the router sheds a request: it is at its
+    ``max_inflight`` admission limit, or no replica is live to answer.
+    Deterministic backpressure — callers should shed load or retry with
+    backoff, never queue unboundedly."""
 
 
 class ServerClosedError(ServingError):

@@ -484,12 +484,12 @@ class _ContextBase:
 class CompiledSegmenter(Segmenter):
     """Reference Viterbi segmentation over precompiled span scores.
 
-    The DP and tie-breaking are inherited; only ``_span_score`` and
-    ``_kind_of`` are replaced with dict lookups precomputed from the
-    taxonomy and lexicon. Tokens reaching these hooks are already
-    normalized (``Segmenter.segment`` normalizes first), so the only
-    residual normalization case is a trailing period — handled on the
-    miss path exactly as ``normalize_term`` would.
+    :meth:`segment_tokens` runs the reference DP, tie-breaking and
+    backtrack inline over dict lookups precomputed from the taxonomy
+    and lexicon, in place of the reference ``_span_score`` and
+    ``_kind_of`` hooks. Tokens reaching it are already normalized, so
+    the only residual normalization case is a trailing period — handled
+    on the miss path exactly as ``normalize_term`` would.
     """
 
     def __init__(
@@ -634,33 +634,6 @@ class CompiledSegmenter(Segmenter):
             end = start
         segments.reverse()
         return segments
-
-    def _span_score(self, span: list[str]) -> float | None:
-        if len(span) == 1:
-            token = span[0]
-            score = self._single.get(token)
-            if score is not None:
-                return score
-            if token.endswith("."):
-                # normalize_term strips trailing periods before the
-                # taxonomy lookup; lexicon words never carry one.
-                score = self._instance_single.get(token.rstrip(". "))
-                if score is not None:
-                    return score
-            return 0.7
-        phrase = " ".join(span)
-        score = self._multi.get(phrase)
-        if score is None and phrase.endswith("."):
-            score = self._multi.get(phrase.rstrip(". "))
-        return score
-
-    def _kind_of(self, phrase: str, num_tokens: int) -> str:
-        kind = self._kind.get(phrase)
-        if kind is not None:
-            return kind
-        if phrase.endswith(".") and self._kind.get(phrase.rstrip(". ")) == KIND_INSTANCE:
-            return KIND_INSTANCE
-        return KIND_WORD
 
 
 class CompiledDetector(HeadModifierDetector):
@@ -839,7 +812,13 @@ class CompiledDetector(HeadModifierDetector):
         readings over perfbench's 789 phrases), so modifier keys carry
         the head's reading id: known phrases with equal readings share
         one, every other id has its own. ``_reading_heads`` holds one
-        phrase per reading id."""
+        phrase per reading id.
+
+        A modifier's contextualized readings depend on the modifier only
+        through its context base (``_compiled_context``; 102 distinct
+        bases over the same 789 phrases), so known phrases with equal
+        bases share one base id in ``_base_of`` and one
+        :meth:`_modifier_concepts` memo entry per head reading."""
         readings = self._compiled_readings
         ids = dict(zip(readings, range(len(readings))))
         if self._automaton is not None:
@@ -862,6 +841,15 @@ class CompiledDetector(HeadModifierDetector):
         #: Phrase id → reading id, and reading id → a phrase reading so.
         self._reading_of = reading_of
         self._reading_heads = heads
+        contexts = self._compiled_context
+        bases: dict[tuple, int] = {}
+        base_of = [
+            bases.setdefault(tuple(contexts[phrase].items), len(bases))
+            for phrase in readings
+        ]
+        base_of.extend(range(len(bases), len(bases) + len(ids) - len(readings)))
+        #: Phrase id → context base id.
+        self._base_of = base_of
 
     def _precompute_readings(self, phrases: list[str]) -> dict[str, PhraseReading]:
         """Flatten every known phrase's typicality readings into slices
@@ -1100,14 +1088,20 @@ class CompiledDetector(HeadModifierDetector):
     def _new_term(self, role: int, key, kind: str) -> DetectedTerm:
         texts = self._phrase_texts
         if role == ROLE_MODIFIER:
+            readings = len(self._reading_heads)
             if type(key) is int:
-                context, code = divmod(key, 3)
-                modifier, head = divmod(context, len(self._reading_heads))
+                pair, code = divmod(key, 3)
+                modifier, head = divmod(pair, readings)
                 flag = FLAGS[code]
             else:
                 modifier, head, flag = key
+            if type(modifier) is int:
+                text = texts[modifier]
+                base = self._base_of[modifier]
+                context = base * readings + head if type(head) is int else (base, head)
+            else:
+                text = modifier
                 context = (modifier, head)
-            text = texts[modifier] if type(modifier) is int else modifier
             head_text = self._reading_heads[head] if type(head) is int else head
             return DetectedTerm(
                 text,
@@ -1201,8 +1195,9 @@ class CompiledDetector(HeadModifierDetector):
         self, phrase: str, head: str, context: int | tuple
     ) -> tuple[tuple[str, float], ...]:
         """Reference ``_modifier_concepts(phrase, dict(readings of
-        head))``, memoized under ``context``: the packed (modifier id,
-        head reading id) pair, or a tuple of their keys."""
+        head))``, memoized under ``context``: the packed (base id, head
+        reading id) pair of :meth:`_intern_phrases`, or a tuple with the
+        text of whichever has no id."""
         head_concepts = self._concepts_of(head)
         if not self._config.contextualize_modifiers or not head_concepts:
             return self._concepts_of(phrase)

@@ -7,15 +7,10 @@ the opposite: many concurrent callers, one short text each, heavy
 repetition (Zipfian logs). This package turns the compiled detector into
 a server for that shape:
 
-- :class:`MicroBatcher` (:mod:`repro.serving.batcher`) — coalesces
-  concurrent single detections into ``detect_batch`` calls: an idle
-  batcher dispatches at once, and requests arriving while a batch runs
-  form the next one (capped at ``max_batch_size``).
 - :class:`DetectionService` (:mod:`repro.serving.service`) — the
-  request path: normalized-key result cache (one LRU), single-flight
-  dedup of identical in-flight queries, bounded admission queue raising
-  :class:`~repro.errors.ServerOverloadedError`, and graceful drain.
-  Batches run inline on the event loop: no serving thread.
+  request path: normalized-key result cache (one LRU), then one
+  ``detector.detect`` per miss, inline on the event loop with no await
+  in between: no queue, no serving thread.
 - :class:`DetectionHTTPServer` (:mod:`repro.serving.http`) — the one
   small stdlib-only asyncio HTTP server (``POST /detect``, ``POST
   /reload``, ``GET /stats``, ``GET /healthz``) behind both ``repro
@@ -24,7 +19,7 @@ a server for that shape:
   process.
 - :class:`ServingMetrics` (:mod:`repro.serving.metrics`) — per-stage
   latency histograms (mergeable fixed buckets), counters, and span
-  traces threaded batcher → service → replica → router and surfaced
+  traces threaded service → replica → router and surfaced
   on ``/stats``.
 - :class:`ReplicaServer` (:mod:`repro.serving.replica`) and
   :class:`Router` (:mod:`repro.serving.router`) — multi-replica
@@ -33,7 +28,7 @@ a server for that shape:
   health, restart-with-generation, budget-bounded tail hedging, sibling
   cache warm-up for rejoining replicas, and aggregated fleet ``/stats``.
 
-Cached, deduped, and micro-batched responses are **bit-identical** to
+Cached and detected responses are **bit-identical** to
 one-shot ``CompiledDetector.detect`` — enforced by
 ``tests/serving/test_service.py`` on the held-out eval set and measured
 by the R10/R12 benchmarks (``benchmarks/bench_r10_serving.py``,
@@ -50,7 +45,6 @@ from typing import TYPE_CHECKING
 from repro.utils.lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.serving.batcher import MicroBatcher
     from repro.serving.http import DetectionHTTPServer, detection_payload, run_server
     from repro.serving.metrics import LatencyHistogram, ServingMetrics, StatCounter
     from repro.serving.replica import ReplicaServer
@@ -67,7 +61,6 @@ __all__ = [
     "DetectionHTTPServer",
     "DetectionService",
     "LatencyHistogram",
-    "MicroBatcher",
     "ReplicaClient",
     "ReplicaServer",
     "Router",
@@ -83,7 +76,6 @@ if not TYPE_CHECKING:
     __getattr__, __dir__ = lazy_exports(
         __name__,
         {
-            "repro.serving.batcher": ("MicroBatcher",),
             "repro.serving.http": (
                 "DetectionHTTPServer",
                 "detection_payload",

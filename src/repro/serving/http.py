@@ -13,7 +13,7 @@ connections, JSON in/out):
   ``200`` and the same JSON shape as ``repro detect --json``.
 - ``POST /reload`` with body ``{"snapshot": "/path/to/g2.hdms"}`` → the
   backend's hot swap.
-- ``GET /stats`` → serving counters (cache hit rate, batch histogram…)
+- ``GET /stats`` → serving counters (cache hit rate, stage latencies…)
   plus an ``http`` block of connection counters and a ``process`` block
   with the serving process's peak resident set (``max_rss_mb``), so an
   operator sees what a hot swap costs in memory.
@@ -30,20 +30,21 @@ goes away between requests is simply let go. At most
 ``MAX_CONNECTIONS`` connections are open at once; one more is answered
 ``503`` and closed, so idle clients cannot exhaust file descriptors.
 
-Admission-control rejections map to ``503`` with a ``Retry-After``
-header (deterministic backpressure all the way to the wire), malformed
-requests to ``400``, oversized bodies and queries of more than
+Load-shedding rejections (the router's admission and "no live
+replica") map to ``503`` with a ``Retry-After`` header (deterministic
+backpressure all the way to the wire), malformed requests to ``400``,
+oversized bodies and queries of more than
 :data:`~repro.text.normalizer.MAX_QUERY_TOKENS` tokens to ``413``, a
 request or header line past the stream's line limit or more than
 ``MAX_HEADER_LINES`` headers to ``431``, a request that has started but
 not fully arrived within ``READ_TIMEOUT_S`` to ``408``, unknown routes
 to ``404``. A connection dropped mid-request is abandoned silently —
-there is no peer left to answer, and nothing downstream (batcher,
-service, router) is ever touched with a partial request.
+there is no peer left to answer, and nothing downstream (service,
+router) is ever touched with a partial request.
 
 Shutdown is graceful: :meth:`Listener.stop` stops accepting
 connections, hangs up idle kept-alive ones, lets in-flight requests
-finish, then closes the backend (in-flight detections complete).
+finish, then closes the backend.
 :func:`run_server` wires that to SIGINT/SIGTERM for every serving
 process — the HTTP front door and the replica socket server
 (:class:`~repro.serving.replica.ReplicaServer`) alike.

@@ -2,7 +2,7 @@
 
 The serving path (PR 4) kept ad-hoc integer counters; a router in front
 of N replica processes (:mod:`repro.serving.router`) needs more: *where*
-time goes per stage (batch wait vs detect vs socket hop), *mergeable*
+time goes per stage (request vs detect vs socket hop), *mergeable*
 across processes, and cheap enough for the hot path. This module is that
 substrate, deliberately stdlib-only and allocation-light:
 
@@ -19,7 +19,7 @@ substrate, deliberately stdlib-only and allocation-light:
   per-stage histograms, and a bounded ring of recent span events.
   ``with metrics.span("detect"): ...`` times a block, feeds the stage
   histogram, and leaves a trace event behind — the hook threaded through
-  batcher → service → replica → router and surfaced on ``/stats``.
+  service → replica → router and surfaced on ``/stats``.
 
 Counters and histograms additionally keep a **rotating window** — a
 ring of per-interval buckets (:data:`WINDOW_INTERVALS` slots of
@@ -405,10 +405,10 @@ class ServingMetrics:
     Owns named :class:`StatCounter` counters, per-stage
     :class:`LatencyHistogram` histograms, and a bounded ring of recent
     span events. One registry is created per
-    :class:`~repro.serving.service.DetectionService` and shared down
-    into its :class:`~repro.serving.batcher.MicroBatcher` and up into
-    the HTTP/replica front ends, so one ``/stats`` response shows the
-    whole pipeline's timing.
+    :class:`~repro.serving.service.DetectionService` (``request`` and
+    ``detect`` stages) and one per
+    :class:`~repro.serving.router.Router`, and each process's ``/stats``
+    reports its own.
 
     >>> metrics = ServingMetrics()
     >>> with metrics.span("detect"):

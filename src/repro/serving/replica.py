@@ -5,18 +5,21 @@ The multi-replica architecture (:mod:`repro.serving.router`) runs N of
 these processes behind one front-door router. Each replica loads the
 *same* ``HDMSNAP1`` snapshot via ``mmap`` — resident model memory is
 shared page cache across the fleet, not N private copies — and serves
-its :class:`~repro.serving.service.DetectionService` (micro-batcher,
-result cache, admission control: the whole request path) over a
-deliberately minimal inward-facing wire protocol:
+its :class:`~repro.serving.service.DetectionService` (result cache and
+inline detection: the whole request path) over a deliberately minimal
+inward-facing wire protocol:
 
 - **Framing** — every message is ``4-byte big-endian length`` +
   ``JSON (sorted keys)``. One persistent connection carries many
   concurrent requests: frames are multiplexed by an ``"id"`` the client
   chooses and the replica echoes. Detection runs inline on the event
-  loop, so a health probe on the same socket waits behind at most one
-  batch of queries capped at
-  :data:`~repro.text.normalizer.MAX_QUERY_TOKENS` tokens (a ``detect``
-  over the cap is refused as ``bad_request``).
+  loop, so a health probe on the same socket waits behind detections
+  of queries capped at :data:`~repro.text.normalizer.MAX_QUERY_TOKENS`
+  tokens (a ``detect`` over the cap is refused as ``bad_request``). At
+  most :data:`MAX_UNANSWERED_FRAMES` frames per connection are being
+  answered at once; past that the replica stops reading the socket
+  until a reply goes out, so a peer that sends without reading replies
+  holds a bounded number of tasks, not an ever-growing set.
 - **Ops** — ``detect`` (query → the ``repro detect --json`` payload),
   ``health`` (status + replica id + generation + model generation +
   pid), ``stats`` (the service's full counters/stages dict),
@@ -24,16 +27,15 @@ deliberately minimal inward-facing wire protocol:
   :meth:`~repro.serving.service.DetectionService.hot_keys` — the donor
   side of replica cache warm-up), and
   ``reload`` (hot-swap the serving snapshot in place via
-  :meth:`~repro.serving.service.DetectionService.reload` —
-  in-flight detections finish on the old model, the swap drops
-  nothing). Unknown ops get a structured
-  error frame; protocol violations (oversized frame, junk bytes) close
-  the connection with :class:`~repro.errors.ReplicaProtocolError`
-  semantics rather than wedging the reader.
+  :meth:`~repro.serving.service.DetectionService.reload` — the swap
+  lands between two requests and drops nothing). Unknown ops get a
+  structured error frame; protocol violations (oversized frame, junk
+  bytes) close the connection with
+  :class:`~repro.errors.ReplicaProtocolError` semantics rather than
+  wedging the reader.
 - **Errors** — per-request and structured: ``{"ok": false, "kind":
-  "overloaded" | "closed" | "bad_request" | "internal"}`` so the router
-  can re-route, shed with ``Retry-After``, or fail the one request
-  without guessing from strings.
+  "closed" | "bad_request" | "internal"}`` so the router can re-route
+  or fail the one request without guessing from strings.
 
 ``repro replica`` runs a :class:`ReplicaServer` under the same
 :func:`~repro.serving.http.run_server` loop as the HTTP front door; it
@@ -50,12 +52,7 @@ import os
 import struct
 from typing import TYPE_CHECKING
 
-from repro.errors import (
-    ModelError,
-    ReplicaProtocolError,
-    ServerClosedError,
-    ServerOverloadedError,
-)
+from repro.errors import ModelError, ReplicaProtocolError, ServerClosedError
 from repro.serving.http import Listener, detection_payload
 from repro.text.normalizer import token_cap_error
 
@@ -65,6 +62,11 @@ if TYPE_CHECKING:
 #: Largest accepted frame; detection requests and stats payloads are
 #: small, so anything bigger is a protocol violation, not a workload.
 MAX_FRAME_BYTES = 1 << 20
+
+#: Frames one connection may have read but not yet answered. The
+#: router's default ``max_inflight`` (1024) never reaches it; a peer that
+#: does waits in its own socket buffer until replies go out.
+MAX_UNANSWERED_FRAMES = 1024
 
 _LENGTH = struct.Struct(">I")
 
@@ -158,8 +160,16 @@ class ReplicaServer(Listener):
     ) -> None:
         tasks: set[asyncio.Task] = set()
         write_lock = asyncio.Lock()
+        slots = asyncio.Semaphore(MAX_UNANSWERED_FRAMES)
+
+        def _done(task: asyncio.Task) -> None:
+            tasks.discard(task)
+            slots.release()
+
         try:
             while True:
+                # Hold off reading the next frame until one is free.
+                await slots.acquire()
                 try:
                     request = await read_frame(reader)
                 except (
@@ -174,7 +184,7 @@ class ReplicaServer(Listener):
                     self._answer(request, writer, write_lock)
                 )
                 tasks.add(task)
-                task.add_done_callback(tasks.discard)
+                task.add_done_callback(_done)
         finally:
             # Let in-flight answers finish (drain), then drop the socket.
             if tasks:
@@ -215,8 +225,6 @@ class ReplicaServer(Listener):
                 return {**base, "ok": False, "kind": "bad_request", "error": refused}
             try:
                 detection = await service.detect(query)
-            except ServerOverloadedError as exc:
-                return {**base, "ok": False, "kind": "overloaded", "error": str(exc)}
             except ServerClosedError as exc:
                 return {**base, "ok": False, "kind": "closed", "error": str(exc)}
             # repro: noqa[REP006] -- fan-out boundary: the failure is

@@ -23,13 +23,12 @@ design decisions carry the architecture:
   ``HDMSNAP1`` file via :meth:`CompiledDetector.load_snapshot`; the
   kernel shares the read-only pages across processes, so fleet memory is
   ~one model plus per-replica caches.
-- **Tiered load shedding.** Tier 1: router admission (``max_inflight``
+- **Two shedding tiers.** Tier 1: router admission (``max_inflight``
   concurrent requests, then :class:`~repro.errors.ServerOverloadedError`
-  → 503 + ``Retry-After`` without touching any replica). Tier 2: the
-  chosen replica's own admission control (its ``overloaded`` frame is
-  surfaced as the same 503 — deliberately *not* retried elsewhere, which
-  would stampede the next replica's cold cache). Tier 3: no live
-  replica → 503. Backpressure is deterministic at every tier.
+  → 503 + ``Retry-After`` without touching any replica). Tier 2: no
+  live replica → the same 503. A replica has no queue of its own to
+  shed from: it detects each request inline as it arrives.
+  Backpressure is deterministic at both tiers.
 
 Health is actively managed: a background loop probes each replica over
 its multiplexed connection, marks non-responders ``down`` (their ring
@@ -39,7 +38,7 @@ a crash-looping replica can never restart-storm the host), and
 reattaches externally-managed replicas when they come back. ``GET
 /stats`` aggregates the fleet: per-stage latency histograms merge
 bucket-wise (:meth:`~repro.serving.metrics.LatencyHistogram.merged`),
-cache and batch counters sum, and every replica reports its generation,
+cache and request counters sum, and every replica reports its generation,
 *model* generation, and health.
 
 Two policies ride on the router's own rotating-window metrics
@@ -74,7 +73,6 @@ import random
 import re
 import sys
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from time import monotonic, perf_counter
 from typing import Sequence
@@ -630,8 +628,8 @@ class Router:
         (the ``repro detect --json`` shape, bit-identical to a local
         ``detector.detect``).
 
-        Raises :class:`~repro.errors.ServerOverloadedError` at any shed
-        tier (router admission, replica admission, no live replica) and
+        Raises :class:`~repro.errors.ServerOverloadedError` at either
+        shed tier (router admission, no live replica) and
         :class:`~repro.errors.ServerClosedError` after shutdown began.
         """
         if self._closed:
@@ -684,12 +682,6 @@ class Router:
                 return result
             kind = response.get("kind")
             error = str(response.get("error", "replica error"))
-            if kind == "overloaded":
-                # Tier-2 shed: the owning replica is saturated. Honor
-                # its backpressure instead of stampeding a neighbour's
-                # cold cache with this key's traffic.
-                self._metrics.counter("shed").add()
-                raise ServerOverloadedError(error)
             if kind == "closed":
                 self._mark_down(handle, error)
                 tried.append(name)
@@ -763,7 +755,7 @@ class Router:
         the hedge budget allows it — so fast owner responses, which are
         the common case even on a degraded replica, cost nothing. The
         owner's frame always outranks the backup's unless the backup
-        answered ``ok`` first: a backup's shed/closed frame must never
+        answered ``ok`` first: a backup's error frame must never
         mask the owner's answer, and vice versa an owner failure with a
         healthy backup response is a hedge win, not an error.
         """
@@ -790,8 +782,8 @@ class Router:
                 tasks, return_when=asyncio.FIRST_COMPLETED
             )
             tasks -= done
-            # Settle the owner first on a photo finish: its frame
-            # carries the canonical backpressure semantics for the key.
+            # Settle the owner first on a photo finish: its frame is
+            # the canonical answer for the key.
             for task in sorted(done, key=lambda t: t is not owner_task):
                 exc = task.exception()
                 if task is owner_task:
@@ -807,7 +799,7 @@ class Router:
                     if owner_exc is not None:
                         self._mark_down(owner, str(owner_exc))
                     return task.result()
-                # else: backup died or shed — discard it silently and
+                # else: backup died or failed — discard it silently and
                 # let the owner (or the failover loop) decide the fate.
         assert owner_exc is not None
         raise owner_exc
@@ -1131,7 +1123,7 @@ class Router:
           and each counter a ``counter_windows`` entry.
         - ``replicas`` — per replica: state, generation, restarts,
           address, last error, and (when up) its full service stats.
-        - ``fleet`` — the replicas merged: summed request/cache/batch
+        - ``fleet`` — the replicas merged: summed request/cache
           counters, overall cache hit rate, bucket-wise merged stage
           histograms (fleet-wide p50/p95/p99 via
           :meth:`~repro.serving.metrics.LatencyHistogram.merged`).
@@ -1173,7 +1165,11 @@ class Router:
 
 def _merge_fleet_stats(stats_list: list[dict]) -> dict:
     """Fold per-replica service stats into one fleet dict (counters
-    sum, hit rate recomputes, stage histograms merge bucket-wise)."""
+    sum, hit rate recomputes, stage histograms merge bucket-wise).
+
+    ``coalesced``, ``rejected`` and ``batches`` sum what each
+    :meth:`~repro.serving.service.DetectionService.stats` keeps for
+    perfbench's ``/stats`` reader (0, 0 and one per detection)."""
     fleet: dict = {
         "requests": 0,
         "detected": 0,
@@ -1182,7 +1178,6 @@ def _merge_fleet_stats(stats_list: list[dict]) -> dict:
         "batches": 0,
     }
     hits = misses = 0
-    batch_sizes: Counter[int] = Counter()
     stages: dict[str, list[dict]] = {}
     generations = [
         stats.get("model_generation", 0)
@@ -1201,8 +1196,6 @@ def _merge_fleet_stats(stats_list: list[dict]) -> dict:
         cache = stats.get("cache") or {}
         hits += cache.get("hits", 0)
         misses += cache.get("misses", 0)
-        for size, count in (stats.get("batch_sizes") or {}).items():
-            batch_sizes[int(size)] += count
         for stage, histogram in (stats.get("stages") or {}).items():
             stages.setdefault(stage, []).append(histogram)
     lookups = hits + misses
@@ -1210,9 +1203,6 @@ def _merge_fleet_stats(stats_list: list[dict]) -> dict:
         "hits": hits,
         "misses": misses,
         "hit_rate": hits / lookups if lookups else 0.0,
-    }
-    fleet["batch_sizes"] = {
-        str(size): count for size, count in sorted(batch_sizes.items())
     }
     fleet["stages"] = {
         stage: LatencyHistogram.merged(histograms)

@@ -2,11 +2,11 @@
 
 The contract under test, at each layer:
 
-- :meth:`DetectionService.reload` — the swap lands between batches
-  (a batch runs inline on the event loop), so every answer comes from
-  exactly one generation, the post-swap cache holds only new-generation
-  results, later batches answer from the new model, and no request is
-  dropped at any point.
+- :meth:`DetectionService.reload` — the swap lands between requests
+  (a request runs inline on the event loop, never yielding), so every
+  answer comes from exactly one generation, the post-swap cache holds
+  only new-generation results, later requests answer from the new
+  model, and no request is dropped at any point.
 - the replica ``reload`` op — swaps in place and reports the new model
   generation; a bad snapshot is refused with the old model untouched.
 - :meth:`Router.reload` — rolls replicas one at a time, tracks each
@@ -24,7 +24,7 @@ import pytest
 from repro.errors import ModelError, ServerClosedError
 from repro.runtime.lineage import save_versioned_snapshot
 from repro.runtime.snapshot import load_snapshot
-from repro.serving import DetectionService, ServingConfig
+from repro.serving import DetectionService
 from repro.serving import service as service_module
 from repro.serving.replica import ReplicaServer
 from repro.serving.http import DetectionHTTPServer
@@ -60,18 +60,15 @@ def gen2_path(compiled, gen1_path, tmp_path_factory):
 
 class _GenerationStub:
     """Stub model that tags each answer with its generation's name and
-    records the batches it ran."""
+    records the texts it detected."""
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.batches: list[list[str]] = []
+        self.calls: list[str] = []
 
     def detect(self, text: str) -> str:
+        self.calls.append(text)
         return f"{self.name}[{text}]"
-
-    def detect_batch(self, texts):
-        self.batches.append(list(texts))
-        return [self.detect(text) for text in texts]
 
 
 def _cached(service) -> dict:
@@ -115,47 +112,39 @@ class TestServiceSwap:
 
         assert run(main()) == 2
 
-    def test_reload_amid_queued_batches_answers_one_generation(
-        self, monkeypatch
-    ):
-        """A reload issued while batches are queued: every answer, and
-        every batch, comes from exactly one generation, the post-swap
-        cache holds only new-generation results, and everything admitted
-        after the reload returns is answered by the new model."""
+    def test_reload_amid_requests_answers_one_generation(self, monkeypatch):
+        """Requests scheduled around a reload: every answer comes from
+        exactly one generation, the post-swap cache holds only
+        new-generation results, and everything after the reload returns
+        is answered by the new model."""
         old, new = _GenerationStub("old"), _GenerationStub("new")
         monkeypatch.setattr(
             service_module, "_load_versioned", lambda path: (new, 2)
         )
-        queued = [f"queued {index}" for index in range(12)]
+        around = [f"around {index}" for index in range(12)]
         after = [f"after {index}" for index in range(5)]
 
         async def main():
-            config = ServingConfig(max_batch_size=3)
-            async with DetectionService(old, config) as service:
+            async with DetectionService(old) as service:
                 await service.detect("warm")  # an old-generation cache entry
-                tasks = [asyncio.create_task(service.detect(q)) for q in queued]
-                await asyncio.sleep(0)
-                # Every query admitted, its batch queued or forming; none ran.
-                assert service.pending == len(queued)
-                assert old.batches == [["warm"]]
-                await service.reload("gen2.hdms")
+                tasks = [asyncio.create_task(service.detect(q)) for q in around[:6]]
+                reload = asyncio.create_task(service.reload("gen2.hdms"))
+                tasks += [asyncio.create_task(service.detect(q)) for q in around[6:]]
+                await reload
                 cached_at_swap = _cached(service)
                 answers = await asyncio.gather(*tasks)
                 answers += await service.detect_many(after + ["warm"])
                 return answers, cached_at_swap, _cached(service)
 
         answers, cached_at_swap, cached_after = run(main())
-        for query, answer in zip(queued, answers):
+        for query, answer in zip(around, answers):
             name = answer.split("[", 1)[0]
             assert answer == f"{name}[{query}]"
-            # Answered by the one generation whose batch held it.
-            ran = {
-                stub.name: sum(batch.count(query) for batch in stub.batches)
-                for stub in (old, new)
-            }
+            # Answered by the one generation that detected it.
+            ran = {stub.name: stub.calls.count(query) for stub in (old, new)}
             assert ran == {"old": int(name == "old"), "new": int(name == "new")}
         # After the swap: new answers only, the old cache entry gone.
-        assert answers[len(queued):] == [f"new[{q}]" for q in after + ["warm"]]
+        assert answers[len(around):] == [f"new[{q}]" for q in after + ["warm"]]
         assert all(value.startswith("new[") for value in cached_at_swap.values())
         assert all(value.startswith("new[") for value in cached_after.values())
         assert "warm" in cached_after
@@ -168,7 +157,7 @@ class TestServiceSwap:
         async def main():
             async with DetectionService(compiled) as service:
                 burst = asyncio.gather(*(service.detect(q) for q in queries))
-                await asyncio.sleep(0)  # let the first batches dispatch
+                await asyncio.sleep(0)  # let the burst start
                 await service.reload(str(gen2_path))
                 results = await burst
                 return results, service.stats()
@@ -176,7 +165,7 @@ class TestServiceSwap:
         results, stats = run(main())
         assert len(results) == len(queries)
         assert not any(isinstance(r, Exception) for r in results)
-        assert stats["rejected"] == 0
+        assert stats["requests"] == len(queries)
 
     def test_bad_snapshot_is_refused_and_service_keeps_serving(
         self, compiled, tmp_path

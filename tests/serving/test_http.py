@@ -102,7 +102,6 @@ class TestRoutes:
         assert status == 200
         assert payload["requests"] == 1
         assert payload["batches"] == 1
-        assert payload["vectorized"] is True
 
     def test_error_mapping(self, compiled):
         async def handler(server, port):
@@ -183,7 +182,7 @@ def test_status_line_carries_standard_reason(status, reason):
 
 class TestProtocolEdges:
     """Malformed and hostile inputs get deterministic status codes and
-    never wedge the batcher behind the server."""
+    never wedge the service behind the server."""
 
     def test_oversized_body_is_413(self, compiled):
         async def handler(server, port):
@@ -296,7 +295,7 @@ class TestProtocolEdges:
 
     def test_dropped_connection_mid_request_never_wedges(self, compiled):
         """A client that vanishes mid-request is abandoned silently: the
-        batcher is never touched with the partial request, and the very
+        service is never touched with the partial request, and the very
         next well-formed request is served normally."""
 
         async def handler(server, port):
@@ -319,7 +318,7 @@ class TestProtocolEdges:
         status, payload, stats = asyncio.run(serve(handler)(compiled))
         assert status == 200
         assert payload["head"] == "hotels"
-        # Only the completed request reached the service/batcher.
+        # Only the completed request reached the service.
         assert stats["requests"] == 1
         assert stats["batches"] == 1
 

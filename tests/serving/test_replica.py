@@ -8,12 +8,10 @@ import struct
 
 import pytest
 
-from repro.errors import (
-    ReplicaProtocolError,
-    ServerClosedError,
-    ServerOverloadedError,
-)
+from repro.core.detector import Detection
+from repro.errors import ReplicaProtocolError, ServerClosedError
 from repro.serving import DetectionService, detection_payload
+from repro.serving import replica as replica_module
 from repro.serving.replica import (
     MAX_FRAME_BYTES,
     ReplicaServer,
@@ -88,6 +86,19 @@ class TestFraming:
                 await read_frame(reader)
 
         asyncio.run(main())
+
+
+def _empty_detection(text: str) -> Detection:
+    return Detection(query=text, terms=(), score=0.0, method="empty")
+
+
+def _answer_tasks() -> int:
+    """Replica answer tasks alive on the running loop."""
+    return sum(
+        1
+        for task in asyncio.all_tasks()
+        if task.get_coro().__qualname__ == "ReplicaServer._answer"
+    )
 
 
 async def _call(writer, reader, payload: dict) -> dict:
@@ -253,30 +264,80 @@ class TestReplicaServer:
         assert fits["result"] == detection_payload(compiled.detect(at_cap))
         assert requests == 1  # the refused query never reached the service
 
-    def test_overloaded_and_closed_are_structured(self):
-        class _ShedService:
+    def test_closed_is_structured(self):
+        class _ClosingService:
             closed = False
 
             async def detect(self, text):
-                if text == "shed":
-                    raise ServerOverloadedError("queue full")
                 raise ServerClosedError("closing")
 
             async def close(self):
                 pass
 
         async def handler(server, reader, writer):
-            shed = await _call(
-                writer, reader, {"op": "detect", "id": "1", "query": "shed"}
-            )
-            closed = await _call(
+            return await _call(
                 writer, reader, {"op": "detect", "id": "2", "query": "x"}
             )
-            return shed, closed
 
-        shed, closed = _against_server(handler, _ShedService)
-        assert shed["kind"] == "overloaded"
-        assert closed["kind"] == "closed"
+        closed = _against_server(handler, _ClosingService)
+        assert closed == {"id": "2", "ok": False, "kind": "closed", "error": "closing"}
+
+    def test_unanswered_frames_per_connection_are_capped(self, monkeypatch):
+        """A peer that sends frames faster than they are answered holds
+        at most ``MAX_UNANSWERED_FRAMES`` answer tasks: past the cap the
+        replica stops reading its socket. Once the backend frees up,
+        every frame is answered, in the order sent."""
+        cap, extra = 4, 3
+        monkeypatch.setattr(replica_module, "MAX_UNANSWERED_FRAMES", cap)
+        frames_read = 0
+        real_read_frame = replica_module.read_frame
+
+        async def counting_read_frame(reader):
+            nonlocal frames_read
+            frame = await real_read_frame(reader)
+            frames_read += frame is not None
+            return frame
+
+        monkeypatch.setattr(replica_module, "read_frame", counting_read_frame)
+
+        class _BlockedService:
+            closed = False
+
+            def __init__(self):
+                self.release = asyncio.Event()
+                self.started = 0
+
+            async def detect(self, text):
+                self.started += 1
+                await self.release.wait()
+                return _empty_detection(text)
+
+            async def close(self):
+                pass
+
+        async def handler(server, reader, writer):
+            service = server.backend
+            for index in range(cap + extra):
+                writer.write(
+                    encode_frame({"op": "detect", "id": str(index), "query": "q"})
+                )
+            await writer.drain()
+            for _ in range(50):  # let the replica read all it will
+                await asyncio.sleep(0.01)
+            held = (frames_read, service.started, _answer_tasks())
+            service.release.set()
+            answers = [
+                await asyncio.wait_for(read_frame(reader), timeout=10)
+                for _ in range(cap + extra)
+            ]
+            return held, answers
+
+        held, answers = _against_server(handler, _BlockedService)
+        assert held == (cap, cap, cap)
+        assert [answer["id"] for answer in answers] == [
+            str(index) for index in range(cap + extra)
+        ]
+        assert all(answer["ok"] for answer in answers)
 
     def test_internal_error_fails_only_that_request(self, compiled):
         class _FlakyService:

@@ -1,12 +1,11 @@
-"""Serving-layer contract: every response the micro-batched, cached,
-single-flighted path produces must be bit-identical to one-shot
-``CompiledDetector.detect``, and the control machinery (admission,
-drain) must behave deterministically.
+"""Serving-layer contract: every response the cached, inline request
+path produces must be bit-identical to one-shot
+``CompiledDetector.detect``, and the lifecycle (close, reload) must
+behave deterministically.
 
-Batches run inline on the event loop, so a stub detector must never
-block. The states a parked batch used to freeze are reached by loop
-scheduling instead: N ``detect`` tasks started before one yield are all
-admitted, and the batches they dispatch are queued but have not run."""
+``DetectionService.detect`` never yields to the event loop: it
+normalizes, looks up the result cache and runs the detector inline, so
+a stub detector here must never block."""
 
 from __future__ import annotations
 
@@ -18,10 +17,10 @@ import weakref
 
 import pytest
 
-from repro.errors import ServerClosedError, ServerOverloadedError, ServingError
+from repro.errors import ServerClosedError, ServingError
 from repro.runtime import load_snapshot
 from repro.runtime.compiled import MIN_VECTORIZED_BATCH
-from repro.serving import DetectionService, MicroBatcher, ServingConfig
+from repro.serving import DetectionService, ServingConfig
 from repro.serving.replica import ReplicaServer
 from repro.text.normalizer import MAX_QUERY_TOKENS, normalize_fast
 
@@ -31,20 +30,17 @@ def run(coro):
 
 
 class StubDetector:
-    """Records batch composition; fails on poisoned texts."""
+    """Records the texts it detects; fails on poisoned texts."""
 
     def __init__(self, poison: set[str] | None = None):
         self.poison = poison or set()
-        self.batches: list[list[str]] = []
+        self.calls: list[str] = []
 
     def detect(self, text: str) -> str:
+        self.calls.append(text)
         if text in self.poison:
             raise ValueError(f"poisoned text: {text!r}")
         return f"detection[{text}]"
-
-    def detect_batch(self, texts):
-        self.batches.append(list(texts))
-        return [self.detect(text) for text in texts]
 
 
 @pytest.fixture(scope="module")
@@ -54,19 +50,16 @@ def compiled(model):
 
 class TestServingParity:
     def test_eval_set_bit_identical(self, compiled, eval_examples):
-        """Cached, deduped, and micro-batched responses over the full
-        held-out eval set — with heavy repetition — equal one-shot
-        ``detect`` exactly (Detection dataclass equality, floats and
-        all)."""
+        """Cached and detected responses over the full held-out eval set
+        — with heavy repetition — equal one-shot ``detect`` exactly
+        (Detection dataclass equality, floats and all)."""
         queries = [example.query for example in eval_examples]
-        # Repeats exercise all three fast paths: same-batch dedup
-        # (single-flight), cross-batch repeats (result cache), and
-        # fresh queries (micro-batched detection).
+        # Repeats are answered by the result cache, fresh queries by the
+        # detector.
         traffic = queries + queries[::2] + queries[:50] + queries[::-3]
-        config = ServingConfig(max_batch_size=16)
 
         async def serve_all():
-            async with DetectionService(compiled, config) as service:
+            async with DetectionService(compiled) as service:
                 results = await service.detect_many(traffic)
                 return results, service.stats()
 
@@ -79,20 +72,12 @@ class TestServingParity:
         ]
         assert mismatches == []
         assert stats["requests"] == len(traffic)
-        # Every request was answered by exactly one of the three paths.
-        cache_hits = stats["cache"]["hits"]
-        assert (
-            stats["detected"] + stats["coalesced"] + cache_hits == len(traffic)
-        )
-        # Single-flight + cache: no query is ever detected twice.
-        assert stats["detected"] <= len(set(traffic))
-        assert stats["batches"] >= 1
-        assert all(
-            int(size) <= config.max_batch_size for size in stats["batch_sizes"]
-        )
-        # Coalesced batches run the array-at-a-time engine, and /stats
-        # says so (compiled detectors without a speller vectorize).
-        assert stats["vectorized"] is True
+        # Every request was answered by exactly one of the two paths, and
+        # the cache means no normal form is ever detected twice.
+        assert stats["detected"] + stats["cache"]["hits"] == len(traffic)
+        assert stats["detected"] == len({normalize_fast(q) for q in traffic})
+        assert stats["batches"] == stats["detected"]
+        assert stats["coalesced"] == stats["rejected"] == 0
 
     def test_cache_hit_returns_identical_detection(self, compiled):
         query = "cheap hotels in rome"
@@ -124,100 +109,38 @@ class TestServingParity:
         assert a == compiled.detect("  Cheap   Hotels in ROME ")
 
 
-class TestSingleFlight:
-    def test_identical_inflight_queries_detect_once(self):
+class TestInlineDetect:
+    def test_detect_never_yields_to_the_loop(self):
+        """A miss and a hit each finish before a callback scheduled just
+        before them runs: nothing between the closed check and the
+        return awaits. A miss is one detector call on the normal form."""
         stub = StubDetector()
-        config = ServingConfig(max_batch_size=64, cache_size=0)
 
         async def serve():
-            async with DetectionService(stub, config) as service:
-                results = await service.detect_many(["same query"] * 25)
-                return results, service.stats()
+            async with DetectionService(stub) as service:
+                ran: list[str] = []
+                loop = asyncio.get_running_loop()
+                for query in ("  Cheap Hotels ", "cheap hotels"):
+                    loop.call_soon(ran.append, query)
+                    answer = await service.detect(query)
+                    assert ran == []
+                    assert answer == "detection[cheap hotels]"
+                    await asyncio.sleep(0)
+                    assert ran == [query]
+                    ran.clear()
+                return service.stats()
 
-        results, stats = run(serve())
-        assert results == ["detection[same query]"] * 25
-        assert stub.batches == [["same query"]]  # one detection total
-        assert stats["coalesced"] == 24
-        assert stats["detected"] == 1
+        stats = run(serve())
+        assert stub.calls == ["cheap hotels"]
+        assert stats["cache"]["hits"] == 1
+        assert stats["stages"]["detect"]["count"] == 1
+        assert stats["stages"]["request"]["count"] == 2
 
-    def test_batches_contain_only_unique_keys(self):
-        stub = StubDetector()
-        config = ServingConfig(max_batch_size=8, cache_size=0)
-        traffic = ["a", "b", "a", "c", "b", "a", "d"]
-
-        async def serve():
-            async with DetectionService(stub, config) as service:
-                return await service.detect_many(traffic)
-
-        results = run(serve())
-        assert results == [f"detection[{text}]" for text in traffic]
-        for batch in stub.batches:
-            assert len(batch) == len(set(batch))
-
-
-class TestMicroBatching:
-    def test_burst_coalesces_and_respects_max_batch_size(self):
-        stub = StubDetector()
-        config = ServingConfig(max_batch_size=4, cache_size=0)
-        queries = [f"query {index}" for index in range(10)]
-
-        async def serve():
-            async with DetectionService(stub, config) as service:
-                return await service.detect_many(queries)
-
-        results = run(serve())
-        assert results == [f"detection[{text}]" for text in queries]
-        assert all(len(batch) <= 4 for batch in stub.batches)
-        assert max(len(batch) for batch in stub.batches) == 4  # real batching
-        assert sorted(sum(stub.batches, [])) == sorted(queries)
-
-    def test_lone_request_dispatches_without_waiting(self):
-        """An idle batcher has no timer: a lone request is dispatched
-        before one ``asyncio.sleep(0)`` returns."""
-        dispatched: list[list[str]] = []
-
-        async def runner(items):
-            dispatched.append(list(items))
-            return [f"done[{item}]" for item in items]
-
-        async def serve():
-            batcher = MicroBatcher(runner)
-            future = batcher.submit_nowait("lonely")
-            await asyncio.sleep(0)
-            seen = list(dispatched)
-            return seen, await future
-
-        assert run(serve()) == ([["lonely"]], "done[lonely]")
-
-    def test_arrivals_during_a_batch_form_the_next_batch(self):
-        """Requests that arrive between a batch's dispatch and its run
-        accumulate into the next batch; a forming batch that reaches
-        ``max_batch_size`` dispatches at once, and the rest go when a
-        batch finishes."""
-        stub = StubDetector()
-        config = ServingConfig(max_batch_size=3, cache_size=0)
-        queries = ["a", "b", "c", "d", "e", "f"]
-
-        async def serve():
-            async with DetectionService(stub, config) as service:
-                tasks = [asyncio.create_task(service.detect(q)) for q in queries]
-                await asyncio.sleep(0)
-                # All six admitted: "a" dispatched alone, "b c d" filled a
-                # batch behind it, "e f" are forming; nothing has run.
-                assert service.pending == 6
-                assert stub.batches == []
-                return await asyncio.gather(*tasks)
-
-        results = run(serve())
-        assert results == [f"detection[{q}]" for q in queries]
-        assert stub.batches == [["a"], ["b", "c", "d"], ["e", "f"]]
-
-    def test_per_request_errors_spare_batch_mates(self):
+    def test_detector_error_reaches_only_its_request(self):
         stub = StubDetector(poison={"bad"})
-        config = ServingConfig(max_batch_size=8, cache_size=0)
 
         async def serve():
-            async with DetectionService(stub, config) as service:
+            async with DetectionService(stub, ServingConfig(cache_size=0)) as service:
                 outcomes = await asyncio.gather(
                     service.detect("good one"),
                     service.detect("bad"),
@@ -232,12 +155,11 @@ class TestMicroBatching:
         assert isinstance(bad, ValueError)
         assert "poisoned" in str(bad)
 
-    def test_poisoned_result_is_not_cached(self):
+    def test_failed_request_is_not_cached(self):
         stub = StubDetector(poison={"bad"})
-        config = ServingConfig(max_batch_size=4)
 
         async def serve():
-            async with DetectionService(stub, config) as service:
+            async with DetectionService(stub) as service:
                 for _ in range(2):
                     with pytest.raises(ValueError):
                         await service.detect("bad")
@@ -246,17 +168,20 @@ class TestMicroBatching:
         stats = run(serve())
         assert stats["cache"]["size"] == 0
         assert stats["detected"] == 2  # retried, never served from cache
+        assert stub.calls == ["bad", "bad"]
 
 
 class TestLoopHold:
-    """Batches run inline on the event loop, so one full batch of
-    cap-length queries is the longest the loop is held: other
-    connections, health probes and ``/stats`` wait behind it."""
+    """Detection runs inline on the event loop, so requests that are
+    ready together run back to back: other connections, health probes
+    and ``/stats`` wait behind them. This bounds the hold of 33
+    cap-length requests run back to back."""
 
     #: A full batch of 32 distinct 32-token held-out queries on a fresh
     #: ``compile()`` held the loop for 36-55 ms on a 2-vCPU host; the
     #: budget leaves ~18x of slack for a slow or busy CI machine.
     HOLD_BUDGET_S = 1.0
+    REQUESTS = 33
 
     def test_full_batch_of_cap_length_queries(self, model, eval_examples):
         words = list(
@@ -264,14 +189,13 @@ class TestLoopHold:
                 word for example in eval_examples for word in example.query.split()
             )
         )
-        size = ServingConfig().max_batch_size
-        # The first query dispatches alone on an idle service; the next
-        # ``size`` form one full batch behind it.
         queries = [
             " ".join((words * 2)[start : start + MAX_QUERY_TOKENS])
-            for start in range(0, (size + 1) * MAX_QUERY_TOKENS, MAX_QUERY_TOKENS)
+            for start in range(
+                0, self.REQUESTS * MAX_QUERY_TOKENS, MAX_QUERY_TOKENS
+            )
         ]
-        assert len(set(queries)) == size + 1
+        assert len(set(queries)) == self.REQUESTS
         assert all(
             len(normalize_fast(query).split()) == MAX_QUERY_TOKENS
             for query in queries
@@ -301,95 +225,35 @@ class TestLoopHold:
             return max(gaps), stats
 
         hold, stats = run(serve())
-        assert stats["batch_sizes"] == {"1": 1, str(size): 1}
+        assert stats["detected"] == self.REQUESTS
         assert hold < self.HOLD_BUDGET_S
 
 
-class TestAdmissionControl:
-    def test_overload_raises_deterministically(self):
-        stub = StubDetector()
-        config = ServingConfig(
-            max_batch_size=1, max_pending=2, cache_size=0
-        )
-
-        async def serve():
-            service = DetectionService(stub, config)
-            first = asyncio.create_task(service.detect("a"))
-            second = asyncio.create_task(service.detect("b"))
-            await asyncio.sleep(0)  # both admitted, their batches queued
-            assert service.pending == 2
-            assert stub.batches == []
-            with pytest.raises(ServerOverloadedError) as excinfo:
-                await service.detect("c")
-            # Awaiting lets the queued batches run; the queue drains.
-            assert await first == "detection[a]"
-            assert await second == "detection[b]"
-            stats = service.stats()
-            await service.close()
-            return excinfo.value, stats
-
-        error, stats = run(serve())
-        assert "2 queries" in str(error)
-        assert stats["rejected"] == 1
-        assert stats["detected"] == 2
-
-    def test_coalesced_requests_bypass_admission(self):
-        """Joining an in-flight query consumes no queue slot: dedup means
-        a thundering herd of one hot query cannot trip overload."""
-        stub = StubDetector()
-        config = ServingConfig(
-            max_batch_size=1, max_pending=1, cache_size=0
-        )
-
-        async def serve():
-            service = DetectionService(stub, config)
-            tasks = [
-                asyncio.create_task(service.detect("hot")) for _ in range(10)
-            ]
-            await asyncio.sleep(0)
-            # One slot, ten callers: the first holds it, nine joined it,
-            # and its batch is queued but has not run.
-            assert service.pending == 1
-            assert stub.batches == []
-            results = await asyncio.gather(*tasks)
-            stats = service.stats()
-            await service.close()
-            return results, stats
-
-        results, stats = run(serve())
-        assert results == ["detection[hot]"] * 10
-        assert stats["rejected"] == 0
-        assert stats["coalesced"] == 9
-
-
 class TestLifecycle:
-    def test_close_drains_inflight_requests(self):
+    def test_close_answers_requests_started_before_it(self):
+        """A request never yields mid-way, so ``close`` has nothing to
+        drain: requests that start before it are answered in full, and
+        one after it is refused."""
         stub = StubDetector()
-        config = ServingConfig(max_batch_size=64)
 
         async def serve():
-            service = DetectionService(stub, config)
+            service = DetectionService(stub)
             pending = [
                 asyncio.create_task(service.detect(f"query {index}"))
                 for index in range(5)
             ]
             closing = asyncio.create_task(service.close())
-            await asyncio.sleep(0)
-            # close() began with "query 0" dispatched but not run and the
-            # other four forming behind it: it flushed them and waits.
-            assert service.closed and not closing.done()
-            assert service.pending == 5
-            assert stub.batches == []
+            late = asyncio.create_task(service.detect("late"))
             await closing
-            assert service.pending == 0  # close returned fully drained
+            assert service.closed
+            assert all(task.done() for task in pending)
+            with pytest.raises(ServerClosedError):
+                await late
             return await asyncio.gather(*pending)
 
         results = run(serve())
         assert results == [f"detection[query {index}]" for index in range(5)]
-        assert stub.batches == [
-            ["query 0"],
-            [f"query {index}" for index in range(1, 5)],
-        ]
+        assert stub.calls == [f"query {index}" for index in range(5)]
 
     def test_detect_after_close_raises(self):
         async def serve():
@@ -402,8 +266,8 @@ class TestLifecycle:
         run(serve())
 
     def test_serving_starts_no_thread(self, compiled, eval_examples):
-        """Batches run inline on the event loop: serving requests
-        through a service, batched and single, starts no thread."""
+        """Detection runs inline on the event loop: serving requests
+        through a service starts no thread."""
         queries = [example.query for example in eval_examples[:100]]
         before = set(threading.enumerate())
 
@@ -422,15 +286,11 @@ class TestLifecycle:
 class TestConfigValidation:
     def test_bad_config_rejected(self):
         with pytest.raises(ServingError):
-            ServingConfig(max_pending=0)
-        with pytest.raises(ServingError):
             ServingConfig(cache_size=-1)
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda items: items, max_batch_size=0)
 
     def test_cache_disabled(self):
         stub = StubDetector()
-        config = ServingConfig(max_batch_size=2, cache_size=0)
+        config = ServingConfig(cache_size=0)
 
         async def serve():
             async with DetectionService(stub, config) as service:
@@ -490,7 +350,7 @@ class TestHotKeys:
 
     def test_hot_keys_empty_when_cache_disabled(self):
         stub = StubDetector()
-        config = ServingConfig(max_batch_size=2, cache_size=0)
+        config = ServingConfig(cache_size=0)
 
         async def serve():
             async with DetectionService(stub, config) as service:
@@ -501,9 +361,9 @@ class TestHotKeys:
 
 
 class TestPromptRelease:
-    """A swapped-out model is freed by reference counting once its last
-    batch returns, so a service holds at most the live generation plus
-    the one loading. The cyclic collector is off throughout: a retired
+    """A swapped-out model is freed by reference counting at the swap,
+    so a service holds at most the live generation plus the one
+    loading. The cyclic collector is off throughout: a retired
     generation that only a collection could free counts as leaked."""
 
     @pytest.fixture(scope="class")

@@ -419,10 +419,10 @@ class TestServeCommand:
     def test_bad_serving_flag_is_clean_error(self, snapshot, capsys, command):
         """Rejected before any detector loads or replica spawns."""
         code = main(
-            [command, "--snapshot", str(snapshot), "--max-batch-size", "0"]
+            [command, "--snapshot", str(snapshot), "--cache-size", "-1"]
         )
         assert code == 2
-        assert "error: max_batch_size must be positive" in capsys.readouterr().err
+        assert "error: cache_size must be >= 0, got -1" in capsys.readouterr().err
 
     def test_serve_spell_requires_speller_in_snapshot(self, snapshot, capsys):
         code = main(["serve", "--snapshot", str(snapshot), "--spell"])

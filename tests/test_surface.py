@@ -34,7 +34,21 @@ def _parameters(function) -> list[str]:
 
 
 def test_serving_config_fields():
-    assert _fields(ServingConfig) == ["max_batch_size", "max_pending", "cache_size"]
+    assert _fields(ServingConfig) == ["cache_size"]
+
+
+class _Detector:
+    def detect(self, text):
+        return text
+
+
+def test_service_stats_keep_the_keys_perfbench_reads():
+    """perfbench's ``/stats`` reader (``perfbench/online.py``) indexes
+    these keys directly, so a missing one fails every online run."""
+    stats = DetectionService(_Detector()).stats()
+    assert {"requests", "detected", "coalesced", "rejected", "batches"} <= set(stats)
+    assert {"hits", "misses"} <= set(stats["cache"])
+    assert "stages" in stats
 
 
 def test_router_config_fields():
@@ -131,8 +145,6 @@ COMMAND_OPTIONS = {
         "--host",
         "--port",
         "--spell",
-        "--max-batch-size",
-        "--max-pending",
         "--cache-size",
     ],
     "route": [
@@ -141,8 +153,6 @@ COMMAND_OPTIONS = {
         "--port",
         "--replicas",
         "--max-inflight",
-        "--max-batch-size",
-        "--max-pending",
         "--cache-size",
         "--hedge-p99-us",
         "--hedge-rate",
@@ -155,8 +165,6 @@ COMMAND_OPTIONS = {
         "--port",
         "--replica-id",
         "--generation",
-        "--max-batch-size",
-        "--max-pending",
         "--cache-size",
     ],
     "reload": ["--url", "--snapshot"],
