@@ -39,7 +39,8 @@ if TYPE_CHECKING:
     from repro.runtime.intern import UNKNOWN, Interner
     from repro.runtime.snapshot import load_snapshot, save_snapshot
     from repro.runtime.snapshot_header import SNAPSHOT_VERSION, read_snapshot_header
-    from repro.runtime.vectorized import SegmentationAutomaton, VectorizedDetector
+    from repro.runtime.automaton import SegmentationAutomaton
+    from repro.runtime.vectorized import VectorizedDetector
 
 __all__ = [
     "CompiledDetector",
@@ -74,6 +75,7 @@ if not TYPE_CHECKING:
                 "SNAPSHOT_VERSION",
                 "read_snapshot_header",
             ),
-            "repro.runtime.vectorized": ("SegmentationAutomaton", "VectorizedDetector"),
+            "repro.runtime.automaton": ("SegmentationAutomaton",),
+            "repro.runtime.vectorized": ("VectorizedDetector",),
         },
     )

@@ -24,12 +24,28 @@ contiguous ``int64``/``float64`` section; strings live once in a shared
 vocabulary blob and are referenced by id. Every file carries the
 ``vseg_*`` automaton sections; one without them is refused with a
 :class:`~repro.errors.ModelError` naming the missing section.
+
+A load recomputes nothing ``compile()`` derived. Beside the readings
+and context bases, the file ships the detector's phrase-id tables
+(:class:`~repro.runtime.compiled.PhraseTables`):
+
+- ``phrase_readings`` / ``phrase_bases`` — per entry of ``phrases``,
+  its reading id and context-base id, numbered by first occurrence;
+- ``vseg_state_phrases`` — per automaton trie state, the phrase id of
+  the multi-token phrase it completes (-1 elsewhere);
+- ``instance_keys`` / ``instance_values`` — the batch engine's instance
+  scores, behind sorted phrase-id pair keys (empty without supports).
+
 :func:`load_snapshot` maps the file with ``mmap`` and builds NumPy views
 directly over the mapping (``np.frombuffer``), so the array payload is
 never copied — replica processes that load the same snapshot share the
-read-only page-cache pages instead of each unpickling a private replica,
-and cold-start cost is decoding the vocabulary strings plus dict
-construction.
+read-only page-cache pages instead of each unpickling a private replica.
+The vocabulary is decoded in one pass (then sliced) when it is ASCII,
+the taxonomy is rebuilt from its edge table in bulk
+(:meth:`~repro.taxonomy.store.ConceptTaxonomy.from_tables`, which checks
+each distinct term once for normal form instead of normalizing every
+edge), and the batch engine pads its reading matrix from the flat
+``reading_*`` sections with array operations.
 
 The lexicon and the classifier's weights are small JSON blobs. With a
 constraint classifier, the paper's step 4 ships as the detector's
@@ -50,18 +66,23 @@ and the header's ``log_stats`` entry holds table B's sizes, the number
 of terms and ``num_queries`` (None without bound statistics). Clicks,
 click URLs, sessions and gold labels are never written. The file holds
 only arrays and JSON, so loading one runs no pickle and executes
-nothing from the file; the reader bounds-checks every offset and
-vocabulary id of these sections.
+nothing from the file; the reader checks every offset, id and length
+it indexes with before use.
 
 Floats round-trip bit-exactly (raw IEEE-754 bytes), so a snapshot-loaded
 detector is *bit-identical* to the detector it was saved from — enforced
 by ``tests/test_runtime_parity.py`` over the held-out evaluation set.
 
+Snapshots are canonical: every section is laid out in an order read off
+the detector's own tables, so saving a loaded detector writes the file
+it was loaded from, byte for byte.
+
 Format stability: the prelude magic and version gate the whole file; a
 wrong magic, unsupported version, truncated payload, or CRC mismatch
 raises :class:`~repro.errors.ModelError` with a message naming the file.
 Version 3 replaced version 2's click-log sections with the constraint
-tables, so files of versions 1 and 2 are refused, not converted.
+tables, and version 4 added the phrase-id tables and a canonical
+layout, so files of versions 1 to 3 are refused, not converted.
 The prelude and :func:`read_snapshot_header` live in the NumPy-free
 :mod:`repro.runtime.snapshot_header`, which this module re-exports.
 """
@@ -73,6 +94,7 @@ import mmap
 import os
 import tempfile
 import zlib
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -86,9 +108,10 @@ from repro.core.features import (
     ConstraintFeatureExtractor,
     DroppabilityTables,
 )
-from repro.errors import ModelError
+from repro.errors import ModelError, TaxonomyError
 from repro.mining.pairs import PairCollection
 from repro.querylog.stats import DropEdges, TableStatistics
+from repro.runtime.automaton import SegmentationAutomaton
 from repro.runtime.snapshot_header import (
     _ALIGN,
     _PRELUDE,
@@ -216,6 +239,10 @@ def save_snapshot(detector, path: str | Path, *, lineage: dict | None = None) ->
     statistics at compile time, ride along as flat sections (no pickle),
     so the loaded detector is bit-identical to this one, constraint flags
     included. The click log itself is not written.
+
+    Every section is laid out in an order read off the detector's own
+    tables, so saving a loaded detector writes the file it was loaded
+    from, byte for byte.
     """
     from repro.runtime.compiled import CompiledSegmenter
 
@@ -248,44 +275,45 @@ def save_snapshot(detector, path: str | Path, *, lineage: dict | None = None) ->
         raise ModelError("snapshot: reading/context phrase tables disagree")
     writer.add_array("phrases", vocab.ids_of(phrases), _I64)
 
-    reading_offsets = [0]
-    reading_concepts: list[int] = []
-    reading_ids: list[int] = []
-    reading_probs: list[float] = []
+    reading_offsets, reading_ids, reading_probs = detector._reading_table
+    writer.add_array("reading_offsets", reading_offsets, _I64)
+    writer.add_array(
+        "reading_concepts",
+        [vocab.id_of(c) for reading in readings.values() for c, _ in reading.concepts],
+        _I64,
+    )
+    writer.add_array("reading_ids", reading_ids, _I64)
+    writer.add_array("reading_probs", reading_probs, _F64)
     context_offsets = [0]
     context_concepts: list[int] = []
     context_scaled: list[int] = []
     context_priors: list[float] = []
     for phrase in phrases:
-        reading = readings[phrase]
-        for (concept, probability), id_ in zip(reading.concepts, reading.ids.tolist()):
-            reading_concepts.append(vocab.id_of(concept))
-            reading_ids.append(id_)
-            reading_probs.append(probability)
-        reading_offsets.append(len(reading_concepts))
-        for (concept, prior), (_, _, scaled) in zip(
-            contexts[phrase].items, contexts[phrase].rows
-        ):
+        for concept, prior, scaled in contexts[phrase].rows:
             context_concepts.append(vocab.id_of(concept))
             context_scaled.append(scaled)
             context_priors.append(prior)
         context_offsets.append(len(context_concepts))
-    writer.add_array("reading_offsets", reading_offsets, _I64)
-    writer.add_array("reading_concepts", reading_concepts, _I64)
-    writer.add_array("reading_ids", reading_ids, _I64)
-    writer.add_array("reading_probs", reading_probs, _F64)
     writer.add_array("context_offsets", context_offsets, _I64)
     writer.add_array("context_concepts", context_concepts, _I64)
     writer.add_array("context_scaled", context_scaled, _I64)
     writer.add_array("context_priors", context_priors, _F64)
 
-    # --- instance-pair supports ---------------------------------------
+    # --- phrase-id tables (CompiledDetector._intern_phrases) -----------
+    tables = detector._phrase_tables
+    writer.add_array("phrase_readings", tables.reading_of, _I64)
+    writer.add_array("phrase_bases", tables.base_of, _I64)
+
+    # --- instance-pair supports and the engine's instance scores ------
     support = detector._support_map or {}
     writer.add_array(
         "support_modifiers", [vocab.id_of(m) for m, _ in support], _I64
     )
     writer.add_array("support_heads", [vocab.id_of(h) for _, h in support], _I64)
     writer.add_array("support_values", list(support.values()), _F64)
+    scored = tables.instance_keys is not None
+    writer.add_array("instance_keys", tables.instance_keys if scored else (), _I64)
+    writer.add_array("instance_values", tables.instance_values if scored else (), _F64)
 
     # --- taxonomy edges (fallback conceptualization + segmenter) ------
     edge_instances: list[int] = []
@@ -298,10 +326,12 @@ def save_snapshot(detector, path: str | Path, *, lineage: dict | None = None) ->
     writer.add_array("edge_instances", edge_instances, _I64)
     writer.add_array("edge_concepts", edge_concepts, _I64)
     writer.add_array("edge_counts", edge_counts, _F64)
+    # Concepts in order of first use by the edges, which is the order a
+    # loaded taxonomy holds them in.
     domains = [
-        (vocab.id_of(c), vocab.id_of(taxonomy.domain_of(c)))
-        for c in taxonomy.iter_concepts()
-        if taxonomy.domain_of(c)
+        (concept, vocab.id_of(label))
+        for concept in dict.fromkeys(edge_concepts)
+        if (label := taxonomy.domain_of(vocab.strings[concept]))
     ]
     writer.add_array("domain_concepts", [c for c, _ in domains], _I64)
     writer.add_array("domain_labels", [d for _, d in domains], _I64)
@@ -315,6 +345,7 @@ def save_snapshot(detector, path: str | Path, *, lineage: dict | None = None) ->
     writer.add_array("vseg_edge_keys", automaton.edge_keys, _I64)
     writer.add_array("vseg_edge_targets", automaton.edge_targets, _I64)
     writer.add_array("vseg_terminal", automaton.terminal, _F64)
+    writer.add_array("vseg_state_phrases", tables.state_phrases, _I64)
 
     # --- side tables as JSON blobs ------------------------------------
     lexicon = detector._lexicon
@@ -344,12 +375,9 @@ def save_snapshot(detector, path: str | Path, *, lineage: dict | None = None) ->
         )
 
     # --- vocabulary blob (added last: every section interned into it) -
-    blob = "".join(vocab.strings).encode("utf-8")
-    offsets = [0]
-    for string in vocab.strings:
-        offsets.append(offsets[-1] + len(string.encode("utf-8")))
-    writer.add_array("vocab_offsets", offsets, _I64)
-    writer.add_bytes("vocab_blob", blob)
+    encoded = [string.encode("utf-8") for string in vocab.strings]
+    writer.add_array("vocab_offsets", [0, *accumulate(map(len, encoded))], _I64)
+    writer.add_bytes("vocab_blob", b"".join(encoded))
 
     payload = writer.payload()
     config = detector._config
@@ -417,61 +445,154 @@ def _corrupted(path: Path, name: str, problem: str) -> ModelError:
     return ModelError(f"{path}: corrupted snapshot section {name} ({problem})")
 
 
+class _Sections:
+    """A mapped snapshot's sections, each checked before use.
+
+    Every accessor raises :class:`~repro.errors.ModelError` naming the
+    file and the section rather than letting a malformed file fail with
+    an ``IndexError`` halfway through a load.
+    """
+
+    def __init__(self, path: Path) -> None:
+        header = read_snapshot_header(path)
+        self.start = header.pop("_payload_start")
+        expected = self.start + header["payload_bytes"]
+        actual = path.stat().st_size
+        if actual < expected:
+            raise ModelError(
+                f"{path}: truncated snapshot ({actual} bytes, expected {expected})"
+            )
+        with open(path, "rb") as handle:
+            # The mapping must outlive the load: the numpy views built
+            # over it alias its pages, so it is released by GC when the
+            # last view dies, never by an eager close here.
+            self.mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        crc = zlib.crc32(memoryview(self.mapped)[self.start : expected])
+        if crc != header["payload_crc32"]:
+            raise ModelError(f"{path}: corrupted snapshot (payload CRC mismatch)")
+        self.path = path
+        self.header = header
+
+    def entry(self, name: str) -> dict:
+        entry = self.header["sections"].get(name)
+        if entry is None:
+            raise ModelError(f"{self.path}: corrupted snapshot (no section {name})")
+        if entry["offset"] + entry["bytes"] > self.header["payload_bytes"]:
+            raise _corrupted(self.path, name, "past the payload")
+        return entry
+
+    def array(self, name: str, count: int | None = None, of: str = "") -> np.ndarray:
+        """The section as a read-only array view of the mapping; with a
+        ``count``, it must hold that many entries (``of`` what)."""
+        entry = self.entry(name)
+        dtype = np.dtype(entry["dtype"])
+        if entry["count"] * dtype.itemsize > entry["bytes"]:
+            raise _corrupted(self.path, name, "count past its bytes")
+        if count is not None and entry["count"] != count:
+            problem = f"{entry['count']} entries for {count} {of}"
+            raise _corrupted(self.path, name, problem)
+        return np.frombuffer(
+            self.mapped,
+            dtype=dtype,
+            count=entry["count"],
+            offset=self.start + entry["offset"],
+        )
+
+    def raw_bytes(self, name: str) -> bytes:
+        entry = self.entry(name)
+        start = self.start + entry["offset"]
+        return bytes(memoryview(self.mapped)[start : start + entry["bytes"]])
+
+    def ids(
+        self,
+        name: str,
+        bound: int,
+        count: int | None = None,
+        of: str = "",
+        *,
+        what: str = "vocab",
+        low: int = 0,
+    ) -> np.ndarray:
+        """:meth:`array`, whose every entry must be in ``low..bound - 1``."""
+        values = self.array(name, count, of)
+        if values.size and (int(values.min()) < low or int(values.max()) >= bound):
+            problem = f"{what} id out of range {low}..{bound - 1}"
+            raise _corrupted(self.path, name, problem)
+        return values
+
+    def offsets(self, name: str, rows: int, total: int) -> list[int]:
+        """CSR offsets of ``rows`` rows over ``total`` entries."""
+        values = self.array(name)
+        if (
+            len(values) != rows + 1
+            or values[0] != 0
+            or values[-1] != total
+            or bool(np.any(np.diff(values) < 0))
+        ):
+            raise _corrupted(
+                self.path, name, f"need {rows + 1} offsets rising from 0 to {total}"
+            )
+        return values.tolist()
+
+    def strings(self, name: str, vocab: list[str]) -> list[str]:
+        return list(map(vocab.__getitem__, self.ids(name, len(vocab)).tolist()))
+
+    def vocabulary(self) -> list[str]:
+        """The shared string table: one decode and one slice per string
+        when the blob is ASCII, one decode per string otherwise."""
+        blob = self.raw_bytes("vocab_blob")
+        count = self.header["counts"]["vocab"]
+        bounds = self.offsets("vocab_offsets", count, len(blob))
+        if blob.isascii():
+            text = blob.decode("ascii")
+            return [text[start:end] for start, end in zip(bounds, bounds[1:])]
+        try:
+            return [blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+        except UnicodeDecodeError as exc:
+            raise ModelError(
+                f"{self.path}: corrupted snapshot vocabulary ({exc})"
+            ) from exc
+
+    def group_ids(self, name: str, count: int) -> np.ndarray:
+        """A ``phrase_readings``-style section: ``count`` ids numbered in
+        order of first occurrence (each at most one past all before)."""
+        values = self.ids(name, count, count, "phrases", what="group")
+        seen = np.maximum.accumulate(values[:-1])
+        if count and (values[0] != 0 or bool(np.any(values[1:] > seen + 1))):
+            raise _corrupted(self.path, name, "ids not numbered by first occurrence")
+        return values
+
+
 def _read_constraint_tables(
-    path: Path, header: dict, array, vocab: list[str], phrases: list[str]
+    sections: _Sections, vocab: list[str], phrases: list[str]
 ) -> tuple[np.ndarray, list[bool], TableStatistics | None]:
     """Table A's vectors and decisions, and the table statistics (None
     without a ``log_stats`` entry), as :func:`_write_constraint_tables`
-    laid them out.
-
-    Every id, length and offset is checked before use, so a malformed
-    file raises :class:`~repro.errors.ModelError` naming the file and
-    the section rather than an ``IndexError`` halfway through.
-    """
-
-    def strings(name: str) -> list[str]:
-        ids = array(name)
-        if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= len(vocab)):
-            raise _corrupted(path, name, f"vocab id out of range 0..{len(vocab) - 1}")
-        return [vocab[i] for i in ids.tolist()]
-
-    def values_for(count: int, what: str, name: str) -> np.ndarray:
-        values = array(name)
-        if len(values) != count:
-            raise _corrupted(path, name, f"{len(values)} entries for {count} {what}")
-        return values
-
+    laid them out."""
     width = len(FEATURE_NAMES)
-    vectors = values_for(
-        len(phrases) * width, f"in {len(phrases)} phrases", "constraint_vectors"
+    vectors = sections.array(
+        "constraint_vectors", len(phrases) * width, f"in {len(phrases)} phrases"
     ).reshape(len(phrases), width)
-    decisions = values_for(len(phrases), "phrases", "constraint_decisions")
+    decisions = sections.array("constraint_decisions", len(phrases), "phrases")
     if bool(np.any((decisions != 0) & (decisions != 1))):
-        raise _corrupted(path, "constraint_decisions", "decision must be 0 or 1")
-    meta = header.get("log_stats")
+        raise _corrupted(
+            sections.path, "constraint_decisions", "decision must be 0 or 1"
+        )
+    meta = sections.header.get("log_stats")
     if meta is None:
         return vectors, (decisions == 1).tolist(), None
 
-    queries = strings("drop_queries")
-    spans = strings("drop_spans")
-    similarities = values_for(len(spans), "in drop_spans", "drop_similarities")
-    offsets = array("drop_offsets")
-    if (
-        len(offsets) != len(queries) + 1
-        or offsets[0] != 0
-        or offsets[-1] != len(spans)
-        or bool(np.any(np.diff(offsets) < 0))
-    ):
-        raise _corrupted(
-            path,
-            "drop_offsets",
-            f"need {len(queries) + 1} offsets rising from 0 to {len(spans)}",
-        )
-    terms = strings("log_df_terms")
-    counts = values_for(len(terms), "in log_df_terms", "log_df_counts").tolist()
+    queries = sections.strings("drop_queries", vocab)
+    spans = sections.strings("drop_spans", vocab)
+    similarities = sections.array("drop_similarities", len(spans), "in drop_spans")
+    offsets = sections.offsets("drop_offsets", len(queries), len(spans))
+    terms = sections.strings("log_df_terms", vocab)
+    counts = sections.array("log_df_counts", len(terms), "in log_df_terms").tolist()
     if counts and min(counts) <= 0:
-        raise _corrupted(path, "log_df_counts", "document frequency must be positive")
-    edges = DropEdges(queries, offsets.tolist(), spans, similarities.tolist())
+        raise _corrupted(
+            sections.path, "log_df_counts", "document frequency must be positive"
+        )
+    edges = DropEdges(queries, offsets, spans, similarities.tolist())
     statistics = TableStatistics(edges, dict(zip(terms, counts)), meta["num_queries"])
     return vectors, (decisions == 1).tolist(), statistics
 
@@ -483,90 +604,44 @@ def load_snapshot(path: str | Path):
     The array payload is ``mmap``-ed read-only and exposed as NumPy views
     without copying; concurrent loaders of the same file share pages.
     The payload CRC is checked on every load, so a corrupt file fails
-    here with :class:`~repro.errors.ModelError`.
+    here with :class:`~repro.errors.ModelError`. Nothing ``compile()``
+    derived is derived again: the taxonomy is restored from its edge
+    table in bulk, and the readings, context bases and phrase-id tables
+    come from their sections.
     """
-    from repro.runtime.compiled import CompiledDetector
+    from repro.runtime.compiled import (
+        CompiledDetector,
+        ConstraintTables,
+        PatternMatrix,
+        PhraseReading,
+        PhraseTables,
+        _ContextBase,
+    )
+    from repro.runtime.intern import Interner
 
     path = Path(path)
-    header = read_snapshot_header(path)
-    payload_start = header.pop("_payload_start")
-    expected = payload_start + header["payload_bytes"]
-    actual = path.stat().st_size
-    if actual < expected:
-        raise ModelError(
-            f"{path}: truncated snapshot ({actual} bytes, expected {expected})"
-        )
-
-    with open(path, "rb") as handle:
-        # The mapping must outlive this function: the numpy views built
-        # below alias its pages, so it is released by GC when the last
-        # view dies, never by an eager close here.
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    crc = zlib.crc32(
-        memoryview(mapped)[payload_start : payload_start + header["payload_bytes"]]
-    )
-    if crc != header["payload_crc32"]:
-        raise ModelError(f"{path}: corrupted snapshot (payload CRC mismatch)")
-
-    sections = header["sections"]
-
-    def section(name: str) -> dict:
-        entry = sections.get(name)
-        if entry is None:
-            raise ModelError(f"{path}: corrupted snapshot (no section {name})")
-        if entry["offset"] + entry["bytes"] > header["payload_bytes"]:
-            raise ModelError(
-                f"{path}: corrupted snapshot section {name} (past the payload)"
-            )
-        return entry
-
-    def array(name: str) -> np.ndarray:
-        entry = section(name)
-        dtype = np.dtype(entry["dtype"])
-        if entry["count"] * dtype.itemsize > entry["bytes"]:
-            raise ModelError(
-                f"{path}: corrupted snapshot section {name} (count past its bytes)"
-            )
-        return np.frombuffer(
-            mapped,
-            dtype=dtype,
-            count=entry["count"],
-            offset=payload_start + entry["offset"],
-        )
-
-    def raw_bytes(name: str) -> bytes:
-        entry = section(name)
-        start = payload_start + entry["offset"]
-        return bytes(memoryview(mapped)[start : start + entry["bytes"]])
-
-    # --- vocabulary ----------------------------------------------------
-    blob = raw_bytes("vocab_blob")
-    offsets = array("vocab_offsets").tolist()
-    try:
-        vocab = [
-            blob[offsets[i] : offsets[i + 1]].decode("utf-8")
-            for i in range(len(offsets) - 1)
-        ]
-    except UnicodeDecodeError as exc:
-        raise ModelError(f"{path}: corrupted snapshot vocabulary ({exc})") from exc
+    sections = _Sections(path)
+    header = sections.header
+    vocab = sections.vocabulary()
+    size = len(vocab)
 
     # --- taxonomy + conceptualizer ------------------------------------
-    domain_of = dict(
-        zip(array("domain_concepts").tolist(), array("domain_labels").tolist())
-    )
-    taxonomy = ConceptTaxonomy()
-    for instance, concept, count in zip(
-        array("edge_instances").tolist(),
-        array("edge_concepts").tolist(),
-        array("edge_counts").tolist(),
-    ):
-        label = domain_of.get(concept)
-        taxonomy.add_edge(
-            vocab[instance],
-            vocab[concept],
-            count,
-            domain=vocab[label] if label is not None else None,
+    instances = sections.ids("edge_instances", size).tolist()
+    edges = (len(instances), "in edge_instances")
+    labelled = sections.ids("domain_concepts", size).tolist()
+    labels = (len(labelled), "in domain_concepts")
+    try:
+        taxonomy = ConceptTaxonomy.from_tables(
+            vocab,
+            instances,
+            sections.ids("edge_concepts", size, *edges).tolist(),
+            sections.array("edge_counts", *edges).tolist(),
+            dict(zip(labelled, sections.ids("domain_labels", size, *labels).tolist())),
         )
+    except TaxonomyError as exc:
+        # from_tables names the argument at fault: the section's suffix.
+        field, _, problem = str(exc).partition(": ")
+        raise _corrupted(path, f"edge_{field}", problem) from exc
     params = header["conceptualizer"]
     conceptualizer = Conceptualizer(
         taxonomy,
@@ -576,15 +651,12 @@ def load_snapshot(path: str | Path):
     )
 
     # --- interner + pattern matrix + pattern table --------------------
-    from repro.runtime.compiled import PatternMatrix
-    from repro.runtime.intern import Interner
-
-    interner = Interner(vocab[i] for i in array("pattern_concepts").tolist())
+    interner = Interner(sections.strings("pattern_concepts", vocab))
     stride = header["stride"]
     matrix = PatternMatrix.from_arrays(
-        array("pattern_keys"),
-        array("pattern_raw"),
-        array("pattern_norm"),
+        sections.array("pattern_keys"),
+        sections.array("pattern_raw"),
+        sections.array("pattern_norm"),
         stride=stride,
         dense=header["dense"],
     )
@@ -596,50 +668,43 @@ def load_snapshot(path: str | Path):
     )
 
     # --- readings + context bases -------------------------------------
-    from repro.runtime.compiled import ConstraintTables, PhraseReading, _ContextBase
-
-    phrases = [vocab[i] for i in array("phrases").tolist()]
-    reading_offsets = array("reading_offsets").tolist()
-    reading_concepts = array("reading_concepts").tolist()
-    reading_ids = array("reading_ids")
-    reading_probs = array("reading_probs")
-    prob_list = reading_probs.tolist()
-    context_offsets = array("context_offsets").tolist()
-    context_concepts = array("context_concepts").tolist()
-    context_scaled = array("context_scaled").tolist()
-    context_priors = array("context_priors").tolist()
-
-    readings: dict[str, PhraseReading] = {}
-    contexts: dict[str, _ContextBase] = {}
-    for index, phrase in enumerate(phrases):
-        start, end = reading_offsets[index], reading_offsets[index + 1]
-        concepts = tuple(
-            (vocab[reading_concepts[i]], prob_list[i]) for i in range(start, end)
+    phrases = sections.strings("phrases", vocab)
+    known = set(phrases)
+    if len(known) != len(phrases):
+        raise _corrupted(path, "phrases", "a phrase appears twice")
+    reading_concepts = sections.strings("reading_concepts", vocab)
+    total = (len(reading_concepts), "in reading_concepts")
+    reading_offsets = sections.array("reading_offsets")
+    bounds = sections.offsets("reading_offsets", len(phrases), total[0])
+    reading_ids = sections.ids("reading_ids", stride, *total, what="concept")
+    reading_probs = sections.array("reading_probs", *total)
+    readings = PhraseReading.table(
+        phrases, reading_concepts, bounds, reading_ids, reading_probs, stride
+    )
+    context_concepts = sections.strings("context_concepts", vocab)
+    total = (len(context_concepts), "in context_concepts")
+    bounds = sections.offsets("context_offsets", len(phrases), total[0])
+    scaled = sections.array("context_scaled", *total).tolist()
+    priors = sections.array("context_priors", *total).tolist()
+    contexts = {
+        phrase: _ContextBase(
+            list(zip(context_concepts[a:b], priors[a:b])),
+            list(zip(context_concepts[a:b], priors[a:b], scaled[a:b])),
         )
-        readings[phrase] = PhraseReading(
-            concepts, reading_ids[start:end], reading_probs[start:end], stride
-        )
-        start, end = context_offsets[index], context_offsets[index + 1]
-        items = [
-            (vocab[context_concepts[i]], context_priors[i]) for i in range(start, end)
-        ]
-        rows = [
-            (concept, prior, context_scaled[i])
-            for (concept, prior), i in zip(items, range(start, end))
-        ]
-        contexts[phrase] = _ContextBase(items, rows)
+        for phrase, a, b in zip(phrases, bounds, bounds[1:])
+    }
 
     # --- supports, lexicon, classifier, speller -----------------------
     pairs = None
     if header["has_pairs"]:
-        mods = array("support_modifiers").tolist()
-        heads = array("support_heads").tolist()
-        values = array("support_values").tolist()
+        mods = sections.strings("support_modifiers", vocab)
+        heads = sections.strings("support_heads", vocab)
+        values = sections.array("support_values", len(mods), "in support_modifiers")
         pairs = PairCollection.from_support(
-            {(vocab[m], vocab[h]): v for m, h, v in zip(mods, heads, values)}
+            dict(zip(zip(mods, heads), values.tolist()))
         )
 
-    lexicon_data = json.loads(raw_bytes("lexicon_json").decode("utf-8"))
+    lexicon_data = json.loads(sections.raw_bytes("lexicon_json").decode("utf-8"))
     lexicon = Lexicon(
         **{name: frozenset(lexicon_data[name]) for name in _LEXICON_FIELDS}
     )
@@ -647,10 +712,8 @@ def load_snapshot(path: str | Path):
     classifier = None
     constraint_tables = None
     if header["has_classifier"]:
-        payload = json.loads(raw_bytes("classifier_json").decode("utf-8"))
-        vectors, decisions, stats = _read_constraint_tables(
-            path, header, array, vocab, phrases
-        )
+        payload = json.loads(sections.raw_bytes("classifier_json").decode("utf-8"))
+        vectors, decisions, stats = _read_constraint_tables(sections, vocab, phrases)
         extractor = ConstraintFeatureExtractor(
             conceptualizer,
             stats=stats,
@@ -673,35 +736,59 @@ def load_snapshot(path: str | Path):
 
         speller = SpellingNormalizer.from_taxonomy(taxonomy)
 
-    # --- segmentation automaton ---------------------------------------
-    from repro.runtime.vectorized import SegmentationAutomaton
-
+    # --- segmentation automaton + phrase-id tables --------------------
     if "vseg_max_span" not in header:
         raise ModelError(f"{path}: corrupted snapshot (no header key vseg_max_span)")
+    tokens = sections.strings("vseg_tokens", vocab)
     automaton = SegmentationAutomaton(
-        [vocab[i] for i in array("vseg_tokens").tolist()],
-        array("vseg_token_scores"),
-        array("vseg_token_kinds"),
-        array("vseg_edge_keys"),
-        array("vseg_edge_targets"),
-        array("vseg_terminal"),
+        tokens,
+        sections.array("vseg_token_scores"),
+        sections.array("vseg_token_kinds"),
+        sections.array("vseg_edge_keys"),
+        sections.array("vseg_edge_targets"),
+        sections.array("vseg_terminal"),
         header["vseg_max_span"],
     )
+    ids = len(phrases) + sum(token not in known for token in dict.fromkeys(tokens))
+    instance_keys = instance_values = None
+    if pairs is not None and pairs.support_map():
+        instance_keys = sections.ids("instance_keys", ids * ids, what="phrase pair")
+        if bool(np.any(np.diff(instance_keys) <= 0)):
+            raise _corrupted(path, "instance_keys", "keys not rising")
+        instance_values = sections.array(
+            "instance_values", len(instance_keys), "in instance_keys"
+        )
+    states = sections.ids(
+        "vseg_state_phrases",
+        ids,
+        len(automaton.terminal),
+        "trie states",
+        what="phrase",
+        low=-1,
+    )
+    phrase_tables = PhraseTables(
+        sections.group_ids("phrase_readings", len(phrases)),
+        sections.group_ids("phrase_bases", len(phrases)),
+        states,
+        instance_keys,
+        instance_values,
+    )
 
-    config = DetectorConfig(**header["detector_config"])
     return CompiledDetector._restore(
         patterns=patterns,
         conceptualizer=conceptualizer,
         instance_pairs=pairs,
         constraint_classifier=classifier,
         lexicon=lexicon,
-        config=config,
+        config=DetectorConfig(**header["detector_config"]),
         speller=speller,
         interner=interner,
         matrix=matrix,
         readings=readings,
+        reading_table=(reading_offsets, reading_ids, reading_probs),
         context_bases=contexts,
         constraint_tables=constraint_tables,
-        snapshot_path=str(path),
         automaton=automaton,
+        phrase_tables=phrase_tables,
+        snapshot_path=str(path),
     )

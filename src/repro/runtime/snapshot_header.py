@@ -22,7 +22,7 @@ MAGIC = b"HDMSNAP1"
 
 #: Current snapshot format version. Bump on any layout change: files of
 #: any other version are refused, never parsed best-effort.
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 #: ``magic (8s) · version (u32) · header length (u32)``, little-endian.
 _PRELUDE = struct.Struct("<8sII")

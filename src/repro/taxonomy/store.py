@@ -12,10 +12,10 @@ at insertion *and* lookup, so callers never worry about case or dashes.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 
 from repro.errors import TaxonomyError
-from repro.text.normalizer import normalize_term
+from repro.text.normalizer import normalize_fast, normalize_term
 
 
 class ConceptTaxonomy:
@@ -64,6 +64,56 @@ class ConceptTaxonomy:
         self._total += count
         if domain:
             self._concept_domain[conc] = domain
+
+    @classmethod
+    def from_tables(
+        cls,
+        strings: Sequence[str],
+        instances: Sequence[int],
+        concepts: Sequence[int],
+        counts: Sequence[float],
+        domains: Mapping[int, int] | None = None,
+    ) -> "ConceptTaxonomy":
+        """The taxonomy of the edges ``strings[instances[i]] isA
+        strings[concepts[i]]`` with ``counts[i]``, each as if by
+        :meth:`add_edge` in that order, with ``domains`` (concept id →
+        label id) as their domain labels.
+
+        The strings are not normalized: each distinct one the edges use
+        is checked once to be in normal form. As :meth:`add_edge` does,
+        a non-positive count, an empty term or a self-loop raises
+        :class:`~repro.errors.TaxonomyError`, here with a message that
+        starts with the argument at fault (``"counts: "``,
+        ``"instances: "`` or ``"concepts: "``)."""
+        if counts and min(counts) <= 0:
+            raise TaxonomyError(
+                f"counts: edge count must be positive, got {min(counts)}"
+            )
+        for field, ids in (("instances", instances), ("concepts", concepts)):
+            for id_ in set(ids):
+                term = strings[id_]
+                if not term or normalize_fast(term).rstrip(". ") != term:
+                    raise TaxonomyError(f"{field}: term not in normal form: {term!r}")
+        taxonomy = cls()
+        forward = taxonomy._instance_concepts
+        backward = taxonomy._concept_instances
+        total = 0.0
+        for instance, concept, count in zip(instances, concepts, counts):
+            inst, conc = strings[instance], strings[concept]
+            if inst == conc:
+                raise TaxonomyError(
+                    f"concepts: self-loop rejected: {inst!r} isA {conc!r}"
+                )
+            row = forward.setdefault(inst, {})
+            row[conc] = row.get(conc, 0.0) + count
+            column = backward.setdefault(conc, {})
+            column[inst] = column.get(inst, 0.0) + count
+            total += count
+            label = domains.get(concept) if domains else None
+            if label is not None and strings[label]:
+                taxonomy._concept_domain[conc] = strings[label]
+        taxonomy._total = total
+        return taxonomy
 
     def merge(self, other: "ConceptTaxonomy") -> None:
         """Accumulate all edges (and domain labels) of ``other`` into self."""
@@ -135,6 +185,12 @@ class ConceptTaxonomy:
     def iter_concepts(self) -> Iterator[str]:
         """Iterate over all concept strings."""
         return iter(self._concept_instances)
+
+    def iter_instance_totals(self) -> Iterator[tuple[str, float]]:
+        """Yield every ``(instance, instance_total(instance))``, without
+        normalizing the stored keys again."""
+        for instance, concepts in self._instance_concepts.items():
+            yield instance, sum(concepts.values())
 
     def iter_edges(self) -> Iterator[tuple[str, str, float]]:
         """Yield every ``(instance, concept, count)`` edge."""

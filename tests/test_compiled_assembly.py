@@ -2,10 +2,10 @@
 
 Scalar ``detect`` and the batch engine both build every
 :class:`~repro.core.detector.Detection` there, from three term memos and
-the constraint memo. These tests pin what the parity suites do not: a
-classifier without a memo (annotated after assembly) on both paths, the
-memos' bound, that both paths share one term object per key, and the
-automaton's check of the kind codes the engine's segments come from.
+the constraint memo. These tests pin what the parity suites do not: that
+a classifier without constraint tables is refused, the memos' bound,
+that both paths share one term object per key, and the automaton's
+check of the kind codes the engine's segments come from.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.core.constraints import RuleConstraintClassifier
 from repro.core.detector import DetectorConfig, TermRole
 from repro.errors import ModelError
 from repro.runtime.compiled import MIN_VECTORIZED_BATCH
-from repro.runtime.vectorized import SegmentationAutomaton
+from repro.runtime.automaton import SegmentationAutomaton
 
 
 @pytest.fixture(scope="module")
@@ -32,24 +32,19 @@ def _queries(eval_examples, count):
     return queries
 
 
-def test_annotate_fallback_matches_reference(model, eval_examples):
-    """A classifier with no memo (the rule baseline) annotates the
-    assembled detection: scalar, engine and reference agree."""
+def test_non_table_classifier_is_refused(model, eval_examples):
+    """The compiled detector runs the constraint step as tables only:
+    compiling with any other classifier (the rule baseline) is refused,
+    and that classifier keeps running on the reference detector."""
     rule_model = dataclasses.replace(model, classifier=RuleConstraintClassifier())
+    with pytest.raises(ModelError, match="needs a ConstraintClassifier"):
+        rule_model.compile()
     reference = rule_model.detector()
-    compiled = rule_model.compile()
-    assert compiled._constraints is None
-    queries = _queries(eval_examples, 200)
-    expected = [reference.detect(query) for query in queries]
-    assert [compiled.detect(query) for query in queries] == expected
-    fresh = rule_model.compile()
-    assert fresh.detect_batch(queries) == expected
-    assert fresh._engine is not None  # the batch ran through the engine
     flags = {
         term.is_constraint
-        for detection in expected
-        for term in detection.terms
-        if term.role is TermRole.MODIFIER and detection.method != "structural"
+        for example in eval_examples[:200]
+        for term in reference.detect(example.query).terms
+        if term.role is TermRole.MODIFIER
     }
     assert flags == {True, False}
 

@@ -105,6 +105,28 @@ def test_router_loads_no_detector_code():
     assert _under(_loaded_by("repro.serving.router"), "repro.core") == []
 
 
+def test_scalar_detection_loads_no_batch_engine(model, tmp_path):
+    """A process that loads a snapshot and detects one query at a time
+    (``repro serve``, a replica, ``repro detect``) never imports the
+    batch engine; a batch of ``MIN_VECTORIZED_BATCH`` queries does."""
+    path = tmp_path / "model.hdms"
+    model.compile().save_snapshot(path)
+    engine = "repro.runtime.vectorized"
+    loaded = json.loads(
+        _fresh(
+            "import json, sys\n"
+            "from repro.runtime import load_snapshot\n"
+            "from repro.runtime.compiled import MIN_VECTORIZED_BATCH\n"
+            f"detector = load_snapshot({str(path)!r})\n"
+            "detector.detect('cheap hotels in rome')\n"
+            f"scalar = {engine!r} in sys.modules\n"
+            "detector.detect_batch(['cheap hotels in rome'] * MIN_VECTORIZED_BATCH)\n"
+            f"print(json.dumps([scalar, {engine!r} in sys.modules]))"
+        )
+    )
+    assert loaded == [False, True]
+
+
 def test_building_the_cli_parser_loads_no_linter():
     """Every serve, route and replica process builds the parser; only
     ``repro lint`` itself imports the analysis package."""

@@ -18,6 +18,7 @@ import re
 import struct
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,7 +39,7 @@ from repro.runtime import (
     read_snapshot_header,
     save_snapshot,
 )
-from repro.runtime.compiled import PhraseReading
+from repro.runtime.compiled import PhraseReading, PhraseTables
 from repro.runtime.intern import Interner
 from repro.runtime.snapshot import _ALIGN, _PRELUDE, MAGIC
 from repro.taxonomy.store import ConceptTaxonomy
@@ -338,17 +339,31 @@ class TestSnapshotParity:
                         record.query, span
                     ) == stats.drop_similarity(record.query, span)
 
+    def test_phrase_tables_equal_a_rebuild(self, loaded):
+        """The shipped phrase-id and engine tables are what
+        ``PhraseTables.build`` derives from the loaded structures."""
+        rebuilt = PhraseTables.build(
+            loaded._compiled_readings,
+            loaded._compiled_context,
+            loaded._automaton,
+            loaded._support_map,
+            loaded._config.instance_smoothing,
+        )
+        for name in PhraseTables._fields:
+            shipped = getattr(loaded._phrase_tables, name)
+            assert np.array_equal(getattr(rebuilt, name), shipped), name
+
     def test_loaded_arrays_are_readonly_views(self, loaded):
         reading = next(iter(loaded._compiled_readings.values()))
         assert not reading.ids.flags.writeable  # mmap-backed, not copied
 
-    def test_loaded_snapshot_is_resnapshotable(self, loaded, tmp_path):
-        """A loaded detector can itself be saved and reloaded exactly."""
+    def test_loaded_snapshot_is_resnapshotable(self, snapshot_path, tmp_path):
+        """Saving a loaded detector writes the file it was loaded from,
+        byte for byte: a load restores exactly what compile built, and
+        the writer's layout depends on the tables alone."""
         second = tmp_path / "second.hdms"
-        loaded.save_snapshot(second)
-        twice = load_snapshot(second)
-        for text in EDGE_CASES:
-            assert twice.detect(text) == loaded.detect(text)
+        load_snapshot(snapshot_path).save_snapshot(second)
+        assert second.read_bytes() == snapshot_path.read_bytes()
 
 
 class TestSnapshotPath:
@@ -415,7 +430,7 @@ class TestSnapshotErrors:
         )
         with pytest.raises(
             ModelError,
-            match=r"unsupported snapshot version 1 \(this build reads version 3\)",
+            match=r"unsupported snapshot version 1 \(this build reads version 4\)",
         ):
             load_snapshot(bad)
 
@@ -429,7 +444,22 @@ class TestSnapshotErrors:
         )
         with pytest.raises(
             ModelError,
-            match=r"unsupported snapshot version 2 \(this build reads version 3\)",
+            match=r"unsupported snapshot version 2 \(this build reads version 4\)",
+        ):
+            load_snapshot(bad)
+
+    def test_version_3_is_refused(self, snapshot_path, tmp_path):
+        """Version 3 files lack the phrase-id and engine tables version 4
+        ships, and lay the vocabulary out differently; they are refused,
+        not re-derived."""
+        bad = self._mutated(
+            snapshot_path,
+            tmp_path,
+            lambda data: data.__setitem__(slice(8, 12), struct.pack("<I", 3)),
+        )
+        with pytest.raises(
+            ModelError,
+            match=r"unsupported snapshot version 3 \(this build reads version 4\)",
         ):
             load_snapshot(bad)
 
@@ -498,16 +528,32 @@ def _adjust(section, **deltas):
     return edit
 
 
+def _denormalize(header, payload):
+    """An ``edit`` that upper-cases the first taxonomy instance's string
+    in the vocabulary blob, so it is no longer in normal form."""
+    sections = header["sections"]
+
+    def int64(section, index):
+        entry = sections[section]
+        return struct.unpack_from("<q", payload, entry["offset"] + 8 * index)[0]
+
+    start = int64("vocab_offsets", int64("edge_instances", 0))
+    at = sections["vocab_blob"]["offset"] + start
+    payload[at : at + 1] = payload[at : at + 1].upper()
+
+
 _OFFSETS = "offsets rising from 0"
 _VOCAB = "vocab id out of range"
 _SHORT = "entries for"
 _FREQUENCY = "frequency must be positive"
+_PHRASE = "phrase id out of range"
 
 
 class TestLogSectionChecks:
-    """Malformed constraint-table sections (``drop_*``, ``log_df_*``,
-    ``constraint_*``) under a valid CRC raise ModelError naming the file
-    and the section."""
+    """Malformed sections under a valid CRC raise ModelError naming the
+    file and the section: the constraint tables (``drop_*``,
+    ``log_df_*``, ``constraint_*``), the vocabulary, the taxonomy edges,
+    the readings and the phrase-id and engine tables."""
 
     @pytest.mark.parametrize(
         ("edit", "section", "problem"),
@@ -613,6 +659,108 @@ class TestLogSectionChecks:
                 "log_df_counts",
                 _FREQUENCY,
                 id="frequency-negative",
+            ),
+            pytest.param(
+                _store("vocab_offsets", 2, 10**6),
+                "vocab_offsets",
+                _OFFSETS,
+                id="vocab-offsets-not-rising",
+            ),
+            pytest.param(
+                _store("edge_instances", 0, -1),
+                "edge_instances",
+                _VOCAB,
+                id="edge-instance-id-negative",
+            ),
+            pytest.param(
+                _adjust("edge_counts", count=-1, bytes=-8),
+                "edge_counts",
+                _SHORT,
+                id="edge-counts-short",
+            ),
+            pytest.param(
+                _store("edge_counts", 0, 0),
+                "edge_counts",
+                "edge count must be positive",
+                id="edge-count-zero",
+            ),
+            pytest.param(
+                _denormalize,
+                "edge_instances",
+                "not in normal form",
+                id="taxonomy-term-not-normal",
+            ),
+            pytest.param(
+                _store("reading_offsets", 1, 10**6),
+                "reading_offsets",
+                _OFFSETS,
+                id="reading-offsets-not-rising",
+            ),
+            pytest.param(
+                _store("reading_ids", 0, 10**9),
+                "reading_ids",
+                "concept id out of range",
+                id="reading-id-out-of-range",
+            ),
+            pytest.param(
+                _store("context_offsets", 1, 10**6),
+                "context_offsets",
+                _OFFSETS,
+                id="context-offsets-not-rising",
+            ),
+            pytest.param(
+                _store("phrase_readings", 1, 10**6),
+                "phrase_readings",
+                "group id out of range",
+                id="reading-group-out-of-range",
+            ),
+            pytest.param(
+                _store("phrase_readings", 0, 1),
+                "phrase_readings",
+                "numbered by first occurrence",
+                id="reading-groups-unnumbered",
+            ),
+            pytest.param(
+                _adjust("phrase_bases", count=-1, bytes=-8),
+                "phrase_bases",
+                _SHORT,
+                id="base-groups-short",
+            ),
+            pytest.param(
+                _store("vseg_state_phrases", 0, 10**9),
+                "vseg_state_phrases",
+                _PHRASE,
+                id="state-phrase-out-of-range",
+            ),
+            pytest.param(
+                _store("vseg_state_phrases", 0, -2),
+                "vseg_state_phrases",
+                _PHRASE,
+                id="state-phrase-negative",
+            ),
+            pytest.param(
+                _adjust("vseg_state_phrases", count=-1, bytes=-8),
+                "vseg_state_phrases",
+                _SHORT,
+                id="state-phrases-short",
+            ),
+            pytest.param(
+                _store("instance_keys", 0, 10**15),
+                "instance_keys",
+                "phrase pair id out of range",
+                id="instance-key-out-of-range",
+            ),
+            pytest.param(
+                _store("instance_keys", 1, 0),
+                "instance_keys",
+                "keys not rising",
+                id="instance-keys-not-rising",
+            ),
+            pytest.param(
+                _adjust("instance_values", count=-1, bytes=-8),
+                "instance_values",
+                _SHORT,
+                id="instance-values-short",
             ),
         ],
     )
